@@ -121,7 +121,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     density = density_grid(model, args.grid, args.quad_tol)
     out = _prepare_out(args.out)
     formats.write_density_csv(out, density)
-    formats.write_json(_sidecar_path(out), formats.density_sidecar(density, args.grid))
+    sidecar = {**formats.density_sidecar(density, args.grid), "quad_err_est": density.quad_err_est}
+    formats.write_json(_sidecar_path(out), sidecar)
     print(f"wrote {out} and {_sidecar_path(out)}")
     return 0
 

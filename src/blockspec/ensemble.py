@@ -48,8 +48,8 @@ class GammaWeights:
             raise ValidationError(
                 f"expected {self.p} gamma values, got {len(gamma)}"
             )
-        if any(g <= 0 for g in gamma):
-            raise ValidationError(f"all gamma values must be > 0, got {gamma}")
+        if not all(0.0 < g < math.inf for g in gamma):
+            raise ValidationError(f"all gamma values must be positive and finite, got {gamma}")
         object.__setattr__(self, "gamma", gamma)
 
 

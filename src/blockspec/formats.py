@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EmpiricalSpectrum
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .spectral import SpectralDensity
 
 
@@ -43,7 +43,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write strict JSON: a NaN or infinity in the payload raises NumericalError."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"refusing to write a non-finite number to {path}: {exc}") from exc
+    atomic_write_text(path, text + "\n")
 
 
 def read_json(path: str | Path) -> dict:

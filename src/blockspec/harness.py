@@ -187,8 +187,8 @@ def tail_bound_experiment(
     finite-trial frequency has statistical headroom without excusing a true
     violation when the bound is essentially zero.
     """
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
     if max_gaps is None:
         max_gaps = gap_report(n, w, trials, master_seed).max_gaps
     if len(max_gaps) != trials:

@@ -15,9 +15,12 @@ for the unit eigenvectors u_j.  By first-order perturbation, dlambda_j/dt =
 exact derivatives, which avoids curve tracking entirely.
 
 The s-integral runs over (0, 1/p].  A u = sqrt(s) substitution removes the
-1/sqrt(s) divergence of the weights at s -> 0, and the square-root kinks where
-some lambda_j crosses +-2 are located by a scan-and-bisect pass and handed to
-the adaptive quadrature as breakpoints.
+1/sqrt(s) divergence of the weights at s -> 0.  The square-root kinks where
+some lambda_j crosses +-2 come in closed form from two p x p eigenvalue
+problems, and one batched pass integrates every grid point's panels between
+kinks with a fixed Gauss-Legendre rule, checked against its embedded
+half-size rule.  The same eigenvalues give the CDF in closed form through
+arccos(lambda_j / 2), since dlambda_j/dt = -w_j.
 """
 
 from __future__ import annotations
@@ -28,14 +31,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .ensemble import GammaWeights
 from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
 from .linalg import eigh_dense, log_abs_det, require_symmetric, spd_inv_sqrt
-
-_KINK_SCAN_POINTS = 129
 
 
 class LambdaPoint(NamedTuple):
@@ -55,6 +54,7 @@ class SpectralDensity:
     p: int | None = None
     gamma: tuple[float, ...] | None = None
     quad_tol: float | None = None
+    quad_err_est: float | None = None
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -169,106 +169,190 @@ def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
     return total
 
 
-class _TraceIntegrand:
-    """Integrand of the s-integral for one fixed t, in u = sqrt(s) variables.
+def _require_quad_tol(quad_tol: float) -> None:
+    """Reject a quadrature tolerance that is not a positive finite number."""
+    if not 0.0 < quad_tol < math.inf:
+        raise ValidationError(f"quad_tol must be positive and finite, got {quad_tol}")
 
-    Uses the homogeneous structure: W(s, t) = W0 - (t / sqrt(s*p)) * A0inv and
-    A(s)^{-1} = A0inv / sqrt(s*p), so each evaluation costs one small eigh.
+
+def _rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+# one panel is integrated with _GL_NODES Gauss-Legendre nodes; the embedded
+# _GL_NODES // 2 rule on the same panel gives the error estimate
+_GL_NODES = 32
+_RULE_X, _RULE_W = (
+    np.concatenate(parts) for parts in zip(_rule(_GL_NODES), _rule(_GL_NODES // 2))
+)
+_MIN_PANEL = 1e-14  # narrower u-panels are skipped
+_MAX_DEPTH = 8  # bisections of one panel before its tolerance counts as failed
+_ROUNDING = 64 * np.finfo(float).eps  # relative rounding level of a panel integral
+_CHUNK_PANELS = 64  # panels per batched eigh call (64 * 48 matrices)
+
+
+def _integrands(model: LimitModel, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The u-integrands of the density, the mass below t and the mass above t.
+
+    t and u broadcast together; the three integrands are stacked on a new
+    first axis.  ds = 2u du, and the weights of W(u, t) carry the factor
+    1 / (u sqrt(p)), so the density integrand is 2u times `trace_density`
+    of the coefficient pair at s = u^2.
     """
+    _, a0inv, w0 = model._spd_parts()
+    sqrt_p = math.sqrt(model.p)
+    lam, vec = np.linalg.eigh(w0 - (t / (u * sqrt_p))[..., None, None] * a0inv)
+    weights = np.sum(vec * (a0inv @ vec), axis=-2)
+    inside = np.abs(lam) < 2.0
+    radicand = np.where(inside, (2.0 - lam) * (2.0 + lam), 1.0)
+    half = np.clip(lam / 2.0, -1.0, 1.0)
+    density = np.sum(np.where(inside, weights / np.sqrt(radicand), 0.0), axis=-1)
+    below = np.sum(np.arccos(half), axis=-1)
+    above = np.sum(np.arccos(-half), axis=-1)
+    return np.stack(
+        [
+            density * (2.0 / (math.pi * sqrt_p)),
+            below * u * (2.0 / math.pi),
+            above * u * (2.0 / math.pi),
+        ]
+    )
 
-    def __init__(self, model: LimitModel, t: float):
-        self.p = model.p
-        self.t = t
-        _, self.a0inv, self.w0 = model._spd_parts()
-        self.u_max = math.sqrt(1.0 / model.p)
 
-    def _w_matrix(self, u: float) -> np.ndarray:
-        return self.w0 - (self.t / (u * math.sqrt(self.p))) * self.a0inv
+def _panel_integrals(
+    model: LimitModel, t: np.ndarray, a: np.ndarray, b: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of the three `_integrands` over the u-panels [a, b], with
+    one error estimate a panel.
 
-    def lambdas(self, u: float) -> np.ndarray:
-        return np.linalg.eigvalsh(self._w_matrix(u))
+    Panel i is mapped through u = a + (end - a) sin^2(theta), end >= b, for
+    theta in (0, theta_end) with sin^2(theta_end) = (b - a) / (end - a).  The
+    map cancels the inverse-square-root behaviour of a kink at a and at end,
+    so all three integrands are smooth in theta even when the kink at end
+    lies just past the panel.  Returns the (3, panels) integrals and the
+    largest of their three error estimates, |K-node rule - K/2-node rule|,
+    per panel.
+    """
+    theta_end = np.arcsin(np.sqrt((b - a) / (end - a)))
+    high = np.empty((3, len(t)))
+    low = np.empty((3, len(t)))
+    for lo in range(0, len(t), _CHUNK_PANELS):
+        rows = slice(lo, lo + _CHUNK_PANELS)
+        width = (end[rows] - a[rows])[:, None]
+        theta = theta_end[rows, None] * _RULE_X
+        u = a[rows, None] + width * np.sin(theta) ** 2
+        jac = width * np.sin(2.0 * theta) * theta_end[rows, None] * _RULE_W
+        nodes = jac * _integrands(model, t[rows, None], u)
+        high[:, rows] = nodes[..., :_GL_NODES].sum(axis=-1)
+        low[:, rows] = nodes[..., _GL_NODES:].sum(axis=-1)
+    return high, np.abs(high - low).max(axis=0)
 
-    def __call__(self, u: float) -> float:
-        if u <= 0.0:
-            if self.t != 0.0:
-                return 0.0
-            # at t = 0 the curves are u-independent; take the limit value
-            values, vectors = np.linalg.eigh(self.w0)
-            weights = np.einsum("ij,ij->j", vectors, self.a0inv @ vectors)
-            inside = np.abs(values) < 2.0
-            return (2.0 / math.sqrt(self.p)) * float(
-                np.sum(weights[inside] / (np.pi * np.sqrt(4.0 - values[inside] ** 2)))
+
+def _kinks(model: LimitModel, ts: np.ndarray) -> np.ndarray:
+    """u-locations where an eigenvalue curve of W(u, t) meets +-2, per t.
+
+    With u = sqrt(s), W(u, t) = W0 - (t / (u sqrt(p))) A0^{-1}, and
+    W0 - k A0^{-1} - l I = S0 (B0 - k I - l A0) S0 with S0 = A0^{-1/2}.  So a
+    curve meets the level l exactly where k = t / (u sqrt(p)) is an
+    eigenvalue of B0 - l A0: two p x p eigenvalue problems give every kink
+    at every t.  Row i holds t_i / (k sqrt(p)) for each nonzero eigenvalue k
+    of B0 - 2 A0 and B0 + 2 A0; entries outside (0, u_max] lie off the
+    integration range.
+    """
+    levels = np.concatenate(
+        [
+            np.linalg.eigvalsh(model.B0 - 2.0 * model.A0),
+            np.linalg.eigvalsh(model.B0 + 2.0 * model.A0),
+        ]
+    )
+    return ts[:, None] / (levels[levels != 0.0] * math.sqrt(model.p))
+
+
+def _density_table(
+    model: LimitModel, ts: np.ndarray, quad_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Limit density, CDF and quadrature error estimate at every t in ts.
+
+    With u = sqrt(s) the s-integrals run over u in (0, u_max], u_max =
+    sqrt(1/p), split into panels at the `_kinks` inside that range, so every
+    panel carries smooth integrands once mapped.
+
+    The density integrand is sum_j w_j / (pi sqrt(4 - lambda_j^2)) over
+    |lambda_j| < 2.  The mass below t has integrand sum_j arccos(lambda_j/2)
+    / pi with lambda_j / 2 clipped to [-1, 1], whose t-derivative is the
+    density integrand because dlambda_j/dt = -w_j; the mass above t uses
+    arccos(-lambda_j / 2), and the two add up to 1.  The CDF is the mass
+    below t where that is the smaller one and 1 - (mass above t) elsewhere:
+    both are exact zeros outside the support, so the table starts at 0 and
+    ends at 1 with no normalization, and either tail keeps its relative
+    precision.
+
+    Every (t, panel) pair gets the share quad_tol / (panels at t) of the
+    tolerance.  A panel whose error estimate exceeds its share is bisected
+    and evaluated again; NumericalError is raised when a panel still exceeds
+    its share after _MAX_DEPTH bisections, or when its estimate is already
+    at the rounding level of its integrals, which bisection cannot lower.
+    """
+    _require_quad_tol(quad_tol)
+    ts = np.asarray(ts, dtype=float)
+    u_max = math.sqrt(1.0 / model.p)
+    kinks = _kinks(model, ts)
+    inner = np.sort(np.where((kinks > 0.0) & (kinks < u_max), kinks, u_max), axis=1)
+    edges = np.concatenate(
+        [np.zeros((len(ts), 1)), inner, np.full((len(ts), 1), u_max)], axis=1
+    )
+    # the nearest kink past u_max, if any, ends the map of the last panel
+    past = np.where(kinks >= u_max, kinks, np.inf).min(axis=1, initial=np.inf)
+    past = np.where(np.isfinite(past), past, u_max)
+    a, b = edges[:, :-1], edges[:, 1:]
+    keep = b - a >= _MIN_PANEL
+    row = np.nonzero(keep)[0]
+    a, b = a[keep], b[keep]
+    end = np.where(b == u_max, past[row], b)
+    share = quad_tol / keep.sum(axis=1)[row]
+
+    found = []
+    for depth in range(_MAX_DEPTH + 1):
+        values, err = _panel_integrals(model, ts[row], a, b, end)
+        ok = err <= share
+        found.append((row[ok], values[:, ok], err[ok]))
+        if ok.all():
+            break
+        stuck = ~ok & ((depth == _MAX_DEPTH) | (err <= _ROUNDING * values.max(axis=0)))
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            raise NumericalError(
+                f"limit density quadrature at t = {float(ts[row[i]])!r}: error "
+                f"estimate {err[i]:.3e} exceeds its share {share[i]:.3e} of quad_tol "
+                f"{quad_tol!r} on the u-panel [{float(a[i])!r}, {float(b[i])!r}] "
+                f"after {depth} bisections"
             )
-        values, vectors = np.linalg.eigh(self._w_matrix(u))
-        inside = np.abs(values) < 2.0
-        if not inside.any():
-            return 0.0
-        weights = np.einsum("ij,ij->j", vectors, self.a0inv @ vectors)
-        weights = weights / (u * math.sqrt(self.p))
-        # d s = 2u du
-        return 2.0 * u * float(
-            np.sum(weights[inside] / (np.pi * np.sqrt(4.0 - values[inside] ** 2)))
-        )
+        # bisect the failed panels; the right half keeps the map's end
+        a, b, end, share = a[~ok], b[~ok], end[~ok], share[~ok]
+        mid = (a + b) / 2.0
+        row = np.repeat(row[~ok], 2)
+        a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
+        share = np.repeat(share / 2.0, 2)
 
-    def crossing_points(self) -> list[float]:
-        """u-locations where some eigenvalue curve crosses +-2.
-
-        Each sorted curve is monotone in u (the shift -t/(u sqrt(p)) * A0inv
-        is Loewner-monotone in u for fixed t), so every curve crosses each
-        level at most once and a sign scan cannot miss a crossing.  Exact
-        hits at scan points are kept as crossings directly.
-        """
-        us = np.linspace(0.0, self.u_max, _KINK_SCAN_POINTS)[1:]
-        stack = np.stack([self._w_matrix(u) for u in us])
-        lams = np.linalg.eigvalsh(stack)
-        points: set[float] = set()
-        for j in range(self.p):
-            for level in (-2.0, 2.0):
-                f = lams[:, j] - level
-                for k in np.nonzero(f == 0.0)[0]:
-                    points.add(float(us[k]))
-                signs = np.sign(f)
-                hits = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-                for k in hits:
-                    root = brentq(
-                        lambda u: self.lambdas(u)[j] - level,
-                        us[k],
-                        us[k + 1],
-                        xtol=1e-13,
-                    )
-                    points.add(float(root))
-        return sorted(points)
+    row = np.concatenate([part[0] for part in found])
+    values = np.concatenate([part[1] for part in found], axis=1)
+    err = np.concatenate([part[2] for part in found])
+    density, below, above, err = (
+        np.bincount(row, weights=w, minlength=len(ts)) for w in (*values, err)
+    )
+    cdf = np.where(below <= above, below, 1.0 - above)
+    return density, cdf, err
 
 
 def limit_density(model: LimitModel, t: float, quad_tol: float = 1e-8) -> float:
     """Limit density f(t): the s-integral of the trace density over (0, 1/p].
 
-    Integrates in u = sqrt(s) panel by panel between located curve crossings.
-    Each panel is mapped through u = a + (b - a) sin^2(theta), which cancels
-    the inverse-square-root singularities the integrand has where a curve
-    meets +-2, so the adaptive rule only ever sees a smooth integrand.
-    Absolute tolerance quad_tol.
+    The one-point case of the batched kernel behind `density_grid`, held to
+    the absolute tolerance quad_tol by its embedded error estimate.
     """
-    if quad_tol <= 0:
-        raise ValidationError("quad_tol must be positive")
-    integrand = _TraceIntegrand(model, float(t))
-    edges = [0.0, *integrand.crossing_points(), integrand.u_max]
-    panel_tol = quad_tol / max(1, len(edges) - 1)
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            width = b - a
-            if width < 1e-14:
-                continue
-
-            def mapped(theta: float, a: float = a, width: float = width) -> float:
-                sin_t = math.sin(theta)
-                return integrand(a + width * sin_t * sin_t) * width * math.sin(2.0 * theta)
-
-            value, _ = quad(mapped, 0.0, math.pi / 2.0, epsabs=panel_tol, epsrel=0.0, limit=200)
-            total += value
-    return max(0.0, float(total))
+    density, _, _ = _density_table(model, np.array([float(t)]), quad_tol)
+    return float(density[0])
 
 
 def semicircle_density(gamma1: float, x: float) -> float:
@@ -299,8 +383,10 @@ def arcsine_mixture_density(
             "gamma1 == gamma2 makes the coupling block singular; "
             "the p = 2 limit density is not defined"
         )
-    if quad_tol <= 0:
-        raise ValidationError("quad_tol must be positive")
+    _require_quad_tol(quad_tol)
+    # imported here: the oracle is the only user of scipy's adaptive quad
+    from scipy.integrate import IntegrationWarning, quad
+
     sg1, sg2 = math.sqrt(gamma1), math.sqrt(gamma2)
     u_max = math.sqrt(0.5)
     total = 0.0
@@ -340,6 +426,12 @@ def support_bound(model: LimitModel) -> float:
     return float(np.abs(b).sum(axis=1).max() + 2.0 * np.abs(a).sum(axis=1).max())
 
 
+def _grid(bound: float, grid_size: int) -> np.ndarray:
+    if grid_size < 100:
+        raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
+    return np.linspace(-bound, bound, grid_size + 1)
+
+
 def tabulate_density(
     fn,
     bound: float,
@@ -353,10 +445,12 @@ def tabulate_density(
     The CDF is the cumulative trapezoid of the density; if its endpoint is
     within 1 percent of 1 the table is renormalized to end at exactly 1,
     otherwise the quadrature is considered failed and an error is raised.
+    The closed-form oracles are tabulated this way; the limit density has
+    its own closed-form CDF in `density_grid`.
     """
-    if grid_size < 100:
-        raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
-    grid = np.linspace(-bound, bound, grid_size + 1)
+    if quad_tol is not None:
+        _require_quad_tol(quad_tol)
+    grid = _grid(bound, grid_size)
     density = np.array([fn(t) for t in grid])
     cdf = np.concatenate(
         [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(grid))]
@@ -378,12 +472,23 @@ def tabulate_density(
 
 
 def density_grid(model: LimitModel, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
-    """Tabulate the limit density on grid_size + 1 points spanning [-M*, M*]."""
-    return tabulate_density(
-        lambda t: limit_density(model, t, quad_tol),
-        support_bound(model),
-        grid_size,
+    """Tabulate the limit density and its CDF on grid_size + 1 points
+    spanning [-M*, M*], in one batched pass of the quadrature kernel."""
+    grid = _grid(support_bound(model), grid_size)
+    density, cdf, err = _density_table(model, grid, quad_tol)
+    drops = np.nonzero(np.diff(cdf) < 0.0)[0]
+    if drops.size:
+        i = int(drops[0]) + 1
+        raise NumericalError(
+            f"limit CDF decreases from {float(cdf[i - 1])!r} to {float(cdf[i])!r} "
+            f"at t = {float(grid[i])!r}"
+        )
+    return SpectralDensity(
+        grid=grid,
+        density=density,
+        cdf=cdf,
         p=model.p,
         gamma=model.gamma,
         quad_tol=quad_tol,
+        quad_err_est=float(err.max()),
     )

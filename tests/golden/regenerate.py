@@ -2,7 +2,9 @@
 
 Run from the repository root:
 
-    python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+(plain `python tests/golden/regenerate.py` once the package is installed).
 
 Golden files pin the byte-exact output of fixed CLI invocations (format,
 float rendering, draw order, and solver results together).  They are

@@ -70,6 +70,10 @@ class TestSubcommands:
         sidecar = read_json(tmp_path / "density.json")
         assert sidecar["grid_size"] == 400
         assert sidecar["support"] == [-2.0, 2.0]
+        # the CDF column is the raw closed-form CDF, held to quad_tol
+        assert table.cdf[0] == 0.0 and abs(table.cdf[-1] - 1.0) <= 1e-12
+        assert np.all(np.diff(table.cdf) >= 0.0)
+        assert 0.0 < sidecar["quad_err_est"] <= sidecar["quad_tol"]
 
     def test_oracle_matches_density(self, tmp_path, monkeypatch):
         base = ["--p", "2", "--gamma", "2,8", "--grid", "150"]
@@ -247,6 +251,37 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "8", "--p", "1", "--gamma", "nan", "--seed", "1"],
+            ["sample", "--n", "8", "--p", "1", "--gamma", "inf", "--seed", "1"],
+            ["density", "--p", "1", "--gamma", "nan", "--grid", "100"],
+            ["density", "--p", "1", "--gamma", "2", "--grid", "100", "--quad-tol", "nan"],
+            ["density", "--p", "1", "--gamma", "2", "--grid", "100", "--quad-tol", "inf"],
+            ["oracle", "--p", "1", "--gamma", "2", "--grid", "100", "--quad-tol", "nan"],
+            ["gap", "--n-list", "12", "--p", "1", "--gamma", "1", "--trials", "2",
+             "--epsilon", "nan"],
+        ],
+        ids=["sample-gamma-nan", "sample-gamma-inf", "density-gamma-nan",
+             "density-quad-tol-nan", "density-quad-tol-inf", "oracle-quad-tol-nan",
+             "gap-epsilon-nan"],
+    )
+    def test_nonfinite_parameters_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unattainable_quad_tol_fails_numerically(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["density", "--p", "1", "--gamma", "2", "--grid", "100", "--quad-tol", "1e-300"],
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "quad_tol 1e-300" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, tmp_path, monkeypatch, capsys):
         assert run_in(tmp_path, monkeypatch, ["--help"]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockspec.ensemble import EmpiricalSpectrum, RngSeed
-from blockspec.errors import ValidationError
+from blockspec.errors import NumericalError, ValidationError
 from blockspec.formats import (
     fmt,
     read_density_csv,
@@ -87,3 +87,11 @@ def test_atomic_write_replaces(tmp_path):
     assert read_json(path) == {"a": 1}
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_nonfinite(tmp_path, value):
+    path = tmp_path / "side.json"
+    with pytest.raises(NumericalError, match="side.json"):
+        write_json(path, {"ok": 1.0, "nested": [value]})
+    assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from blockspec import spectral
+from blockspec.cli import FIGURES
 from blockspec.ensemble import GammaWeights
 from blockspec.errors import (
     NotPositiveDefiniteError,
@@ -190,6 +192,13 @@ class TestLimitDensity:
         with pytest.raises(ValidationError):
             limit_density(M1, 0.0, quad_tol=0.0)
 
+    @pytest.mark.parametrize("quad_tol", [math.nan, math.inf, -1e-6])
+    def test_nonfinite_quad_tol_rejected(self, quad_tol):
+        with pytest.raises(ValidationError, match="quad_tol"):
+            limit_density(M1, 0.0, quad_tol=quad_tol)
+        with pytest.raises(ValidationError, match="quad_tol"):
+            density_grid(M1, 100, quad_tol)
+
     def test_grid_aligned_curve_crossing(self):
         # regression: at t = -3 sqrt(2) with tied weights (4, 4, 100) a curve
         # meets +2 exactly at a scan point (u_max / 4); a sign-based scan that
@@ -295,3 +304,118 @@ class TestDensityGrid:
         # constant 0.6 over [-1, 1] integrates to 1.2
         with pytest.raises(NumericalError, match="1%"):
             tabulate_density(lambda t: 0.6, 1.0, 100)
+
+
+def _figure_models():
+    return {
+        name: LimitModel.from_gamma(GammaWeights(p, gamma))
+        for name, (p, gamma, _) in sorted(FIGURES.items())
+    }
+
+
+class TestDensityKernel:
+    """The batched kernel behind `density_grid` and `limit_density`."""
+
+    def test_cdf_matches_exact_semicircle_cdf(self):
+        table = density_grid(M1, 400, 1e-6)
+        x = np.clip(table.grid / 2.0, -1.0, 1.0)
+        exact = 0.5 + (x * np.sqrt(1.0 - x * x) + np.arcsin(x)) / math.pi
+        assert np.abs(table.cdf - exact).max() <= 1e-10
+
+    def test_matches_arcsine_mixture_on_grid_through_the_kinks(self):
+        # M* = 7 and 140 intervals put grid points on the density kinks
+        # -5, -3, 0, 1 and 7 (branch support edges and the accumulation at 0)
+        table = density_grid(M2, 140, 1e-9)
+        for kink in (-5.0, -3.0, 0.0, 1.0, 7.0):
+            assert np.abs(table.grid - kink).min() <= 1e-12
+        errs = [
+            abs(d - arcsine_mixture_density(2.0, 8.0, t))
+            for t, d in zip(table.grid, table.density)
+        ]
+        assert max(errs) <= 1e-9 + 1e-10  # kernel tolerance + oracle tolerance
+        assert table.quad_err_est <= 1e-9
+
+    def test_kink_just_past_the_range(self):
+        # with weights (2, 3), W0 has an eigenvalue below -2: for t < 0 one
+        # curve enters (-2, 2) and leaves it again through -2 at u* =
+        # t / (k sqrt(2)), k = -0.55051025721682...  For t just below k that
+        # exit lies just past u_max, and the last panel's map must end there
+        # to keep its inverse square root smooth.  References: 40-digit
+        # quadrature of the two arcsine branches (the scipy oracle is off by
+        # up to 1e-4 this close to its own breakpoints).
+        model = LimitModel.from_gamma(GammaWeights(2, (2.0, 3.0)))
+        for t, reference in (
+            (-0.5505102577, 0.84870816077197805),
+            (-0.55051031, 0.84845483138024336),
+            (-0.5505157, 0.84589714841450993),
+        ):
+            assert limit_density(model, t, 1e-9) == pytest.approx(reference, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_kinks_are_level_crossings(self, name):
+        # every u* = t / (k sqrt(p)), k an eigenvalue of B0 -+ 2 A0, puts an
+        # eigenvalue of W(u*, t) on +-2; W built by the independent path
+        model = _figure_models()[name]
+        u_max = math.sqrt(1.0 / model.p)
+        ts = np.linspace(-support_bound(model), support_bound(model), 41)
+        kinks = spectral._kinks(model, ts)
+        checked = 0
+        for t, row in zip(ts, kinks):
+            for u in row[(row > 0.0) & (row <= u_max)]:
+                a, b = build_AB(model, u * u)
+                lams = np.array([pt.value for pt in lambda_and_weights(a, b, t)])
+                assert np.abs(np.abs(lams) - 2.0).min() <= 1e-12, (t, u, lams)
+                checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("name", ["fig1", "fig5"])
+    def test_node_integrand_matches_trace_density(self, name):
+        # in u = sqrt(s), ds = 2u du: the node integrand is 2u trace_density
+        model = _figure_models()[name]
+        rng = np.random.default_rng(5)
+        bound = support_bound(model)
+        t = rng.uniform(-bound, bound, 60)
+        u = rng.uniform(0.05, math.sqrt(1.0 / model.p), 60)
+        node = spectral._integrands(model, t, u)[0]
+        for ti, ui, value in zip(t, u, node):
+            expected = 2.0 * ui * trace_density(*build_AB(model, ui * ui), ti)
+            assert value == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_raw_cdf_runs_from_zero_to_one(self, name):
+        table = density_grid(_figure_models()[name], 400, 1e-6)
+        assert table.cdf[0] == 0.0
+        assert abs(table.cdf[-1] - 1.0) <= 1e-12
+        assert np.all(np.diff(table.cdf) >= 0.0)
+        assert 0.0 < table.quad_err_est <= 1e-6
+
+    def test_cdf_derivative_is_the_density(self):
+        # F' = f: central differences of the closed-form CDF
+        h = 1e-5
+        ts = np.array([-4.2, -1.7, 0.6, 2.9, 5.5])
+        density, _, _ = spectral._density_table(M2, ts, 1e-10)
+        _, lo, _ = spectral._density_table(M2, ts - h, 1e-10)
+        _, hi, _ = spectral._density_table(M2, ts + h, 1e-10)
+        np.testing.assert_allclose((hi - lo) / (2.0 * h), density, rtol=0.0, atol=1e-7)
+
+    def test_one_point_case_equals_the_grid(self):
+        for model in _figure_models().values():
+            table = density_grid(model, 120, 1e-6)
+            for t, d in list(zip(table.grid, table.density))[::10]:
+                assert limit_density(model, t, 1e-6) == d
+
+    def test_unattainable_tolerance_raises(self):
+        with pytest.raises(NumericalError, match="quad_tol 1e-300"):
+            limit_density(M2, 0.5, 1e-300)
+        with pytest.raises(NumericalError, match="t = "):
+            density_grid(M1, 100, 1e-300)
+
+    def test_decreasing_cdf_raises(self, monkeypatch):
+        def fake(model, ts, quad_tol):
+            cdf = np.linspace(0.0, 1.0, len(ts))
+            cdf[50] = cdf[48]
+            return np.zeros(len(ts)), cdf, np.zeros(len(ts))
+
+        monkeypatch.setattr(spectral, "_density_table", fake)
+        with pytest.raises(NumericalError, match=r"decreases .* at t = 0\.0"):
+            density_grid(M1, 100, 1e-6)
