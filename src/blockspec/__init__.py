@@ -10,7 +10,6 @@ from .ensemble import (
     build_G,
     chi_sample,
     rng_from_seed,
-    scalar_entry_dof,
 )
 from .errors import (
     ConvergenceError,

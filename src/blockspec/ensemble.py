@@ -14,10 +14,10 @@ carry the 1/sqrt(2) prefactor.  F-tilde is the block Jacobi matrix of the
 associated matrix orthogonal polynomials and is permutation-similar to F
 (equal spectra), which the tests assert.
 
-Entry degrees of freedom are bookkept twice on purpose: `block_dof_table`
-transcribes the diagonal/off-diagonal block patterns blockwise, while
-`scalar_entry_dof` applies the unified positional rule above.  The two are
-cross-checked in the test suite; a disagreement means a construction bug.
+`chi_layout` is the one construction of this layout: it returns every chi
+position with its dof as arrays, and `build_G` and `build_F` both read it.
+The test suite keeps an independent blockwise transcription of the block
+patterns and a loop over the positional rule as oracles for it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .linalg import SymmetricBanded
 
 _SQRT2 = math.sqrt(2.0)
@@ -114,59 +114,24 @@ def _check_size(n: int, w: GammaWeights) -> None:
         raise ValidationError(f"n={n} must be at least 2p={2 * w.p}")
 
 
-def scalar_entry_dof(r: int, c: int, n: int, w: GammaWeights) -> float | None:
-    """Chi dof at 1-based position (r, c) of G, or None where no entry exists.
+def chi_layout(n: int, w: GammaWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, dof) of every chi entry of G, 1-based with r < c.
 
-    This is the unified positional rule; it exists purely as a cross-check
-    against the block-level construction in `block_dof_table`.
-    """
-    if not (1 <= r < c <= n):
-        raise ValidationError(f"need 1 <= r < c <= n, got r={r}, c={c}, n={n}")
-    p = w.p
-    d = c - r
-    if d > 2 * p - 1:
-        return None
-    if d <= p - 1:
-        return w.gamma[d - 1] * (n - c + 1)
-    # band offsets p..2p-1 exist only across adjacent blocks
-    if (c - 1) // p != (r - 1) // p + 1:
-        return None
-    return w.gamma[2 * p - d - 1] * (n - r - p + 1)
-
-
-def block_dof_table(n: int, w: GammaWeights) -> dict[tuple[int, int], float]:
-    """Chi dofs of the strict upper triangle of G, assembled blockwise.
-
-    Keys are 1-based (r, c) with r < c.  Diagonal blocks i = 0..n/p-1 have
-    zero diagonal (normals live there) and dof gamma_{|q-l|} * (n - ip - max(q,l) + 1)
-    at local position (q, l); coupling blocks i = 1..n/p-1 sit on rows of
-    block i-1 and columns of block i with dof
-    gamma_{p-|q-l|} * (n - ip - min(q,l) + 1).
+    Positions come in row-major order of the upper triangle, which is the
+    draw order of `build_G`; dof follows the positional rule in the module
+    docstring and is always positive.
     """
     _check_size(n, w)
-    p, gamma = w.p, w.gamma
-    m = n // p
-    table: dict[tuple[int, int], float] = {}
-    for i in range(m):
-        off = i * p
-        for q in range(1, p + 1):
-            for l in range(q + 1, p + 1):
-                table[(off + q, off + l)] = gamma[l - q - 1] * (n - off - l + 1)
-    for i in range(1, m):
-        row_off, col_off = (i - 1) * p, i * p
-        for q in range(1, p + 1):
-            for l in range(1, p + 1):
-                dof = gamma[p - abs(q - l) - 1] * (n - i * p - min(q, l) + 1)
-                table[(row_off + q, col_off + l)] = dof
-    return table
-
-
-def _upper_positions(n: int, p: int):
-    """Banded upper-triangle positions in row-major order, 1-based."""
-    width = 2 * p - 1
-    for r in range(1, n + 1):
-        for c in range(r + 1, min(n, r + width) + 1):
-            yield r, c
+    p = w.p
+    r = np.arange(1, n + 1)[:, None]
+    d = np.arange(1, 2 * p)[None, :]
+    c = r + d
+    near = d < p
+    # offsets p..2p-1 exist only across adjacent blocks
+    present = (c <= n) & (near | ((c - 1) // p == (r - 1) // p + 1))
+    weight = np.asarray(w.gamma)[np.where(near, d - 1, 2 * p - d - 1)]
+    dof = weight * np.where(near, n - c + 1, n - r - p + 1)
+    return np.broadcast_to(r, c.shape)[present], c[present], dof[present]
 
 
 def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
@@ -177,30 +142,19 @@ def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
     at distinct positions are independent; only (r, c)/(c, r) symmetry ties
     values.
     """
-    _check_size(n, w)
+    rows, cols, dof = chi_layout(n, w)
     rng = rng_from_seed(seed)
     out = SymmetricBanded.zeros(n, 2 * w.p - 1)
     out.bands[0, :] = rng.standard_normal(n)
-    table = block_dof_table(n, w)
-    for r, c in _upper_positions(n, w.p):
-        dof = table.get((r, c))
-        if dof is None:
-            continue
-        if dof <= 0:
-            raise NumericalError(
-                f"internal dof bookkeeping error at ({r}, {c}): dof={dof}"
-            )
-        out.bands[c - r, r - 1] = chi_sample(rng, dof) / _SQRT2
+    out.bands[cols - rows, rows - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / _SQRT2
     return out
 
 
 def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
     """Deterministic counterpart of G: normals -> 0, chi_k draws -> sqrt(k)."""
-    _check_size(n, w)
+    rows, cols, dof = chi_layout(n, w)
     out = SymmetricBanded.zeros(n, 2 * w.p - 1)
-    table = block_dof_table(n, w)
-    for (r, c), dof in table.items():
-        out.bands[c - r, r - 1] = math.sqrt(dof) / _SQRT2
+    out.bands[cols - rows, rows - 1] = np.sqrt(dof) / _SQRT2
     return out
 
 

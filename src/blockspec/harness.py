@@ -3,7 +3,9 @@ predictions: the uniform eigenvalue/root approximation, its exponential tail
 bound, the cubed Levy-distance bound, and KS agreement with the limit law.
 
 Trial i always draws from seed (master, i), so runs are reproducible and
-trials can execute concurrently without sharing state.  Theorem-style gap
+trials can execute concurrently without sharing state.  They do run
+concurrently: `map_trials` uses threads, and the banded eigensolve that
+dominates a trial releases the GIL (see `linalg`).  Theorem-style gap
 quantities are unscaled; weak-convergence quantities divide by sqrt(n).
 Every spectrum carries a `scaled` flag to keep the two apart.
 """
@@ -99,7 +101,10 @@ class LevyBound(NamedTuple):
 
 
 def worker_count() -> int:
-    """Worker cap from BLOCKSPEC_THREADS (0 or unset = auto)."""
+    """Worker cap from BLOCKSPEC_THREADS.
+
+    0 or unset means the number of CPUs this process may run on, at most 8.
+    """
     raw = os.environ.get("BLOCKSPEC_THREADS", "0")
     try:
         value = int(raw)
@@ -108,12 +113,22 @@ def worker_count() -> int:
     if value < 0:
         raise ValidationError(f"BLOCKSPEC_THREADS must be >= 0, got {value}")
     if value == 0:
-        return min(os.cpu_count() or 1, 8)
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:  # macOS and Windows have no affinity call
+            usable = os.cpu_count() or 1
+        return min(usable, 8)
     return value
 
 
 def map_trials(fn: Callable[[int], object], trials: Iterable[int]) -> list:
-    """Apply fn to each trial index, in order, possibly on worker threads."""
+    """Apply fn to each trial index; results come back in trial order.
+
+    With more than one worker the calls run on a thread pool.  They overlap
+    where fn runs outside the GIL: the LAPACK call in `eigh_banded`, which
+    dominates a trial at the sizes the CLI runs, releases it.  Results do
+    not depend on the worker count.
+    """
     trials = list(trials)
     workers = min(worker_count(), len(trials)) if trials else 1
     if workers <= 1:

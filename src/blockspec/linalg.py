@@ -3,25 +3,64 @@ functions, and log-determinants.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
 (checked), banded inputs are symmetric by construction of SymmetricBanded.
-Dense and banded solves are backed by LAPACK (numpy.linalg / scipy.linalg),
+Dense and banded solves are backed by LAPACK (numpy.linalg / scipy's LAPACK),
 which meets the backward-stable accuracy contracts stated per function; the
 dense path additionally verifies its residuals against the caller's tol.
+
+The banded solve calls LAPACK dsbevd through the function pointer that
+scipy.linalg.cython_lapack exports, as a ctypes foreign call.  That is the
+routine scipy.linalg.eigvals_banded runs, with the same arguments and so
+bit-identical values, but ctypes releases the GIL for the call's duration,
+so solves on several threads (harness.map_trials) run in parallel.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 
 # Relative pivot threshold below which a determinant is reported as zero.
 # Matches the root-residual tolerance used by the polynomial layer.
 SINGULAR_PIVOT_RTOL = 1e-12
+
+
+def _lapack_function(name: str, *argtypes):
+    """ctypes foreign function for a routine exported by cython_lapack.
+
+    The capsule's name is its C signature; it must be passed back verbatim
+    to get the pointer.
+    """
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info)
+_DSBEVD = _lapack_function(
+    "dsbevd",
+    ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
+    _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P,
+)
+
+
+def _int(v: int):
+    """A Fortran INTEGER argument, passed by reference."""
+    return ctypes.byref(ctypes.c_int(v))
 
 
 class EigenDecomposition(NamedTuple):
@@ -86,9 +125,10 @@ class SymmetricBanded:
         return m
 
     def scipy_band_upper(self) -> np.ndarray:
-        """Band layout expected by scipy.linalg.eig_banded (upper form)."""
+        """LAPACK upper band storage (dsbevd, scipy.linalg.eig_banded), in
+        Fortran order: ab[u + i - j, j] holds entry (i, j) for i <= j."""
         u = self.bandwidth
-        ab = np.zeros((u + 1, self.dim))
+        ab = np.zeros((u + 1, self.dim), order="F")
         for d in range(u + 1):
             ab[u - d, d:] = self.bands[d, : self.dim - d]
         return ab
@@ -135,6 +175,7 @@ def eigh_banded(m: SymmetricBanded, tol: float = 1e-9) -> np.ndarray:
 
     Backward-stable: each value is within tol * max(1, ||M||) of a true
     eigenvalue.  Requires bandwidth < dim (densify wider matrices first).
+    LAPACK dsbevd runs with the GIL released (see the module docstring).
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -142,10 +183,29 @@ def eigh_banded(m: SymmetricBanded, tol: float = 1e-9) -> np.ndarray:
         raise ValidationError(
             f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use eigh_dense"
         )
-    try:
-        values = scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"banded eigensolver did not converge: {exc}") from exc
+    ab = m.scipy_band_upper()  # overwritten by dsbevd
+    if not np.all(np.isfinite(ab)):
+        raise ValidationError("banded matrix has non-finite entries")
+    n, kd = m.dim, m.bandwidth
+    values = np.empty(n)
+    z = np.empty(1)  # not referenced for jobz = 'N'
+    lwork = 2 * n  # dsbevd's minimum for jobz = 'N'
+    work = np.empty(lwork)
+    iwork = np.empty(1, dtype=np.intc)
+    info = ctypes.c_int(0)
+    _DSBEVD(
+        b"N", b"U", _int(n), _int(kd), ab.ctypes.data_as(_DOUBLE_P), _int(kd + 1),
+        values.ctypes.data_as(_DOUBLE_P), z.ctypes.data_as(_DOUBLE_P), _int(1),
+        work.ctypes.data_as(_DOUBLE_P), _int(lwork), iwork.ctypes.data_as(_INT_P),
+        _int(1), ctypes.byref(info),
+    )
+    if info.value < 0:
+        raise ValidationError(f"dsbevd rejected argument {-info.value}")
+    if info.value > 0:
+        raise ConvergenceError(
+            f"banded eigensolver did not converge: {info.value} off-diagonal "
+            "elements of the tridiagonal form did not converge to zero"
+        )
     if not np.all(np.isfinite(values)):
         raise ConvergenceError("banded eigensolver produced non-finite values")
     return np.sort(values)

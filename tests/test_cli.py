@@ -314,3 +314,23 @@ class TestDeterminism:
         assert run_in(tmp_path, monkeypatch, argv) == 0
         for name in outputs:
             assert (tmp_path / name).read_bytes() == first[name], name
+
+    @pytest.mark.parametrize(
+        "argv,output",
+        [
+            (["compare", "--n", "600", "--p", "3", "--gamma", "1,4,25",
+              "--trials", "4", "--seed", "6", "--grid", "100"], "compare.json"),
+            (["gap", "--n-list", "600,1200", "--p", "2", "--gamma", "2,8",
+              "--trials", "4", "--seed", "6"], "gap.json"),
+        ],
+    )
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, argv, output):
+        # sizes at which the trials' banded solves overlap on two threads
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+            workdir = tmp_path / threads
+            workdir.mkdir()
+            assert run_in(workdir, monkeypatch, argv) == 0
+            outputs[threads] = (workdir / output).read_bytes()
+        assert outputs["1"] == outputs["2"]

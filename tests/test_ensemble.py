@@ -2,9 +2,14 @@
 agreement between the sampled matrix, its deterministic counterpart, and the
 block Jacobi form.
 
-The dof layout is checked three ways: the blockwise table against the unified
-positional rule, both against hand-read literal values for small (n, p), and
-structurally through the spectral equality of the two deterministic matrices.
+The library builds the dof layout once, as arrays (`chi_layout`).  The two
+oracles below transcribe it independently: `block_dof_table` blockwise from
+the diagonal/coupling block patterns, `scalar_entry_dof` from the unified
+positional rule.  The layout is checked four ways: the oracles against each
+other and against hand-read literal values for small (n, p), `chi_layout`
+against the blockwise oracle, structurally through the spectral equality of
+the two deterministic matrices, and in distribution through
+E tr(G^2) = tr(F^2) + n, which needs no eigensolver.
 """
 
 import math
@@ -16,13 +21,12 @@ from blockspec.ensemble import (
     EmpiricalSpectrum,
     GammaWeights,
     RngSeed,
-    block_dof_table,
     build_F,
     build_F_tilde,
     build_G,
+    chi_layout,
     chi_sample,
     rng_from_seed,
-    scalar_entry_dof,
 )
 from blockspec.errors import ValidationError
 from blockspec.linalg import eigh_banded, eigh_dense
@@ -30,6 +34,51 @@ from blockspec.matrixpoly import recurrence_coeffs, roots
 
 W2 = GammaWeights(2, (2.0, 8.0))
 W3 = GammaWeights(3, (1.0, 4.0, 25.0))
+W4 = GammaWeights(4, (0.3, 1.7, 2.25, 9.1))
+
+
+def scalar_entry_dof(r, c, n, w):
+    """Chi dof at 1-based position (r, c) of G, or None where no entry exists.
+
+    The unified positional rule of the `blockspec.ensemble` docstring.
+    """
+    p = w.p
+    d = c - r
+    if d > 2 * p - 1:
+        return None
+    if d <= p - 1:
+        return w.gamma[d - 1] * (n - c + 1)
+    # band offsets p..2p-1 exist only across adjacent blocks
+    if (c - 1) // p != (r - 1) // p + 1:
+        return None
+    return w.gamma[2 * p - d - 1] * (n - r - p + 1)
+
+
+def block_dof_table(n, w):
+    """Chi dofs of the strict upper triangle of G, assembled blockwise.
+
+    Keys are 1-based (r, c) with r < c.  Diagonal blocks i = 0..n/p-1 have
+    zero diagonal (normals live there) and dof gamma_{|q-l|} * (n - ip - max(q,l) + 1)
+    at local position (q, l); coupling blocks i = 1..n/p-1 sit on rows of
+    block i-1 and columns of block i with dof
+    gamma_{p-|q-l|} * (n - ip - min(q,l) + 1).
+    """
+    p, gamma = w.p, w.gamma
+    m = n // p
+    table = {}
+    for i in range(m):
+        off = i * p
+        for q in range(1, p + 1):
+            for l in range(q + 1, p + 1):
+                table[(off + q, off + l)] = gamma[l - q - 1] * (n - off - l + 1)
+    for i in range(1, m):
+        row_off, col_off = (i - 1) * p, i * p
+        for q in range(1, p + 1):
+            for l in range(1, p + 1):
+                dof = gamma[p - abs(q - l) - 1] * (n - i * p - min(q, l) + 1)
+                table[(row_off + q, col_off + l)] = dof
+    return table
+
 
 # chi mean is sqrt(2) Gamma((k+1)/2) / Gamma(k/2)
 def exact_chi_mean(dof):
@@ -129,6 +178,18 @@ class TestDofLayout:
         assert scalar_entry_dof(1, 5, 6, W2) is None  # offset 4 > 2p-1 = 3
         assert scalar_entry_dof(2, 5, 6, W2) is None  # offset 3 across non-adjacent blocks
 
+    @pytest.mark.parametrize("w", [GammaWeights(1, (2.0,)), W2, W3, W4])
+    @pytest.mark.parametrize("mult", [2, 3, 7, 25])
+    def test_chi_layout_matches_block_table(self, w, mult):
+        # same positions, in row-major (draw) order, with bit-equal dofs
+        n = mult * w.p
+        rows, cols, dof = chi_layout(n, w)
+        table = block_dof_table(n, w)
+        keys = sorted(table)
+        assert list(zip(rows.tolist(), cols.tolist())) == keys
+        np.testing.assert_array_equal(dof, [table[k] for k in keys])
+        assert np.all(dof > 0)
+
     def test_bandwidth_is_exact(self):
         for w, n in ((W2, 8), (W3, 12)):
             table = block_dof_table(n, w)
@@ -174,6 +235,34 @@ class TestBuildG:
         off = np.array([chi_sample(rng, (n - i) * beta) for i in range(1, n)])
         np.testing.assert_array_equal(g.bands[0], diag)
         np.testing.assert_array_equal(g.bands[1, : n - 1], off / math.sqrt(2.0))
+
+    @pytest.mark.parametrize(
+        "n,w", [(12, W2), (15, W3), (24, W4), (8, GammaWeights(2, (0.7, 1.3)))]
+    )
+    def test_matches_scalar_draw_loop(self, n, w):
+        # the per-entry loop over the blockwise oracle, one chi_sample per
+        # position in row-major order, gives the same bits as the one
+        # vectorized draw
+        seed = RngSeed(2718, 1)
+        rng = rng_from_seed(seed)
+        expected = np.zeros((2 * w.p, n))
+        expected[0] = rng.standard_normal(n)
+        table = block_dof_table(n, w)
+        for r, c in sorted(table):
+            expected[c - r, r - 1] = chi_sample(rng, table[(r, c)]) / math.sqrt(2.0)
+        np.testing.assert_array_equal(build_G(n, w, seed).bands, expected)
+
+    @pytest.mark.parametrize("n,w", [(40, GammaWeights(1, (2.5,))), (40, W2), (42, W3)])
+    def test_mean_square_trace(self, n, w):
+        # E tr(G^2) = tr(F^2) + n: each chi_k^2 has mean k and each N(0,1)^2
+        # mean 1; tr(M^2) is the sum of squared entries, so no solve is needed
+        def trace_sq(m):
+            return float((m.bands[0] ** 2).sum() + 2.0 * (m.bands[1:] ** 2).sum())
+
+        samples = np.array([trace_sq(build_G(n, w, RngSeed(2024, s))) for s in range(200)])
+        expected = trace_sq(build_F(n, w)) + n
+        std_err = samples.std(ddof=1) / math.sqrt(len(samples))
+        assert abs(samples.mean() - expected) <= 4.0 * std_err
 
     def test_size_validation(self):
         with pytest.raises(ValidationError):

@@ -298,6 +298,20 @@ class TestWorkers:
         with pytest.raises(ValidationError):
             worker_count()
 
+    @pytest.mark.parametrize("cpus,expected", [(1, 1), (3, 3), (16, 8)])
+    def test_auto_worker_count_follows_affinity(self, monkeypatch, cpus, expected):
+        # no threads are started: worker_count only reads the affinity mask
+        monkeypatch.setattr(
+            harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.delenv("BLOCKSPEC_THREADS", raising=False)
+        assert worker_count() == expected
+        monkeypatch.setenv("BLOCKSPEC_THREADS", "0")
+        assert worker_count() == expected
+        monkeypatch.setenv("BLOCKSPEC_THREADS", "12")
+        assert worker_count() == 12
+
     def test_map_trials_order_independent(self, monkeypatch):
         def work(i):
             return approx_gap(30, W1, RngSeed(77, i)).max_gap
