@@ -393,6 +393,10 @@ def run(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # an output path that cannot be created or written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -26,9 +26,11 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path atomically; an OSError names path, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
         # mkstemp defaults to 0600; match what a plain open() would create
         umask = os.umask(0)
         os.umask(umask)
@@ -36,9 +38,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -171,6 +171,8 @@ def approx_gap(
 
 def gap_report(n: int, w: GammaWeights, trials: int, master_seed: int) -> GapReport:
     """Gap entries for seeds (master_seed, 0..trials-1) at one matrix size."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     reference = eigh_banded(build_F_tilde(n, w))
     entries = map_trials(
         lambda i: approx_gap(n, w, RngSeed(master_seed, i), reference=reference),
@@ -204,6 +206,8 @@ def tail_bound_experiment(
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     if max_gaps is None:
         max_gaps = gap_report(n, w, trials, master_seed).max_gaps
     if len(max_gaps) != trials:

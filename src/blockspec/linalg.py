@@ -11,25 +11,63 @@ The banded solve calls LAPACK dsbevd through the function pointer that
 scipy.linalg.cython_lapack exports, as a ctypes foreign call.  That is the
 routine scipy.linalg.eigvals_banded runs, with the same arguments and so
 bit-identical values, but ctypes releases the GIL for the call's duration,
-so solves on several threads (harness.map_trials) run in parallel.
+so solves on several threads (harness.map_trials) run in parallel.  The
+LU of log_abs_det calls dgetrf from the same table, the routine
+scipy.linalg.lu_factor runs.
+
+Only the cython_lapack extension is loaded, from its file, not the
+scipy.linalg package: that package's __init__ pulls in scipy's array-API
+layer and with it numpy.f2py, numpy.testing and numpy.ma, which more than
+doubles the start-up time of every CLI process, for two pointers.  The extension is looked up with
+importlib's PathFinder under scipy's directory and executed by its own
+loader.  Its module init registers it in sys.modules under its full name;
+that entry is removed again, since a later `import scipy.linalg.cython_lapack`
+would find it there and never bind it to the package, so that
+`scipy.linalg.cython_lapack` raised AttributeError.  The interpreter keeps
+the initialised extension, so such a later import gets this same module
+object.  If scipy.linalg.cython_lapack is already imported, that module is
+used.
 """
 
 from __future__ import annotations
 
 import ctypes
-import warnings
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cython_lapack
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 
 # Relative pivot threshold below which a determinant is reported as zero.
 # Matches the root-residual tolerance used by the polynomial layer.
 SINGULAR_PIVOT_RTOL = 1e-12
+
+
+def _load_cython_lapack():
+    """scipy.linalg.cython_lapack without importing scipy.linalg (see the
+    module docstring)."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = PathFinder.find_spec("scipy")
+    spec = scipy_spec and PathFinder.find_spec(
+        name, [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+    )
+    if spec is None:
+        raise ImportError(f"cannot find {name}: blockspec requires scipy")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
+
+
+_CYTHON_LAPACK = _load_cython_lapack()
 
 
 def _lapack_function(name: str, *argtypes):
@@ -44,7 +82,7 @@ def _lapack_function(name: str, *argtypes):
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = _CYTHON_LAPACK.__pyx_capi__[name]
     return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
 
 
@@ -56,6 +94,8 @@ _DSBEVD = _lapack_function(
     ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
     _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P,
 )
+# dgetrf(m, n, a, lda, ipiv, info)
+_DGETRF = _lapack_function("dgetrf", _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P)
 
 
 def _int(v: int):
@@ -231,10 +271,11 @@ def spd_inv_sqrt(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def log_abs_det(m: np.ndarray) -> tuple[int, float]:
-    """(sign, log|det|) via LU with partial pivoting.
+    """(sign, log|det|) via LU with partial pivoting (LAPACK dgetrf).
 
     sign is 0 with log|det| = -inf when some pivot falls below
-    SINGULAR_PIVOT_RTOL times the max row sum norm (numerical singularity).
+    SINGULAR_PIVOT_RTOL times the max row sum norm (numerical singularity);
+    that includes the exact zero pivots dgetrf reports with info > 0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -242,10 +283,17 @@ def log_abs_det(m: np.ndarray) -> tuple[int, float]:
     row_norm = float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
     if row_norm == 0.0:
         return 0, -np.inf
-    with warnings.catch_warnings():
-        # exactly singular input is a supported outcome, not a failure
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    k = m.shape[0]
+    lu = np.array(m, order="F")  # overwritten by dgetrf
+    ipiv = np.empty(k, dtype=np.intc)
+    info = ctypes.c_int(0)
+    _DGETRF(
+        _int(k), _int(k), lu.ctypes.data_as(_DOUBLE_P), _int(k),
+        ipiv.ctypes.data_as(_INT_P), ctypes.byref(info),
+    )
+    if info.value < 0:
+        raise ValidationError(f"dgetrf rejected argument {-info.value}")
+    piv = ipiv - 1
     pivots = np.diagonal(lu)
     if np.abs(pivots).min() <= SINGULAR_PIVOT_RTOL * row_norm:
         return 0, -np.inf

@@ -209,6 +209,46 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith("error:")
 
 
+IMPORT_CHECK = """
+import sys
+
+import numpy as np
+
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+import blockspec.cli
+from blockspec import linalg
+
+if sys.argv[1] == "blockspec-first":
+    loaded = [m for m in ("scipy.linalg", "scipy.integrate") if m in sys.modules]
+    assert not loaded, loaded
+import scipy.linalg.cython_lapack
+
+assert scipy.linalg.cython_lapack is linalg._CYTHON_LAPACK
+assert scipy.linalg.cython_lapack.__pyx_capi__["dsbevd"] is not None
+import scipy.linalg
+from blockspec.ensemble import GammaWeights, RngSeed, build_G
+
+m = build_G(60, GammaWeights(2, (2.0, 8.0)), RngSeed(5, 0))
+expected = np.sort(scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False))
+assert np.array_equal(linalg.eigh_banded(m), expected)
+"""
+
+
+class TestImportHygiene:
+    """blockspec loads scipy.linalg.cython_lapack on its own, without the
+    scipy.linalg package, and leaves a later scipy import working."""
+
+    @pytest.mark.parametrize("order", ["blockspec-first", "scipy-first"])
+    def test_cython_lapack_shared_with_scipy(self, tmp_path, order):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_CHECK, order],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestExitCodes:
     def test_gamma_count_mismatch(self, tmp_path, monkeypatch, capsys):
         rc = run_in(
@@ -286,6 +326,34 @@ class TestExitCodes:
     def test_help_exits_zero(self, tmp_path, monkeypatch, capsys):
         assert run_in(tmp_path, monkeypatch, ["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gap_nonpositive_trials_rejected(self, tmp_path, monkeypatch, capsys, trials):
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["gap", "--n-list", "12", "--p", "2", "--gamma", "2,8", "--trials", trials],
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "gap.json").exists()
+
+    @pytest.mark.parametrize("out", ["blocker/out.csv", "blocker/sub/out.csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "8", "--p", "1", "--gamma", "2", "--seed", "1"],
+            ["compare", "--n", "8", "--p", "1", "--gamma", "2", "--trials", "2",
+             "--grid", "100"],
+        ],
+        ids=["sample", "compare"],
+    )
+    def test_unwritable_out_rejected(self, tmp_path, monkeypatch, capsys, argv, out):
+        # a regular file where the output's parent directory should be
+        (tmp_path / "blocker").write_text("")
+        assert run_in(tmp_path, monkeypatch, argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "blocker" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
 
 class TestDeterminism:

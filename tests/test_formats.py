@@ -89,6 +89,14 @@ def test_atomic_write_replaces(tmp_path):
     assert not leftovers
 
 
+def test_atomic_write_error_names_target(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_json(path, {"a": 1})
+    assert info.value.filename == str(path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_write_json_refuses_nonfinite(tmp_path, value):
     path = tmp_path / "side.json"

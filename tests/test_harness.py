@@ -131,6 +131,13 @@ class TestTailBound:
         res = tail_bound_experiment(100, W1, 30.0, 3, 0, max_gaps=gaps)
         assert res.empirical_freq == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ValidationError, match="trials"):
+            gap_report(12, W2, trials, 1)
+        with pytest.raises(ValidationError, match="trials"):
+            tail_bound_experiment(12, W2, 30.0, trials, 1, max_gaps=[])
+
 
 class TestKsDistance:
     def test_inverse_transform_sampling(self, semicircle_table):

@@ -11,6 +11,7 @@ which runs the same routine, is its bit-exact oracle here.
 
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 from blockspec.errors import NotPositiveDefiniteError, ValidationError
 from blockspec.linalg import (
+    SINGULAR_PIVOT_RTOL,
     SymmetricBanded,
     eigh_banded,
     eigh_dense,
@@ -249,6 +251,43 @@ class TestLogAbsDet:
             sp, lp = log_abs_det(a @ b)
             assert sp == sa * sb
             assert lp == pytest.approx(la + lb, abs=1e-9)
+
+    @staticmethod
+    def lu_factor_reference(m):
+        """The scipy.linalg.lu_factor route log_abs_det used to take."""
+        m = np.asarray(m, dtype=float)
+        row_norm = float(np.abs(m).sum(axis=1).max())
+        if row_norm == 0.0:
+            return 0, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+        pivots = np.diagonal(lu)
+        if np.abs(pivots).min() <= SINGULAR_PIVOT_RTOL * row_norm:
+            return 0, -np.inf
+        sign = 1 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1
+        sign *= 1 if (pivots < 0).sum() % 2 == 0 else -1
+        return sign, float(np.log(np.abs(pivots)).sum())
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bit_identical_to_lu_factor(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(25):
+            m = rng.standard_normal((k, k))
+            before = m.copy()
+            assert log_abs_det(m) == self.lu_factor_reference(m)
+            # a Fortran-ordered input is copied too, never factored in place
+            assert log_abs_det(m.T) == self.lu_factor_reference(m.T)
+            np.testing.assert_array_equal(m, before)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.eye(4), np.diag([-2.0, 3.0]), np.array([[1.0, 2.0], [2.0, 4.0]]),
+         np.zeros((3, 3))],
+        ids=["identity", "diagonal", "rank-deficient", "zero"],
+    )
+    def test_known_cases_bit_identical_to_lu_factor(self, m):
+        assert log_abs_det(m) == self.lu_factor_reference(m)
 
     def test_matches_slogdet(self):
         rng = np.random.default_rng(8)
