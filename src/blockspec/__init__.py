@@ -6,9 +6,7 @@ from .ensemble import (
     GammaWeights,
     RngSeed,
     build_F,
-    build_F_tilde,
     build_G,
-    chi_sample,
     rng_from_seed,
 )
 from .errors import (
@@ -48,14 +46,11 @@ from .spectral import (
     LimitModel,
     SpectralDensity,
     arcsine_mixture_density,
-    build_AB,
     density_grid,
-    lambda_and_weights,
     limit_density,
     semicircle_density,
     support_bound,
     tabulate_density,
-    trace_density,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_F_tilde, build_G
+from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G
 from .errors import NumericalError, ValidationError
 from .harness import (
     ExperimentConfig,
@@ -25,6 +25,7 @@ from .harness import (
     tail_bound_experiment,
 )
 from .linalg import eigh_banded
+from .matrixpoly import recurrence_coeffs, roots
 from .spectral import (
     LimitModel,
     arcsine_mixture_density,
@@ -102,7 +103,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    values = eigh_banded(build_F_tilde(args.n, w))
+    values = roots(recurrence_coeffs(args.n, w), args.n // w.p)
     if args.scaled:
         values = values / math.sqrt(args.n)
     spectrum = EmpiricalSpectrum(
@@ -159,7 +160,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     model = LimitModel.from_gamma(w)
     density = density_grid(model, cfg.grid_size, cfg.quad_tol)
-    roots_raw = eigh_banded(build_F_tilde(cfg.n, w))
+    roots_raw = roots(recurrence_coeffs(cfg.n, w), cfg.n // w.p)
     roots_scaled = roots_raw / math.sqrt(cfg.n)
 
     def one_trial(trial: int) -> dict:

@@ -1,8 +1,8 @@
 """Seeded sampling of the random block matrix G and its deterministic
-counterparts F and F-tilde.
+counterpart F.
 
-All three matrices are symmetric banded with half-bandwidth 2p-1 and share
-one scalar entry layout (1-based global indices, r < c, offset d = c - r):
+Both matrices are symmetric banded with half-bandwidth 2p-1 and share one
+scalar entry layout (1-based global indices, r < c, offset d = c - r):
 
   d = 0            standard normal draw (one per diagonal position)
   1 <= d <= p-1    chi draw with dof gamma_d * (n - c + 1), always present
@@ -10,9 +10,10 @@ one scalar entry layout (1-based global indices, r < c, offset d = c - r):
                    only when r and c fall in adjacent p-blocks
 
 F replaces each normal with 0 and each chi_k draw with sqrt(k); all entries
-carry the 1/sqrt(2) prefactor.  F-tilde is the block Jacobi matrix of the
-associated matrix orthogonal polynomials and is permutation-similar to F
-(equal spectra), which the tests assert.
+carry the 1/sqrt(2) prefactor.  F is permutation-similar to F-tilde, the
+block Jacobi matrix of the associated matrix orthogonal polynomials
+(`matrixpoly.jacobi_matrix(matrixpoly.recurrence_coeffs(n, w), n // p)`),
+so the two have equal spectra, which the tests assert.
 
 `chi_layout` is the one construction of this layout: it returns every chi
 position with its dof as arrays, and `build_G` and `build_F` both read it.
@@ -95,23 +96,16 @@ def rng_from_seed(seed: RngSeed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed.master, seed.stream]))
 
 
-def chi_sample(rng: np.random.Generator, dof: float) -> float:
-    """One chi draw with `dof` degrees of freedom (dof may be fractional).
-
-    Drawn as sqrt of a gamma(dof/2, scale 2) variate; dof = 0 gives 0.
-    """
-    if dof < 0:
-        raise ValidationError(f"chi degrees of freedom must be >= 0, got {dof}")
-    if dof == 0:
-        return 0.0
-    return float(np.sqrt(rng.gamma(dof / 2.0, 2.0)))
-
-
-def _check_size(n: int, w: GammaWeights) -> None:
+def check_size(n: int, w: GammaWeights) -> None:
+    """Reject sizes the block layout cannot take or that overflow gamma * n."""
     if n % w.p != 0:
         raise ValidationError(f"n={n} must be divisible by p={w.p}")
     if n < 2 * w.p:
         raise ValidationError(f"n={n} must be at least 2p={2 * w.p}")
+    if not math.isfinite(max(w.gamma) * n):
+        raise ValidationError(
+            f"--gamma value {max(w.gamma)!r} times n={n} is not a finite float"
+        )
 
 
 def chi_layout(n: int, w: GammaWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,7 +115,7 @@ def chi_layout(n: int, w: GammaWeights) -> tuple[np.ndarray, np.ndarray, np.ndar
     draw order of `build_G`; dof follows the positional rule in the module
     docstring and is always positive.
     """
-    _check_size(n, w)
+    check_size(n, w)
     p = w.p
     r = np.arange(1, n + 1)[:, None]
     d = np.arange(1, 2 * p)[None, :]
@@ -155,32 +149,4 @@ def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
     rows, cols, dof = chi_layout(n, w)
     out = SymmetricBanded.zeros(n, 2 * w.p - 1)
     out.bands[cols - rows, rows - 1] = np.sqrt(dof) / _SQRT2
-    return out
-
-
-def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
-    """Block Jacobi matrix of the associated matrix orthogonal polynomials.
-
-    Diagonal blocks (i = 0..n/p-1) have zero diagonal and off-diagonal
-    entries sqrt((ip + min(q,l)) * gamma_{|q-l|} / 2); coupling blocks
-    (i = 1..n/p-1) have entries sqrt(((i-1)p + max(q,l)) * gamma_{p-|q-l|} / 2).
-    Its spectrum equals the spectrum of build_F after sorting.
-    """
-    _check_size(n, w)
-    p, gamma = w.p, w.gamma
-    m = n // p
-    out = SymmetricBanded.zeros(n, min(2 * p - 1, n - 1))
-    for i in range(m):
-        off = i * p
-        for q in range(1, p + 1):
-            for l in range(q + 1, p + 1):
-                val = math.sqrt((i * p + q) * gamma[l - q - 1] / 2.0)
-                out.bands[l - q, off + q - 1] = val
-    for i in range(1, m):
-        row_off = (i - 1) * p
-        for q in range(1, p + 1):
-            for l in range(1, p + 1):
-                r, c = row_off + q, i * p + l
-                val = math.sqrt(((i - 1) * p + max(q, l)) * gamma[p - abs(q - l) - 1] / 2.0)
-                out.bands[c - r, r - 1] = val
     return out

@@ -20,15 +20,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ensemble import (
-    EmpiricalSpectrum,
-    GammaWeights,
-    RngSeed,
-    build_F_tilde,
-    build_G,
-)
+from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G, check_size
 from .errors import ValidationError
 from .linalg import eigh_banded
+from .matrixpoly import recurrence_coeffs, roots
 from .spectral import SpectralDensity
 
 
@@ -44,8 +39,7 @@ class ExperimentConfig:
     quad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.n % self.w.p != 0:
-            raise ValidationError(f"n={self.n} must be divisible by p={self.w.p}")
+        check_size(self.n, self.w)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
 
@@ -163,7 +157,7 @@ def approx_gap(
     if n < 3:
         raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
     if reference is None:
-        reference = eigh_banded(build_F_tilde(n, w))
+        reference = roots(recurrence_coeffs(n, w), n // w.p)
     sampled = eigh_banded(build_G(n, w, seed))
     max_gap = float(np.abs(sampled - reference).max())
     return GapEntry(n=n, max_gap=max_gap, scaled_gap=max_gap / math.sqrt(math.log(n)))
@@ -173,7 +167,7 @@ def gap_report(n: int, w: GammaWeights, trials: int, master_seed: int) -> GapRep
     """Gap entries for seeds (master_seed, 0..trials-1) at one matrix size."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    reference = eigh_banded(build_F_tilde(n, w))
+    reference = roots(recurrence_coeffs(n, w), n // w.p)
     entries = map_trials(
         lambda i: approx_gap(n, w, RngSeed(master_seed, i), reference=reference),
         range(trials),

@@ -148,14 +148,6 @@ class SymmetricBanded:
             out.bands[d, : n - d] = np.diagonal(m, d)
         return out
 
-    def entry(self, i: int, j: int) -> float:
-        """Entry (i, j), 0-based; zero outside the band."""
-        i, j = (i, j) if i <= j else (j, i)
-        d = j - i
-        if d > self.bandwidth:
-            return 0.0
-        return float(self.bands[d, i])
-
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim))
         for d in range(self.bandwidth + 1):
@@ -251,19 +243,22 @@ def eigh_banded(m: SymmetricBanded, tol: float = 1e-9) -> np.ndarray:
     return np.sort(values)
 
 
-def spd_inv_sqrt(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root S of a positive definite matrix, S M S = I.
 
-    The smallest eigenvalue must exceed tol; otherwise the matrix is
-    rejected (this is how invalid gamma configurations surface downstream).
+    The smallest eigenvalue must exceed 1e-12 times the largest eigenvalue
+    magnitude ||M||_2, a test that does not depend on the scale of M;
+    otherwise the matrix is rejected (this is how invalid gamma
+    configurations surface downstream).
     """
     m = require_symmetric(m)
-    values, vectors = eigh_dense(m, tol=max(tol, 1e-12))
+    values, vectors = eigh_dense(m, tol=1e-12)
     min_eig = float(values[0])
-    if min_eig <= tol:
+    norm = float(np.abs(values).max())
+    if not min_eig > 1e-12 * norm:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue {min_eig:.6e} "
-            f"<= tol {tol:.1e}",
+            f"<= 1e-12 * ||M||_2 = 1e-12 * {norm:.6e}",
             min_eigenvalue=min_eig,
         )
     s = (vectors / np.sqrt(values)) @ vectors.T

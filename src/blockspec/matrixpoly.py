@@ -6,11 +6,13 @@ The three-term recurrence is
     x R_m(x) = A_{m+1} R_{m+1}(x) + B_m R_m(x) + A_m^T R_{m-1}(x)
 
 with R_{-1} = 0, R_0 = I.  A coefficient set holds A_1..A_m and B_0..B_{m-1}
-as symmetric p x p blocks (the transpose is kept in eval_R regardless, so the
-recurrence stays correct for general nonsingular A).  Roots of det R_m are
-never found by polynomial root-finding: they are the eigenvalues of the block
-Jacobi matrix built from the coefficients, and the determinant path is kept
-only as a residual check.
+as (m, p, p) stacks of symmetric blocks (the transpose is kept in eval_R
+regardless, so the recurrence stays correct for general nonsingular A).
+Roots of det R_m are never found by polynomial root-finding: they are the
+eigenvalues of the block Jacobi matrix built from the coefficients (F-tilde,
+cospectral with `ensemble.build_F`), and the determinant path is kept only
+as a residual check.  `coefficient_blocks` is the one construction of the
+entry pattern, for these stages and for the limit blocks A0, B0.
 """
 
 from __future__ import annotations
@@ -21,43 +23,57 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import GammaWeights
+from .ensemble import GammaWeights, check_size
 from .errors import NumericalError, ValidationError
-from .linalg import SymmetricBanded, eigh_banded, log_abs_det
-
-RAW = "raw"
-BY_SQRT_N = "by_sqrt_n"
+from .linalg import SymmetricBanded, eigh_banded
 
 
 @dataclass
 class RecurrenceCoeffs:
-    """Blocks A_1..A_m (nonsingular) and B_0..B_{m-1} (symmetric) of size p."""
+    """Stacks A (m, p, p) of A_1..A_m and B (m, p, p) of B_0..B_{m-1}.
+
+    All blocks must be finite and symmetric (max |X - X^T| <= 1e-12
+    max(1, max |X|)).  With N = max(||A_i||_inf, 1e-300), A_i is rejected as
+    singular when slogdet gives sign 0 or log|det A_i| <= log(1e-12) +
+    p log N + 1e-9, or when sigma_min(A_i) <= sqrt(p (p + 1) / 2) 1e-12 N.
+    This rejects every block that `linalg.log_abs_det`'s LU gate rejects:
+    the first clause is its test |det| <= 1e-12 N^p, with 1e-9 of slack for
+    a log-sum taken in another order, and the second covers its pivot test
+    |u_kk| <= 1e-12 N, since |l_jk| <= 1 under partial pivoting gives
+    |u_kk| >= sigma_min / ||L||_2 >= sigma_min / sqrt(p (p + 1) / 2).
+    """
 
     p: int
     m: int
-    A: list[np.ndarray]
-    B: list[np.ndarray]
+    A: np.ndarray
+    B: np.ndarray
 
     def __post_init__(self):
-        if len(self.A) != self.m or len(self.B) != self.m:
+        self.A = np.asarray(self.A, dtype=float)
+        self.B = np.asarray(self.B, dtype=float)
+        shape = (self.m, self.p, self.p)
+        if self.A.shape != shape or self.B.shape != shape:
             raise ValidationError(
-                f"expected {self.m} A and B blocks, got {len(self.A)}, {len(self.B)}"
+                f"A and B must have shape {shape}, got {self.A.shape}, {self.B.shape}"
             )
-        self.A = [np.asarray(a, dtype=float) for a in self.A]
-        self.B = [np.asarray(b, dtype=float) for b in self.B]
+        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
+            raise ValidationError("coefficient blocks must be finite")
         for name, blocks in (("A", self.A), ("B", self.B)):
-            for i, blk in enumerate(blocks):
-                if blk.shape != (self.p, self.p):
-                    raise ValidationError(f"{name} block {i} has shape {blk.shape}")
-                if np.abs(blk - blk.T).max(initial=0.0) > 1e-12 * max(
-                    1.0, np.abs(blk).max(initial=0.0)
-                ):
-                    raise ValidationError(f"{name} block {i} is not symmetric")
-        for i, a in enumerate(self.A, start=1):
-            row_norm = float(np.abs(a).sum(axis=1).max())
-            sign, logabs = log_abs_det(a)
-            if sign == 0 or logabs <= self.p * math.log(max(row_norm, 1e-300)) + math.log(1e-12):
-                raise ValidationError(f"A_{i} is numerically singular")
+            asym = np.abs(blocks - blocks.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+            bad = np.flatnonzero(asym > 1e-12 * np.abs(blocks).max(axis=(1, 2), initial=1.0))
+            if bad.size:
+                raise ValidationError(f"{name} block {bad[0]} is not symmetric")
+        p = self.p
+        norm = np.maximum(np.abs(self.A).sum(axis=2).max(axis=1, initial=0.0), 1e-300)
+        sign, logdet = np.linalg.slogdet(self.A)
+        sigma_min = np.linalg.svd(self.A, compute_uv=False).min(axis=1, initial=np.inf)
+        bad = np.flatnonzero(
+            (sign == 0)
+            | (logdet <= math.log(1e-12) + p * np.log(norm) + 1e-9)
+            | (sigma_min <= math.sqrt(p * (p + 1) / 2.0) * 1e-12 * norm)
+        )
+        if bad.size:
+            raise ValidationError(f"A_{bad[0] + 1} is numerically singular")
 
 
 class MarkovBound(NamedTuple):
@@ -69,37 +85,29 @@ class MarkovBound(NamedTuple):
     lower: float
 
 
-def _tilde_A_block(i: int, w: GammaWeights) -> np.ndarray:
-    q, l = np.indices((w.p, w.p)) + 1
-    gamma = np.asarray(w.gamma)
-    return np.sqrt(((i - 1) * w.p + np.maximum(q, l)) * gamma[w.p - np.abs(q - l) - 1] / 2.0)
+def coefficient_blocks(w: GammaWeights, a_count, b_count) -> tuple[np.ndarray, np.ndarray]:
+    """The entry pattern: A[q, l] = sqrt(a_count gamma_{p-|q-l|} / 2) and,
+    off the diagonal, B[q, l] = sqrt(b_count gamma_{|q-l|} / 2).
 
-
-def _tilde_B_block(i: int, w: GammaWeights) -> np.ndarray:
-    q, l = np.indices((w.p, w.p)) + 1
-    gamma = np.asarray(w.gamma)
-    off = np.abs(q - l)
-    blk = np.sqrt((i * w.p + np.minimum(q, l)) * gamma[np.where(off > 0, off - 1, 0)] / 2.0)
-    blk[off == 0] = 0.0
-    return blk
-
-
-def recurrence_coeffs(n: int, w: GammaWeights, scale: str = RAW) -> RecurrenceCoeffs:
-    """Coefficient blocks for matrix size n, either raw or divided by sqrt(n).
-
-    The raw blocks are exactly the tilde-A/tilde-B patterns driving the block
-    Jacobi matrix; the by_sqrt_n variant converges stagewise to the
-    sqrt(s*p)-homogeneous limit family used by the spectral layer.
+    The stage counts broadcast against (p, p).  count * gamma / 2 stays
+    under one square root: sqrt(a b / 2) and sqrt(a) sqrt(b / 2) differ in
+    the last bit.
     """
-    if n % w.p != 0:
-        raise ValidationError(f"n={n} must be divisible by p={w.p}")
-    if scale not in (RAW, BY_SQRT_N):
-        raise ValidationError(f"scale must be '{RAW}' or '{BY_SQRT_N}', got {scale!r}")
-    m = n // w.p
-    factor = 1.0 / math.sqrt(n) if scale == BY_SQRT_N else 1.0
-    a_blocks = [factor * _tilde_A_block(i, w) for i in range(1, m + 1)]
-    b_blocks = [factor * _tilde_B_block(i, w) for i in range(m)]
-    return RecurrenceCoeffs(p=w.p, m=m, A=a_blocks, B=b_blocks)
+    off = np.abs(np.subtract.outer(np.arange(w.p), np.arange(w.p)))
+    gamma = np.asarray(w.gamma)
+    a = np.sqrt(a_count * gamma[w.p - off - 1] / 2.0)
+    b = np.where(off > 0, np.sqrt(b_count * gamma[off - 1] / 2.0), 0.0)
+    return a, b
+
+
+def recurrence_coeffs(n: int, w: GammaWeights) -> RecurrenceCoeffs:
+    """Coefficient blocks for matrix size n: stage i = 0..n/p-1 has counts
+    i p + max(q, l) in A_{i+1} and i p + min(q, l) in B_i (1-based q, l)."""
+    check_size(n, w)
+    q, l = np.indices((w.p, w.p)) + 1
+    stage = w.p * np.arange(n // w.p)[:, None, None]
+    a, b = coefficient_blocks(w, stage + np.maximum(q, l), stage + np.minimum(q, l))
+    return RecurrenceCoeffs(p=w.p, m=n // w.p, A=a, B=b)
 
 
 def eval_R(coeffs: RecurrenceCoeffs, m: int, x: complex) -> np.ndarray:
@@ -180,25 +188,21 @@ def _solve_stage(a: np.ndarray, rhs: np.ndarray, stage: int) -> np.ndarray:
 
 
 def jacobi_matrix(coeffs: RecurrenceCoeffs, m: int) -> SymmetricBanded:
-    """Block tridiagonal matrix with diagonal B_0..B_{m-1}, coupling A_1..A_{m-1}."""
+    """Block tridiagonal matrix with diagonal B_0..B_{m-1}, coupling A_1..A_{m-1}.
+
+    Entry (q, l) of block i sits on row i p + q, in band l - q for B_i and
+    band p + l - q for A_{i+1}; each stack is written by one indexed
+    assignment.
+    """
     if not 1 <= m <= coeffs.m:
         raise ValidationError(f"need 1 <= m <= {coeffs.m}, got {m}")
     p = coeffs.p
-    dim = m * p
-    out = SymmetricBanded.zeros(dim, min(2 * p - 1, dim - 1))
-    for i in range(m):
-        blk = coeffs.B[i]
-        for q in range(p):
-            out.bands[0, i * p + q] = blk[q, q]
-            for l in range(q + 1, p):
-                out.bands[l - q, i * p + q] = blk[q, l]
-    for i in range(1, m):
-        blk = coeffs.A[i - 1]
-        row_off, col_off = (i - 1) * p, i * p
-        for q in range(p):
-            for l in range(p):
-                r, c = row_off + q, col_off + l
-                out.bands[c - r, r] = blk[q, l]
+    out = SymmetricBanded.zeros(m * p, min(2 * p - 1, m * p - 1))
+    q, l = np.indices((p, p))
+    row = p * np.arange(m)[:, None, None] + q
+    upper = q <= l
+    out.bands[(l - q)[upper], row[:, upper]] = coeffs.B[:m][:, upper]
+    out.bands[p + l - q, row[: m - 1]] = coeffs.A[: m - 1]
     return out
 
 

@@ -28,20 +28,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .ensemble import GammaWeights
 from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
-from .linalg import eigh_dense, log_abs_det, require_symmetric, spd_inv_sqrt
-
-
-class LambdaPoint(NamedTuple):
-    """One eigenvalue curve sample: the value and its derivative weight."""
-
-    value: float
-    weight: float
+from .linalg import log_abs_det, require_symmetric, spd_inv_sqrt
+from .matrixpoly import coefficient_blocks
 
 
 @dataclass
@@ -107,12 +100,7 @@ class LimitModel:
 
     @classmethod
     def from_gamma(cls, w: GammaWeights) -> "LimitModel":
-        i, j = np.indices((w.p, w.p))
-        gamma = np.asarray(w.gamma)
-        a0 = np.sqrt(gamma[w.p - np.abs(i - j) - 1] / 2.0)
-        off = np.abs(i - j)
-        b0 = np.sqrt(gamma[np.where(off > 0, off - 1, 0)] / 2.0)
-        b0[off == 0] = 0.0
+        a0, b0 = coefficient_blocks(w, 1, 1)
         return cls(p=w.p, gamma=w.gamma, A0=a0, B0=b0)
 
     def _spd_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,50 +111,13 @@ class LimitModel:
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     "density evaluation requires a positive definite A0 block "
-                    f"(smallest eigenvalue {exc.min_eigenvalue:.6e}); invertible "
-                    "but indefinite weight configurations are rejected",
+                    f"(smallest eigenvalue {exc.min_eigenvalue:.6e}, at most 1e-12 "
+                    "times the largest in magnitude); invertible but indefinite "
+                    "weight configurations are rejected",
                     min_eigenvalue=exc.min_eigenvalue,
                 ) from exc
             self._cache["spd"] = (s0, s0 @ s0, s0 @ self.B0 @ s0)
         return self._cache["spd"]
-
-
-def build_AB(model: LimitModel, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient pair (A(s), B(s)) = sqrt(s*p) * (A0, B0)."""
-    if s <= 0:
-        raise ValidationError(f"s must be > 0, got {s}")
-    factor = math.sqrt(s * model.p)
-    return factor * model.A0, factor * model.B0
-
-
-def lambda_and_weights(
-    a: np.ndarray, b: np.ndarray, t: float, tol: float = 1e-12
-) -> list[LambdaPoint]:
-    """Eigenvalue curve samples of W(t) = A^{-1/2}(B - tI)A^{-1/2}, ascending.
-
-    Each point carries weight u^T A^{-1} u = ||A^{-1/2} u||^2 for its unit
-    eigenvector u, which equals -dlambda/dt.  A must be positive definite.
-    """
-    a = require_symmetric(a)
-    b = require_symmetric(b)
-    s_half = spd_inv_sqrt(a, tol=tol)
-    w_mat = s_half @ (b - t * np.eye(a.shape[0])) @ s_half
-    values, vectors = eigh_dense((w_mat + w_mat.T) / 2.0)
-    weights = np.sum((s_half @ vectors) ** 2, axis=0)
-    return [LambdaPoint(float(v), float(wt)) for v, wt in zip(values, weights)]
-
-
-def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
-    """Density of the Chebyshev-type matrix measure trace at t.
-
-    Sum of weight / (pi * sqrt(4 - lambda^2)) over curves with |lambda| < 2;
-    zero when no curve is inside (-2, 2).
-    """
-    total = 0.0
-    for lam, weight in lambda_and_weights(a, b, t):
-        if abs(lam) < 2.0:
-            total += weight / (math.pi * math.sqrt(4.0 - lam * lam))
-    return total
 
 
 def _require_quad_tol(quad_tol: float) -> None:
@@ -198,8 +149,9 @@ def _integrands(model: LimitModel, t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     t and u broadcast together; the three integrands are stacked on a new
     first axis.  ds = 2u du, and the weights of W(u, t) carry the factor
-    1 / (u sqrt(p)), so the density integrand is 2u times `trace_density`
-    of the coefficient pair at s = u^2.
+    1 / (u sqrt(p)), so the density integrand is 2u times the trace density
+    sum_j w_j / (pi sqrt(4 - lambda_j^2)) of the coefficient pair
+    sqrt(s p) (A0, B0) at s = u^2.
     """
     _, a0inv, w0 = model._spd_parts()
     sqrt_p = math.sqrt(model.p)
@@ -356,13 +308,17 @@ def limit_density(model: LimitModel, t: float, quad_tol: float = 1e-8) -> float:
 
 
 def semicircle_density(gamma1: float, x: float) -> float:
-    """Closed-form p = 1 limit density sqrt(2*gamma1 - x^2) / (pi * gamma1)."""
+    """Closed-form p = 1 limit density sqrt(2*gamma1 - x^2) / (pi * gamma1),
+    as sqrt((1 - y)(1 + y)) / (pi r) with r = sqrt(gamma1 / 2), y = x / (2 r):
+    neither 2 gamma1 nor x^2 can overflow, and y = +-1 exactly at the p = 1
+    `support_bound` 2 r."""
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
-    radicand = 2.0 * gamma1 - x * x
-    if radicand <= 0:
+    r = math.sqrt(gamma1 / 2.0)
+    y = x / (2.0 * r)
+    if abs(y) >= 1.0:
         return 0.0
-    return math.sqrt(radicand) / (math.pi * gamma1)
+    return math.sqrt((1.0 - y) * (1.0 + y)) / (math.pi * r)
 
 
 def arcsine_mixture_density(
@@ -421,9 +377,9 @@ def arcsine_mixture_density(
 
 
 def support_bound(model: LimitModel) -> float:
-    """Row-sum bound M* = ||B(1/p)||_inf + 2 ||A(1/p)||_inf on the support."""
-    a, b = build_AB(model, 1.0 / model.p)
-    return float(np.abs(b).sum(axis=1).max() + 2.0 * np.abs(a).sum(axis=1).max())
+    """Row-sum bound M* = ||B0||_inf + 2 ||A0||_inf on the support: the
+    coefficient pair sqrt(s p) (A0, B0) at s = 1/p."""
+    return float(np.abs(model.B0).sum(axis=1).max() + 2.0 * np.abs(model.A0).sum(axis=1).max())
 
 
 def _grid(bound: float, grid_size: int) -> np.ndarray:
@@ -456,7 +412,7 @@ def tabulate_density(
         [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(grid))]
     )
     mass = float(cdf[-1])
-    if abs(mass - 1.0) > 0.01:
+    if not abs(mass - 1.0) <= 0.01:
         raise NumericalError(
             f"density mass {mass:.6f} is off by more than 1% from 1; "
             "quadrature failure for this weight configuration"

@@ -1,0 +1,120 @@
+"""Reference constructions the tests compare the library against.
+
+Each one is a direct, loop-by-loop transcription of a definition that the
+library computes in a vectorized or closed form:
+
+- `entry`: one entry of a banded matrix, read off its bands;
+- `chi_sample`: one chi draw, the per-entry form of `build_G`'s single
+  vectorized draw;
+- `build_F_tilde`: the block Jacobi matrix of the matrix orthogonal
+  polynomials, entry by entry, against `matrixpoly.jacobi_matrix` of
+  `matrixpoly.recurrence_coeffs`;
+- `build_AB`, `lambda_and_weights` and `trace_density`: the coefficient
+  pair at one s, its eigenvalue curves with derivative weights, and the
+  trace density at one (s, t), against the batched quadrature kernel of
+  `spectral`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from blockspec.ensemble import GammaWeights, check_size
+from blockspec.errors import ValidationError
+from blockspec.linalg import SymmetricBanded, eigh_dense, require_symmetric, spd_inv_sqrt
+from blockspec.spectral import LimitModel
+
+
+def entry(m: SymmetricBanded, i: int, j: int) -> float:
+    """Entry (i, j) of a banded matrix, 0-based; zero outside the band."""
+    i, j = (i, j) if i <= j else (j, i)
+    d = j - i
+    if d > m.bandwidth:
+        return 0.0
+    return float(m.bands[d, i])
+
+
+def chi_sample(rng: np.random.Generator, dof: float) -> float:
+    """One chi draw with `dof` degrees of freedom (dof may be fractional).
+
+    Drawn as sqrt of a gamma(dof/2, scale 2) variate; dof = 0 gives 0.
+    """
+    if dof < 0:
+        raise ValidationError(f"chi degrees of freedom must be >= 0, got {dof}")
+    if dof == 0:
+        return 0.0
+    return float(np.sqrt(rng.gamma(dof / 2.0, 2.0)))
+
+
+def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
+    """Block Jacobi matrix of the associated matrix orthogonal polynomials.
+
+    Diagonal blocks (i = 0..n/p-1) have zero diagonal and off-diagonal
+    entries sqrt((ip + min(q,l)) * gamma_{|q-l|} / 2); coupling blocks
+    (i = 1..n/p-1) have entries sqrt(((i-1)p + max(q,l)) * gamma_{p-|q-l|} / 2).
+    Its spectrum equals the spectrum of build_F after sorting.
+    """
+    check_size(n, w)
+    p, gamma = w.p, w.gamma
+    m = n // p
+    out = SymmetricBanded.zeros(n, min(2 * p - 1, n - 1))
+    for i in range(m):
+        off = i * p
+        for q in range(1, p + 1):
+            for l in range(q + 1, p + 1):
+                val = math.sqrt((i * p + q) * gamma[l - q - 1] / 2.0)
+                out.bands[l - q, off + q - 1] = val
+    for i in range(1, m):
+        row_off = (i - 1) * p
+        for q in range(1, p + 1):
+            for l in range(1, p + 1):
+                r, c = row_off + q, i * p + l
+                val = math.sqrt(((i - 1) * p + max(q, l)) * gamma[p - abs(q - l) - 1] / 2.0)
+                out.bands[c - r, r - 1] = val
+    return out
+
+
+class LambdaPoint(NamedTuple):
+    """One eigenvalue curve sample: the value and its derivative weight."""
+
+    value: float
+    weight: float
+
+
+def build_AB(model: LimitModel, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient pair (A(s), B(s)) = sqrt(s*p) * (A0, B0)."""
+    if s <= 0:
+        raise ValidationError(f"s must be > 0, got {s}")
+    factor = math.sqrt(s * model.p)
+    return factor * model.A0, factor * model.B0
+
+
+def lambda_and_weights(a: np.ndarray, b: np.ndarray, t: float) -> list[LambdaPoint]:
+    """Eigenvalue curve samples of W(t) = A^{-1/2}(B - tI)A^{-1/2}, ascending.
+
+    Each point carries weight u^T A^{-1} u = ||A^{-1/2} u||^2 for its unit
+    eigenvector u, which equals -dlambda/dt.  A must be positive definite.
+    """
+    a = require_symmetric(a)
+    b = require_symmetric(b)
+    s_half = spd_inv_sqrt(a)
+    w_mat = s_half @ (b - t * np.eye(a.shape[0])) @ s_half
+    values, vectors = eigh_dense((w_mat + w_mat.T) / 2.0)
+    weights = np.sum((s_half @ vectors) ** 2, axis=0)
+    return [LambdaPoint(float(v), float(wt)) for v, wt in zip(values, weights)]
+
+
+def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
+    """Density of the Chebyshev-type matrix measure trace at t.
+
+    Sum of weight / (pi * sqrt(4 - lambda^2)) over curves with |lambda| < 2;
+    zero when no curve is inside (-2, 2).
+    """
+    total = 0.0
+    for lam, weight in lambda_and_weights(a, b, t):
+        if abs(lam) < 2.0:
+            total += weight / (math.pi * math.sqrt(4.0 - lam * lam))
+    return total

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from blockspec.formats import (
     read_json,
     read_spectrum_csv,
 )
+from blockspec.spectral import semicircle_density
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -321,6 +323,80 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "quad_tol 1e-300" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_weight_oracle_writes_finite_rows(self, tmp_path, monkeypatch, capsys):
+        # at gamma = 1e308 both 2 gamma and t^2 overflow near the support edge
+        base = ["--p", "1", "--gamma", "1e308", "--grid", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_in(tmp_path, monkeypatch, ["oracle", *base, "--out", "o.csv"]) == 0
+            assert run_in(tmp_path, monkeypatch, ["density", *base, "--out", "d.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        o = read_density_csv(tmp_path / "o.csv")
+        d = read_density_csv(tmp_path / "d.csv")
+        assert np.isfinite(o.density).all() and np.isfinite(o.cdf).all()
+        np.testing.assert_array_equal(o.grid, d.grid)
+        ref = np.array([semicircle_density(1e308, t) for t in d.grid])
+        peak = ref.max()
+        assert np.abs(d.density - ref).max() <= 1e-6 * peak
+        # the oracle table is the closed form divided by its trapezoid mass
+        assert np.abs(o.density - ref).max() <= 1e-2 * peak
+
+    def test_tiny_weight_fails_in_quadrature_not_definiteness(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A0 = [[7.07e-151]] is positive definite at any scale; the absolute
+        # quad_tol is what this configuration cannot meet
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["compare", "--n", "8", "--p", "1", "--gamma", "1e-300", "--trials", "2",
+             "--grid", "100"],
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: limit density quadrature at t = ")
+        assert "exceeds its share 5.000e-07 of quad_tol 1e-06" in err
+        assert "positive definite" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "8", "--p", "2", "--gamma", "1e308,1e308"],
+            ["roots", "--n", "8", "--p", "2", "--gamma", "1e308,1e308"],
+            ["gap", "--n-list", "8", "--p", "2", "--gamma", "1e308,1e308", "--trials", "2"],
+        ],
+        ids=["sample", "roots", "gap"],
+    )
+    def test_overflowing_weight_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_in(tmp_path, monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --gamma")
+        assert "n=8" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roots", "--n", "7", "--p", "2", "--gamma", "2,8"],
+            ["roots", "--n", "2", "--p", "2", "--gamma", "2,8"],
+            ["compare", "--n", "7", "--p", "2", "--gamma", "2,8", "--trials", "1",
+             "--grid", "100"],
+            ["compare", "--n", "2", "--p", "2", "--gamma", "2,8", "--trials", "1",
+             "--grid", "100"],
+            ["gap", "--n-list", "7", "--p", "2", "--gamma", "2,8", "--trials", "1"],
+            ["gap", "--n-list", "2", "--p", "2", "--gamma", "2,8", "--trials", "1"],
+        ],
+        ids=["roots-indivisible", "roots-below-2p", "compare-indivisible",
+             "compare-below-2p", "gap-indivisible", "gap-below-2p"],
+    )
+    def test_bad_size_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, tmp_path, monkeypatch, capsys):

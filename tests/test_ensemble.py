@@ -1,6 +1,6 @@
 """Ensemble construction: entry layout, chi sampling, determinism, and the
 agreement between the sampled matrix, its deterministic counterpart, and the
-block Jacobi form.
+block Jacobi form built through the recurrence coefficients.
 
 The library builds the dof layout once, as arrays (`chi_layout`).  The two
 oracles below transcribe it independently: `block_dof_table` blockwise from
@@ -9,7 +9,9 @@ positional rule.  The layout is checked four ways: the oracles against each
 other and against hand-read literal values for small (n, p), `chi_layout`
 against the blockwise oracle, structurally through the spectral equality of
 the two deterministic matrices, and in distribution through
-E tr(G^2) = tr(F^2) + n, which needs no eigensolver.
+E tr(G^2) = tr(F^2) + n, which needs no eigensolver.  The block Jacobi
+matrix `jacobi_matrix(recurrence_coeffs(n, w), n // p)` is checked band for
+band against the entry-by-entry loop `tests.oracles.build_F_tilde`.
 """
 
 import math
@@ -22,15 +24,14 @@ from blockspec.ensemble import (
     GammaWeights,
     RngSeed,
     build_F,
-    build_F_tilde,
     build_G,
     chi_layout,
-    chi_sample,
     rng_from_seed,
 )
 from blockspec.errors import ValidationError
 from blockspec.linalg import eigh_banded, eigh_dense
-from blockspec.matrixpoly import recurrence_coeffs, roots
+from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs, roots
+from tests.oracles import build_F_tilde, chi_sample, entry
 
 W2 = GammaWeights(2, (2.0, 8.0))
 W3 = GammaWeights(3, (1.0, 4.0, 25.0))
@@ -154,7 +155,7 @@ class TestDofLayout:
         # only (r,c)/(c,r) symmetry ties values
         assert scalar_entry_dof(1, 4, 4, W2) == scalar_entry_dof(2, 3, 4, W2)
         g = build_G(4, W2, RngSeed(7, 0))
-        assert g.entry(0, 3) != g.entry(1, 2)
+        assert entry(g, 0, 3) != entry(g, 1, 2)
 
     def test_p3_n12_literal_values(self):
         g1, g2, g3 = 1.0, 4.0, 25.0
@@ -274,7 +275,7 @@ class TestBuildG:
 class TestBuildF:
     def test_p2_n4_entry(self):
         f = build_F(4, W2)
-        assert f.entry(0, 1) == pytest.approx(math.sqrt(3 * 2.0 / 2.0))
+        assert entry(f, 0, 1) == pytest.approx(math.sqrt(3 * 2.0 / 2.0))
         assert np.all(f.bands[0] == 0.0)
 
     def test_p1_small(self):
@@ -288,28 +289,56 @@ class TestBuildF:
     def test_spectrum_matches_F_tilde(self, n, w):
         # permutation similarity; dense solver as the oracle
         e_f = eigh_dense(build_F(n, w).to_dense()).values
-        e_ft = eigh_dense(build_F_tilde(n, w).to_dense()).values
+        e_ft = eigh_dense(f_tilde(n, w).to_dense()).values
         np.testing.assert_allclose(e_f, e_ft, atol=1e-10)
+
+
+def f_tilde(n, w):
+    """F-tilde through the recurrence, as the CLI and the harness build it."""
+    return jacobi_matrix(recurrence_coeffs(n, w), n // w.p)
 
 
 class TestBuildFTilde:
     def test_p2_first_coupling_entry(self):
-        ft = build_F_tilde(8, W2)
+        ft = f_tilde(8, W2)
         # coupling block i=1 sits at rows 1..2, cols 3..4 (1-based)
-        assert ft.entry(0, 2) == pytest.approx(math.sqrt(8.0 / 2.0))
+        assert entry(ft, 0, 2) == pytest.approx(math.sqrt(8.0 / 2.0))
 
     def test_p1_classic_pattern(self):
         gamma1 = 3.0
-        ft = build_F_tilde(5, GammaWeights(1, (gamma1,)))
+        ft = f_tilde(5, GammaWeights(1, (gamma1,)))
         np.testing.assert_allclose(ft.bands[0], 0.0)
         expected = [math.sqrt(i * gamma1 / 2.0) for i in range(1, 5)]
         np.testing.assert_allclose(ft.bands[1, :4], expected, atol=1e-15)
 
     def test_spectrum_matches_roots(self):
+        # the entry-by-entry loop against the roots of the recurrence
         for n, w in ((12, W3), (10, W2)):
             e_ft = eigh_banded(build_F_tilde(n, w))
             r = roots(recurrence_coeffs(n, w), n // w.p)
             np.testing.assert_allclose(e_ft, r, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            GammaWeights(1, (2.0,)),
+            GammaWeights(1, (0.37,)),
+            W2,
+            GammaWeights(2, (0.7, 1.3)),
+            W3,
+            GammaWeights(3, (0.1, 2.9, 7.3)),
+            W4,
+            GammaWeights(4, (1.0, 2.0, 3.0, 5.0)),
+        ],
+    )
+    @pytest.mark.parametrize("mult", [2, 10, 1000])
+    def test_bands_equal_loop_oracle(self, w, mult):
+        # bit for bit, band for band, including fractional weights
+        n = mult * w.p
+        ft = f_tilde(n, w)
+        ref = build_F_tilde(n, w)
+        assert (ft.dim, ft.bandwidth) == (ref.dim, ref.bandwidth)
+        np.testing.assert_array_equal(ft.bands, ref.bands)
 
 
 class TestEmpiricalSpectrumType:

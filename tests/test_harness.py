@@ -19,7 +19,6 @@ from blockspec.ensemble import (
     GammaWeights,
     RngSeed,
     build_F,
-    build_F_tilde,
     rng_from_seed,
 )
 from blockspec.errors import ValidationError
@@ -37,6 +36,7 @@ from blockspec.harness import (
 )
 from blockspec.linalg import eigh_banded
 from blockspec.spectral import LimitModel, density_grid
+from tests.oracles import build_F_tilde
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()

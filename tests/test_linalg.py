@@ -27,6 +27,7 @@ from blockspec.linalg import (
     log_abs_det,
     spd_inv_sqrt,
 )
+from tests.oracles import entry
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -177,9 +178,9 @@ class TestSymmetricBanded:
         dense[np.abs(np.subtract.outer(range(6), range(6))) > 2] = 0.0
         banded = SymmetricBanded.from_dense(dense, 2)
         np.testing.assert_allclose(banded.to_dense(), dense, atol=0)
-        assert banded.entry(0, 3) == 0.0
-        assert banded.entry(1, 3) == dense[1, 3]
-        assert banded.entry(3, 1) == dense[1, 3]
+        assert entry(banded, 0, 3) == 0.0
+        assert entry(banded, 1, 3) == dense[1, 3]
+        assert entry(banded, 3, 1) == dense[1, 3]
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -209,6 +210,16 @@ class TestSpdInvSqrt:
             spd_inv_sqrt(np.diag([1.0, -2.0]))
         assert err.value.min_eigenvalue == pytest.approx(-2.0)
         assert "-2" in str(err.value)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_test_is_relative_to_the_norm(self, scale):
+        # positive definiteness does not depend on the unit: a scaled SPD
+        # matrix is accepted, a scaled one with eigenvalue ratio 1e-13 is not
+        m = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        s = spd_inv_sqrt(m)
+        np.testing.assert_allclose(s @ m @ s, np.eye(2), atol=1e-10)
+        with pytest.raises(NotPositiveDefiniteError, match="1e-12"):
+            spd_inv_sqrt(scale * np.diag([1.0, 1e-13]))
 
     def test_random_spd_within_condition_bound(self):
         rng = np.random.default_rng(6)

@@ -15,10 +15,10 @@ from blockspec.ensemble import GammaWeights
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.linalg import eigh_dense, log_abs_det
 from blockspec.matrixpoly import (
-    BY_SQRT_N,
     RecurrenceCoeffs,
     cheb_T,
     cheb_U,
+    coefficient_blocks,
     eval_R,
     jacobi_matrix,
     markov_bound_check,
@@ -65,21 +65,133 @@ class TestRecurrenceCoeffs:
 
     def test_scaled_limit(self):
         n = 10_000
-        c = recurrence_coeffs(n, W2, BY_SQRT_N)
+        c = recurrence_coeffs(n, W2)
+        a, b = c.A / math.sqrt(n), c.B / math.sqrt(n)
         model = LimitModel.from_gamma(W2)
         m = n // 2
         # next-to-last and last stages both approach the limit blocks
-        assert np.abs(c.A[m - 2] - model.A0).max() <= 5.0 / math.sqrt(n)
-        assert np.abs(c.A[m - 1] - model.A0).max() <= 1e-2
-        assert np.abs(c.B[m - 1] - model.B0).max() <= 1e-2
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValidationError):
-            recurrence_coeffs(8, W2, "oops")
+        assert np.abs(a[m - 2] - model.A0).max() <= 5.0 / math.sqrt(n)
+        assert np.abs(a[m - 1] - model.A0).max() <= 1e-2
+        assert np.abs(b[m - 1] - model.B0).max() <= 1e-2
 
     def test_rejects_singular_A(self):
         with pytest.raises(ValidationError, match="singular"):
             RecurrenceCoeffs(p=1, m=1, A=[np.array([[0.0]])], B=[B0.copy()])
+
+    def test_stacks(self):
+        c = recurrence_coeffs(12, W3)
+        assert c.A.shape == c.B.shape == (4, 3, 3)
+
+    def test_limit_blocks_are_count_one(self):
+        # LimitModel's A0, B0 are the same pattern at count 1
+        w = GammaWeights(3, (0.1, 2.9, 7.3))
+        model = LimitModel.from_gamma(w)
+        a0, b0 = coefficient_blocks(w, 1, 1)
+        np.testing.assert_array_equal(model.A0, a0)
+        np.testing.assert_array_equal(model.B0, b0)
+        i, j = np.indices((3, 3))
+        gamma = np.asarray(w.gamma)
+        np.testing.assert_array_equal(a0, np.sqrt(gamma[3 - np.abs(i - j) - 1] / 2.0))
+
+    def test_rejects_bad_shapes_and_values(self):
+        with pytest.raises(ValidationError, match="shape"):
+            RecurrenceCoeffs(p=2, m=2, A=np.eye(2)[None], B=np.zeros((2, 2, 2)))
+        with pytest.raises(ValidationError, match="finite"):
+            RecurrenceCoeffs(p=1, m=1, A=[np.array([[np.nan]])], B=[B0])
+        with pytest.raises(ValidationError, match="B block 1 is not symmetric"):
+            B = [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]]
+            RecurrenceCoeffs(p=2, m=2, A=np.stack([np.eye(2)] * 2), B=B)
+
+    def test_names_first_singular_stage(self):
+        a = np.stack([np.eye(2), np.eye(2), np.ones((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(ValidationError, match="A_3 is numerically singular"):
+            RecurrenceCoeffs(p=2, m=4, A=a, B=np.zeros((4, 2, 2)))
+
+
+def lu_gate_rejects(a):
+    """The per-block singularity gate the batched one replaces: LU pivots
+    and |det| against ||A||_inf through `log_abs_det`."""
+    p = a.shape[0]
+    row_norm = float(np.abs(a).sum(axis=1).max())
+    sign, logabs = log_abs_det(a)
+    return sign == 0 or logabs <= p * math.log(max(row_norm, 1e-300)) + math.log(1e-12)
+
+
+def batched_gate_rejects(a):
+    try:
+        RecurrenceCoeffs(p=a.shape[0], m=1, A=a[None], B=np.zeros((1,) + a.shape))
+    except ValidationError as exc:
+        assert "singular" in str(exc)
+        return True
+    return False
+
+
+class TestSingularityGate:
+    """The batched gate rejects every block the per-block LU gate rejects."""
+
+    @staticmethod
+    def blocks(p, rng):
+        # symmetric blocks with eigenvalues spread over many decades, so that
+        # both |det| / ||A||^p and sigma_min / ||A|| cross 1e-12 often,
+        # at scales from 1e-200 to 1e200
+        for k in range(1500):
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            if k % 3 == 0:
+                lam = rng.standard_normal(p)  # plain random
+            elif k % 3 == 1:
+                lam = rng.choice([-1.0, 1.0], p) * 10.0 ** rng.uniform(-14.0, 0.0, p)
+            else:  # one eigenvalue near 1e-12 relative
+                lam = rng.choice([-1.0, 1.0], p) * 10.0 ** rng.uniform(-1.0, 0.0, p)
+                lam[0] *= 10.0 ** rng.uniform(-12.6, -11.4)
+            a = (q * lam) @ q.T
+            yield 10.0 ** rng.uniform(-200.0, 200.0) * (a + a.T) / 2.0
+        # exactly singular: zero, rank one, repeated row
+        yield np.zeros((p, p))
+        v = rng.standard_normal(p)
+        yield np.outer(v, v)
+        if p > 1:
+            a = rng.standard_normal((p, p))
+            a = a + a.T
+            a[1], a[:, 1] = a[0], a[:, 0]
+            yield a
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_rejects_what_lu_gate_rejects(self, p):
+        rng = np.random.default_rng(100 + p)
+        rejected = 0
+        for a in self.blocks(p, rng):
+            old = lu_gate_rejects(a)
+            assert batched_gate_rejects(a) or not old, a
+            rejected += old
+        # for p = 1 only the zero block is singular; otherwise the blocks
+        # fall on both sides of the threshold
+        assert rejected >= (1 if p == 1 else 200)
+
+    @pytest.mark.parametrize(
+        "diag,rejected",
+        [
+            ((1.0, 1.8e-12), False),  # |det| = 1.8e-12 N^2, sigma_min > sqrt(3) 1e-12 N
+            ((1.0, 1.7e-12), True),  # sigma_min <= sqrt(3) 1e-12 N
+            ((1.0, 1e-6, 1.01e-6), False),  # |det| = 1.01e-12 N^3
+            ((1.0, 1e-6, 1e-6), True),  # |det| = 1e-12 N^3
+            ((-1.0, 2e-6, 1e-6, 1.0), False),
+            ((-1.0, 1e-6, 1e-6, 1.0), True),
+        ],
+    )
+    def test_stated_condition(self, diag, rejected):
+        # the docstring's two clauses at their thresholds, N = 1
+        assert batched_gate_rejects(np.diag(diag)) == rejected
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_accepts_well_conditioned(self, p):
+        rng = np.random.default_rng(200 + p)
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            lam = rng.choice([-1.0, 1.0], p) * 10.0 ** rng.uniform(-3.0, 0.0, p)
+            a = (q * lam) @ q.T
+            a = (a + a.T) / 2.0
+            assert not lu_gate_rejects(a)
+            assert not batched_gate_rejects(a)
 
 
 class TestEvalR:

@@ -22,15 +22,13 @@ from blockspec.errors import (
 from blockspec.spectral import (
     LimitModel,
     arcsine_mixture_density,
-    build_AB,
     density_grid,
-    lambda_and_weights,
     limit_density,
     semicircle_density,
     support_bound,
     tabulate_density,
-    trace_density,
 )
+from tests.oracles import build_AB, lambda_and_weights, trace_density
 
 M1 = LimitModel.from_gamma(GammaWeights(1, (2.0,)))
 M2 = LimitModel.from_gamma(GammaWeights(2, (2.0, 8.0)))
