@@ -30,7 +30,6 @@ from .linalg import (
     SymmetricBanded,
     eigh_banded,
     eigh_dense,
-    log_abs_det,
     spd_inv_sqrt,
 )
 from .matrixpoly import (

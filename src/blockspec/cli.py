@@ -178,7 +178,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "trial": trial,
             "max_gap": float(np.abs(raw.values - roots_raw).max()),
             "ks": ks_distance(scaled, density),
-            "levy_lhs_l3": levy.lhs_l3_proxy,
+            "levy_lhs_l3": levy.lhs_l3,
             "levy_rhs_mean_sq": levy.rhs_mean_sq,
             "levy_ok": levy.satisfied,
         }

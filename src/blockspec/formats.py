@@ -1,4 +1,5 @@
-"""Stable on-disk formats: CSV tables, JSON sidecars and experiment reports.
+"""Writers of the stable on-disk formats: CSV tables, JSON sidecars and
+experiment reports.
 
 CSV uses '.' decimals, no thousands separators, '\n' newlines, and shortest
 round-trip float formatting (Python repr).  Files are written atomically
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EmpiricalSpectrum
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 from .spectral import SpectralDensity
 
 
@@ -55,11 +56,6 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def read_json(path: str | Path) -> dict:
-    with open(path, "r") as fh:
-        return json.load(fh)
-
-
 def spectrum_sidecar(spectrum: EmpiricalSpectrum) -> dict:
     seed = spectrum.seed
     return {
@@ -75,14 +71,6 @@ def write_spectrum_csv(path: str | Path, spectrum: EmpiricalSpectrum) -> None:
     lines = ["index,value"]
     lines += [f"{i},{fmt(v)}" for i, v in enumerate(spectrum.values, start=1)]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_spectrum_csv(path: str | Path) -> np.ndarray:
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "index,value":
-            raise ValidationError(f"unexpected spectrum CSV header: {header!r}")
-        return np.array([float(line.split(",")[1]) for line in fh if line.strip()])
 
 
 def density_sidecar(density: SpectralDensity, grid_size: int) -> dict:
@@ -105,27 +93,7 @@ def write_density_csv(path: str | Path, density: SpectralDensity) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_density_csv(path: str | Path) -> SpectralDensity:
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "t,density,cdf":
-            raise ValidationError(f"unexpected density CSV header: {header!r}")
-        rows = [tuple(map(float, line.split(","))) for line in fh if line.strip()]
-    grid, density, cdf = (np.array(col) for col in zip(*rows))
-    return SpectralDensity(grid=grid, density=density, cdf=cdf)
-
-
 def write_histogram_csv(path: str | Path, centers: np.ndarray, heights: np.ndarray) -> None:
     lines = ["bin_center,frequency_density"]
     lines += [f"{fmt(c)},{fmt(h)}" for c, h in zip(centers, heights)]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_histogram_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "bin_center,frequency_density":
-            raise ValidationError(f"unexpected histogram CSV header: {header!r}")
-        rows = [tuple(map(float, line.split(","))) for line in fh if line.strip()]
-    centers, heights = (np.array(col) for col in zip(*rows))
-    return centers, heights

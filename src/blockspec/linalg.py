@@ -1,5 +1,5 @@
 """Real symmetric linear algebra: dense and banded eigensolvers, SPD matrix
-functions, and log-determinants.
+functions, and the numerical singularity test for stacks of small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
 (checked), banded inputs are symmetric by construction of SymmetricBanded.
@@ -11,14 +11,12 @@ The banded solve calls LAPACK dsbevd through the function pointer that
 scipy.linalg.cython_lapack exports, as a ctypes foreign call.  That is the
 routine scipy.linalg.eigvals_banded runs, with the same arguments and so
 bit-identical values, but ctypes releases the GIL for the call's duration,
-so solves on several threads (harness.map_trials) run in parallel.  The
-LU of log_abs_det calls dgetrf from the same table, the routine
-scipy.linalg.lu_factor runs.
+so solves on several threads (harness.map_trials) run in parallel.
 
 Only the cython_lapack extension is loaded, from its file, not the
 scipy.linalg package: that package's __init__ pulls in scipy's array-API
 layer and with it numpy.f2py, numpy.testing and numpy.ma, which more than
-doubles the start-up time of every CLI process, for two pointers.  The extension is looked up with
+doubles the start-up time of every CLI process, for one pointer.  The extension is looked up with
 importlib's PathFinder under scipy's directory and executed by its own
 loader.  Its module init registers it in sys.modules under its full name;
 that entry is removed again, since a later `import scipy.linalg.cython_lapack`
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,9 +42,9 @@ import numpy as np
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 
-# Relative pivot threshold below which a determinant is reported as zero.
-# Matches the root-residual tolerance used by the polynomial layer.
-SINGULAR_PIVOT_RTOL = 1e-12
+# Relative asymmetry max |M - M^T| <= SYMMETRY_RTOL max(1, max |M|) that
+# require_symmetric accepts.
+SYMMETRY_RTOL = 1e-12
 
 
 def _load_cython_lapack():
@@ -94,8 +93,6 @@ _DSBEVD = _lapack_function(
     ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
     _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P,
 )
-# dgetrf(m, n, a, lda, ipiv, info)
-_DGETRF = _lapack_function("dgetrf", _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P)
 
 
 def _int(v: int):
@@ -139,15 +136,6 @@ class SymmetricBanded:
     def zeros(cls, dim: int, bandwidth: int) -> "SymmetricBanded":
         return cls(dim, bandwidth, np.zeros((bandwidth + 1, dim)))
 
-    @classmethod
-    def from_dense(cls, m: np.ndarray, bandwidth: int) -> "SymmetricBanded":
-        m = require_symmetric(m)
-        n = m.shape[0]
-        out = cls.zeros(n, bandwidth)
-        for d in range(bandwidth + 1):
-            out.bands[d, : n - d] = np.diagonal(m, d)
-        return out
-
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim))
         for d in range(self.bandwidth + 1):
@@ -166,13 +154,13 @@ class SymmetricBanded:
         return ab
 
 
-def require_symmetric(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def require_symmetric(m: np.ndarray) -> np.ndarray:
     """Return m as a float array, raising if it is not square symmetric."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if np.abs(m - m.T).max(initial=0.0) > rtol * scale:
+    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
         raise ValidationError("matrix is not symmetric")
     return m
 
@@ -202,15 +190,15 @@ def eigh_dense(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def eigh_banded(m: SymmetricBanded, tol: float = 1e-9) -> np.ndarray:
+def eigh_banded(m: SymmetricBanded) -> np.ndarray:
     """All eigenvalues of a symmetric banded matrix, ascending.
 
-    Backward-stable: each value is within tol * max(1, ||M||) of a true
-    eigenvalue.  Requires bandwidth < dim (densify wider matrices first).
-    LAPACK dsbevd runs with the GIL released (see the module docstring).
+    dsbevd is backward stable: the values are the exact eigenvalues of
+    M + E with ||E||_2 of order dim * machine epsilon * ||M||_2, so each is
+    within that distance of an eigenvalue of M.  Requires bandwidth < dim
+    (densify wider matrices first).  LAPACK dsbevd runs with the GIL
+    released (see the module docstring).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     if m.bandwidth >= m.dim:
         raise ValidationError(
             f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use eigh_dense"
@@ -265,33 +253,26 @@ def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def log_abs_det(m: np.ndarray) -> tuple[int, float]:
-    """(sign, log|det|) via LU with partial pivoting (LAPACK dgetrf).
+def singular_blocks(a: np.ndarray) -> np.ndarray:
+    """Indices of the numerically singular blocks of a stack a of shape
+    (m, p, p), ascending.
 
-    sign is 0 with log|det| = -inf when some pivot falls below
-    SINGULAR_PIVOT_RTOL times the max row sum norm (numerical singularity);
-    that includes the exact zero pivots dgetrf reports with info > 0.
+    With N = max(||A_i||_inf, 1e-300), A_i is singular when slogdet gives
+    sign 0 or log|det A_i| <= log(1e-12) + p log N + 1e-9, or when
+    sigma_min(A_i) <= sqrt(p (p + 1) / 2) 1e-12 N.  This rejects every
+    block that an LU gate with partial pivoting rejects, one that tests
+    |det| <= 1e-12 N^p and every pivot |u_kk| <= 1e-12 N: the first clause
+    is its determinant test, with 1e-9 of slack for a log-sum taken in
+    another order, and the second covers its pivot test, since |l_jk| <= 1
+    under partial pivoting gives |u_kk| >= sigma_min / ||L||_2 >=
+    sigma_min / sqrt(p (p + 1) / 2).
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    row_norm = float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
-    if row_norm == 0.0:
-        return 0, -np.inf
-    k = m.shape[0]
-    lu = np.array(m, order="F")  # overwritten by dgetrf
-    ipiv = np.empty(k, dtype=np.intc)
-    info = ctypes.c_int(0)
-    _DGETRF(
-        _int(k), _int(k), lu.ctypes.data_as(_DOUBLE_P), _int(k),
-        ipiv.ctypes.data_as(_INT_P), ctypes.byref(info),
+    p = a.shape[-1]
+    norm = np.maximum(np.abs(a).sum(axis=2).max(axis=1, initial=0.0), 1e-300)
+    sign, logdet = np.linalg.slogdet(a)
+    sigma_min = np.linalg.svd(a, compute_uv=False).min(axis=1, initial=np.inf)
+    return np.flatnonzero(
+        (sign == 0)
+        | (logdet <= math.log(1e-12) + p * np.log(norm) + 1e-9)
+        | (sigma_min <= math.sqrt(p * (p + 1) / 2.0) * 1e-12 * norm)
     )
-    if info.value < 0:
-        raise ValidationError(f"dgetrf rejected argument {-info.value}")
-    piv = ipiv - 1
-    pivots = np.diagonal(lu)
-    if np.abs(pivots).min() <= SINGULAR_PIVOT_RTOL * row_norm:
-        return 0, -np.inf
-    sign = 1 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1
-    sign *= 1 if (pivots < 0).sum() % 2 == 0 else -1
-    return sign, float(np.log(np.abs(pivots)).sum())

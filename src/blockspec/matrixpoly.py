@@ -25,7 +25,7 @@ import numpy as np
 
 from .ensemble import GammaWeights, check_size
 from .errors import NumericalError, ValidationError
-from .linalg import SymmetricBanded, eigh_banded
+from .linalg import SymmetricBanded, eigh_banded, singular_blocks
 
 
 @dataclass
@@ -33,14 +33,8 @@ class RecurrenceCoeffs:
     """Stacks A (m, p, p) of A_1..A_m and B (m, p, p) of B_0..B_{m-1}.
 
     All blocks must be finite and symmetric (max |X - X^T| <= 1e-12
-    max(1, max |X|)).  With N = max(||A_i||_inf, 1e-300), A_i is rejected as
-    singular when slogdet gives sign 0 or log|det A_i| <= log(1e-12) +
-    p log N + 1e-9, or when sigma_min(A_i) <= sqrt(p (p + 1) / 2) 1e-12 N.
-    This rejects every block that `linalg.log_abs_det`'s LU gate rejects:
-    the first clause is its test |det| <= 1e-12 N^p, with 1e-9 of slack for
-    a log-sum taken in another order, and the second covers its pivot test
-    |u_kk| <= 1e-12 N, since |l_jk| <= 1 under partial pivoting gives
-    |u_kk| >= sigma_min / ||L||_2 >= sigma_min / sqrt(p (p + 1) / 2).
+    max(1, max |X|)), and no A_i may be singular by the condition that
+    `linalg.singular_blocks` states.
     """
 
     p: int
@@ -63,15 +57,7 @@ class RecurrenceCoeffs:
             bad = np.flatnonzero(asym > 1e-12 * np.abs(blocks).max(axis=(1, 2), initial=1.0))
             if bad.size:
                 raise ValidationError(f"{name} block {bad[0]} is not symmetric")
-        p = self.p
-        norm = np.maximum(np.abs(self.A).sum(axis=2).max(axis=1, initial=0.0), 1e-300)
-        sign, logdet = np.linalg.slogdet(self.A)
-        sigma_min = np.linalg.svd(self.A, compute_uv=False).min(axis=1, initial=np.inf)
-        bad = np.flatnonzero(
-            (sign == 0)
-            | (logdet <= math.log(1e-12) + p * np.log(norm) + 1e-9)
-            | (sigma_min <= math.sqrt(p * (p + 1) / 2.0) * 1e-12 * norm)
-        )
+        bad = singular_blocks(self.A)
         if bad.size:
             raise ValidationError(f"A_{bad[0] + 1} is numerically singular")
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensemble import GammaWeights
 from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
-from .linalg import log_abs_det, require_symmetric, spd_inv_sqrt
+from .linalg import require_symmetric, singular_blocks, spd_inv_sqrt
 from .matrixpoly import coefficient_blocks
 
 
@@ -76,8 +76,9 @@ class LimitModel:
     """The s-independent factors A0, B0 of the homogeneous coefficient family.
 
     A0 has entries sqrt(gamma_{p-|i-j|} / 2); B0 has zero diagonal and
-    entries sqrt(gamma_{|i-j|} / 2).  A0 must be invertible; density
-    evaluation additionally requires it to be positive definite.
+    entries sqrt(gamma_{|i-j|} / 2).  A0 must be invertible (not singular
+    by `linalg.singular_blocks`); density evaluation additionally requires
+    it to be positive definite.
     """
 
     p: int
@@ -92,8 +93,7 @@ class LimitModel:
         self.gamma = tuple(float(g) for g in self.gamma)
         if self.A0.shape != (self.p, self.p) or self.B0.shape != (self.p, self.p):
             raise ValidationError("A0 and B0 must be p x p")
-        sign, _ = log_abs_det(self.A0)
-        if sign == 0:
+        if singular_blocks(self.A0[None]).size:
             raise ValidationError(
                 "A0 is singular for these gamma weights; the limit law is not defined"
             )
@@ -330,7 +330,8 @@ def arcsine_mixture_density(
     s in (0, 1/2] wherever the radicand is positive, with
     a_1 = sqrt(gamma2) + sqrt(gamma1), a_2 = sqrt(gamma2) - sqrt(gamma1),
     b_1 = sqrt(gamma1), b_2 = -sqrt(gamma1).  This is the independent oracle
-    for the generic p = 2 path.
+    for the generic p = 2 path.  It requires gamma1 < gamma2, where A0 is
+    positive definite, as the generic path does.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValidationError("gamma weights must be > 0")
@@ -338,6 +339,14 @@ def arcsine_mixture_density(
         raise ValidationError(
             "gamma1 == gamma2 makes the coupling block singular; "
             "the p = 2 limit density is not defined"
+        )
+    if gamma1 > gamma2:
+        # A0 has eigenvalues sqrt(gamma2 / 2) +- sqrt(gamma1 / 2)
+        min_eig = math.sqrt(gamma2 / 2.0) - math.sqrt(gamma1 / 2.0)
+        raise NotPositiveDefiniteError(
+            "the p = 2 oracle requires a positive definite A0 block; gamma1 > gamma2 "
+            f"gives it the smallest eigenvalue {min_eig:.6e}",
+            min_eigenvalue=min_eig,
         )
     _require_quad_tol(quad_tol)
     # imported here: the oracle is the only user of scipy's adaptive quad

@@ -12,20 +12,31 @@ library computes in a vectorized or closed form:
 - `build_AB`, `lambda_and_weights` and `trace_density`: the coefficient
   pair at one s, its eigenvalue curves with derivative weights, and the
   trace density at one (s, t), against the batched quadrature kernel of
-  `spectral`.
+  `spectral`;
+- `lu_log_abs_det`: sign and log|det| from an LU with partial pivoting,
+  the per-block gate that `linalg.singular_blocks` must cover;
+- `levy_reference`: the Levy distance of two empirical CDFs by trying every
+  candidate value, against `harness.levy_distance`.
+
+It also holds the test-side helpers with no caller in the library:
+`banded_from_dense` and the readers of the files `formats` writes.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, check_size
 from blockspec.errors import ValidationError
 from blockspec.linalg import SymmetricBanded, eigh_dense, require_symmetric, spd_inv_sqrt
-from blockspec.spectral import LimitModel
+from blockspec.spectral import LimitModel, SpectralDensity
 
 
 def entry(m: SymmetricBanded, i: int, j: int) -> float:
@@ -118,3 +129,92 @@ def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
         if abs(lam) < 2.0:
             total += weight / (math.pi * math.sqrt(4.0 - lam * lam))
     return total
+
+
+def lu_log_abs_det(m: np.ndarray) -> tuple[int, float]:
+    """(sign, log|det|) from scipy.linalg.lu_factor.
+
+    sign is 0 with log|det| = -inf when some pivot is at most 1e-12 times
+    the max row sum norm ||M||_inf (numerical singularity).
+    """
+    m = np.asarray(m, dtype=float)
+    row_norm = float(np.abs(m).sum(axis=1).max())
+    if row_norm == 0.0:
+        return 0, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    pivots = np.diagonal(lu)
+    if np.abs(pivots).min() <= 1e-12 * row_norm:
+        return 0, -np.inf
+    sign = 1 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1
+    sign *= 1 if (pivots < 0).sum() % 2 == 0 else -1
+    return sign, float(np.log(np.abs(pivots)).sum())
+
+
+def levy_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """Levy distance between the empirical CDFs F, G of two sorted samples
+    a, b of equal length n, in O(n^4) by trying every candidate.
+
+    The least eps >= 0 with F(x - eps) - eps <= G(x) <= F(x + eps) + eps
+    for all x.  The right half can fail first at a jump x = b_i of G, the
+    left half at a jump x = a_i + eps of F(x - eps), so eps passes iff for
+    every i, i/n - #{j: a_j - b_i <= eps}/n <= eps and i/n - #{j: b_j - a_i
+    <= eps}/n <= eps.  Each count difference k is compared as k/n; both
+    sides of every comparison change only at a value k/n or a difference
+    a_i - b_j or b_i - a_j, so the least passing eps is one of those.
+    """
+    n = len(a)
+    a_minus_b = np.subtract.outer(a, b)  # [i, j] = a_i - b_j
+    gaps = (a_minus_b.T, -a_minus_b)  # [i, j] = a_j - b_i and b_j - a_i
+    ranks = np.arange(1, n + 1)
+    candidates = np.concatenate([np.arange(n + 1) / n, a_minus_b.ravel(), -a_minus_b.ravel()])
+    for eps in np.unique(candidates[candidates >= 0.0]):
+        if all(
+            ((ranks - (gap <= eps).sum(axis=1)) / n <= eps).all() for gap in gaps
+        ):
+            return float(eps)
+    raise AssertionError("eps = 1 always passes")
+
+
+def banded_from_dense(m: np.ndarray, bandwidth: int) -> SymmetricBanded:
+    """The band storage of a symmetric matrix, keeping `bandwidth` bands."""
+    m = require_symmetric(m)
+    n = m.shape[0]
+    out = SymmetricBanded.zeros(n, bandwidth)
+    for d in range(bandwidth + 1):
+        out.bands[d, : n - d] = np.diagonal(m, d)
+    return out
+
+
+def read_json(path: str | Path) -> dict:
+    with open(path, "r") as fh:
+        return json.load(fh)
+
+
+def read_spectrum_csv(path: str | Path) -> np.ndarray:
+    with open(path, "r") as fh:
+        header = fh.readline().strip()
+        if header != "index,value":
+            raise ValidationError(f"unexpected spectrum CSV header: {header!r}")
+        return np.array([float(line.split(",")[1]) for line in fh if line.strip()])
+
+
+def read_density_csv(path: str | Path) -> SpectralDensity:
+    with open(path, "r") as fh:
+        header = fh.readline().strip()
+        if header != "t,density,cdf":
+            raise ValidationError(f"unexpected density CSV header: {header!r}")
+        rows = [tuple(map(float, line.split(","))) for line in fh if line.strip()]
+    grid, density, cdf = (np.array(col) for col in zip(*rows))
+    return SpectralDensity(grid=grid, density=density, cdf=cdf)
+
+
+def read_histogram_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    with open(path, "r") as fh:
+        header = fh.readline().strip()
+        if header != "bin_center,frequency_density":
+            raise ValidationError(f"unexpected histogram CSV header: {header!r}")
+        rows = [tuple(map(float, line.split(","))) for line in fh if line.strip()]
+    centers, heights = (np.array(col) for col in zip(*rows))
+    return centers, heights

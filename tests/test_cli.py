@@ -12,13 +12,8 @@ import pytest
 
 import blockspec
 from blockspec.cli import FIGURES, run
-from blockspec.formats import (
-    read_density_csv,
-    read_histogram_csv,
-    read_json,
-    read_spectrum_csv,
-)
 from blockspec.spectral import semicircle_density
+from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -293,6 +288,19 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "positive definite" in capsys.readouterr().err
+
+    def test_indefinite_weights_oracle_names_a0(self, tmp_path, monkeypatch, capsys):
+        # A0 has eigenvalues sqrt(2/2) +- sqrt(8/2); the oracle's quadrature
+        # would integrate a divergent branch instead
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["oracle", "--p", "2", "--gamma", "8,2", "--grid", "100"],
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "positive definite A0" in err and "-1.000000e+00" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

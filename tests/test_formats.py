@@ -7,10 +7,6 @@ from blockspec.ensemble import EmpiricalSpectrum, RngSeed
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.formats import (
     fmt,
-    read_density_csv,
-    read_histogram_csv,
-    read_json,
-    read_spectrum_csv,
     spectrum_sidecar,
     write_density_csv,
     write_histogram_csv,
@@ -18,6 +14,7 @@ from blockspec.formats import (
     write_spectrum_csv,
 )
 from blockspec.spectral import SpectralDensity
+from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
 
 def test_fmt_round_trips():

@@ -29,6 +29,7 @@ from blockspec.harness import (
     gap_report,
     ks_distance,
     levy_cubed_bound,
+    levy_distance,
     map_trials,
     tail_bound,
     tail_bound_experiment,
@@ -36,7 +37,7 @@ from blockspec.harness import (
 )
 from blockspec.linalg import eigh_banded
 from blockspec.spectral import LimitModel, density_grid
-from tests.oracles import build_F_tilde
+from tests.oracles import build_F_tilde, levy_reference
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()
@@ -200,9 +201,9 @@ class TestLevyBound:
     def test_identical_inputs(self):
         values = np.linspace(-1, 1, 40)
         res = levy_cubed_bound(self._spectrum(values), values)
-        assert res.lhs_l3_proxy == 0.0
+        assert res.lhs_l3 == 0.0
         assert res.rhs_mean_sq == 0.0
-        assert res.satisfied
+        assert res.satisfied is True
 
     def test_uniform_shift(self):
         rng = np.random.default_rng(21)
@@ -210,8 +211,8 @@ class TestLevyBound:
         for delta in (0.05, 0.4, 0.9):
             res = levy_cubed_bound(self._spectrum(base + delta), base)
             assert res.rhs_mean_sq == pytest.approx(delta * delta)
-            # proxy underestimates the true distance, which is at most delta
-            assert res.lhs_l3_proxy <= delta ** 3 * (1 + 1e-9)
+            # shifting by delta moves the CDF by at most delta sideways
+            assert res.lhs_l3 <= delta ** 3 * (1 + 1e-9)
             assert res.satisfied
 
     def test_p2_trials(self):
@@ -225,48 +226,38 @@ class TestLevyBound:
         with pytest.raises(ValidationError, match="mismatch"):
             levy_cubed_bound(self._spectrum([0.0, 1.0]), np.array([0.0]))
 
-    def test_proxy_against_exact_reference(self):
-        # slow reference: bisection over eps with the sandwich condition
-        # checked on a dense probe set; the proxy must never exceed it
-        # (for empirical CDFs the sup is attained at the jump points, so the
-        # proxy is typically exact)
-        from blockspec.harness import _levy_lower_bound
-
-        def exact_levy(a, b):
-            probes = np.unique(np.concatenate([a, b]))
-            probes = np.unique(np.concatenate([
-                probes, probes - 1e-12, probes + 1e-12,
-                np.linspace(probes[0] - 1.0, probes[-1] + 1.0, 2001),
-            ]))
-
-            def cdf(sample, x):
-                return np.searchsorted(sample, x, side="right") / len(sample)
-
-            lo, hi = 0.0, float(probes[-1] - probes[0]) + 1.0
-            g = cdf(b, probes)
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                ok = not (
-                    np.any(g > cdf(a, probes + mid) + mid + 1e-15)
-                    or np.any(cdf(a, probes - mid) - mid > g + 1e-15)
-                )
-                lo, hi = (lo, mid) if ok else (mid, hi)
-            return hi
-
+    @staticmethod
+    def cases():
         rng = np.random.default_rng(77)
-        for trial in range(12):
-            n = int(rng.integers(5, 40))
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
             a = np.sort(rng.standard_normal(n))
-            if trial % 3 == 0:
-                b = np.sort(a + rng.normal(0.0, 0.2, n))
-            elif trial % 3 == 1:
-                b = np.sort(rng.standard_normal(n) * 1.5)
-            else:
-                b = np.sort(rng.standard_normal(int(rng.integers(5, 40))))
-            proxy = _levy_lower_bound(a, b)
-            exact = exact_levy(a, b)
-            assert proxy <= exact * (1 + 1e-6) + 1e-12
-            assert proxy >= exact - 1e-6
+            kind = trial % 5
+            if kind == 0:  # a perturbed copy
+                b = a + rng.normal(0.0, 0.2, n)
+            elif kind == 1:  # independent, wider
+                b = rng.standard_normal(n) * 1.5
+            elif kind == 2:  # ties within and across the samples
+                a = np.round(a, 1)
+                b = np.round(rng.standard_normal(n), 1)
+            elif kind == 3:  # a shifted copy
+                b = a + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.5))
+            else:  # identical samples
+                b = a.copy()
+            yield np.sort(a), np.sort(b)
+        yield np.array([0.5]), np.array([0.25])  # n = 1: the distance is |a_1 - b_1|
+        yield np.array([0.0]), np.array([3.0])  # n = 1, capped at 1/n
+
+    def test_equals_reference(self):
+        for a, b in self.cases():
+            value = levy_distance(a, b)
+            assert type(value) is float
+            assert value == levy_reference(a, b), (a, b)
+            assert value == levy_distance(b, a)
+            if np.array_equal(a, b):
+                assert value == 0.0
+            # the inequality the check rests on holds for every pair
+            assert value ** 3 <= np.mean((a - b) ** 2) * (1 + 1e-9)
 
 
 class TestKsConvergence:

@@ -1,4 +1,5 @@
-"""Dense/banded eigensolvers, SPD inverse square root, log-determinants.
+"""Dense/banded eigensolvers, the SPD inverse square root, and the LU
+log-determinant reference the singularity gate is tested against.
 
 Known values:
 - constant-row-sum 2x2: eigenvalues are (diag - off, diag + off)
@@ -11,7 +12,6 @@ which runs the same routine, is its bit-exact oracle here.
 
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -19,15 +19,8 @@ import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 from blockspec.errors import NotPositiveDefiniteError, ValidationError
-from blockspec.linalg import (
-    SINGULAR_PIVOT_RTOL,
-    SymmetricBanded,
-    eigh_banded,
-    eigh_dense,
-    log_abs_det,
-    spd_inv_sqrt,
-)
-from tests.oracles import entry
+from blockspec.linalg import SymmetricBanded, eigh_banded, eigh_dense, spd_inv_sqrt
+from tests.oracles import banded_from_dense, entry, lu_log_abs_det
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -80,7 +73,7 @@ class TestEighBanded:
         rng = np.random.default_rng(2)
         dense = random_symmetric(rng, 5)
         dense[np.abs(np.subtract.outer(range(5), range(5))) > 3] = 0.0
-        banded = SymmetricBanded.from_dense(dense, 3)
+        banded = banded_from_dense(dense, 3)
         expected = eigh_dense(dense).values
         np.testing.assert_allclose(eigh_banded(banded), expected, atol=1e-10)
 
@@ -89,7 +82,7 @@ class TestEighBanded:
         for n, w in ((4, 1), (7, 3), (10, 5), (5, 4)):
             dense = random_symmetric(rng, n)
             dense[np.abs(np.subtract.outer(range(n), range(n))) > w] = 0.0
-            banded = SymmetricBanded.from_dense(dense, w)
+            banded = banded_from_dense(dense, w)
             np.testing.assert_allclose(
                 eigh_banded(banded), eigh_dense(dense).values, atol=1e-10
             )
@@ -99,7 +92,7 @@ class TestEighBanded:
         for n, w in ((6, 2), (12, 4)):
             dense = random_symmetric(rng, n, scale=2.0)
             dense[np.abs(np.subtract.outer(range(n), range(n))) > w] = 0.0
-            banded = SymmetricBanded.from_dense(dense, w)
+            banded = banded_from_dense(dense, w)
             values = eigh_banded(banded)
             norm = max(1.0, np.abs(values).max())
             assert abs(values.sum() - np.trace(dense)) <= 1e-9 * norm * n
@@ -176,7 +169,7 @@ class TestSymmetricBanded:
         rng = np.random.default_rng(5)
         dense = random_symmetric(rng, 6)
         dense[np.abs(np.subtract.outer(range(6), range(6))) > 2] = 0.0
-        banded = SymmetricBanded.from_dense(dense, 2)
+        banded = banded_from_dense(dense, 2)
         np.testing.assert_allclose(banded.to_dense(), dense, atol=0)
         assert entry(banded, 0, 3) == 0.0
         assert entry(banded, 1, 3) == dense[1, 3]
@@ -235,21 +228,24 @@ class TestSpdInvSqrt:
 
 
 class TestLogAbsDet:
+    """The LU reference `lu_log_abs_det` that TestSingularityGate holds
+    `linalg.singular_blocks` against."""
+
     def test_identity(self):
-        assert log_abs_det(np.eye(4)) == (1, 0.0)
+        assert lu_log_abs_det(np.eye(4)) == (1, 0.0)
 
     def test_diagonal_with_sign(self):
-        sign, logabs = log_abs_det(np.diag([-2.0, 3.0]))
+        sign, logabs = lu_log_abs_det(np.diag([-2.0, 3.0]))
         assert sign == -1
         assert logabs == pytest.approx(np.log(6.0), abs=1e-12)
 
     def test_rank_one_is_singular(self):
-        sign, logabs = log_abs_det(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        sign, logabs = lu_log_abs_det(np.array([[1.0, 2.0], [2.0, 4.0]]))
         assert sign == 0
         assert logabs == -np.inf
 
     def test_zero_matrix(self):
-        assert log_abs_det(np.zeros((3, 3))) == (0, -np.inf)
+        assert lu_log_abs_det(np.zeros((3, 3))) == (0, -np.inf)
 
     def test_product_rule(self):
         rng = np.random.default_rng(7)
@@ -257,54 +253,17 @@ class TestLogAbsDet:
             n = rng.integers(2, 6)
             a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
             b = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-            sa, la = log_abs_det(a)
-            sb, lb = log_abs_det(b)
-            sp, lp = log_abs_det(a @ b)
+            sa, la = lu_log_abs_det(a)
+            sb, lb = lu_log_abs_det(b)
+            sp, lp = lu_log_abs_det(a @ b)
             assert sp == sa * sb
             assert lp == pytest.approx(la + lb, abs=1e-9)
-
-    @staticmethod
-    def lu_factor_reference(m):
-        """The scipy.linalg.lu_factor route log_abs_det used to take."""
-        m = np.asarray(m, dtype=float)
-        row_norm = float(np.abs(m).sum(axis=1).max())
-        if row_norm == 0.0:
-            return 0, -np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-        pivots = np.diagonal(lu)
-        if np.abs(pivots).min() <= SINGULAR_PIVOT_RTOL * row_norm:
-            return 0, -np.inf
-        sign = 1 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1
-        sign *= 1 if (pivots < 0).sum() % 2 == 0 else -1
-        return sign, float(np.log(np.abs(pivots)).sum())
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_bit_identical_to_lu_factor(self, k):
-        rng = np.random.default_rng(100 + k)
-        for _ in range(25):
-            m = rng.standard_normal((k, k))
-            before = m.copy()
-            assert log_abs_det(m) == self.lu_factor_reference(m)
-            # a Fortran-ordered input is copied too, never factored in place
-            assert log_abs_det(m.T) == self.lu_factor_reference(m.T)
-            np.testing.assert_array_equal(m, before)
-
-    @pytest.mark.parametrize(
-        "m",
-        [np.eye(4), np.diag([-2.0, 3.0]), np.array([[1.0, 2.0], [2.0, 4.0]]),
-         np.zeros((3, 3))],
-        ids=["identity", "diagonal", "rank-deficient", "zero"],
-    )
-    def test_known_cases_bit_identical_to_lu_factor(self, m):
-        assert log_abs_det(m) == self.lu_factor_reference(m)
 
     def test_matches_slogdet(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             m = rng.standard_normal((4, 4))
-            sign, logabs = log_abs_det(m)
+            sign, logabs = lu_log_abs_det(m)
             s_ref, l_ref = np.linalg.slogdet(m)
             assert sign == int(s_ref)
             assert logabs == pytest.approx(l_ref, abs=1e-10)

@@ -13,7 +13,7 @@ import pytest
 
 from blockspec.ensemble import GammaWeights
 from blockspec.errors import NumericalError, ValidationError
-from blockspec.linalg import eigh_dense, log_abs_det
+from blockspec.linalg import eigh_dense
 from blockspec.matrixpoly import (
     RecurrenceCoeffs,
     cheb_T,
@@ -26,6 +26,7 @@ from blockspec.matrixpoly import (
     roots,
 )
 from blockspec.spectral import LimitModel
+from tests.oracles import lu_log_abs_det
 
 W2 = GammaWeights(2, (2.0, 8.0))
 W3 = GammaWeights(3, (1.0, 4.0, 25.0))
@@ -38,8 +39,8 @@ def constant_coeffs(m):
 
 
 def log_det_relative_to_grid(coeffs, m, x, grid):
-    ref = max(log_abs_det(eval_R(coeffs, m, g))[1] for g in grid)
-    sign, val = log_abs_det(eval_R(coeffs, m, x))
+    ref = max(np.linalg.slogdet(eval_R(coeffs, m, g))[1] for g in grid)
+    sign, val = np.linalg.slogdet(eval_R(coeffs, m, x))
     if sign == 0:
         return -np.inf
     return val - ref
@@ -109,11 +110,11 @@ class TestRecurrenceCoeffs:
 
 
 def lu_gate_rejects(a):
-    """The per-block singularity gate the batched one replaces: LU pivots
-    and |det| against ||A||_inf through `log_abs_det`."""
+    """The per-block singularity gate `singular_blocks` must cover: LU
+    pivots and |det| against ||A||_inf."""
     p = a.shape[0]
     row_norm = float(np.abs(a).sum(axis=1).max())
-    sign, logabs = log_abs_det(a)
+    sign, logabs = lu_log_abs_det(a)
     return sign == 0 or logabs <= p * math.log(max(row_norm, 1e-300)) + math.log(1e-12)
 
 
@@ -127,7 +128,8 @@ def batched_gate_rejects(a):
 
 
 class TestSingularityGate:
-    """The batched gate rejects every block the per-block LU gate rejects."""
+    """The batched gate rejects every block the per-block LU gate rejects,
+    for the recurrence blocks and for A0 alike."""
 
     @staticmethod
     def blocks(p, rng):
@@ -180,7 +182,13 @@ class TestSingularityGate:
     )
     def test_stated_condition(self, diag, rejected):
         # the docstring's two clauses at their thresholds, N = 1
-        assert batched_gate_rejects(np.diag(diag)) == rejected
+        a = np.diag(diag)
+        assert batched_gate_rejects(a) == rejected
+        if rejected:
+            with pytest.raises(ValidationError, match="A0 is singular"):
+                LimitModel(p=len(diag), gamma=diag, A0=a, B0=np.zeros_like(a))
+        else:
+            LimitModel(p=len(diag), gamma=diag, A0=a, B0=np.zeros_like(a))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_accepts_well_conditioned(self, p):
