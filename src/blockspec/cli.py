@@ -17,6 +17,7 @@ from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G
 from .errors import NumericalError, ValidationError
 from .harness import (
     ExperimentConfig,
+    check_epsilon,
     empirical_spectrum,
     gap_report,
     ks_distance,
@@ -29,6 +30,7 @@ from .matrixpoly import recurrence_coeffs, roots
 from .spectral import (
     LimitModel,
     arcsine_mixture_density,
+    check_density_args,
     density_grid,
     semicircle_density,
     support_bound,
@@ -159,12 +161,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
         quad_tol=args.quad_tol,
     )
     model = LimitModel.from_gamma(w)
-    density = density_grid(model, cfg.grid_size, cfg.quad_tol)
-    roots_raw = roots(recurrence_coeffs(cfg.n, w), cfg.n // w.p)
+    check_density_args(cfg.grid_size, cfg.quad_tol)
+    coeffs = recurrence_coeffs(cfg.n, w)
+
+    def solve(key: str | int):
+        if key == "density":
+            return density_grid(model, cfg.grid_size, cfg.quad_tol)
+        if key == "roots":
+            return roots(coeffs, cfg.n // w.p)
+        return empirical_spectrum(cfg, key, scaled=False)
+
+    density, roots_raw, *spectra = map_trials(solve, ["density", "roots", *range(cfg.trials)])
     roots_scaled = roots_raw / math.sqrt(cfg.n)
 
-    def one_trial(trial: int) -> dict:
-        raw = empirical_spectrum(cfg, trial, scaled=False)
+    def trial_row(trial: int, raw: EmpiricalSpectrum) -> dict:
         scaled = EmpiricalSpectrum(
             n=cfg.n,
             p=w.p,
@@ -183,7 +193,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "levy_ok": levy.satisfied,
         }
 
-    per_trial = map_trials(one_trial, range(cfg.trials))
+    per_trial = [trial_row(trial, raw) for trial, raw in enumerate(spectra)]
     ks_values = [row["ks"] for row in per_trial]
     violations = sum(1 for row in per_trial if not row["levy_ok"])
     report = {
@@ -216,10 +226,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_gap(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
     n_list = _parse_int_list(args.n_list)
+    check_epsilon(args.epsilon)
     table = []
     tail_checks = []
-    for n in n_list:
-        report = gap_report(n, w, args.trials, args.seed)
+    for n, report in zip(n_list, gap_report(n_list, w, args.trials, args.seed)):
         table.append(
             {
                 "n": n,
@@ -264,11 +274,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
     p, gamma, n = FIGURES[args.name]
     w = GammaWeights(p=p, gamma=gamma)
     seed = RngSeed(args.seed, 0)
-    values = eigh_banded(build_G(n, w, seed)) / math.sqrt(n)
+    model = LimitModel.from_gamma(w)
+    check_density_args(args.grid, args.quad_tol)
+
+    def solve(key: str):
+        if key == "density":
+            return density_grid(model, args.grid, args.quad_tol)
+        return eigh_banded(build_G(n, w, seed))
+
+    density, raw = map_trials(solve, ["density", "sample"])
+    values = raw / math.sqrt(n)
     heights, edges = np.histogram(values, bins="fd", density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    model = LimitModel.from_gamma(w)
-    density = density_grid(model, args.grid, args.quad_tol)
 
     base = Path(args.out) if args.out else Path(args.name)
     if base.parent != Path("."):

@@ -4,11 +4,14 @@ bound, the bound L^3 <= mean squared gap on the exact Levy distance L between
 the sampled spectrum and the roots, and KS agreement with the limit law.
 
 Trial i always draws from seed (master, i), so runs are reproducible and
-trials can execute concurrently without sharing state.  They do run
-concurrently: `map_trials` uses threads, and the banded eigensolve that
-dominates a trial releases the GIL (see `linalg`).  Theorem-style gap
-quantities are unscaled; weak-convergence quantities divide by sqrt(n).
-Every spectrum carries a `scaled` flag to keep the two apart.
+trials can execute concurrently without sharing state.  A command hands all
+of its independent work to one `map_trials` call, keyed by task: the limit
+density table, each deterministic roots solve and each trial's sampled
+solve.  The tasks run on threads, and the banded eigensolve that dominates
+them releases the GIL (see `linalg`).  Statistics are computed from the
+assembled results afterwards.  Theorem-style gap quantities are unscaled;
+weak-convergence quantities divide by sqrt(n).  Every spectrum carries a
+`scaled` flag to keep the two apart.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +46,10 @@ class ExperimentConfig:
         check_size(self.n, self.w)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+
+
+K = TypeVar("K")
+R = TypeVar("R")
 
 
 class GapEntry(NamedTuple):
@@ -116,20 +123,28 @@ def worker_count() -> int:
     return value
 
 
-def map_trials(fn: Callable[[int], object], trials: Iterable[int]) -> list:
-    """Apply fn to each trial index; results come back in trial order.
+def map_trials(fn: Callable[[K], R], keys: Iterable[K]) -> list[R]:
+    """Apply fn to each task key; results come back in the keys' order.
 
-    With more than one worker the calls run on a thread pool.  They overlap
+    A key names one independent task, such as a trial index or a label for
+    a density table or a roots solve.  With more than one worker the calls
+    run on a thread pool and start in key order, so callers list a short
+    task that may fail first and the solves largest first.  They overlap
     where fn runs outside the GIL: the LAPACK call in `eigh_banded`, which
-    dominates a trial at the sizes the CLI runs, releases it.  Results do
+    dominates a solve at the sizes the CLI runs, releases it.  Results do
     not depend on the worker count.
+
+    When tasks fail, the exception of the first failing task in key order
+    is raised, whatever order they failed in, and the tasks not yet started
+    are cancelled; tasks already running finish before it propagates.
     """
-    trials = list(trials)
-    workers = min(worker_count(), len(trials)) if trials else 1
+    keys = list(keys)
+    workers = min(worker_count(), len(keys)) if keys else 1
     if workers <= 1:
-        return [fn(i) for i in trials]
+        return [fn(key) for key in keys]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, trials))
+        # Executor.map cancels the pending futures once a result raises
+        return list(pool.map(fn, keys))
 
 
 def empirical_spectrum(cfg: ExperimentConfig, trial: int, scaled: bool) -> EmpiricalSpectrum:
@@ -143,46 +158,65 @@ def empirical_spectrum(cfg: ExperimentConfig, trial: int, scaled: bool) -> Empir
     )
 
 
-def approx_gap(
-    n: int,
-    w: GammaWeights,
-    seed: RngSeed,
-    reference: np.ndarray | None = None,
-) -> GapEntry:
-    """Max sorted-order gap between the sampled spectrum and the deterministic
-    roots, unscaled, plus the same divided by sqrt(log n).
-
-    `reference` may carry precomputed deterministic eigenvalues so that trial
-    sweeps do not redo the banded solve for every seed.
-    """
-    if n < 3:
-        raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
-    if reference is None:
-        reference = roots(recurrence_coeffs(n, w), n // w.p)
-    sampled = eigh_banded(build_G(n, w, seed))
-    max_gap = float(np.abs(sampled - reference).max())
+def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> GapEntry:
+    """Max sorted-order gap between one unscaled sampled spectrum and the
+    deterministic roots, plus the same divided by sqrt(log n)."""
+    if sampled.scaled:
+        raise ValidationError("approx_gap expects an unscaled spectrum")
+    n = sampled.n
+    max_gap = float(np.abs(sampled.values - reference).max())
     return GapEntry(n=n, max_gap=max_gap, scaled_gap=max_gap / math.sqrt(math.log(n)))
 
 
-def gap_report(n: int, w: GammaWeights, trials: int, master_seed: int) -> GapReport:
-    """Gap entries for seeds (master_seed, 0..trials-1) at one matrix size."""
+def gap_report(
+    n_list: Sequence[int], w: GammaWeights, trials: int, master_seed: int
+) -> list[GapReport]:
+    """One GapReport per size in n_list, in list order, each over the seeds
+    (master_seed, 0..trials-1).
+
+    Every argument is checked before any solve starts.  The roots solve and
+    the sampled solves of all sizes then go to one `map_trials` call, the
+    largest size first; a size listed twice is solved once.
+    """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    reference = roots(recurrence_coeffs(n, w), n // w.p)
-    entries = map_trials(
-        lambda i: approx_gap(n, w, RngSeed(master_seed, i), reference=reference),
-        range(trials),
-    )
-    return GapReport(
-        n=n,
-        max_gaps=np.array([e.max_gap for e in entries]),
-        scaled_gaps=np.array([e.scaled_gap for e in entries]),
-    )
+    configs = {}
+    for n in n_list:
+        configs[n] = ExperimentConfig(n=n, w=w, trials=trials, master_seed=master_seed)
+        if n < 3:
+            raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
+    coeffs = {n: recurrence_coeffs(n, w) for n in configs}
+
+    def solve(key: tuple[int, int | None]) -> np.ndarray | EmpiricalSpectrum:
+        n, trial = key
+        if trial is None:
+            return roots(coeffs[n], n // w.p)
+        return empirical_spectrum(configs[n], trial, scaled=False)
+
+    keys = [(n, trial) for n in sorted(configs, reverse=True) for trial in (None, *range(trials))]
+    solved = dict(zip(keys, map_trials(solve, keys)))
+    reports = []
+    for n in n_list:
+        entries = [approx_gap(solved[n, i], solved[n, None]) for i in range(trials)]
+        reports.append(
+            GapReport(
+                n=n,
+                max_gaps=np.array([e.max_gap for e in entries]),
+                scaled_gaps=np.array([e.scaled_gap for e in entries]),
+            )
+        )
+    return reports
 
 
 def tail_bound(n: int, p: int, epsilon: float) -> float:
     """min(1, 2 n (p+1) exp(-eps^2 / (18 p^2)))."""
     return min(1.0, 2.0 * n * (p + 1) * math.exp(-epsilon * epsilon / (18.0 * p * p)))
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject a tail threshold that is not a finite number >= 0."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 def tail_bound_experiment(
@@ -199,12 +233,12 @@ def tail_bound_experiment(
     finite-trial frequency has statistical headroom without excusing a true
     violation when the bound is essentially zero.
     """
-    if not 0.0 <= epsilon < math.inf:
-        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_epsilon(epsilon)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if max_gaps is None:
-        max_gaps = gap_report(n, w, trials, master_seed).max_gaps
+        (report,) = gap_report([n], w, trials, master_seed)
+        max_gaps = report.max_gaps
     if len(max_gaps) != trials:
         raise ValidationError("max_gaps length must equal trials")
     freq = float(np.mean(np.asarray(max_gaps) >= epsilon))

@@ -391,10 +391,21 @@ def support_bound(model: LimitModel) -> float:
     return float(np.abs(model.B0).sum(axis=1).max() + 2.0 * np.abs(model.A0).sum(axis=1).max())
 
 
-def _grid(bound: float, grid_size: int) -> np.ndarray:
+def _require_grid_size(grid_size: int) -> None:
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
+
+
+def _grid(bound: float, grid_size: int) -> np.ndarray:
+    _require_grid_size(grid_size)
     return np.linspace(-bound, bound, grid_size + 1)
+
+
+def check_density_args(grid_size: int, quad_tol: float) -> None:
+    """The argument checks of `density_grid`, in its order, for callers that
+    reject bad arguments before starting any other work."""
+    _require_grid_size(grid_size)
+    _require_quad_tol(quad_tol)
 
 
 def tabulate_density(

@@ -159,8 +159,8 @@ def test_criterion_05_gap_scaling():
         fx = FIXTURES["criterion5"]
         w = GammaWeights(1, (1.0,))
         medians = {
-            n: gap_report(n, w, fx["trials"], fx["master_seed"]).median_scaled
-            for n in fx["sizes"]
+            report.n: report.median_scaled
+            for report in gap_report(fx["sizes"], w, fx["trials"], fx["master_seed"])
         }
         assert medians[1600] <= 1.5 * medians[100], medians
         elapsed = time.monotonic() - start

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 import blockspec
+import blockspec.cli
+import blockspec.harness
+import blockspec.linalg
+import blockspec.matrixpoly
 from blockspec.cli import FIGURES, run
 from blockspec.spectral import semicircle_density
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
@@ -19,6 +23,21 @@ from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return run(argv)
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The size of every banded eigensolve a command makes, in call order."""
+    solve = blockspec.linalg.eigh_banded
+    sizes = []
+
+    def counted(matrix):
+        sizes.append(matrix.dim)
+        return solve(matrix)
+
+    for module in (blockspec.cli, blockspec.harness, blockspec.linalg, blockspec.matrixpoly):
+        monkeypatch.setattr(module, "eigh_banded", counted)
+    return sizes
 
 
 class TestSubcommands:
@@ -109,6 +128,21 @@ class TestSubcommands:
         assert [row["n"] for row in report["gap_table"]] == [60, 120]
         assert all(len(row["max_gaps"]) == 4 for row in report["gap_table"])
         assert all(check["satisfied"] for check in report["tail_checks"])
+
+    def test_gap_rows_follow_list_order(self, tmp_path, monkeypatch, solve_sizes):
+        # the solves start largest first (one thread runs them in that
+        # order); the rows keep the order of --n-list
+        monkeypatch.setenv("BLOCKSPEC_THREADS", "1")
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["gap", "--n-list", "60,120,30", "--p", "1", "--gamma", "1",
+             "--trials", "2", "--seed", "2"],
+        )
+        assert rc == 0
+        report = read_json(tmp_path / "gap.json")
+        assert [row["n"] for row in report["gap_table"]] == [60, 120, 30]
+        assert [check["n"] for check in report["tail_checks"]] == [60, 120, 30]
+        assert solve_sizes == [120] * 3 + [60] * 3 + [30] * 3
 
     def test_figure_outputs(self, tmp_path, monkeypatch):
         rc = run_in(
@@ -407,6 +441,38 @@ class TestExitCodes:
         assert err.startswith("error: n=") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gap", "--n-list", "200,400", "--p", "2", "--gamma", "2,8", "--trials", "3",
+              "--epsilon", "-1"], "error: epsilon must be finite and >= 0, got -1.0"),
+            (["gap", "--n-list", "200,7", "--p", "2", "--gamma", "2,8", "--trials", "3"],
+             "error: n=7 must be divisible by p=2"),
+            (["gap", "--n-list", "200,2", "--p", "1", "--gamma", "1", "--trials", "3"],
+             "error: n must be >= 3 so that log n > 1, got 2"),
+            (["gap", "--n-list", "200,400", "--p", "2", "--gamma", "2,8", "--trials", "0"],
+             "error: trials must be >= 1, got 0"),
+            (["figure", "--name", "fig1", "--grid", "50"],
+             "error: grid_size must be >= 100, got 50"),
+            (["figure", "--name", "fig1", "--quad-tol", "0"],
+             "error: quad_tol must be positive and finite, got 0.0"),
+            (["compare", "--n", "12", "--p", "2", "--gamma", "2,8", "--grid", "50"],
+             "error: grid_size must be >= 100, got 50"),
+            (["compare", "--n", "12", "--p", "2", "--gamma", "4,4"],
+             "error: A0 is singular for these gamma weights"),
+        ],
+        ids=["gap-epsilon", "gap-indivisible-second", "gap-n-below-3", "gap-trials",
+             "figure-grid", "figure-quad-tol", "compare-grid", "compare-singular-a0"],
+    )
+    def test_arguments_checked_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, solve_sizes, argv, message
+    ):
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert solve_sizes == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self, tmp_path, monkeypatch, capsys):
         assert run_in(tmp_path, monkeypatch, ["--help"]) == 0
         capsys.readouterr()
@@ -474,15 +540,41 @@ class TestDeterminism:
               "--trials", "4", "--seed", "6", "--grid", "100"], "compare.json"),
             (["gap", "--n-list", "600,1200", "--p", "2", "--gamma", "2,8",
               "--trials", "4", "--seed", "6"], "gap.json"),
+            (["figure", "--name", "fig3", "--grid", "100"], "fig3_density.csv"),
+            # an unsorted list: solves run largest first, rows keep list order
+            (["gap", "--n-list", "1200,300,600", "--p", "2", "--gamma", "2,8",
+              "--trials", "3", "--seed", "6"], "gap.json"),
         ],
     )
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, argv, output):
-        # sizes at which the trials' banded solves overlap on two threads
+        # sizes at which the banded solves and the density table overlap on
+        # two threads; every file the command writes is compared
         outputs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
             workdir = tmp_path / threads
             workdir.mkdir()
             assert run_in(workdir, monkeypatch, argv) == 0
-            outputs[threads] = (workdir / output).read_bytes()
+            outputs[threads] = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        assert output in outputs["1"]
         assert outputs["1"] == outputs["2"]
+
+    def test_worker_count_does_not_change_failure(self, tmp_path, monkeypatch, capsys,
+                                                  solve_sizes):
+        # the density table is the first task: its exit-3 failure is the one
+        # reported, and on one thread it comes before any solve
+        argv = ["compare", "--n", "3000", "--p", "3", "--gamma", "1,4,25",
+                "--quad-tol", "1e-300"]
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+            solve_sizes.clear()
+            rc = run_in(tmp_path, monkeypatch, argv)
+            results[threads] = (rc, capsys.readouterr().err)
+            if threads == "1":
+                assert solve_sizes == []
+        assert results["1"] == results["2"]
+        rc, err = results["1"]
+        assert rc == 3 and err.count("\n") == 1
+        assert err.startswith("numerical failure: limit density quadrature at t = ")
+        assert list(tmp_path.iterdir()) == []

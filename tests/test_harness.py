@@ -8,6 +8,7 @@ module.
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from blockspec.ensemble import (
     build_F,
     rng_from_seed,
 )
-from blockspec.errors import ValidationError
+from blockspec.errors import NumericalError, ValidationError
 from blockspec.harness import (
     ExperimentConfig,
     approx_gap,
@@ -78,37 +79,66 @@ class TestApproxGap:
         # with every normal forced to 0 and every chi draw to sqrt(dof),
         # the sample equals the deterministic matrix and the gap vanishes
         monkeypatch.setattr(harness, "build_G", lambda n, w, seed: build_F(n, w))
-        entry = approx_gap(12, W2, RngSeed(0, 0))
-        assert entry.max_gap <= 1e-10
-        assert entry.scaled_gap <= 1e-10
+        (report,) = gap_report([12], W2, 2, 0)
+        assert report.max_gaps.max() <= 1e-10
+        assert report.scaled_gaps.max() <= 1e-10
 
     def test_scaled_gap_definition(self):
-        entry = approx_gap(100, W1, RngSeed(5, 1))
+        cfg = ExperimentConfig(n=100, w=W1, trials=2, master_seed=5)
+        entry = approx_gap(
+            empirical_spectrum(cfg, 1, scaled=False), eigh_banded(build_F_tilde(100, W1))
+        )
+        assert entry.n == 100
         assert entry.scaled_gap == pytest.approx(
             entry.max_gap / math.sqrt(math.log(100))
         )
 
     def test_reference_shortcut_matches(self):
+        # the shared roots solve of gap_report equals the oracle F-tilde spectrum
         ref = eigh_banded(build_F_tilde(60, W2))
-        a = approx_gap(60, W2, RngSeed(9, 2))
-        b = approx_gap(60, W2, RngSeed(9, 2), reference=ref)
-        assert a == b
+        cfg = ExperimentConfig(n=60, w=W2, trials=3, master_seed=9)
+        (report,) = gap_report([60], W2, 3, 9)
+        for trial in range(3):
+            entry = approx_gap(empirical_spectrum(cfg, trial, scaled=False), ref)
+            assert report.max_gaps[trial] == entry.max_gap
+            assert report.scaled_gaps[trial] == entry.scaled_gap
 
     def test_median_scaled_gap_does_not_grow(self):
         fx = FIXTURES["criterion5"]
-        reports = {
-            n: gap_report(n, GammaWeights(1, (1.0,)), 10, fx["master_seed"])
-            for n in (100, 400)
-        }
-        assert reports[400].median_scaled <= 1.5 * reports[100].median_scaled
+        small, large = gap_report([100, 400], GammaWeights(1, (1.0,)), 10, fx["master_seed"])
+        assert (small.n, large.n) == (100, 400)
+        assert large.median_scaled <= 1.5 * small.median_scaled
 
     def test_p2_sanity_ceiling(self):
-        rep = gap_report(200, W2, 3, 20260810)
+        (rep,) = gap_report([200], W2, 3, 20260810)
         assert rep.max_gaps.max() <= 60.0
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValidationError):
-            approx_gap(2, GammaWeights(1, (1.0,)), RngSeed(0, 0))
+        with pytest.raises(ValidationError, match="log n > 1"):
+            gap_report([12, 2], GammaWeights(1, (1.0,)), 1, 0)
+
+    def test_requires_unscaled_spectrum(self):
+        cfg = ExperimentConfig(n=12, w=W2, trials=1, master_seed=0)
+        with pytest.raises(ValidationError, match="unscaled"):
+            approx_gap(empirical_spectrum(cfg, 0, scaled=True), np.zeros(12))
+
+    def test_reports_follow_list_order(self):
+        # sizes are solved largest first; a report does not depend on the
+        # other sizes in the list, and a repeated size repeats its report
+        alone = {n: gap_report([n], W2, 2, 4)[0] for n in (24, 12)}
+        reports = gap_report([12, 24, 12], W2, 2, 4)
+        assert [r.n for r in reports] == [12, 24, 12]
+        for report in reports:
+            np.testing.assert_array_equal(report.max_gaps, alone[report.n].max_gaps)
+            np.testing.assert_array_equal(report.scaled_gaps, alone[report.n].scaled_gaps)
+
+    def test_every_size_checked_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(harness, "roots", lambda *a: solves.append(a))
+        monkeypatch.setattr(harness, "eigh_banded", lambda m: solves.append(m))
+        with pytest.raises(ValidationError, match="n=7"):
+            gap_report([200, 7], W2, 3, 0)
+        assert solves == []
 
 
 class TestTailBound:
@@ -135,7 +165,7 @@ class TestTailBound:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_nonpositive_trials_rejected(self, trials):
         with pytest.raises(ValidationError, match="trials"):
-            gap_report(12, W2, trials, 1)
+            gap_report([12], W2, trials, 1)
         with pytest.raises(ValidationError, match="trials"):
             tail_bound_experiment(12, W2, 30.0, trials, 1, max_gaps=[])
 
@@ -312,10 +342,50 @@ class TestWorkers:
 
     def test_map_trials_order_independent(self, monkeypatch):
         def work(i):
-            return approx_gap(30, W1, RngSeed(77, i)).max_gap
+            return eigh_banded(harness.build_G(30, W1, RngSeed(77, i))).tolist()
 
         monkeypatch.setenv("BLOCKSPEC_THREADS", "1")
         sequential = map_trials(work, range(6))
         monkeypatch.setenv("BLOCKSPEC_THREADS", "4")
         threaded = map_trials(work, range(6))
         assert sequential == threaded
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_map_trials_keeps_key_order(self, monkeypatch, threads):
+        # later keys finish first on a pool; results still follow the keys
+        monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+        keys = ["table", *range(6)]
+
+        def work(key):
+            if key == "table":
+                time.sleep(0.03)
+                return "table"
+            time.sleep(0.005 * (6 - key))
+            return key * key
+
+        assert map_trials(work, keys) == ["table", 0, 1, 4, 9, 16, 25]
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_map_trials_raises_first_failure_in_key_order(self, monkeypatch, threads):
+        # task 0 fails last in time but first in key order, so its error is
+        # the one raised; the pending tasks are cancelled, not run
+        monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+        first = NumericalError("task 0 failed")
+        started = []
+
+        def work(key):
+            started.append(key)
+            if key == 0:
+                time.sleep(0.05)
+                raise first
+            if key == 1:
+                raise NumericalError("task 1 failed")
+            time.sleep(0.02)
+            return key
+
+        with pytest.raises(NumericalError) as excinfo:
+            map_trials(work, range(60))
+        assert excinfo.value is first
+        assert 0 in started and len(started) < 60
+        if threads == "1":
+            assert started == [0]
