@@ -47,9 +47,9 @@ from .spectral import (
     arcsine_mixture_density,
     density_grid,
     limit_density,
+    oracle_density,
     semicircle_density,
     support_bound,
-    tabulate_density,
 )
 
 __version__ = "0.1.0"

@@ -29,12 +29,9 @@ from .linalg import eigh_banded
 from .matrixpoly import recurrence_coeffs, roots
 from .spectral import (
     LimitModel,
-    arcsine_mixture_density,
     check_density_args,
     density_grid,
-    semicircle_density,
-    support_bound,
-    tabulate_density,
+    oracle_density,
 )
 from . import formats
 
@@ -79,75 +76,52 @@ def _prepare_out(out: str | Path) -> Path:
     return path
 
 
-def _sidecar_path(out: Path) -> Path:
-    return out.with_suffix(".json")
+def _write_with_sidecar(out: str, write, table, sidecar: dict) -> int:
+    """Write a table with `write` and its JSON sidecar next to it."""
+    path = _prepare_out(out)
+    write(path, table)
+    formats.write_json(path.with_suffix(".json"), sidecar)
+    print(f"wrote {path} and {path.with_suffix('.json')}")
+    return 0
 
 
 def _config_dict(n: int, w: GammaWeights, **extra) -> dict:
     return {"n": n, "p": w.p, "gamma": list(w.gamma), **extra}
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    w = _weights(args.p, args.gamma)
-    seed = RngSeed(args.seed, args.stream)
-    values = eigh_banded(build_G(args.n, w, seed))
+def _write_spectrum(args: argparse.Namespace, w: GammaWeights, seed, values) -> int:
     if args.scaled:
         values = values / math.sqrt(args.n)
     spectrum = EmpiricalSpectrum(
         n=args.n, p=w.p, gamma=w.gamma, seed=seed, scaled=args.scaled, values=values
     )
-    out = _prepare_out(args.out)
-    formats.write_spectrum_csv(out, spectrum)
-    formats.write_json(_sidecar_path(out), formats.spectrum_sidecar(spectrum))
-    print(f"wrote {out} and {_sidecar_path(out)}")
-    return 0
+    sidecar = formats.spectrum_sidecar(spectrum)
+    return _write_with_sidecar(args.out, formats.write_spectrum_csv, spectrum, sidecar)
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    w = _weights(args.p, args.gamma)
+    seed = RngSeed(args.seed, args.stream)
+    return _write_spectrum(args, w, seed, eigh_banded(build_G(args.n, w, seed)))
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    values = roots(recurrence_coeffs(args.n, w), args.n // w.p)
-    if args.scaled:
-        values = values / math.sqrt(args.n)
-    spectrum = EmpiricalSpectrum(
-        n=args.n, p=w.p, gamma=w.gamma, seed=None, scaled=args.scaled, values=values
-    )
-    out = _prepare_out(args.out)
-    formats.write_spectrum_csv(out, spectrum)
-    formats.write_json(_sidecar_path(out), formats.spectrum_sidecar(spectrum))
-    print(f"wrote {out} and {_sidecar_path(out)}")
-    return 0
+    return _write_spectrum(args, w, None, roots(recurrence_coeffs(args.n, w), args.n // w.p))
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    w = _weights(args.p, args.gamma)
-    model = LimitModel.from_gamma(w)
+    model = LimitModel.from_gamma(_weights(args.p, args.gamma))
     density = density_grid(model, args.grid, args.quad_tol)
-    out = _prepare_out(args.out)
-    formats.write_density_csv(out, density)
     sidecar = {**formats.density_sidecar(density, args.grid), "quad_err_est": density.quad_err_est}
-    formats.write_json(_sidecar_path(out), sidecar)
-    print(f"wrote {out} and {_sidecar_path(out)}")
-    return 0
+    return _write_with_sidecar(args.out, formats.write_density_csv, density, sidecar)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    w = _weights(args.p, args.gamma)
-    model = LimitModel.from_gamma(w)
-    if w.p == 1:
-        fn = lambda t: semicircle_density(w.gamma[0], t)
-        kind = "semicircle"
-    else:
-        fn = lambda t: arcsine_mixture_density(w.gamma[0], w.gamma[1], t, args.quad_tol)
-        kind = "arcsine-mixture"
-    density = tabulate_density(
-        fn, support_bound(model), args.grid, p=w.p, gamma=w.gamma, quad_tol=args.quad_tol
-    )
-    out = _prepare_out(args.out)
-    formats.write_density_csv(out, density)
+    density = oracle_density(_weights(args.p, args.gamma), args.grid, args.quad_tol)
+    kind = "semicircle" if density.p == 1 else "arcsine-mixture"
     sidecar = {**formats.density_sidecar(density, args.grid), "kind": kind}
-    formats.write_json(_sidecar_path(out), sidecar)
-    print(f"wrote {out} and {_sidecar_path(out)}")
-    return 0
+    return _write_with_sidecar(args.out, formats.write_density_csv, density, sidecar)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -287,9 +261,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     heights, edges = np.histogram(values, bins="fd", density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
 
-    base = Path(args.out) if args.out else Path(args.name)
-    if base.parent != Path("."):
-        base.parent.mkdir(parents=True, exist_ok=True)
+    base = _prepare_out(args.out or args.name)
     hist_path = base.parent / f"{base.name}_hist.csv"
     density_path = base.parent / f"{base.name}_density.csv"
     sidecar_path = base.parent / f"{base.name}.json"

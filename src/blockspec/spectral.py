@@ -21,12 +21,21 @@ problems, and one batched pass integrates every grid point's panels between
 kinks with a fixed Gauss-Legendre rule, checked against its embedded
 half-size rule.  The same eigenvalues give the CDF in closed form through
 arccos(lambda_j / 2), since dlambda_j/dt = -w_j.
+
+The p = 2 oracle mixes two arcsine branches.  In u = sqrt(s) in (0, U],
+U = 1/sqrt(2), branch j has the integrand 2u / (pi sqrt(Q_j(u))) with
+Q_j(u) = 4 a_j^2 u^2 - (x - b_j u)^2 = (alpha_j u - x)(beta_j u + x),
+alpha_j = 2 a_j + b_j and beta_j = 2 a_j - b_j > 0, so the roots x / alpha_j
+and -x / beta_j bound the interval where Q_j > 0.  Integrating the
+branch's arcsine CDF arccos(z_j(u)) / pi, z_j(u) = (b_j u - x) / (2 a_j u),
+against 2u du by parts gives the CDF from the density f:
+F(x) = sum_j arccos(z_j(U)) / (2 pi) + x f(x) / 2.  For p = 1 the oracle is
+the semicircle law of the Dumitriu-Edelman beta-Hermite model.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +64,22 @@ class SpectralDensity:
         self.cdf = np.asarray(self.cdf, dtype=float)
         if not (len(self.grid) == len(self.density) == len(self.cdf)):
             raise ValidationError("grid, density and cdf lengths differ")
+        for name, values in (("grid", self.grid), ("density", self.density), ("cdf", self.cdf)):
+            if not np.isfinite(values).all():
+                i = int(np.argmin(np.isfinite(values)))
+                raise NumericalError(
+                    f"non-finite {name} value {float(values[i])!r} at t = {float(self.grid[i])!r}"
+                )
         if np.any(np.diff(self.grid) <= 0):
             raise ValidationError("grid must be strictly ascending")
         if np.any(self.density < 0):
             raise ValidationError("density must be nonnegative")
-        if np.any(np.diff(self.cdf) < 0):
-            raise ValidationError("cdf must be nondecreasing")
+        if np.any(np.diff(self.cdf) < 0.0):
+            i = int(np.argmax(np.diff(self.cdf) < 0.0)) + 1
+            raise NumericalError(
+                f"CDF decreases from {float(self.cdf[i - 1])!r} to {float(self.cdf[i])!r} "
+                f"at t = {float(self.grid[i])!r}"
+            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -332,6 +351,10 @@ def arcsine_mixture_density(
     b_1 = sqrt(gamma1), b_2 = -sqrt(gamma1).  This is the independent oracle
     for the generic p = 2 path.  It requires gamma1 < gamma2, where A0 is
     positive definite, as the generic path does.
+
+    Each branch is integrated only where Q_j > 0 (module docstring), under
+    the kernel's map v = lo + (end - lo) sin^2(theta), and its error
+    estimate must meet the share quad_tol / 2, or NumericalError is raised.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValidationError("gamma weights must be > 0")
@@ -350,39 +373,73 @@ def arcsine_mixture_density(
         )
     _require_quad_tol(quad_tol)
     # imported here: the oracle is the only user of scipy's adaptive quad
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.integrate import quad
 
-    sg1, sg2 = math.sqrt(gamma1), math.sqrt(gamma2)
-    u_max = math.sqrt(0.5)
+    m, branches = _arcsine_branches(gamma1, gamma2)
+    xi = x / m
+    share = quad_tol / 2.0
     total = 0.0
-    for a_j, b_j in ((sg2 + sg1, sg1), (sg2 - sg1, -sg1)):
+    for alpha, beta in branches:
+        if not -beta < xi < max(alpha, 0.0):
+            continue  # (alpha v - xi)(beta v + xi) <= 0 on all of (0, 1]
+        if xi >= 0.0 or alpha >= 0.0:
+            # c (v - lo) vanishes at lo; the other factor, slope v + offset, stays positive
+            c, lo, width, slope, offset = (
+                (alpha, xi / alpha, (alpha - xi) / alpha, beta, xi) if xi >= 0.0
+                else (beta, -xi / beta, (xi + beta) / beta, alpha, -xi)
+            )
+            k, theta_end = 2.0 * math.sqrt(width / c) / (math.pi * m), math.pi / 2.0
 
-        def branch(u: float, a_j: float = a_j, b_j: float = b_j) -> float:
-            radicand = 4.0 * a_j * a_j * u * u - (x - b_j * u) ** 2
-            if radicand <= 0:
-                return 0.0
-            return 2.0 * u / (math.pi * math.sqrt(radicand))
+            def integrand(theta: float) -> float:
+                v = lo + width * math.sin(theta) ** 2
+                return k * v * math.cos(theta) / math.sqrt(slope * v + offset)
 
-        # indicator boundaries solve x = (b_j +- 2 a_j) u exactly
-        points = []
-        for den in (b_j + 2.0 * a_j, b_j - 2.0 * a_j):
-            if den != 0.0:
-                u0 = x / den
-                if 0.0 < u0 < u_max:
-                    points.append(u0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            value, _ = quad(
-                branch,
-                0.0,
-                u_max,
-                points=sorted(points) or None,
-                epsabs=quad_tol / 2.0,
-                epsrel=0.0,
-                limit=400,
+        else:
+            # the factors vanish at lo = -xi / beta and end = xi / alpha, which
+            # leaves k v; an end past v = 1 only shortens the theta range
+            lo, width = -xi / beta, xi / alpha + xi / beta
+            k = 2.0 / (math.pi * m * math.sqrt(-alpha * beta))
+            theta_end = math.pi / 2.0 if xi >= alpha else math.atan2(
+                math.sqrt((xi + beta) / beta), math.sqrt((xi - alpha) / alpha)
+            )
+
+            def integrand(theta: float) -> float:
+                return k * (lo + width * math.sin(theta) ** 2)
+
+        # quad rejects a zero tolerance; a share that underflows fails below
+        value, err, _, *failure = quad(integrand, 0.0, theta_end, epsrel=0.0, limit=200,
+                                       epsabs=max(share, math.ulp(0.0)), full_output=1)
+        if failure or not err <= share:
+            raise NumericalError(
+                f"arcsine mixture quadrature at x = {float(x)!r}: error estimate {err:.3e} "
+                f"against its share {share:.3e} of quad_tol {quad_tol!r}: "
+                + (" ".join(failure[0].split()) if failure else "the estimate exceeds it")
             )
         total += value
-    return max(0.0, float(total))
+    return total
+
+
+def _arcsine_branches(gamma1: float, gamma2: float) -> tuple[float, tuple]:
+    """M* and the branch factors (alpha_j, beta_j) U / M*, so that branch j's
+    radicand is M*^2 (alpha_j v - xi)(beta_j v + xi) in v = u / U, xi = x / M*.
+    M* is summed as in `support_bound`: alpha_1 = 1 exactly, and xi = +-1
+    lies outside both branches."""
+    s1, s2 = math.sqrt(gamma1 / 2.0), math.sqrt(gamma2 / 2.0)
+    m = s1 + 2.0 * (s2 + s1)
+    # (2 s2 - 3 s1) / M* as (4 gamma2 - 9 gamma1) / (2 M*^2): no cancellation,
+    # exactly 0 at 4 gamma2 = 9 gamma1, and the numerator / 16 cannot overflow
+    alpha2 = 8.0 * ((0.25 * gamma2 - 0.5625 * gamma1) / m) / m
+    return m, ((1.0, (2.0 * s2 + s1) / m), (alpha2, (2.0 * s2 - s1) / m))
+
+
+def _branch_cdf(alpha: float, beta: float, xi: float) -> float:
+    """arccos(z_j(U)) / (2 pi) = atan2(sqrt(xi + beta), sqrt(alpha - xi)) / pi;
+    exactly 0 or 1/2 wherever `arcsine_mixture_density` finds the branch empty."""
+    if xi <= -beta:
+        return 0.0
+    if xi >= alpha:
+        return 0.5
+    return math.atan2(math.sqrt(xi + beta), math.sqrt(alpha - xi)) / math.pi
 
 
 def support_bound(model: LimitModel) -> float:
@@ -391,74 +448,44 @@ def support_bound(model: LimitModel) -> float:
     return float(np.abs(model.B0).sum(axis=1).max() + 2.0 * np.abs(model.A0).sum(axis=1).max())
 
 
-def _require_grid_size(grid_size: int) -> None:
+def check_density_args(grid_size: int, quad_tol: float) -> None:
+    """The argument checks of `density_grid` and `oracle_density`, in their
+    order, for callers that reject bad arguments before any other work."""
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
-
-
-def _grid(bound: float, grid_size: int) -> np.ndarray:
-    _require_grid_size(grid_size)
-    return np.linspace(-bound, bound, grid_size + 1)
-
-
-def check_density_args(grid_size: int, quad_tol: float) -> None:
-    """The argument checks of `density_grid`, in its order, for callers that
-    reject bad arguments before starting any other work."""
-    _require_grid_size(grid_size)
     _require_quad_tol(quad_tol)
 
 
-def tabulate_density(
-    fn,
-    bound: float,
-    grid_size: int,
-    p: int | None = None,
-    gamma: tuple[float, ...] | None = None,
-    quad_tol: float | None = None,
-) -> SpectralDensity:
-    """Tabulate a density function on grid_size + 1 points over [-bound, bound].
+def _grid(bound: float, grid_size: int, quad_tol: float) -> np.ndarray:
+    check_density_args(grid_size, quad_tol)
+    return np.linspace(-bound, bound, grid_size + 1)
 
-    The CDF is the cumulative trapezoid of the density; if its endpoint is
-    within 1 percent of 1 the table is renormalized to end at exactly 1,
-    otherwise the quadrature is considered failed and an error is raised.
-    The closed-form oracles are tabulated this way; the limit density has
-    its own closed-form CDF in `density_grid`.
-    """
-    if quad_tol is not None:
-        _require_quad_tol(quad_tol)
-    grid = _grid(bound, grid_size)
-    density = np.array([fn(t) for t in grid])
-    cdf = np.concatenate(
-        [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(grid))]
-    )
-    mass = float(cdf[-1])
-    if not abs(mass - 1.0) <= 0.01:
-        raise NumericalError(
-            f"density mass {mass:.6f} is off by more than 1% from 1; "
-            "quadrature failure for this weight configuration"
-        )
-    return SpectralDensity(
-        grid=grid,
-        density=density / mass,
-        cdf=cdf / mass,
-        p=p,
-        gamma=gamma,
-        quad_tol=quad_tol,
-    )
+
+def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:
+    """The closed-form oracle table for p = 1 or 2 on the grid of `density_grid`:
+    the density unscaled at each point, and the exact CDF of the module docstring."""
+    bound = support_bound(LimitModel.from_gamma(w))
+    grid = _grid(bound, grid_size, quad_tol)
+    if w.p == 1:
+        density = [semicircle_density(w.gamma[0], t) for t in grid]
+        # y = t / (2 r) as in semicircle_density, exactly +-1 at +-M* = +-2 r
+        cdf = [0.5 + (y * math.sqrt((1.0 - y) * (1.0 + y)) + math.asin(y)) / math.pi
+               if abs(y) < 1.0 else float(y > 0.0) for y in grid / bound]
+    elif w.p == 2:
+        density = [arcsine_mixture_density(*w.gamma, t, quad_tol) for t in grid]
+        m, branches = _arcsine_branches(*w.gamma)
+        cdf = [sum(_branch_cdf(*ab, t / m) for ab in branches) + t * f / 2.0
+               for t, f in zip(grid, density)]
+    else:
+        raise ValidationError(f"the closed-form oracle needs p = 1 or p = 2, got p = {w.p}")
+    return SpectralDensity(grid, density, cdf, p=w.p, gamma=w.gamma, quad_tol=quad_tol)
 
 
 def density_grid(model: LimitModel, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
     spanning [-M*, M*], in one batched pass of the quadrature kernel."""
-    grid = _grid(support_bound(model), grid_size)
+    grid = _grid(support_bound(model), grid_size, quad_tol)
     density, cdf, err = _density_table(model, grid, quad_tol)
-    drops = np.nonzero(np.diff(cdf) < 0.0)[0]
-    if drops.size:
-        i = int(drops[0]) + 1
-        raise NumericalError(
-            f"limit CDF decreases from {float(cdf[i - 1])!r} to {float(cdf[i])!r} "
-            f"at t = {float(grid[i])!r}"
-        )
     return SpectralDensity(
         grid=grid,
         density=density,

@@ -15,6 +15,7 @@ import blockspec.cli
 import blockspec.harness
 import blockspec.linalg
 import blockspec.matrixpoly
+import blockspec.spectral
 from blockspec.cli import FIGURES, run
 from blockspec.spectral import semicircle_density
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
@@ -382,8 +383,30 @@ class TestExitCodes:
         ref = np.array([semicircle_density(1e308, t) for t in d.grid])
         peak = ref.max()
         assert np.abs(d.density - ref).max() <= 1e-6 * peak
-        # the oracle table is the closed form divided by its trapezoid mass
-        assert np.abs(o.density - ref).max() <= 1e-2 * peak
+        # the oracle table is the closed form itself, not rescaled
+        np.testing.assert_array_equal(o.density, ref)
+        assert o.cdf[0] == 0.0 and o.cdf[-1] == 1.0
+
+    def test_oracle_quad_tol_is_enforced(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["oracle", "--p", "2", "--gamma", "2,8", "--grid", "100", "--quad-tol", "1e-300"],
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: arcsine mixture quadrature at x = ")
+        assert "share 5.000e-301 of quad_tol 1e-300" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_oracle_value_fails_numerically(self, tmp_path, monkeypatch, capsys):
+        # a NaN from the closed form is caught by the table, not written
+        monkeypatch.setattr(blockspec.spectral, "semicircle_density", lambda g, t: math.nan)
+        rc = run_in(tmp_path, monkeypatch, ["oracle", "--p", "1", "--gamma", "2", "--grid", "100"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite density value nan at t = -2.0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_tiny_weight_fails_in_quadrature_not_definiteness(
         self, tmp_path, monkeypatch, capsys

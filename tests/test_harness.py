@@ -292,15 +292,10 @@ class TestLevyBound:
 
 class TestKsConvergence:
     def test_ks_decreases_with_n_against_oracle(self):
-        from blockspec.spectral import support_bound, tabulate_density
-        from blockspec.spectral import arcsine_mixture_density
+        from blockspec.spectral import oracle_density
 
         fx = FIXTURES["ks_oracle_convergence"]
-        model = LimitModel.from_gamma(W2)
-        oracle = tabulate_density(
-            lambda t: arcsine_mixture_density(2.0, 8.0, t),
-            support_bound(model), 400, p=2, gamma=W2.gamma, quad_tol=1e-10,
-        )
+        oracle = oracle_density(W2, 400, 1e-10)
         medians = {}
         for n in (200, 1600):
             cfg = ExperimentConfig(

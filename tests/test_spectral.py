@@ -21,12 +21,13 @@ from blockspec.errors import (
 )
 from blockspec.spectral import (
     LimitModel,
+    SpectralDensity,
     arcsine_mixture_density,
     density_grid,
     limit_density,
+    oracle_density,
     semicircle_density,
     support_bound,
-    tabulate_density,
 )
 from tests.oracles import build_AB, lambda_and_weights, trace_density
 
@@ -268,6 +269,78 @@ class TestArcsineMixture:
         with pytest.raises(ValidationError):
             arcsine_mixture_density(4.0, 4.0, 0.0)
 
+    # Weights (2, 3): branch 2 has alpha_2 U = k < 0, so its interval ends at
+    # the root x / alpha_2 = U (1 + r) just past or just before u_max = U.
+    # References: 40-digit mpmath quadrature of the two branches at these
+    # very floats, between the exact roots.
+    KINK = -0.5505102572168219
+
+    @pytest.mark.parametrize(
+        "r,x,reference",
+        [
+            (1e-12, -0.5505102572173725, 0.84873406490296199),
+            (1e-12, -0.5505102572162714, 0.84873496988341852),
+            (1e-10, -0.550510257271873, 0.84872592050074182),
+            (1e-10, -0.5505102571617708, 0.84873496980694952),
+            (1e-8, -0.5505102627219244, 0.84864448303786854),
+            (1e-8, -0.5505102517117193, 0.84873496216006496),
+            (1e-6, -0.550510807727079, 0.84783079619468545),
+            (1e-6, -0.5505097067065646, 0.84873419747160364),
+        ],
+    )
+    def test_root_at_the_end_of_the_range(self, r, x, reference):
+        assert x in (self.KINK * (1.0 + r), self.KINK * (1.0 - r))
+        tol = 1e-12 if r == 1e-6 else 1e-9
+        assert arcsine_mixture_density(2.0, 3.0, x, 1e-13) == pytest.approx(reference, abs=tol)
+
+    @pytest.mark.parametrize(
+        "gamma2,references",
+        [
+            # 4 gamma2 = 9 gamma1: alpha_2 = 0 and one factor of Q_2 is constant
+            (9.0, [0.0, 0.0, 0.0, 0.033114158541060293, 0.042970635039453224,
+                   0.19725473891958692, 0.045944074618482671, 0.042502989313012128,
+                   0.039782063323258731, 0.036125849088943039, 0.030874148291678444,
+                   0.022790036316226266, 0.0]),
+            (9.000001, [0.0, 0.0, 8.3882013552249106e-6, 0.033114157887165515,
+                        0.043023685270205644, 0.19725472013461995, 389.89433400662143,
+                        0.042502987941915073, 0.039782062071065201, 0.036125847966539023,
+                        0.030874147339980849, 0.022790035617353511, 0.0]),
+            (8.999999, [0.0, 0.0, 0.0, 0.033114159194955086, 0.042970636446273381,
+                        0.1972547577045593, 0.045944076213763139, 0.042502990684109342,
+                        0.039782064575452404, 0.036125850211347184, 0.030874149243376127,
+                        0.022790037015099076, 0.0]),
+        ],
+    )
+    def test_alpha2_near_zero(self, gamma2, references):
+        # alpha_2 = 2 sqrt(gamma2) - 3 sqrt(gamma1) cancels here; 13 points
+        # from -M* to M* through t = 0, against 40-digit mpmath references
+        model = LimitModel.from_gamma(GammaWeights(2, (4.0, gamma2)))
+        m = support_bound(model)
+        for x, reference in zip(np.linspace(-m, m, 13), references):
+            assert arcsine_mixture_density(4.0, gamma2, x, 1e-10) == pytest.approx(
+                reference, abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "gamma", [(2.0, 8.0), (1.0, 100.0), (2.0, 3.0), (4.0, 9.0), (0.3, 7.1), (1e-300, 3e-300)]
+    )
+    def test_branch_edges_are_exact_at_the_support_bound(self, gamma):
+        # M* is summed as support_bound sums it, so x = +-M* lies outside
+        # both branches: density exactly 0, and the CDF terms exactly 1/2 or 0
+        m = support_bound(LimitModel.from_gamma(GammaWeights(2, gamma)))
+        m_branches, branches = spectral._arcsine_branches(*gamma)
+        assert m_branches == m and branches[0][0] == 1.0
+        for x, term in ((m, 0.5), (-m, 0.0)):
+            assert arcsine_mixture_density(*gamma, x, 1e-10) == 0.0
+            assert [spectral._branch_cdf(a, b, x / m) for a, b in branches] == [term, term]
+
+    def test_unattainable_tolerance_raises(self):
+        with pytest.raises(NumericalError, match=r"x = 0\.5: error estimate .* share 5\.000e-301"):
+            arcsine_mixture_density(2.0, 8.0, 0.5, 1e-300)
+        # a share that underflows to 0 fails the same check
+        with pytest.raises(NumericalError, match="x = 0.5"):
+            arcsine_mixture_density(2.0, 8.0, 0.5, 5e-324)
+
 
 class TestDensityGrid:
     def test_semicircle_table(self):
@@ -298,10 +371,84 @@ class TestDensityGrid:
         with pytest.raises(ValidationError):
             density_grid(M1, 99)
 
-    def test_normalization_breach_raises(self):
-        # constant 0.6 over [-1, 1] integrates to 1.2
-        with pytest.raises(NumericalError, match="1%"):
-            tabulate_density(lambda t: 0.6, 1.0, 100)
+
+class TestSpectralDensity:
+    @pytest.mark.parametrize("column", ["grid", "density", "cdf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_raises(self, column, bad):
+        values = {
+            "grid": np.linspace(-1.0, 1.0, 5),
+            "density": np.full(5, 0.5),
+            "cdf": np.linspace(0.0, 1.0, 5),
+        }
+        values[column][3] = bad
+        t = repr(bad) if column == "grid" else "0.5"
+        with pytest.raises(NumericalError, match=f"non-finite {column} value {bad!r} at t = {t}$"):
+            SpectralDensity(**values)
+
+
+class TestOracleDensity:
+    TABLES = [(1, (2.0,)), (2, (2.0, 8.0)), (2, (1.0, 100.0)), (2, (2.0, 3.0)), (2, (4.0, 9.0))]
+
+    @pytest.mark.parametrize("p,gamma", TABLES)
+    def test_density_column_is_the_closed_form(self, p, gamma):
+        table = oracle_density(GammaWeights(p, gamma), 120, 1e-10)
+        if p == 1:
+            expected = [semicircle_density(gamma[0], t) for t in table.grid]
+        else:
+            expected = [arcsine_mixture_density(*gamma, t, 1e-10) for t in table.grid]
+        assert table.density.tolist() == expected
+        m = support_bound(LimitModel.from_gamma(GammaWeights(p, gamma)))
+        assert len(table.grid) == 121 and table.support == (-m, m)
+
+    @pytest.mark.parametrize("p,gamma", TABLES)
+    def test_cdf_runs_from_zero_to_one(self, p, gamma):
+        table = oracle_density(GammaWeights(p, gamma), 400, 1e-10)
+        assert table.cdf[0] == 0.0 and table.cdf[-1] == 1.0
+        assert np.all(np.diff(table.cdf) >= 0.0)
+        assert table.density[0] == 0.0 and table.density[-1] == 0.0
+
+    @pytest.mark.parametrize("p,gamma", [(1, (2.0,)), (2, (2.0, 8.0)), (2, (1.0, 100.0))])
+    def test_cdf_matches_the_kernel(self, p, gamma):
+        # two independent closed forms: arccos of the kernel's eigenvalues,
+        # and the integration-by-parts identity over the two branches
+        w = GammaWeights(p, gamma)
+        kernel = density_grid(LimitModel.from_gamma(w), 400, 1e-10)
+        assert np.abs(oracle_density(w, 400, 1e-10).cdf - kernel.cdf).max() <= 1e-9
+
+    def test_cdf_derivative_is_the_density(self):
+        # F' = f for the identity F = sum_j arccos(z_j) / (2 pi) + x f / 2,
+        # through both signs of x and the case alpha_2 < 0 of weights (2, 3)
+        h = 1e-5
+        for gamma, ts in (((2.0, 8.0), [-4.2, -1.7, 0.6, 2.9, 5.5]),
+                          ((2.0, 3.0), [-2.1, -0.9, -0.3, 0.4, 2.2])):
+            m, branches = spectral._arcsine_branches(*gamma)
+
+            def cdf(t):
+                f = arcsine_mixture_density(*gamma, t, 1e-12)
+                return sum(spectral._branch_cdf(a, b, t / m) for a, b in branches) + t * f / 2
+
+            for t in ts:
+                slope = (cdf(t + h) - cdf(t - h)) / (2.0 * h)
+                assert slope == pytest.approx(arcsine_mixture_density(*gamma, t, 1e-12), abs=1e-8)
+
+    def test_semicircle_cdf(self):
+        table = oracle_density(GammaWeights(1, (2.0,)), 400, 1e-10)
+        y = table.grid / 2.0
+        exact = 0.5 + (y * np.sqrt(1.0 - y * y) + np.arcsin(y)) / math.pi
+        assert np.abs(table.cdf - exact).max() <= 1e-15
+
+    def test_arguments_checked(self):
+        with pytest.raises(ValidationError, match="grid_size"):
+            oracle_density(GammaWeights(2, (2.0, 8.0)), 99, 1e-10)
+        with pytest.raises(ValidationError, match="quad_tol"):
+            oracle_density(GammaWeights(1, (2.0,)), 100, math.nan)
+        with pytest.raises(ValidationError, match="p = 1 or p = 2"):
+            oracle_density(GammaWeights(3, (1.0, 4.0, 25.0)), 100, 1e-10)
+
+    def test_quad_tol_is_enforced(self):
+        with pytest.raises(NumericalError, match="share 5.000e-301 of quad_tol 1e-300"):
+            oracle_density(GammaWeights(2, (2.0, 8.0)), 100, 1e-300)
 
 
 def _figure_models():
@@ -339,8 +486,7 @@ class TestDensityKernel:
         # t / (k sqrt(2)), k = -0.55051025721682...  For t just below k that
         # exit lies just past u_max, and the last panel's map must end there
         # to keep its inverse square root smooth.  References: 40-digit
-        # quadrature of the two arcsine branches (the scipy oracle is off by
-        # up to 1e-4 this close to its own breakpoints).
+        # quadrature of the two arcsine branches.
         model = LimitModel.from_gamma(GammaWeights(2, (2.0, 3.0)))
         for t, reference in (
             (-0.5505102577, 0.84870816077197805),
