@@ -92,8 +92,13 @@ class EmpiricalSpectrum:
 
 
 def rng_from_seed(seed: RngSeed) -> np.random.Generator:
-    """Counter-based generator keyed on (master, stream)."""
-    return np.random.Generator(np.random.Philox(key=[seed.master, seed.stream]))
+    """Counter-based generator keyed on (master, stream).
+
+    The key is built as uint64: Philox converts a list of Python ints above
+    2**63 through float64, which rounds them or, with a warning, zeroes them.
+    """
+    key = np.array([seed.master, seed.stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def check_size(n: int, w: GammaWeights) -> None:

@@ -3,42 +3,34 @@ functions, and the numerical singularity test for stacks of small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
 (checked), banded inputs are symmetric by construction of SymmetricBanded.
-Dense and banded solves are backed by LAPACK (numpy.linalg / scipy's LAPACK),
-which meets the backward-stable accuracy contracts stated per function; the
-dense path additionally verifies its residuals against the caller's tol.
+Dense and banded solves are backed by numpy's LAPACK, which meets the
+backward-stable accuracy contracts stated per function; the dense path
+additionally verifies its residuals against the caller's tol.
 
-The banded solve calls LAPACK dsbevd through the function pointer that
-scipy.linalg.cython_lapack exports, as a ctypes foreign call.  That is the
-routine scipy.linalg.eigvals_banded runs, with the same arguments and so
-bit-identical values, but ctypes releases the GIL for the call's duration,
-so solves on several threads (harness.map_trials) run in parallel.
-
-Only the cython_lapack extension is loaded, from its file, not the
-scipy.linalg package: that package's __init__ pulls in scipy's array-API
-layer and with it numpy.f2py, numpy.testing and numpy.ma, which more than
-doubles the start-up time of every CLI process, for one pointer.  The extension is looked up with
-importlib's PathFinder under scipy's directory and executed by its own
-loader.  Its module init registers it in sys.modules under its full name;
-that entry is removed again, since a later `import scipy.linalg.cython_lapack`
-would find it there and never bind it to the package, so that
-`scipy.linalg.cython_lapack` raised AttributeError.  The interpreter keeps
-the initialised extension, so such a later import gets this same module
-object.  If scipy.linalg.cython_lapack is already imported, that module is
-used.
+The banded solve calls LAPACK dsbevd as a ctypes foreign call, so the GIL is
+released for the call's duration and solves on several threads
+(harness.map_trials) run in parallel.  The routine is the one in the LAPACK
+that numpy.linalg's _umath_linalg extension links against: the extension is
+opened with ctypes.CDLL by its file, and the symbol lookup also searches the
+libraries it depends on, so nothing new is loaded.  That is the same
+OpenBLAS routine scipy.linalg.eigvals_banded runs in the tested build, with
+the same arguments, so the values are bit-identical; scipy itself is not
+imported, which keeps it out of the start-up of every CLI process.  The
+symbol is the raw Fortran one: every argument is passed by reference,
+INTEGERs are 64-bit when numpy's LAPACK is ILP64
+(numpy.linalg.lapack_lite._ilp64), and the lengths of the two CHARACTER
+arguments follow the last argument.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg, lapack_lite
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 
@@ -46,58 +38,46 @@ from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 # require_symmetric accepts.
 SYMMETRY_RTOL = 1e-12
 
-
-def _load_cython_lapack():
-    """scipy.linalg.cython_lapack without importing scipy.linalg (see the
-    module docstring)."""
-    name = "scipy.linalg.cython_lapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy_spec = PathFinder.find_spec("scipy")
-    spec = scipy_spec and PathFinder.find_spec(
-        name, [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
-    )
-    if spec is None:
-        raise ImportError(f"cannot find {name}: blockspec requires scipy")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if sys.modules.get(name) is module:
-        del sys.modules[name]
-    return module
-
-
-_CYTHON_LAPACK = _load_cython_lapack()
-
-
-def _lapack_function(name: str, *argtypes):
-    """ctypes foreign function for a routine exported by cython_lapack.
-
-    The capsule's name is its C signature; it must be passed back verbatim
-    to get the pointer.
-    """
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    capsule = _CYTHON_LAPACK.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT_P = ctypes.POINTER(ctypes.c_int)
+# Fortran INTEGER of numpy's LAPACK, and the names its builds give dsbevd:
+# the scipy-openblas wheels prefix "scipy_", ILP64 builds suffix "64_".
+if lapack_lite._ilp64:
+    _INT, _DSBEVD_SYMBOLS = ctypes.c_int64, ("scipy_dsbevd_64_", "dsbevd_64_")
+else:
+    _INT, _DSBEVD_SYMBOLS = ctypes.c_int, ("scipy_dsbevd_", "dsbevd_")
+_INT_P = ctypes.POINTER(_INT)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-# dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info)
-_DSBEVD = _lapack_function(
-    "dsbevd",
+
+
+def _lapack_routine(library: str, symbols: tuple[str, ...], *argtypes):
+    """ctypes foreign function for the first of `symbols` that the shared
+    object `library` or one of its dependencies exports."""
+    lib = ctypes.CDLL(library)
+    for symbol in symbols:
+        try:
+            routine = getattr(lib, symbol)
+        except AttributeError:
+            continue
+        routine.argtypes, routine.restype = argtypes, None
+        return routine
+    raise ImportError(
+        f"neither {library} nor a library it loads exports any of the LAPACK "
+        f"symbols {', '.join(symbols)}"
+    )
+
+
+# dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info,
+#        len(jobz), len(uplo))
+_DSBEVD = _lapack_routine(
+    _umath_linalg.__file__, _DSBEVD_SYMBOLS,
     ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
     _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P,
+    ctypes.c_size_t, ctypes.c_size_t,
 )
 
 
 def _int(v: int):
     """A Fortran INTEGER argument, passed by reference."""
-    return ctypes.byref(ctypes.c_int(v))
+    return ctypes.byref(_INT(v))
 
 
 class EigenDecomposition(NamedTuple):
@@ -211,13 +191,13 @@ def eigh_banded(m: SymmetricBanded) -> np.ndarray:
     z = np.empty(1)  # not referenced for jobz = 'N'
     lwork = 2 * n  # dsbevd's minimum for jobz = 'N'
     work = np.empty(lwork)
-    iwork = np.empty(1, dtype=np.intc)
-    info = ctypes.c_int(0)
+    iwork = np.empty(1, dtype=_INT)
+    info = _INT(0)
     _DSBEVD(
         b"N", b"U", _int(n), _int(kd), ab.ctypes.data_as(_DOUBLE_P), _int(kd + 1),
         values.ctypes.data_as(_DOUBLE_P), z.ctypes.data_as(_DOUBLE_P), _int(1),
         work.ctypes.data_as(_DOUBLE_P), _int(lwork), iwork.ctypes.data_as(_INT_P),
-        _int(1), ctypes.byref(info),
+        _int(1), ctypes.byref(info), 1, 1,
     )
     if info.value < 0:
         raise ValidationError(f"dsbevd rejected argument {-info.value}")

@@ -458,7 +458,11 @@ def check_density_args(grid_size: int, quad_tol: float) -> None:
 
 def _grid(bound: float, grid_size: int, quad_tol: float) -> np.ndarray:
     check_density_args(grid_size, quad_tol)
-    return np.linspace(-bound, bound, grid_size + 1)
+    grid = np.linspace(-bound, bound, grid_size + 1)
+    if grid_size % 2 == 0:
+        # linspace can miss 0 by an ulp of M*, where a p = 2 density may diverge
+        grid[grid_size // 2] = 0.0
+    return grid
 
 
 def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:

@@ -252,13 +252,9 @@ import blockspec.cli
 from blockspec import linalg
 
 if sys.argv[1] == "blockspec-first":
-    loaded = [m for m in ("scipy.linalg", "scipy.integrate") if m in sys.modules]
+    loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     assert not loaded, loaded
-import scipy.linalg.cython_lapack
-
-assert scipy.linalg.cython_lapack is linalg._CYTHON_LAPACK
-assert scipy.linalg.cython_lapack.__pyx_capi__["dsbevd"] is not None
-import scipy.linalg
+    import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 
 m = build_G(60, GammaWeights(2, (2.0, 8.0)), RngSeed(5, 0))
@@ -268,11 +264,12 @@ assert np.array_equal(linalg.eigh_banded(m), expected)
 
 
 class TestImportHygiene:
-    """blockspec loads scipy.linalg.cython_lapack on its own, without the
-    scipy.linalg package, and leaves a later scipy import working."""
+    """`import blockspec.cli` loads no scipy module, and the banded solve
+    equals scipy's bit for bit whether scipy.linalg is imported before
+    blockspec or after it."""
 
     @pytest.mark.parametrize("order", ["blockspec-first", "scipy-first"])
-    def test_cython_lapack_shared_with_scipy(self, tmp_path, order):
+    def test_no_scipy_at_start_up(self, tmp_path, order):
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_CHECK, order],
             cwd=tmp_path, env=child_env(), capture_output=True, text=True,
@@ -386,6 +383,16 @@ class TestExitCodes:
         # the oracle table is the closed form itself, not rescaled
         np.testing.assert_array_equal(o.density, ref)
         assert o.cdf[0] == 0.0 and o.cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("command", ["density", "oracle"])
+    def test_grid_middle_point_is_zero(self, tmp_path, monkeypatch, capsys, command):
+        # At 4 gamma_2 = 9 gamma_1 the p = 2 density grows like 1/sqrt|t| as
+        # t -> 0-; np.linspace puts the middle of 188 intervals at -8.9e-16.
+        argv = [command, "--p", "2", "--gamma", "2,4.5", "--grid", "188", "--out", "d.csv"]
+        assert run_in(tmp_path, monkeypatch, argv) == 0, capsys.readouterr().err
+        table = read_density_csv(tmp_path / "d.csv")
+        assert table.grid[94] == 0.0
+        assert np.isfinite(table.density).all() and np.isfinite(table.cdf).all()
 
     def test_oracle_quad_tol_is_enforced(self, tmp_path, monkeypatch, capsys):
         rc = run_in(

@@ -208,6 +208,15 @@ class TestBuildG:
         c = build_G(12, W2, RngSeed(42, 4))
         assert not np.array_equal(a.bands, c.bands)
 
+    def test_seeds_above_two_to_the_63_stay_distinct(self):
+        # a key list of Python ints goes through float64 in Philox
+        seeds = [(0, 0), (0, 2**64 - 1), (0, 2**64 - 1024), (2**64 - 1, 0),
+                 (5, 2**63), (5, 2**63 + 5)]
+        draws = [rng_from_seed(RngSeed(*s)).random(4).tobytes() for s in seeds]
+        assert len(set(draws)) == len(seeds)
+        key = rng_from_seed(RngSeed(5, 2**63 + 5)).bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [5, 2**63 + 5]
+
     def test_golden_6x6(self):
         # pinned draws for p=2, gamma=(2,8), seed (123456789, 7); guards both
         # the draw-order contract and cross-platform stream stability

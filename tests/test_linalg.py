@@ -6,8 +6,9 @@ Known values:
 - path-graph tridiagonal (0 diagonal, 1 off): eigenvalues 2 cos(k pi / (n+1))
 - rank-1 matrix has a numerically zero determinant
 
-The banded solve calls LAPACK dsbevd directly; scipy.linalg.eigvals_banded,
-which runs the same routine, is its bit-exact oracle here.
+The banded solve calls LAPACK dsbevd from numpy's LAPACK directly;
+scipy.linalg.eigvals_banded, which runs the same routine, is its bit-exact
+oracle here.
 """
 
 import threading
@@ -19,7 +20,9 @@ import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 from blockspec.errors import NotPositiveDefiniteError, ValidationError
+from blockspec import linalg
 from blockspec.linalg import SymmetricBanded, eigh_banded, eigh_dense, spd_inv_sqrt
+from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs
 from tests.oracles import banded_from_dense, entry, lu_log_abs_det
 
 
@@ -102,17 +105,35 @@ class TestEighBanded:
             eigh_banded(SymmetricBanded.zeros(2, 3))
 
     @pytest.mark.parametrize(
-        "n,w",
+        "n,w,construction",
         [
-            (1000, GammaWeights(1, (2.0,))),
-            (1200, GammaWeights(2, (2.0, 8.0))),
-            (1002, GammaWeights(3, (1.0, 4.0, 25.0))),
+            pytest.param(1000, GammaWeights(1, (2.0,)), "sample", id="1000-w0"),
+            pytest.param(1200, GammaWeights(2, (2.0, 8.0)), "sample", id="1200-w1"),
+            pytest.param(1002, GammaWeights(3, (1.0, 4.0, 25.0)), "sample", id="1002-w2"),
+            # bandwidth 7
+            pytest.param(
+                1000, GammaWeights(4, (1.0, 4.0, 25.0, 100.0)), "sample", id="1000-p4"
+            ),
+            pytest.param(1200, GammaWeights(2, (2.0, 8.0)), "jacobi", id="1200-jacobi-p2"),
+            pytest.param(
+                1002, GammaWeights(3, (1.0, 4.0, 25.0)), "jacobi", id="1002-jacobi-p3"
+            ),
         ],
     )
-    def test_bit_identical_to_scipy(self, n, w):
-        m = build_G(n, w, RngSeed(31, 2))
+    def test_bit_identical_to_scipy(self, n, w, construction):
+        if construction == "sample":
+            m = build_G(n, w, RngSeed(31, 2))
+        else:
+            m = jacobi_matrix(recurrence_coeffs(n, w), n // w.p)
         expected = np.sort(scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False))
         np.testing.assert_array_equal(eigh_banded(m), expected)
+
+    def test_library_without_the_routine_is_an_import_error(self):
+        # numpy's LAPACK is there, but no LAPACK exports these names
+        library = linalg._umath_linalg.__file__
+        with pytest.raises(ImportError, match="no_such_dsbevd_, nor_this_one_") as exc:
+            linalg._lapack_routine(library, ("no_such_dsbevd_", "nor_this_one_"))
+        assert library in str(exc.value)
 
     @pytest.mark.parametrize("dim,bandwidth", [(1, 0), (2, 0), (2, 1), (50, 0)])
     def test_small_and_diagonal_bit_identical_to_scipy(self, dim, bandwidth):
