@@ -25,13 +25,7 @@ from .harness import (
     levy_cubed_bound,
     tail_bound_experiment,
 )
-from .linalg import (
-    EigenDecomposition,
-    SymmetricBanded,
-    eigh_banded,
-    eigh_dense,
-    spd_inv_sqrt,
-)
+from .linalg import SymmetricBanded, eigh_banded, spd_inv_sqrt
 from .matrixpoly import (
     RecurrenceCoeffs,
     cheb_T,
@@ -46,7 +40,6 @@ from .spectral import (
     SpectralDensity,
     arcsine_mixture_density,
     density_grid,
-    limit_density,
     oracle_density,
     semicircle_density,
     support_bound,

@@ -126,21 +126,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    cfg = ExperimentConfig(
-        n=args.n,
-        w=w,
-        trials=args.trials,
-        master_seed=args.seed,
-        grid_size=args.grid,
-        quad_tol=args.quad_tol,
-    )
+    cfg = ExperimentConfig(n=args.n, w=w, trials=args.trials, master_seed=args.seed)
     model = LimitModel.from_gamma(w)
-    check_density_args(cfg.grid_size, cfg.quad_tol)
+    check_density_args(args.grid, args.quad_tol)
     coeffs = recurrence_coeffs(cfg.n, w)
 
     def solve(key: str | int):
         if key == "density":
-            return density_grid(model, cfg.grid_size, cfg.quad_tol)
+            return density_grid(model, args.grid, args.quad_tol)
         if key == "roots":
             return roots(coeffs, cfg.n // w.p)
         return empirical_spectrum(cfg, key, scaled=False)
@@ -176,8 +169,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             w,
             trials=cfg.trials,
             master_seed=cfg.master_seed,
-            grid_size=cfg.grid_size,
-            quad_tol=cfg.quad_tol,
+            grid_size=args.grid,
+            quad_tol=args.quad_tol,
         ),
         "per_trial": per_trial,
         "summary": {
@@ -213,20 +206,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
                 "p90_scaled": report.p90_scaled,
             }
         )
-        tail = tail_bound_experiment(
-            n, w, args.epsilon, args.trials, args.seed, max_gaps=report.max_gaps
-        )
-        tail_checks.append(
-            {
-                "n": n,
-                "epsilon": tail.epsilon,
-                "trials": tail.trials,
-                "empirical_freq": tail.empirical_freq,
-                "bound": tail.bound,
-                "threshold": tail.threshold,
-                "satisfied": tail.satisfied,
-            }
-        )
+        tail = tail_bound_experiment(n, w.p, args.epsilon, report.max_gaps)
+        tail_checks.append({"n": n, **tail._asdict()})
     report = {
         "config": {
             "n_list": n_list,
@@ -291,8 +272,39 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValidationError, so that `run` reports it in
+    one line like every other validation error; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
+# the flags of build_parser that take no value
+_SWITCHES = ("--help", "--scaled")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite `--flag -v` as `--flag=-v` for every flag that takes a value.
+
+    argparse reads a token such as `-1,1` that begins with one '-' but is
+    not a plain negative number as an unknown flag, and then reports the
+    flag before it as missing its value.  Attached, the value reaches the
+    flag's own check, as it does when written `--flag=-v`.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token[:1] == "-" and token[:2] != "--" and prev[:2] == "--"
+                and "=" not in prev and prev not in _SWITCHES):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockspec",
         description=(
             "Sample random block tridiagonal matrices, compute deterministic "
@@ -369,14 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(_attach_dash_values(argv))
+        return args.func(args)
+    except SystemExit as exc:  # --help, after printing the help text
         code = exc.code
         return int(code) if isinstance(code, int) else 2
-    try:
-        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

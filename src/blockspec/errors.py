@@ -16,11 +16,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """An eigensolver failed to converge; carries the worst residual seen."""
-
-    def __init__(self, message: str, worst_residual: float | None = None):
-        super().__init__(message)
-        self.worst_residual = worst_residual
+    """An eigensolver failed to converge or missed its residual check."""
 
 
 class NotPositiveDefiniteError(NumericalError):

@@ -1,11 +1,11 @@
-"""Real symmetric linear algebra: dense and banded eigensolvers, SPD matrix
-functions, and the numerical singularity test for stacks of small blocks.
+"""Real symmetric linear algebra: the banded eigensolver, the SPD inverse
+square root, and the numerical singularity test for stacks of small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
 (checked), banded inputs are symmetric by construction of SymmetricBanded.
-Dense and banded solves are backed by numpy's LAPACK, which meets the
-backward-stable accuracy contracts stated per function; the dense path
-additionally verifies its residuals against the caller's tol.
+Both solves are backed by numpy's LAPACK, which meets the backward-stable
+accuracy contracts stated per function; the dense solve inside
+spd_inv_sqrt additionally verifies its residuals.
 
 The banded solve calls LAPACK dsbevd as a ctypes foreign call, so the GIL is
 released for the call's duration and solves on several threads
@@ -27,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg, lapack_lite
@@ -80,13 +79,6 @@ def _int(v: int):
     return ctypes.byref(_INT(v))
 
 
-class EigenDecomposition(NamedTuple):
-    """Full spectrum, ascending; vectors are orthonormal columns (or None)."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None
-
-
 @dataclass
 class SymmetricBanded:
     """Symmetric n x n matrix with `bandwidth` nonzero super-diagonals.
@@ -116,14 +108,6 @@ class SymmetricBanded:
     def zeros(cls, dim: int, bandwidth: int) -> "SymmetricBanded":
         return cls(dim, bandwidth, np.zeros((bandwidth + 1, dim)))
 
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.dim - d)
-            m[idx, idx + d] = self.bands[d, : self.dim - d]
-            m[idx + d, idx] = self.bands[d, : self.dim - d]
-        return m
-
     def scipy_band_upper(self) -> np.ndarray:
         """LAPACK upper band storage (dsbevd, scipy.linalg.eig_banded), in
         Fortran order: ab[u + i - j, j] holds entry (i, j) for i <= j."""
@@ -145,31 +129,6 @@ def require_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def eigh_dense(m: np.ndarray, tol: float = 1e-9) -> EigenDecomposition:
-    """Full spectrum and orthonormal eigenvectors of a symmetric matrix.
-
-    Residual ||M v - lambda v|| and the orthonormality defect are verified
-    to be below tol * max(1, ||M||); violations raise ConvergenceError.
-    """
-    m = require_symmetric(m)
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, float(np.abs(values).max()) if values.size else 0.0)
-    residual = float(np.abs(m @ vectors - vectors * values).max())
-    ortho = float(np.abs(vectors.T @ vectors - np.eye(m.shape[0])).max())
-    worst = max(residual, ortho)
-    if worst > tol * scale:
-        raise ConvergenceError(
-            f"eigendecomposition residual {worst:.3e} exceeds {tol:.1e} * {scale:.3e}",
-            worst_residual=worst,
-        )
-    return EigenDecomposition(values=values, vectors=vectors)
-
-
 def eigh_banded(m: SymmetricBanded) -> np.ndarray:
     """All eigenvalues of a symmetric banded matrix, ascending.
 
@@ -181,7 +140,7 @@ def eigh_banded(m: SymmetricBanded) -> np.ndarray:
     """
     if m.bandwidth >= m.dim:
         raise ValidationError(
-            f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use eigh_dense"
+            f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use a dense eigensolver"
         )
     ab = m.scipy_band_upper()  # overwritten by dsbevd
     if not np.all(np.isfinite(ab)):
@@ -214,15 +173,29 @@ def eigh_banded(m: SymmetricBanded) -> np.ndarray:
 def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root S of a positive definite matrix, S M S = I.
 
-    The smallest eigenvalue must exceed 1e-12 times the largest eigenvalue
-    magnitude ||M||_2, a test that does not depend on the scale of M;
-    otherwise the matrix is rejected (this is how invalid gamma
-    configurations surface downstream).
+    The eigensolve's residual max |M V - V Lambda| and orthonormality defect
+    max |V^T V - I| must be at most 1e-12 max(1, ||M||_2), its backward-error
+    check; otherwise ConvergenceError is raised.  The smallest eigenvalue
+    must exceed 1e-12 times the largest eigenvalue magnitude ||M||_2, a test
+    that does not depend on the scale of M; otherwise the matrix is rejected
+    (this is how invalid gamma configurations surface downstream).
     """
     m = require_symmetric(m)
-    values, vectors = eigh_dense(m, tol=1e-12)
-    min_eig = float(values[0])
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver did not converge: {exc}") from exc
     norm = float(np.abs(values).max())
+    scale = max(1.0, norm)
+    residual = max(
+        float(np.abs(m @ vectors - vectors * values).max()),
+        float(np.abs(vectors.T @ vectors - np.eye(len(values))).max()),
+    )
+    if residual > 1e-12 * scale:
+        raise ConvergenceError(
+            f"eigendecomposition residual {residual:.3e} exceeds 1e-12 * {scale:.3e}"
+        )
+    min_eig = float(values[0])
     if not min_eig > 1e-12 * norm:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue {min_eig:.6e} "

@@ -48,7 +48,8 @@ from .matrixpoly import coefficient_blocks
 
 @dataclass
 class SpectralDensity:
-    """Tabulated limit density on an ascending grid with its CDF."""
+    """Tabulated limit density on an ascending grid with its CDF, which
+    starts at exactly 0 and ends at exactly 1."""
 
     grid: np.ndarray
     density: np.ndarray
@@ -80,14 +81,13 @@ class SpectralDensity:
                 f"CDF decreases from {float(self.cdf[i - 1])!r} to {float(self.cdf[i])!r} "
                 f"at t = {float(self.grid[i])!r}"
             )
+        for end, value, exact in (("starts", self.cdf[0], 0.0), ("ends", self.cdf[-1], 1.0)):
+            if value != exact:
+                raise NumericalError(f"CDF {end} at {float(value)!r}, not exactly {exact!r}")
 
     @property
     def support(self) -> tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])
-
-    @property
-    def normalized(self) -> bool:
-        return abs(float(self.cdf[-1]) - 1.0) <= 1e-9
 
 
 @dataclass
@@ -314,16 +314,6 @@ def _density_table(
     )
     cdf = np.where(below <= above, below, 1.0 - above)
     return density, cdf, err
-
-
-def limit_density(model: LimitModel, t: float, quad_tol: float = 1e-8) -> float:
-    """Limit density f(t): the s-integral of the trace density over (0, 1/p].
-
-    The one-point case of the batched kernel behind `density_grid`, held to
-    the absolute tolerance quad_tol by its embedded error estimate.
-    """
-    density, _, _ = _density_table(model, np.array([float(t)]), quad_tol)
-    return float(density[0])
 
 
 def semicircle_density(gamma1: float, x: float) -> float:

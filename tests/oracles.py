@@ -3,7 +3,8 @@
 Each one is a direct, loop-by-loop transcription of a definition that the
 library computes in a vectorized or closed form:
 
-- `entry`: one entry of a banded matrix, read off its bands;
+- `entry` and `to_dense`: one entry of a banded matrix, read off its
+  bands, and the whole matrix written out;
 - `chi_sample`: one chi draw, the per-entry form of `build_G`'s single
   vectorized draw;
 - `build_F_tilde`: the block Jacobi matrix of the matrix orthogonal
@@ -12,7 +13,7 @@ library computes in a vectorized or closed form:
 - `build_AB`, `lambda_and_weights` and `trace_density`: the coefficient
   pair at one s, its eigenvalue curves with derivative weights, and the
   trace density at one (s, t), against the batched quadrature kernel of
-  `spectral`;
+  `spectral`, and `density_at`, that kernel's table at a single point;
 - `lu_log_abs_det`: sign and log|det| from an LU with partial pivoting,
   the per-block gate that `linalg.singular_blocks` must cover;
 - `levy_reference`: the Levy distance of two empirical CDFs by trying every
@@ -35,7 +36,8 @@ import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, check_size
 from blockspec.errors import ValidationError
-from blockspec.linalg import SymmetricBanded, eigh_dense, require_symmetric, spd_inv_sqrt
+from blockspec import spectral
+from blockspec.linalg import SymmetricBanded, require_symmetric, spd_inv_sqrt
 from blockspec.spectral import LimitModel, SpectralDensity
 
 
@@ -46,6 +48,16 @@ def entry(m: SymmetricBanded, i: int, j: int) -> float:
     if d > m.bandwidth:
         return 0.0
     return float(m.bands[d, i])
+
+
+def to_dense(m: SymmetricBanded) -> np.ndarray:
+    """The full symmetric matrix held by the bands of m."""
+    out = np.zeros((m.dim, m.dim))
+    for d in range(m.bandwidth + 1):
+        idx = np.arange(m.dim - d)
+        out[idx, idx + d] = m.bands[d, : m.dim - d]
+        out[idx + d, idx] = m.bands[d, : m.dim - d]
+    return out
 
 
 def chi_sample(rng: np.random.Generator, dof: float) -> float:
@@ -113,7 +125,7 @@ def lambda_and_weights(a: np.ndarray, b: np.ndarray, t: float) -> list[LambdaPoi
     b = require_symmetric(b)
     s_half = spd_inv_sqrt(a)
     w_mat = s_half @ (b - t * np.eye(a.shape[0])) @ s_half
-    values, vectors = eigh_dense((w_mat + w_mat.T) / 2.0)
+    values, vectors = np.linalg.eigh((w_mat + w_mat.T) / 2.0)
     weights = np.sum((s_half @ vectors) ** 2, axis=0)
     return [LambdaPoint(float(v), float(wt)) for v, wt in zip(values, weights)]
 
@@ -129,6 +141,14 @@ def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
         if abs(lam) < 2.0:
             total += weight / (math.pi * math.sqrt(4.0 - lam * lam))
     return total
+
+
+def density_at(model: LimitModel, t: float, quad_tol: float = 1e-8) -> float:
+    """Limit density f(t): the one-point table of `spectral._density_table`,
+    the kernel behind `density_grid`, held to the absolute tolerance quad_tol
+    by its embedded error estimate."""
+    density, _, _ = spectral._density_table(model, np.array([float(t)]), quad_tol)
+    return float(density[0])
 
 
 def lu_log_abs_det(m: np.ndarray) -> tuple[int, float]:

@@ -30,7 +30,6 @@ from blockspec.harness import (
     ks_distance,
     tail_bound_experiment,
 )
-from blockspec.linalg import eigh_banded, eigh_dense
 from blockspec.matrixpoly import (
     RecurrenceCoeffs,
     cheb_T,
@@ -45,11 +44,10 @@ from blockspec.spectral import (
     LimitModel,
     arcsine_mixture_density,
     density_grid,
-    limit_density,
     semicircle_density,
     support_bound,
 )
-from tests.oracles import chi_sample
+from tests.oracles import chi_sample, density_at, to_dense
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()
@@ -89,7 +87,7 @@ def test_criterion_01_semicircle_oracle():
             for t, d in zip(table.grid, table.density)
         )
         assert max_err <= 1e-3
-        f0 = limit_density(model, 0.0, 1e-8)
+        f0 = density_at(model, 0.0, 1e-8)
         assert abs(f0 - 1.0 / math.pi) <= 1e-4
         elapsed = time.monotonic() - start
         assert elapsed < 10.0
@@ -109,7 +107,7 @@ def test_criterion_02_arcsine_mixture_oracle():
             t for t in grid if all(abs(t - k) > 0.02 for k in kinks)
         ]
         max_err = max(
-            abs(limit_density(model, t, 1e-8) - arcsine_mixture_density(2.0, 8.0, t))
+            abs(density_at(model, t, 1e-8) - arcsine_mixture_density(2.0, 8.0, t))
             for t in kept
         )
         assert max_err <= 1e-3
@@ -125,7 +123,7 @@ def test_criterion_03_normalization():
             model = LimitModel.from_gamma(GammaWeights(p, gamma))
             bound = support_bound(model)
             grid = np.linspace(-bound, bound, 401)
-            density = np.array([limit_density(model, t, 1e-7) for t in grid])
+            density = np.array([density_at(model, t, 1e-7) for t in grid])
             mass = float(np.trapezoid(density, grid))
             assert abs(mass - 1.0) <= 1e-3, (p, gamma, mass)
             worst = max(worst, abs(mass - 1.0))
@@ -175,16 +173,13 @@ def test_criterion_06_tail_bound():
     with criterion(6, "exponential tail bound") as info:
         fx = FIXTURES["criterion6"]
         w = GammaWeights(1, (1.0,))
-        res30 = tail_bound_experiment(
-            fx["n"], w, 30.0, fx["trials"], fx["master_seed"]
-        )
+        (report,) = gap_report([fx["n"]], w, fx["trials"], fx["master_seed"])
+        res30 = tail_bound_experiment(fx["n"], w.p, 30.0, report.max_gaps)
         assert res30.bound < 1e-19
         assert res30.empirical_freq == 0.0
         # epsilon solving 2 n (p+1) exp(-eps^2/(18 p^2)) = 1/2
         eps_half = math.sqrt(18.0 * math.log(2 * fx["n"] * 2 / 0.5))
-        res_half = tail_bound_experiment(
-            fx["n"], w, eps_half, fx["trials"], fx["master_seed"]
-        )
+        res_half = tail_bound_experiment(fx["n"], w.p, eps_half, report.max_gaps)
         assert res_half.bound == pytest.approx(0.5, abs=1e-12)
         assert res_half.empirical_freq <= res_half.threshold
         info["detail"] = (
@@ -201,9 +196,9 @@ def test_criterion_07_structural_equivalences():
         worst_gap = 0.0
         for n, p, gamma in ((12, 3, (1.0, 4.0, 25.0)), (20, 2, (2.0, 8.0)), (10, 1, (2.0,))):
             w = GammaWeights(p, gamma)
-            e_f = eigh_dense(build_F(n, w).to_dense()).values
+            e_f = np.linalg.eigvalsh(to_dense(build_F(n, w)))
             ft = jacobi_matrix(recurrence_coeffs(n, w), n // p)
-            e_ft = eigh_dense(ft.to_dense()).values
+            e_ft = np.linalg.eigvalsh(to_dense(ft))
             gap = float(np.abs(e_f - e_ft).max())
             assert gap <= 1e-10, (n, p, gap)
             worst_gap = max(worst_gap, gap)

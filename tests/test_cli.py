@@ -299,6 +299,25 @@ class TestExitCodes:
         assert run_in(tmp_path, monkeypatch, ["sample", "--bogus"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--gamma", "-1,1"], "all gamma values must be positive and finite, got (-1.0, 1.0)"),
+            (["--gamma=-1,1"], "all gamma values must be positive and finite, got (-1.0, 1.0)"),
+            ([], "the following arguments are required: --gamma"),
+            (["--gamma", "2,8", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["--gamma", "2,8", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["negative-gamma-spaced", "negative-gamma-attached", "missing-gamma", "bad-int",
+             "unknown-flag"],
+    )
+    def test_usage_errors_are_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse's errors, and a value that begins with '-' written after a
+        # space, end like every other validation error: one line, exit 2
+        assert run_in(tmp_path, monkeypatch, ["sample", "--n", "8", "--p", "2", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand(self, tmp_path, monkeypatch, capsys):
         assert run_in(tmp_path, monkeypatch, ["frobnicate"]) == 2
         capsys.readouterr()

@@ -25,6 +25,7 @@ from blockspec.ensemble import (
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.harness import (
     ExperimentConfig,
+    GapReport,
     approx_gap,
     empirical_spectrum,
     gap_report,
@@ -37,7 +38,7 @@ from blockspec.harness import (
     worker_count,
 )
 from blockspec.linalg import eigh_banded
-from blockspec.spectral import LimitModel, density_grid
+from blockspec.spectral import LimitModel, SpectralDensity, density_grid
 from tests.oracles import build_F_tilde, levy_reference
 
 FIXTURES = json.loads(
@@ -85,13 +86,12 @@ class TestApproxGap:
 
     def test_scaled_gap_definition(self):
         cfg = ExperimentConfig(n=100, w=W1, trials=2, master_seed=5)
-        entry = approx_gap(
+        gap = approx_gap(
             empirical_spectrum(cfg, 1, scaled=False), eigh_banded(build_F_tilde(100, W1))
         )
-        assert entry.n == 100
-        assert entry.scaled_gap == pytest.approx(
-            entry.max_gap / math.sqrt(math.log(100))
-        )
+        assert type(gap) is float
+        report = GapReport(n=100, max_gaps=[gap])
+        assert report.scaled_gaps.tolist() == [gap / math.sqrt(math.log(100))]
 
     def test_reference_shortcut_matches(self):
         # the shared roots solve of gap_report equals the oracle F-tilde spectrum
@@ -99,9 +99,9 @@ class TestApproxGap:
         cfg = ExperimentConfig(n=60, w=W2, trials=3, master_seed=9)
         (report,) = gap_report([60], W2, 3, 9)
         for trial in range(3):
-            entry = approx_gap(empirical_spectrum(cfg, trial, scaled=False), ref)
-            assert report.max_gaps[trial] == entry.max_gap
-            assert report.scaled_gaps[trial] == entry.scaled_gap
+            gap = approx_gap(empirical_spectrum(cfg, trial, scaled=False), ref)
+            assert report.max_gaps[trial] == gap
+            assert report.scaled_gaps[trial] == gap / math.sqrt(math.log(60))
 
     def test_median_scaled_gap_does_not_grow(self):
         fx = FIXTURES["criterion5"]
@@ -142,14 +142,19 @@ class TestApproxGap:
 
 
 class TestTailBound:
+    @staticmethod
+    def gaps(n, trials, master_seed):
+        (report,) = gap_report([n], W1, trials, master_seed)
+        return report.max_gaps
+
     def test_huge_epsilon(self):
-        res = tail_bound_experiment(60, W1, 1e6, 5, 1)
+        res = tail_bound_experiment(60, 1, 1e6, self.gaps(60, 5, 1))
         assert res.bound == 0.0
         assert res.empirical_freq == 0.0
         assert res.satisfied
 
     def test_zero_epsilon_clips_to_one(self):
-        res = tail_bound_experiment(60, W1, 0.0, 5, 1)
+        res = tail_bound_experiment(60, 1, 0.0, self.gaps(60, 5, 1))
         assert res.bound == 1.0
         assert res.empirical_freq == 1.0
         assert res.satisfied
@@ -159,7 +164,8 @@ class TestTailBound:
 
     def test_reuses_supplied_gaps(self):
         gaps = [0.5, 2.0, 31.0]
-        res = tail_bound_experiment(100, W1, 30.0, 3, 0, max_gaps=gaps)
+        res = tail_bound_experiment(100, 1, 30.0, gaps)
+        assert res.trials == 3
         assert res.empirical_freq == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("trials", [0, -3])
@@ -167,7 +173,7 @@ class TestTailBound:
         with pytest.raises(ValidationError, match="trials"):
             gap_report([12], W2, trials, 1)
         with pytest.raises(ValidationError, match="trials"):
-            tail_bound_experiment(12, W2, 30.0, trials, 1, max_gaps=[])
+            tail_bound_experiment(12, 2, 30.0, [])
 
 
 class TestKsDistance:
@@ -206,19 +212,14 @@ class TestKsDistance:
             ks_distance(spec, semicircle_table)
 
     def test_requires_normalized_density(self, semicircle_table):
-        from blockspec.spectral import SpectralDensity
-
-        broken = SpectralDensity(
-            grid=semicircle_table.grid,
-            density=semicircle_table.density,
-            cdf=semicircle_table.cdf * 0.9,
-        )
-        spec = EmpiricalSpectrum(
-            n=2, p=1, gamma=(2.0,), seed=None, scaled=True,
-            values=np.array([0.0, 1.0]),
-        )
-        with pytest.raises(ValidationError, match="normalized"):
-            ks_distance(spec, broken)
+        # ks_distance reads the CDF column as a distribution function; a
+        # table whose CDF does not end at exactly 1 cannot be built
+        with pytest.raises(NumericalError, match="CDF ends at 0.9, not exactly 1.0"):
+            SpectralDensity(
+                grid=semicircle_table.grid,
+                density=semicircle_table.density,
+                cdf=semicircle_table.cdf * 0.9,
+            )
 
 
 class TestLevyBound:

@@ -1,4 +1,4 @@
-"""Dense/banded eigensolvers, the SPD inverse square root, and the LU
+"""The banded eigensolver, the SPD inverse square root, and the LU
 log-determinant reference the singularity gate is tested against.
 
 Known values:
@@ -19,46 +19,16 @@ import pytest
 import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
-from blockspec.errors import NotPositiveDefiniteError, ValidationError
+from blockspec.errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 from blockspec import linalg
-from blockspec.linalg import SymmetricBanded, eigh_banded, eigh_dense, spd_inv_sqrt
+from blockspec.linalg import SymmetricBanded, eigh_banded, spd_inv_sqrt
 from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs
-from tests.oracles import banded_from_dense, entry, lu_log_abs_det
+from tests.oracles import banded_from_dense, entry, lu_log_abs_det, to_dense
 
 
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return (a + a.T) / 2.0
-
-
-class TestEighDense:
-    def test_constant_row_sums(self):
-        values, vectors = eigh_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(values, [1.0, 3.0], atol=1e-12)
-        expected = np.array([[1, 1], [-1, 1]]) / np.sqrt(2)
-        for j in range(2):
-            v = vectors[:, j] * np.sign(vectors[0, j])
-            np.testing.assert_allclose(v, expected[:, j] * np.sign(expected[0, j]), atol=1e-12)
-
-    def test_identity(self):
-        values, _ = eigh_dense(np.eye(3))
-        np.testing.assert_allclose(values, np.ones(3), atol=1e-14)
-
-    def test_swap_matrix(self):
-        values, _ = eigh_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
-            eigh_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(1)
-        for n in (2, 5, 8):
-            m = random_symmetric(rng, n, scale=3.0)
-            values, vectors = eigh_dense(m, tol=1e-10)
-            scale = max(1.0, np.abs(values).max())
-            assert np.abs(m @ vectors - vectors * values).max() <= 1e-10 * scale
 
 
 class TestEighBanded:
@@ -77,7 +47,7 @@ class TestEighBanded:
         dense = random_symmetric(rng, 5)
         dense[np.abs(np.subtract.outer(range(5), range(5))) > 3] = 0.0
         banded = banded_from_dense(dense, 3)
-        expected = eigh_dense(dense).values
+        expected = np.linalg.eigvalsh(dense)
         np.testing.assert_allclose(eigh_banded(banded), expected, atol=1e-10)
 
     def test_dense_encoding_agreement(self):
@@ -87,7 +57,7 @@ class TestEighBanded:
             dense[np.abs(np.subtract.outer(range(n), range(n))) > w] = 0.0
             banded = banded_from_dense(dense, w)
             np.testing.assert_allclose(
-                eigh_banded(banded), eigh_dense(dense).values, atol=1e-10
+                eigh_banded(banded), np.linalg.eigvalsh(dense), atol=1e-10
             )
 
     def test_trace_preservation(self):
@@ -191,7 +161,7 @@ class TestSymmetricBanded:
         dense = random_symmetric(rng, 6)
         dense[np.abs(np.subtract.outer(range(6), range(6))) > 2] = 0.0
         banded = banded_from_dense(dense, 2)
-        np.testing.assert_allclose(banded.to_dense(), dense, atol=0)
+        np.testing.assert_allclose(to_dense(banded), dense, atol=0)
         assert entry(banded, 0, 3) == 0.0
         assert entry(banded, 1, 3) == dense[1, 3]
         assert entry(banded, 3, 1) == dense[1, 3]
@@ -215,9 +185,37 @@ class TestSpdInvSqrt:
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         s = spd_inv_sqrt(m)
         np.testing.assert_allclose(s @ m @ s, np.eye(2), atol=1e-10)
-        values, vectors = eigh_dense(m)
+        values, vectors = np.linalg.eigh(m)
         expected = (vectors / np.sqrt(values)) @ vectors.T
         np.testing.assert_allclose(s, expected, atol=1e-12)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            spd_inv_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_residual_check(self, monkeypatch):
+        # numpy's decomposition passes the 1e-12 * max(1, ||M||_2) backward
+        # error check; one whose vectors are off by 1e-10 fails it
+        rng = np.random.default_rng(1)
+        m = random_symmetric(rng, 5, scale=3.0) + 20.0 * np.eye(5)
+        spd_inv_sqrt(m)
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            values, vectors = eigh(a)
+            return values, vectors * (1.0 + 1e-10)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError, match=r"residual .* exceeds 1e-12 \* "):
+            spd_inv_sqrt(m)
+
+    def test_solver_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            spd_inv_sqrt(np.eye(2))
 
     def test_rejects_indefinite_with_eigenvalue(self):
         with pytest.raises(NotPositiveDefiniteError) as err:

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from blockspec.ensemble import GammaWeights
+from blockspec.cli import FIGURES
+from blockspec.ensemble import GammaWeights, build_F
 from blockspec.errors import NumericalError, ValidationError
-from blockspec.linalg import eigh_dense
 from blockspec.matrixpoly import (
     RecurrenceCoeffs,
     cheb_T,
@@ -26,7 +26,7 @@ from blockspec.matrixpoly import (
     roots,
 )
 from blockspec.spectral import LimitModel
-from tests.oracles import lu_log_abs_det
+from tests.oracles import lu_log_abs_det, to_dense
 
 W2 = GammaWeights(2, (2.0, 8.0))
 W3 = GammaWeights(3, (1.0, 4.0, 25.0))
@@ -272,7 +272,7 @@ class TestRoots:
     def test_single_stage_is_B0_spectrum(self):
         c = recurrence_coeffs(8, W2)
         np.testing.assert_allclose(
-            roots(c, 1), eigh_dense(c.B[0]).values, atol=1e-12
+            roots(c, 1), np.linalg.eigvalsh(c.B[0]), atol=1e-12
         )
 
     def test_constant_scalar_coeffs_path_graph(self):
@@ -296,12 +296,33 @@ class TestRoots:
 
     def test_jacobi_matrix_layout(self):
         c = recurrence_coeffs(8, W2)
-        dense = jacobi_matrix(c, 3).to_dense()
+        dense = to_dense(jacobi_matrix(c, 3))
         np.testing.assert_allclose(dense[0:2, 0:2], c.B[0], atol=0)
         np.testing.assert_allclose(dense[2:4, 2:4], c.B[1], atol=0)
         np.testing.assert_allclose(dense[0:2, 2:4], c.A[0], atol=0)
         np.testing.assert_allclose(dense[2:4, 4:6], c.A[1], atol=0)
         assert np.all(dense[0:2, 4:6] == 0.0)
+
+    @pytest.mark.parametrize(
+        "p,gamma",
+        [(1, (2.0,)), *((p, gamma) for p, gamma, _ in FIGURES.values())],
+        ids=["p1", *FIGURES],
+    )
+    def test_power_sums_equal_traces(self, p, gamma):
+        # (1/n) sum (lambda / sqrt(n))^k over the roots equals (1/n) tr (F /
+        # sqrt(n))^k, an exact sum over the entries of the cospectral build_F:
+        # a check of the banded solve that needs no dense eigensolver
+        n = 300
+        w = GammaWeights(p, gamma)
+        scaled_roots = roots(recurrence_coeffs(n, w), n // p) / math.sqrt(n)
+        f = to_dense(build_F(n, w)) / math.sqrt(n)
+        power = np.eye(n)
+        for k in range(1, 7):
+            power = power @ f
+            trace = np.trace(power) / n
+            power_sum = np.sum(scaled_roots**k) / n
+            scale = np.sum(np.abs(scaled_roots) ** k) / n
+            assert abs(power_sum - trace) <= 1e-12 * scale, (k, power_sum, trace)
 
 
 class TestMarkovBound:

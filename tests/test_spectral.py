@@ -24,12 +24,11 @@ from blockspec.spectral import (
     SpectralDensity,
     arcsine_mixture_density,
     density_grid,
-    limit_density,
     oracle_density,
     semicircle_density,
     support_bound,
 )
-from tests.oracles import build_AB, lambda_and_weights, trace_density
+from tests.oracles import build_AB, density_at, lambda_and_weights, trace_density
 
 M1 = LimitModel.from_gamma(GammaWeights(1, (2.0,)))
 M2 = LimitModel.from_gamma(GammaWeights(2, (2.0, 8.0)))
@@ -48,7 +47,7 @@ class TestLimitModel:
         # gamma reversed: A0 = [[1, 2], [2, 1]] is invertible but indefinite
         model = LimitModel.from_gamma(GammaWeights(2, (8.0, 2.0)))
         with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
-            limit_density(model, 0.5)
+            density_grid(model, 100)
 
 
 class TestBuildAB:
@@ -149,19 +148,19 @@ class TestTraceDensity:
 
 class TestLimitDensity:
     def test_semicircle_values(self):
-        assert limit_density(M1, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-9)
-        assert limit_density(M1, 2.5) == 0.0
-        assert limit_density(M1, -2.5) == 0.0
+        assert density_at(M1, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-9)
+        assert density_at(M1, 2.5) == 0.0
+        assert density_at(M1, -2.5) == 0.0
 
     def test_semicircle_grid(self):
         for x in np.linspace(-1.95, 1.95, 27):
-            assert limit_density(M1, x, 1e-9) == pytest.approx(
+            assert density_at(M1, x, 1e-9) == pytest.approx(
                 semicircle_density(2.0, x), abs=1e-7
             )
 
     def test_matches_arcsine_mixture(self):
         for x in np.linspace(-6.8, 6.8, 35):
-            assert limit_density(M2, x, 1e-9) == pytest.approx(
+            assert density_at(M2, x, 1e-9) == pytest.approx(
                 arcsine_mixture_density(2.0, 8.0, x), abs=1e-7
             )
 
@@ -169,8 +168,8 @@ class TestLimitDensity:
         # the two arcsine branches have supports (-5, 7) and (-3, 1) at the
         # top coefficient scale, so mass extends further right than left;
         # both computation paths agree on this
-        assert limit_density(M2, 6.0) > 0.02
-        assert limit_density(M2, -6.0) == 0.0
+        assert density_at(M2, 6.0) > 0.02
+        assert density_at(M2, -6.0) == 0.0
         assert arcsine_mixture_density(2.0, 8.0, 6.0) > 0.02
         assert arcsine_mixture_density(2.0, 8.0, -6.0) == 0.0
 
@@ -183,18 +182,18 @@ class TestLimitDensity:
                 GammaWeights(p, tuple(c * g for g in gamma))
             )
             for t in (0.0, 0.8, -1.3, 2.1):
-                assert limit_density(scaled, t * math.sqrt(c)) * math.sqrt(
+                assert density_at(scaled, t * math.sqrt(c)) * math.sqrt(
                     c
-                ) == pytest.approx(limit_density(base, t), abs=1e-6)
+                ) == pytest.approx(density_at(base, t), abs=1e-6)
 
     def test_quad_tol_validated(self):
         with pytest.raises(ValidationError):
-            limit_density(M1, 0.0, quad_tol=0.0)
+            density_grid(M1, 100, quad_tol=0.0)
 
     @pytest.mark.parametrize("quad_tol", [math.nan, math.inf, -1e-6])
     def test_nonfinite_quad_tol_rejected(self, quad_tol):
         with pytest.raises(ValidationError, match="quad_tol"):
-            limit_density(M1, 0.0, quad_tol=quad_tol)
+            density_at(M1, 0.0, quad_tol=quad_tol)
         with pytest.raises(ValidationError, match="quad_tol"):
             density_grid(M1, 100, quad_tol)
 
@@ -205,7 +204,7 @@ class TestLimitDensity:
         # Reference frozen from a panel integration under a sin^2 endpoint
         # substitution at tolerance 1e-12.
         model = LimitModel.from_gamma(GammaWeights(3, (4.0, 4.0, 100.0)))
-        value = limit_density(model, -3.0 * math.sqrt(2.0), 1e-10)
+        value = density_at(model, -3.0 * math.sqrt(2.0), 1e-10)
         assert value == pytest.approx(0.04484540135872291, abs=1e-8)
 
 
@@ -358,7 +357,7 @@ class TestDensityGrid:
         table = density_grid(M2, 150, 1e-6)
         assert np.all(table.density >= 0.0)
         assert np.all(np.diff(table.cdf) >= 0.0)
-        assert table.normalized
+        assert table.cdf[0] == 0.0 and table.cdf[-1] == 1.0
 
     def test_support_bound_p1(self):
         assert support_bound(M1) == pytest.approx(2.0)
@@ -385,6 +384,21 @@ class TestSpectralDensity:
         t = repr(bad) if column == "grid" else "0.5"
         with pytest.raises(NumericalError, match=f"non-finite {column} value {bad!r} at t = {t}$"):
             SpectralDensity(**values)
+
+    @pytest.mark.parametrize(
+        "index,value,message",
+        [
+            (0, 5e-324, "CDF starts at 5e-324, not exactly 0.0"),
+            (-1, 1.0 - 2.0**-53, "CDF ends at 0.9999999999999999, not exactly 1.0"),
+        ],
+        ids=["start", "end"],
+    )
+    def test_cdf_ends_are_exact(self, index, value, message):
+        # one ulp off either end is rejected, naming the end value
+        cdf = np.linspace(0.0, 1.0, 5)
+        cdf[index] = value
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            SpectralDensity(grid=np.linspace(-1.0, 1.0, 5), density=np.full(5, 0.5), cdf=cdf)
 
 
 class TestOracleDensity:
@@ -459,7 +473,7 @@ def _figure_models():
 
 
 class TestDensityKernel:
-    """The batched kernel behind `density_grid` and `limit_density`."""
+    """The batched kernel behind `density_grid`."""
 
     def test_cdf_matches_exact_semicircle_cdf(self):
         table = density_grid(M1, 400, 1e-6)
@@ -493,7 +507,7 @@ class TestDensityKernel:
             (-0.55051031, 0.84845483138024336),
             (-0.5505157, 0.84589714841450993),
         ):
-            assert limit_density(model, t, 1e-9) == pytest.approx(reference, abs=1e-9)
+            assert density_at(model, t, 1e-9) == pytest.approx(reference, abs=1e-9)
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_kinks_are_level_crossings(self, name):
@@ -546,11 +560,11 @@ class TestDensityKernel:
         for model in _figure_models().values():
             table = density_grid(model, 120, 1e-6)
             for t, d in list(zip(table.grid, table.density))[::10]:
-                assert limit_density(model, t, 1e-6) == d
+                assert density_at(model, t, 1e-6) == d
 
     def test_unattainable_tolerance_raises(self):
         with pytest.raises(NumericalError, match="quad_tol 1e-300"):
-            limit_density(M2, 0.5, 1e-300)
+            density_at(M2, 0.5, 1e-300)
         with pytest.raises(NumericalError, match="t = "):
             density_grid(M1, 100, 1e-300)
 
