@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    ExperimentConfig,
     GapReport,
     approx_gap,
     empirical_spectrum,

@@ -7,17 +7,18 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G
+from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, check_size
 from .errors import NumericalError, ValidationError
 from .harness import (
-    ExperimentConfig,
+    approx_gap,
     check_epsilon,
+    check_trials,
     empirical_spectrum,
     gap_report,
     ks_distance,
@@ -25,8 +26,7 @@ from .harness import (
     map_trials,
     tail_bound_experiment,
 )
-from .linalg import eigh_banded
-from .matrixpoly import recurrence_coeffs, roots
+from .matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
 from .spectral import (
     LimitModel,
     check_density_args,
@@ -47,12 +47,9 @@ FIGURES = {
 
 def _parse_gamma(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"could not parse --gamma {text!r}: {exc}") from exc
-    if not values:
-        raise ValidationError("--gamma must list at least one value")
-    return values
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -85,75 +82,67 @@ def _write_with_sidecar(out: str, write, table, sidecar: dict) -> int:
     return 0
 
 
-def _config_dict(n: int, w: GammaWeights, **extra) -> dict:
-    return {"n": n, "p": w.p, "gamma": list(w.gamma), **extra}
-
-
-def _write_spectrum(args: argparse.Namespace, w: GammaWeights, seed, values) -> int:
+def _write_spectrum(args: argparse.Namespace, spectrum: EmpiricalSpectrum) -> int:
     if args.scaled:
-        values = values / math.sqrt(args.n)
-    spectrum = EmpiricalSpectrum(
-        n=args.n, p=w.p, gamma=w.gamma, seed=seed, scaled=args.scaled, values=values
-    )
+        spectrum = spectrum.to_scaled()
     sidecar = formats.spectrum_sidecar(spectrum)
     return _write_with_sidecar(args.out, formats.write_spectrum_csv, spectrum, sidecar)
 
 
+def _roots_spectrum(coeffs: RecurrenceCoeffs, w: GammaWeights) -> EmpiricalSpectrum:
+    """The deterministic roots as an unscaled spectrum with no seed."""
+    values = roots(coeffs, coeffs.m)
+    return EmpiricalSpectrum(
+        n=coeffs.m * w.p, p=w.p, gamma=w.gamma, seed=None, scaled=False, values=values
+    )
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    seed = RngSeed(args.seed, args.stream)
-    return _write_spectrum(args, w, seed, eigh_banded(build_G(args.n, w, seed)))
+    return _write_spectrum(args, empirical_spectrum(args.n, w, RngSeed(args.seed, args.stream)))
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    return _write_spectrum(args, w, None, roots(recurrence_coeffs(args.n, w), args.n // w.p))
+    return _write_spectrum(args, _roots_spectrum(recurrence_coeffs(args.n, w), w))
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     model = LimitModel.from_gamma(_weights(args.p, args.gamma))
     density = density_grid(model, args.grid, args.quad_tol)
-    sidecar = {**formats.density_sidecar(density, args.grid), "quad_err_est": density.quad_err_est}
+    sidecar = {**formats.density_sidecar(density), "quad_err_est": density.quad_err_est}
     return _write_with_sidecar(args.out, formats.write_density_csv, density, sidecar)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     density = oracle_density(_weights(args.p, args.gamma), args.grid, args.quad_tol)
     kind = "semicircle" if density.p == 1 else "arcsine-mixture"
-    sidecar = {**formats.density_sidecar(density, args.grid), "kind": kind}
+    sidecar = {**formats.density_sidecar(density), "kind": kind}
     return _write_with_sidecar(args.out, formats.write_density_csv, density, sidecar)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    cfg = ExperimentConfig(n=args.n, w=w, trials=args.trials, master_seed=args.seed)
+    check_size(args.n, w)
+    check_trials(args.trials)
     model = LimitModel.from_gamma(w)
     check_density_args(args.grid, args.quad_tol)
-    coeffs = recurrence_coeffs(cfg.n, w)
-
-    def solve(key: str | int):
-        if key == "density":
-            return density_grid(model, args.grid, args.quad_tol)
-        if key == "roots":
-            return roots(coeffs, cfg.n // w.p)
-        return empirical_spectrum(cfg, key, scaled=False)
-
-    density, roots_raw, *spectra = map_trials(solve, ["density", "roots", *range(cfg.trials)])
-    roots_scaled = roots_raw / math.sqrt(cfg.n)
+    coeffs = recurrence_coeffs(args.n, w)
+    seeds = [RngSeed(args.seed, trial) for trial in range(args.trials)]
+    tasks = [
+        partial(density_grid, model, args.grid, args.quad_tol),
+        partial(_roots_spectrum, coeffs, w),
+        *(partial(empirical_spectrum, args.n, w, seed) for seed in seeds),
+    ]
+    density, roots_raw, *spectra = map_trials(tasks)
+    roots_scaled = roots_raw.to_scaled().values
 
     def trial_row(trial: int, raw: EmpiricalSpectrum) -> dict:
-        scaled = EmpiricalSpectrum(
-            n=cfg.n,
-            p=w.p,
-            gamma=w.gamma,
-            seed=raw.seed,
-            scaled=True,
-            values=raw.values / math.sqrt(cfg.n),
-        )
+        scaled = raw.to_scaled()
         levy = levy_cubed_bound(scaled, roots_scaled)
         return {
             "trial": trial,
-            "max_gap": float(np.abs(raw.values - roots_raw).max()),
+            "max_gap": approx_gap(raw, roots_raw.values),
             "ks": ks_distance(scaled, density),
             "levy_lhs_l3": levy.lhs_l3,
             "levy_rhs_mean_sq": levy.rhs_mean_sq,
@@ -164,21 +153,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ks_values = [row["ks"] for row in per_trial]
     violations = sum(1 for row in per_trial if not row["levy_ok"])
     report = {
-        "config": _config_dict(
-            cfg.n,
-            w,
-            trials=cfg.trials,
-            master_seed=cfg.master_seed,
-            grid_size=args.grid,
-            quad_tol=args.quad_tol,
-        ),
+        "config": {
+            "n": args.n,
+            "p": w.p,
+            "gamma": list(w.gamma),
+            "trials": args.trials,
+            "master_seed": args.seed,
+            "grid_size": args.grid,
+            "quad_tol": args.quad_tol,
+        },
         "per_trial": per_trial,
         "summary": {
             "median": float(np.median(ks_values)),
             "p90": float(np.quantile(ks_values, 0.9)),
             "bound_checks": {
                 "levy": {
-                    "checked": cfg.trials,
+                    "checked": args.trials,
                     "violations": violations,
                     "all_satisfied": violations == 0,
                 }
@@ -231,15 +221,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     seed = RngSeed(args.seed, 0)
     model = LimitModel.from_gamma(w)
     check_density_args(args.grid, args.quad_tol)
-
-    def solve(key: str):
-        if key == "density":
-            return density_grid(model, args.grid, args.quad_tol)
-        return eigh_banded(build_G(n, w, seed))
-
-    density, raw = map_trials(solve, ["density", "sample"])
-    values = raw / math.sqrt(n)
-    heights, edges = np.histogram(values, bins="fd", density=True)
+    tasks = [
+        partial(density_grid, model, args.grid, args.quad_tol),
+        partial(empirical_spectrum, n, w, seed),
+    ]
+    density, raw = map_trials(tasks)
+    sample = raw.to_scaled()
+    heights, edges = np.histogram(sample.values, bins="fd", density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
 
     base = _prepare_out(args.out or args.name)
@@ -248,26 +236,20 @@ def cmd_figure(args: argparse.Namespace) -> int:
     sidecar_path = base.parent / f"{base.name}.json"
     formats.write_histogram_csv(hist_path, centers, heights)
     formats.write_density_csv(density_path, density)
-    lo, hi = density.support
-    formats.write_json(
-        sidecar_path,
-        {
-            "figure": args.name,
-            "n": n,
-            "p": p,
-            "gamma": list(gamma),
-            "seed": {"master": seed.master, "stream": seed.stream},
-            "scaled": True,
-            "binning": {
-                "rule": "freedman-diaconis",
-                "bins": int(len(centers)),
-                "bin_width": float(edges[1] - edges[0]),
-            },
-            "grid_size": args.grid,
-            "quad_tol": args.quad_tol,
-            "support": [lo, hi],
-        },
-    )
+    binning = {
+        "rule": "freedman-diaconis",
+        "bins": int(len(centers)),
+        "bin_width": float(edges[1] - edges[0]),
+    }
+    # p and gamma repeat in the density sidecar with equal values and keep
+    # their first position
+    sidecar = {
+        "figure": args.name,
+        **formats.spectrum_sidecar(sample),
+        "binning": binning,
+        **formats.density_sidecar(density),
+    }
+    formats.write_json(sidecar_path, sidecar)
     print(f"wrote {hist_path}, {density_path} and {sidecar_path}")
     return 0
 
@@ -393,6 +375,10 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         # an output path that cannot be created or written

@@ -24,7 +24,7 @@ patterns and a loop over the positional rule as oracles for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,6 +90,12 @@ class EmpiricalSpectrum:
         if self.n % self.p != 0:
             raise ValidationError(f"n={self.n} is not divisible by p={self.p}")
 
+    def to_scaled(self) -> "EmpiricalSpectrum":
+        """The same spectrum divided by sqrt(n), the weak-convergence scale."""
+        if self.scaled:
+            raise ValidationError("the spectrum is already scaled")
+        return replace(self, scaled=True, values=self.values / math.sqrt(self.n))
+
 
 def rng_from_seed(seed: RngSeed) -> np.random.Generator:
     """Counter-based generator keyed on (master, stream).
@@ -102,11 +108,14 @@ def rng_from_seed(seed: RngSeed) -> np.random.Generator:
 
 
 def check_size(n: int, w: GammaWeights) -> None:
-    """Reject sizes the block layout cannot take or that overflow gamma * n."""
+    """Reject sizes the block layout cannot take, whose (2p) x n float64 band
+    array is beyond numpy's size limit, or that overflow gamma * n."""
     if n % w.p != 0:
         raise ValidationError(f"n={n} must be divisible by p={w.p}")
     if n < 2 * w.p:
         raise ValidationError(f"n={n} must be at least 2p={2 * w.p}")
+    if 2 * w.p * n * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"n={n} is too large: numpy cannot hold its (2p) x n band array")
     if not math.isfinite(max(w.gamma) * n):
         raise ValidationError(
             f"--gamma value {max(w.gamma)!r} times n={n} is not a finite float"

@@ -73,12 +73,12 @@ def write_spectrum_csv(path: str | Path, spectrum: EmpiricalSpectrum) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def density_sidecar(density: SpectralDensity, grid_size: int) -> dict:
+def density_sidecar(density: SpectralDensity) -> dict:
     lo, hi = density.support
     return {
         "p": density.p,
         "gamma": None if density.gamma is None else list(density.gamma),
-        "grid_size": grid_size,
+        "grid_size": len(density.grid) - 1,
         "quad_tol": density.quad_tol,
         "support": [lo, hi],
     }

@@ -5,13 +5,13 @@ the sampled spectrum and the roots, and KS agreement with the limit law.
 
 Trial i always draws from seed (master, i), so runs are reproducible and
 trials can execute concurrently without sharing state.  A command hands all
-of its independent work to one `map_trials` call, keyed by task: the limit
-density table, each deterministic roots solve and each trial's sampled
+of its independent work to one `map_trials` call as a list of tasks: the
+limit density table, each deterministic roots solve and each trial's sampled
 solve.  The tasks run on threads, and the banded eigensolve that dominates
 them releases the GIL (see `linalg`).  Statistics are computed from the
 assembled results afterwards.  Theorem-style gap quantities are unscaled;
-weak-convergence quantities divide by sqrt(n).  Every spectrum carries a
-`scaled` flag to keep the two apart.
+weak-convergence quantities divide by sqrt(n) (`EmpiricalSpectrum.to_scaled`).
+Every spectrum carries a `scaled` flag to keep the two apart.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from functools import partial
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,22 +32,6 @@ from .matrixpoly import recurrence_coeffs, roots
 from .spectral import SpectralDensity
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared knobs for comparison experiments."""
-
-    n: int
-    w: GammaWeights
-    trials: int
-    master_seed: int
-
-    def __post_init__(self):
-        check_size(self.n, self.w)
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-
-
-K = TypeVar("K")
 R = TypeVar("R")
 
 
@@ -116,39 +101,39 @@ def worker_count() -> int:
     return value
 
 
-def map_trials(fn: Callable[[K], R], keys: Iterable[K]) -> list[R]:
-    """Apply fn to each task key; results come back in the keys' order.
+def map_trials(tasks: Sequence[Callable[[], R]]) -> list[R]:
+    """Call each zero-argument task; results come back in list order.
 
-    A key names one independent task, such as a trial index or a label for
-    a density table or a roots solve.  With more than one worker the calls
-    run on a thread pool and start in key order, so callers list a short
-    task that may fail first and the solves largest first.  They overlap
-    where fn runs outside the GIL: the LAPACK call in `eigh_banded`, which
-    dominates a solve at the sizes the CLI runs, releases it.  Results do
-    not depend on the worker count.
+    A task is one independent piece of work, such as a trial's sampled
+    solve, a roots solve or a density table.  With more than one worker the
+    tasks run on a thread pool and start in list order, so callers list a
+    short task that may fail first and the solves largest first.  They
+    overlap where a task runs outside the GIL: the LAPACK call in
+    `eigh_banded`, which dominates a solve at the sizes the CLI runs,
+    releases it.  Results do not depend on the worker count.
 
-    When tasks fail, the exception of the first failing task in key order
+    When tasks fail, the exception of the first failing task in list order
     is raised, whatever order they failed in, and the tasks not yet started
     are cancelled; tasks already running finish before it propagates.
     """
-    keys = list(keys)
-    workers = min(worker_count(), len(keys)) if keys else 1
+    workers = min(worker_count(), len(tasks)) if tasks else 1
     if workers <= 1:
-        return [fn(key) for key in keys]
+        return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Executor.map cancels the pending futures once a result raises
-        return list(pool.map(fn, keys))
+        return list(pool.map(lambda task: task(), tasks))
 
 
-def empirical_spectrum(cfg: ExperimentConfig, trial: int, scaled: bool) -> EmpiricalSpectrum:
-    """Sorted eigenvalues of one sampled matrix (divided by sqrt(n) if scaled)."""
-    seed = RngSeed(cfg.master_seed, trial)
-    values = eigh_banded(build_G(cfg.n, cfg.w, seed))
-    if scaled:
-        values = values / math.sqrt(cfg.n)
-    return EmpiricalSpectrum(
-        n=cfg.n, p=cfg.w.p, gamma=cfg.w.gamma, seed=seed, scaled=scaled, values=values
-    )
+def check_trials(trials: int) -> None:
+    """Reject a trial count below 1."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+
+
+def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpectrum:
+    """Sorted, unscaled eigenvalues of the matrix G sampled from seed."""
+    values = eigh_banded(build_G(n, w, seed))
+    return EmpiricalSpectrum(n=n, p=w.p, gamma=w.gamma, seed=seed, scaled=False, values=values)
 
 
 def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> float:
@@ -169,27 +154,24 @@ def gap_report(
     the sampled solves of all sizes then go to one `map_trials` call, the
     largest size first; a size listed twice is solved once.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    configs = {}
+    check_trials(trials)
     for n in n_list:
-        configs[n] = ExperimentConfig(n=n, w=w, trials=trials, master_seed=master_seed)
+        check_size(n, w)
         if n < 3:
             raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
-    coeffs = {n: recurrence_coeffs(n, w) for n in configs}
-
-    def solve(key: tuple[int, int | None]) -> np.ndarray | EmpiricalSpectrum:
-        n, trial = key
-        if trial is None:
-            return roots(coeffs[n], n // w.p)
-        return empirical_spectrum(configs[n], trial, scaled=False)
-
-    keys = [(n, trial) for n in sorted(configs, reverse=True) for trial in (None, *range(trials))]
-    solved = dict(zip(keys, map_trials(solve, keys)))
-    return [
-        GapReport(n, [approx_gap(solved[n, i], solved[n, None]) for i in range(trials)])
-        for n in n_list
-    ]
+    coeffs = {n: recurrence_coeffs(n, w) for n in n_list}
+    sizes = sorted(coeffs, reverse=True)
+    seeds = [RngSeed(master_seed, trial) for trial in range(trials)]
+    tasks = []
+    for n in sizes:
+        tasks.append(partial(roots, coeffs[n], n // w.p))
+        tasks += [partial(empirical_spectrum, n, w, seed) for seed in seeds]
+    solved = iter(map_trials(tasks))
+    gaps = {}
+    for n in sizes:
+        reference = next(solved)
+        gaps[n] = [approx_gap(next(solved), reference) for _ in range(trials)]
+    return [GapReport(n, gaps[n]) for n in n_list]
 
 
 def tail_bound(n: int, p: int, epsilon: float) -> float:

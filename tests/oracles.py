@@ -14,6 +14,8 @@ library computes in a vectorized or closed form:
   pair at one s, its eigenvalue curves with derivative weights, and the
   trace density at one (s, t), against the batched quadrature kernel of
   `spectral`, and `density_at`, that kernel's table at a single point;
+- `limit_moments`: the moments of the limit law from powers of the block
+  Toeplitz symbol, against the moments of a `density_grid` table;
 - `lu_log_abs_det`: sign and log|det| from an LU with partial pivoting,
   the per-block gate that `linalg.singular_blocks` must cover;
 - `levy_reference`: the Levy distance of two empirical CDFs by trying every
@@ -149,6 +151,30 @@ def density_at(model: LimitModel, t: float, quad_tol: float = 1e-8) -> float:
     by its embedded error estimate."""
     density, _, _ = spectral._density_table(model, np.array([float(t)]), quad_tol)
     return float(density[0])
+
+
+def limit_moments(model: LimitModel, k_max: int) -> np.ndarray:
+    """Moments m_0..m_k_max of the limit law, with no quadrature.
+
+    The density is the trace of an s-integral over (0, 1/p] of Chebyshev-T
+    matrix measures with coefficients sqrt(s p) (A0, B0).  Such a measure
+    has the moments of the doubly infinite block Toeplitz operator with
+    symbol B0 + A0 (z + 1/z), so with mu_k the trace of the z^0 coefficient
+    of the symbol's k-th power, the s-integral of (s p)^(k/2) gives
+    m_k = mu_k / (p (k/2 + 1)).
+    """
+    p = model.p
+    # coeffs[k_max + j] is the p x p coefficient of z^j in the current power
+    coeffs = np.zeros((2 * k_max + 1, p, p))
+    coeffs[k_max] = np.eye(p)
+    moments = [1.0]
+    for k in range(1, k_max + 1):
+        power = coeffs @ model.B0
+        power[1:] += coeffs[:-1] @ model.A0
+        power[:-1] += coeffs[1:] @ model.A0
+        coeffs = power
+        moments.append(float(np.trace(coeffs[k_max])) / (p * (k / 2 + 1)))
+    return np.array(moments)
 
 
 def lu_log_abs_det(m: np.ndarray) -> tuple[int, float]:

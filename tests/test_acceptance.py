@@ -24,7 +24,6 @@ from blockspec.ensemble import (
     rng_from_seed,
 )
 from blockspec.harness import (
-    ExperimentConfig,
     empirical_spectrum,
     gap_report,
     ks_distance,
@@ -139,10 +138,8 @@ def test_criterion_04_weak_convergence_ks():
             w = GammaWeights(fx["p"], tuple(fx["gamma"]))
             model = LimitModel.from_gamma(w)
             table = density_grid(model, 400, 1e-6)
-            cfg = ExperimentConfig(
-                n=fx["n"], w=w, trials=1, master_seed=fx["master_seed"]
-            )
-            spectrum = empirical_spectrum(cfg, fx["trial"], scaled=True)
+            seed = RngSeed(fx["master_seed"], fx["trial"])
+            spectrum = empirical_spectrum(fx["n"], w, seed).to_scaled()
             ks = ks_distance(spectrum, table)
             assert ks <= fx["ks_tol"], (key, ks)
             details.append(f"{key}: KS={ks:.4f} (tol {fx['ks_tol']})")

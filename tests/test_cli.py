@@ -36,7 +36,7 @@ def solve_sizes(monkeypatch):
         sizes.append(matrix.dim)
         return solve(matrix)
 
-    for module in (blockspec.cli, blockspec.harness, blockspec.linalg, blockspec.matrixpoly):
+    for module in (blockspec.harness, blockspec.linalg, blockspec.matrixpoly):
         monkeypatch.setattr(module, "eigh_banded", counted)
     return sizes
 
@@ -307,9 +307,10 @@ class TestExitCodes:
             ([], "the following arguments are required: --gamma"),
             (["--gamma", "2,8", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
             (["--gamma", "2,8", "--bogus"], "unrecognized arguments: --bogus"),
+            (["--gamma", ""], "could not parse --gamma '': could not convert string to float: ''"),
         ],
         ids=["negative-gamma-spaced", "negative-gamma-attached", "missing-gamma", "bad-int",
-             "unknown-flag"],
+             "unknown-flag", "empty-gamma"],
     )
     def test_usage_errors_are_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
         # argparse's errors, and a value that begins with '-' written after a
@@ -480,14 +481,50 @@ class TestExitCodes:
              "--grid", "100"],
             ["gap", "--n-list", "7", "--p", "2", "--gamma", "2,8", "--trials", "1"],
             ["gap", "--n-list", "2", "--p", "2", "--gamma", "2,8", "--trials", "1"],
+            # 10**20 is past numpy's array size limit, so it is rejected before
+            # any allocation; sizes that numpy can address but memory cannot
+            # hold would allocate gigabytes and are not run here
+            ["sample", "--n", str(10**20), "--p", "2", "--gamma", "2,8"],
+            ["roots", "--n", str(10**20), "--p", "1", "--gamma", "2"],
+            ["compare", "--n", str(10**20), "--p", "2", "--gamma", "2,8", "--trials", "1",
+             "--grid", "100"],
+            ["gap", "--n-list", str(10**20), "--p", "2", "--gamma", "2,8", "--trials", "1"],
         ],
         ids=["roots-indivisible", "roots-below-2p", "compare-indivisible",
-             "compare-below-2p", "gap-indivisible", "gap-below-2p"],
+             "compare-below-2p", "gap-indivisible", "gap-below-2p", "sample-huge", "roots-huge",
+             "compare-huge", "gap-huge"],
     )
     def test_bad_size_rejected(self, tmp_path, monkeypatch, capsys, argv):
         assert run_in(tmp_path, monkeypatch, argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: n=") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "exc,message",
+        [
+            (MemoryError("Unable to allocate 8.00 EiB for an array"),
+             "numerical failure: out of memory: Unable to allocate 8.00 EiB for an array\n"),
+            (MemoryError(), "numerical failure: out of memory\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "8", "--p", "2", "--gamma", "2,8"],
+            ["compare", "--n", "8", "--p", "2", "--gamma", "2,8", "--trials", "2",
+             "--grid", "100"],
+        ],
+        ids=["sample", "compare"],
+    )
+    def test_allocation_failure_exits_3(self, tmp_path, monkeypatch, capsys, argv, exc, message):
+        def no_memory(n, w, seed):
+            raise exc
+
+        monkeypatch.setattr(blockspec.harness, "build_G", no_memory)
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        assert capsys.readouterr().err == message
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

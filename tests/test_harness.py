@@ -9,6 +9,7 @@ module.
 import json
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from blockspec.ensemble import (
 )
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.harness import (
-    ExperimentConfig,
     GapReport,
     approx_gap,
     empirical_spectrum,
@@ -56,21 +56,23 @@ def semicircle_table():
 
 class TestEmpiricalSpectrum:
     def test_shape_and_order(self):
-        cfg = ExperimentConfig(n=4, w=W2, trials=1, master_seed=3)
-        spec = empirical_spectrum(cfg, 0, scaled=False)
+        spec = empirical_spectrum(4, W2, RngSeed(3, 0))
         assert len(spec.values) == 4
         assert np.all(np.diff(spec.values) >= 0)
+        assert spec.scaled is False and spec.seed == RngSeed(3, 0)
 
     def test_scaled_is_exact_division(self):
-        cfg = ExperimentConfig(n=12, w=W2, trials=1, master_seed=3)
-        raw = empirical_spectrum(cfg, 0, scaled=False)
-        scaled = empirical_spectrum(cfg, 0, scaled=True)
+        raw = empirical_spectrum(12, W2, RngSeed(3, 0))
+        scaled = raw.to_scaled()
+        assert scaled.scaled is True and scaled.seed == raw.seed
         np.testing.assert_array_equal(scaled.values, raw.values / math.sqrt(12))
+        with pytest.raises(ValidationError, match="already scaled"):
+            scaled.to_scaled()
 
     def test_semicircle_support_at_n2000(self):
         fx = FIXTURES["ks_semicircle"]
-        cfg = ExperimentConfig(n=fx["n"], w=W1, trials=1, master_seed=fx["master_seed"])
-        spec = empirical_spectrum(cfg, fx["trial"], scaled=True)
+        seed = RngSeed(fx["master_seed"], fx["trial"])
+        spec = empirical_spectrum(fx["n"], W1, seed).to_scaled()
         assert spec.values.min() > -2.3
         assert spec.values.max() < 2.3
 
@@ -85,9 +87,8 @@ class TestApproxGap:
         assert report.scaled_gaps.max() <= 1e-10
 
     def test_scaled_gap_definition(self):
-        cfg = ExperimentConfig(n=100, w=W1, trials=2, master_seed=5)
         gap = approx_gap(
-            empirical_spectrum(cfg, 1, scaled=False), eigh_banded(build_F_tilde(100, W1))
+            empirical_spectrum(100, W1, RngSeed(5, 1)), eigh_banded(build_F_tilde(100, W1))
         )
         assert type(gap) is float
         report = GapReport(n=100, max_gaps=[gap])
@@ -96,10 +97,9 @@ class TestApproxGap:
     def test_reference_shortcut_matches(self):
         # the shared roots solve of gap_report equals the oracle F-tilde spectrum
         ref = eigh_banded(build_F_tilde(60, W2))
-        cfg = ExperimentConfig(n=60, w=W2, trials=3, master_seed=9)
         (report,) = gap_report([60], W2, 3, 9)
         for trial in range(3):
-            gap = approx_gap(empirical_spectrum(cfg, trial, scaled=False), ref)
+            gap = approx_gap(empirical_spectrum(60, W2, RngSeed(9, trial)), ref)
             assert report.max_gaps[trial] == gap
             assert report.scaled_gaps[trial] == gap / math.sqrt(math.log(60))
 
@@ -118,9 +118,9 @@ class TestApproxGap:
             gap_report([12, 2], GammaWeights(1, (1.0,)), 1, 0)
 
     def test_requires_unscaled_spectrum(self):
-        cfg = ExperimentConfig(n=12, w=W2, trials=1, master_seed=0)
+        scaled = empirical_spectrum(12, W2, RngSeed(0, 0)).to_scaled()
         with pytest.raises(ValidationError, match="unscaled"):
-            approx_gap(empirical_spectrum(cfg, 0, scaled=True), np.zeros(12))
+            approx_gap(scaled, np.zeros(12))
 
     def test_reports_follow_list_order(self):
         # sizes are solved largest first; a report does not depend on the
@@ -199,8 +199,8 @@ class TestKsDistance:
 
     def test_empirical_semicircle(self, semicircle_table):
         fx = FIXTURES["ks_semicircle"]
-        cfg = ExperimentConfig(n=fx["n"], w=W1, trials=1, master_seed=fx["master_seed"])
-        spec = empirical_spectrum(cfg, fx["trial"], scaled=True)
+        seed = RngSeed(fx["master_seed"], fx["trial"])
+        spec = empirical_spectrum(fx["n"], W1, seed).to_scaled()
         assert ks_distance(spec, semicircle_table) <= fx["tol"]
 
     def test_requires_scaled_spectrum(self, semicircle_table):
@@ -248,9 +248,8 @@ class TestLevyBound:
 
     def test_p2_trials(self):
         roots_scaled = eigh_banded(build_F_tilde(400, W2)) / math.sqrt(400)
-        cfg = ExperimentConfig(n=400, w=W2, trials=5, master_seed=20260810)
         for trial in range(5):
-            spec = empirical_spectrum(cfg, trial, scaled=True)
+            spec = empirical_spectrum(400, W2, RngSeed(20260810, trial)).to_scaled()
             assert levy_cubed_bound(spec, roots_scaled).satisfied
 
     def test_length_mismatch(self):
@@ -299,11 +298,10 @@ class TestKsConvergence:
         oracle = oracle_density(W2, 400, 1e-10)
         medians = {}
         for n in (200, 1600):
-            cfg = ExperimentConfig(
-                n=n, w=W2, trials=fx["trials"], master_seed=fx["master_seed"]
-            )
             kss = [
-                ks_distance(empirical_spectrum(cfg, i, scaled=True), oracle)
+                ks_distance(
+                    empirical_spectrum(n, W2, RngSeed(fx["master_seed"], i)).to_scaled(), oracle
+                )
                 for i in range(fx["trials"])
             ]
             medians[n] = float(np.median(kss))
@@ -340,15 +338,16 @@ class TestWorkers:
         def work(i):
             return eigh_banded(harness.build_G(30, W1, RngSeed(77, i))).tolist()
 
+        tasks = [partial(work, i) for i in range(6)]
         monkeypatch.setenv("BLOCKSPEC_THREADS", "1")
-        sequential = map_trials(work, range(6))
+        sequential = map_trials(tasks)
         monkeypatch.setenv("BLOCKSPEC_THREADS", "4")
-        threaded = map_trials(work, range(6))
+        threaded = map_trials(tasks)
         assert sequential == threaded
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_map_trials_keeps_key_order(self, monkeypatch, threads):
-        # later keys finish first on a pool; results still follow the keys
+        # later tasks finish first on a pool; results still follow the list
         monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
         keys = ["table", *range(6)]
 
@@ -359,11 +358,11 @@ class TestWorkers:
             time.sleep(0.005 * (6 - key))
             return key * key
 
-        assert map_trials(work, keys) == ["table", 0, 1, 4, 9, 16, 25]
+        assert map_trials([partial(work, key) for key in keys]) == ["table", 0, 1, 4, 9, 16, 25]
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_map_trials_raises_first_failure_in_key_order(self, monkeypatch, threads):
-        # task 0 fails last in time but first in key order, so its error is
+        # task 0 fails last in time but first in list order, so its error is
         # the one raised; the pending tasks are cancelled, not run
         monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
         first = NumericalError("task 0 failed")
@@ -380,7 +379,7 @@ class TestWorkers:
             return key
 
         with pytest.raises(NumericalError) as excinfo:
-            map_trials(work, range(60))
+            map_trials([partial(work, key) for key in range(60)])
         assert excinfo.value is first
         assert 0 in started and len(started) < 60
         if threads == "1":

@@ -28,7 +28,13 @@ from blockspec.spectral import (
     semicircle_density,
     support_bound,
 )
-from tests.oracles import build_AB, density_at, lambda_and_weights, trace_density
+from tests.oracles import (
+    build_AB,
+    density_at,
+    lambda_and_weights,
+    limit_moments,
+    trace_density,
+)
 
 M1 = LimitModel.from_gamma(GammaWeights(1, (2.0,)))
 M2 = LimitModel.from_gamma(GammaWeights(2, (2.0, 8.0)))
@@ -369,6 +375,26 @@ class TestDensityGrid:
     def test_small_grid_rejected(self):
         with pytest.raises(ValidationError):
             density_grid(M1, 99)
+
+
+class TestLimitMoments:
+    def test_p1_moments_are_catalan(self):
+        # gamma = 2 gives the semicircle of radius 2: m_2j is the Catalan number C_j
+        assert limit_moments(M1, 8).tolist() == [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 5.0, 0.0, 14.0]
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_density_table_moments(self, name):
+        # int t^k dF = M*^k - k int t^(k-1) F dt by parts on [-M*, M*]; the
+        # trapezoid over the grid-400 CDF is within 1.17e-4 M*^k for k <= 8
+        p, gamma, _ = FIGURES[name]
+        model = LimitModel.from_gamma(GammaWeights(p, gamma))
+        table = density_grid(model, 400, 1e-6)
+        bound = support_bound(model)
+        t, cdf = table.grid, table.cdf
+        expected = limit_moments(model, 8)
+        for k in range(1, 9):
+            moment = bound**k - k * np.trapezoid(t ** (k - 1) * cdf, t)
+            assert abs(moment - expected[k]) <= 2e-4 * bound**k, (k, moment, expected[k])
 
 
 class TestSpectralDensity:
