@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, check_size
-from .errors import NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError
 from .harness import (
     approx_gap,
     check_epsilon,
@@ -24,6 +24,7 @@ from .harness import (
     ks_distance,
     levy_cubed_bound,
     map_trials,
+    spectrum_histogram,
     tail_bound_experiment,
 )
 from .matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
@@ -223,18 +224,20 @@ def cmd_figure(args: argparse.Namespace) -> int:
     check_density_args(args.grid, args.quad_tol)
     tasks = [
         partial(density_grid, model, args.grid, args.quad_tol),
-        partial(empirical_spectrum, n, w, seed),
+        partial(spectrum_histogram, n, w, seed),
     ]
-    density, raw = map_trials(tasks)
-    sample = raw.to_scaled()
-    heights, edges = np.histogram(sample.values, bins="fd", density=True)
+    try:
+        density, histogram = map_trials(tasks)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"figure {args.name}: {exc}") from exc
+    edges = histogram.edges
     centers = (edges[:-1] + edges[1:]) / 2.0
 
     base = _prepare_out(args.out or args.name)
     hist_path = base.parent / f"{base.name}_hist.csv"
     density_path = base.parent / f"{base.name}_density.csv"
     sidecar_path = base.parent / f"{base.name}.json"
-    formats.write_histogram_csv(hist_path, centers, heights)
+    formats.write_histogram_csv(hist_path, centers, histogram.density)
     formats.write_density_csv(density_path, density)
     binning = {
         "rule": "freedman-diaconis",
@@ -245,7 +248,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     # their first position
     sidecar = {
         "figure": args.name,
-        **formats.spectrum_sidecar(sample),
+        **formats.sample_sidecar(n, w.p, w.gamma, seed, scaled=True),
         "binning": binning,
         **formats.density_sidecar(density),
     }

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import EmpiricalSpectrum
+from .ensemble import EmpiricalSpectrum, RngSeed
 from .errors import NumericalError
 from .spectral import SpectralDensity
 
@@ -56,15 +56,23 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def spectrum_sidecar(spectrum: EmpiricalSpectrum) -> dict:
-    seed = spectrum.seed
+def sample_sidecar(
+    n: int, p: int, gamma: tuple[float, ...], seed: RngSeed | None, scaled: bool
+) -> dict:
+    """Provenance of a spectrum of size n, or of a histogram of one."""
     return {
-        "n": spectrum.n,
-        "p": spectrum.p,
-        "gamma": list(spectrum.gamma),
+        "n": n,
+        "p": p,
+        "gamma": list(gamma),
         "seed": None if seed is None else {"master": seed.master, "stream": seed.stream},
-        "scaled": spectrum.scaled,
+        "scaled": scaled,
     }
+
+
+def spectrum_sidecar(spectrum: EmpiricalSpectrum) -> dict:
+    return sample_sidecar(
+        spectrum.n, spectrum.p, spectrum.gamma, spectrum.seed, spectrum.scaled
+    )
 
 
 def write_spectrum_csv(path: str | Path, spectrum: EmpiricalSpectrum) -> None:

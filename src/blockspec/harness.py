@@ -7,8 +7,10 @@ Trial i always draws from seed (master, i), so runs are reproducible and
 trials can execute concurrently without sharing state.  A command hands all
 of its independent work to one `map_trials` call as a list of tasks: the
 limit density table, each deterministic roots solve and each trial's sampled
-solve.  The tasks run on threads, and the banded eigensolve that dominates
-them releases the GIL (see `linalg`).  Statistics are computed from the
+solve, or for a figure the sampled histogram (`spectrum_histogram`), which
+counts eigenvalues per bin instead of computing them all.  The tasks run on
+threads, and the LAPACK calls that dominate them release the GIL (see
+`linalg`).  Statistics are computed from the
 assembled results afterwards.  Theorem-style gap quantities are unscaled;
 weak-convergence quantities divide by sqrt(n) (`EmpiricalSpectrum.to_scaled`).
 Every spectrum carries a `scaled` flag to keep the two apart.
@@ -27,7 +29,7 @@ import numpy as np
 
 from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G, check_size
 from .errors import ValidationError
-from .linalg import eigh_banded
+from .linalg import Tridiagonal, bisect_eigvals, eigh_banded, sturm_counts, tridiagonal_form
 from .matrixpoly import recurrence_coeffs, roots
 from .spectral import SpectralDensity
 
@@ -70,6 +72,18 @@ class TailBoundResult(NamedTuple):
     bound: float
     threshold: float
     satisfied: bool
+
+
+class Histogram(NamedTuple):
+    """Bin counts and bin edges, as np.histogram returns them."""
+
+    counts: np.ndarray
+    edges: np.ndarray
+
+    @property
+    def density(self) -> np.ndarray:
+        """Bin heights that integrate to 1, as np.histogram(..., density=True)."""
+        return self.counts / np.diff(self.edges) / self.counts.sum()
 
 
 class LevyBound(NamedTuple):
@@ -134,6 +148,72 @@ def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpect
     """Sorted, unscaled eigenvalues of the matrix G sampled from seed."""
     values = eigh_banded(build_G(n, w, seed))
     return EmpiricalSpectrum(n=n, p=w.p, gamma=w.gamma, seed=seed, scaled=False, values=values)
+
+
+def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> float:
+    """np.percentile(x, 100 q) of a sample of `size` values whose k-th
+    smallest (0-based) is order_stat(k), with numpy's linear interpolation."""
+    index = (size - 1) * q
+    if index >= size - 1:
+        return order_stat(size - 1)
+    k = math.floor(index)
+    t = index - k
+    a, b = order_stat(k), order_stat(k + 1)
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def fd_histogram(
+    size: int,
+    order_stat: Callable[[int], float],
+    count_below: Callable[[np.ndarray], np.ndarray],
+) -> Histogram:
+    """np.histogram(x, bins="fd") of a sample x of `size` values, built from
+    six order statistics and one count per interior bin edge.
+
+    order_stat(k) is the k-th smallest value (0-based); it is asked for the
+    minimum, the maximum and the two values around each quartile.
+    count_below(edges) gives, for each interior edge, the number of values
+    below it; a count of the values at or below it differs only where a
+    value equals an edge, which numpy puts in the upper bin.  The edges, the bin count and the heights follow numpy's
+    formulas step by step: a width 2 IQR size^(-1/3), one bin when the IQR
+    is 0, edges min -/+ 0.5 when min = max, bins closed on the left and the
+    last one on both sides.  Fed a sorted array's own values and
+    np.searchsorted counts, the result equals np.histogram bit for bit.
+    """
+    if size < 1:
+        raise ValidationError(f"a histogram needs at least one value, got {size}")
+    first, last = order_stat(0), order_stat(size - 1)
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    iqr = _percentile(size, order_stat, 0.75) - _percentile(size, order_stat, 0.25)
+    width = 2.0 * iqr * size ** (-1.0 / 3.0)
+    bins = int(np.ceil((last - first) / width)) if width else 1
+    edges = np.linspace(first, last, bins + 1)
+    below = np.asarray(count_below(edges[1:-1]), dtype=np.intp)
+    return Histogram(np.diff(np.concatenate(([0], below, [size]))), edges)
+
+
+def spectrum_histogram(n: int, w: GammaWeights, seed: RngSeed) -> Histogram:
+    """Freedman-Diaconis histogram of the scaled spectrum of the matrix G
+    sampled from seed, without computing that spectrum.
+
+    G is reduced to a tridiagonal T once (`tridiagonal_form`, whose gate
+    checks the reduction), T / sqrt(n) gives the six order statistics by
+    bisection and the count at each interior bin edge by a Sturm count.
+    Bins and counts equal those of np.histogram of
+    empirical_spectrum(n, w, seed).to_scaled().values unless an eigenvalue
+    lies within rounding of a bin edge, and the edges agree to about 1e-14
+    relative.
+    """
+    t = tridiagonal_form(build_G(n, w, seed))
+    scale = math.sqrt(n)
+    t = Tridiagonal(t.d / scale, t.e / scale)
+
+    def order_stat(k: int) -> float:
+        return float(bisect_eigvals(t, k + 1, k + 1)[0])
+
+    return fd_histogram(n, order_stat, partial(sturm_counts, t))
 
 
 def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> float:

@@ -2,9 +2,13 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py          # rewrite tests/golden
+    PYTHONPATH=src python tests/golden/regenerate.py --check  # only report changes
 
 (plain `python tests/golden/regenerate.py` once the package is installed).
+`--check` writes the outputs to a temporary directory instead and prints,
+for each golden file, "unchanged" or the largest absolute and relative
+change of its numbers; it exits 1 when a file changed.
 
 Golden files pin the byte-exact output of fixed CLI invocations (format,
 float rendering, draw order, and solver results together).  They are
@@ -12,8 +16,13 @@ environment artifacts: if the BLAS/LAPACK build changes, inspect the diff
 and regenerate deliberately.
 """
 
+import contextlib
+import csv
+import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from blockspec.cli import run
@@ -38,17 +47,84 @@ CASES = [
 ]
 
 
-def main() -> int:
-    os.chdir(GOLDEN_DIR)
-    for argv, outputs in CASES:
-        rc = run(argv)
-        if rc != 0:
-            print(f"command failed ({rc}): {argv}", file=sys.stderr)
-            return rc
-        for name in outputs:
-            print(f"wrote {GOLDEN_DIR / name}")
+def numbers(path: Path) -> list[float]:
+    """Every number in a golden file: the CSV fields below the header, or
+    the JSON numbers in document order (booleans excluded)."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return [float(field) for row in rows for field in row]
+
+    def walk(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                yield from walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from walk(value)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield float(node)
+
+    return list(walk(json.loads(path.read_text())))
+
+
+def describe_change(old: Path, new: Path) -> str:
+    """"unchanged", or how the numbers of `new` differ from those of `old`."""
+    if old.read_bytes() == new.read_bytes():
+        return "unchanged"
+    a, b = numbers(old), numbers(new)
+    if len(a) != len(b):
+        return f"changed: {len(a)} numbers -> {len(b)}"
+    absolute = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    relative = max(
+        (abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0
+    )
+    return (
+        f"changed: {len(a)} numbers, max abs change {absolute:.3g}, "
+        f"max rel change {relative:.3g}"
+    )
+
+
+def regenerate(out_dir: Path) -> int:
+    """Run every case with `out_dir` as the working directory; the
+    commands' own messages on stdout are dropped."""
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for argv, _ in CASES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = run(argv)
+            if rc != 0:
+                print(f"command failed ({rc}): {argv}", file=sys.stderr)
+                return rc
+    finally:
+        os.chdir(cwd)
     return 0
 
 
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: regenerate.py [--check]", file=sys.stderr)
+        return 2
+    if not argv:
+        rc = regenerate(GOLDEN_DIR)
+        if rc == 0:
+            for _, outputs in CASES:
+                for name in outputs:
+                    print(f"wrote {GOLDEN_DIR / name}")
+        return rc
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = regenerate(Path(tmp))
+        if rc != 0:
+            return rc
+        changed = False
+        for _, outputs in CASES:
+            for name in outputs:
+                verdict = describe_change(GOLDEN_DIR / name, Path(tmp) / name)
+                changed |= verdict != "unchanged"
+                print(f"{name}: {verdict}")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -17,6 +17,8 @@ import blockspec.linalg
 import blockspec.matrixpoly
 import blockspec.spectral
 from blockspec.cli import FIGURES, run
+from blockspec.ensemble import GammaWeights, RngSeed
+from blockspec.harness import empirical_spectrum
 from blockspec.spectral import semicircle_density
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
@@ -161,6 +163,51 @@ class TestSubcommands:
         width = sidecar["binning"]["bin_width"]
         assert np.sum(heights) * width == pytest.approx(1.0, abs=1e-9)
         assert abs(np.trapezoid(table.density, table.grid) - 1.0) <= 1e-3
+
+    def test_figure_makes_no_full_solve(self, tmp_path, monkeypatch, solve_sizes):
+        # the histogram comes from bisection and Sturm counts on the
+        # tridiagonal reduction, never from all n eigenvalues
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["figure", "--name", "fig2", "--seed", "3", "--grid", "100"],
+        )
+        assert rc == 0
+        assert solve_sizes == []
+
+    def test_figure_histogram_equals_numpy_of_the_full_spectrum(self, tmp_path, monkeypatch):
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["figure", "--name", "fig4", "--seed", "7", "--grid", "100"],
+        )
+        assert rc == 0
+        centers, heights = read_histogram_csv(tmp_path / "fig4_hist.csv")
+        sidecar = read_json(tmp_path / "fig4.json")
+        values = empirical_spectrum(5001, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(7)).values
+        counts, edges = np.histogram(values / np.sqrt(5001), bins="fd")
+        assert sidecar["binning"]["bins"] == len(counts) == len(centers)
+        width = sidecar["binning"]["bin_width"]
+        assert width == pytest.approx(edges[1] - edges[0], rel=1e-13)
+        np.testing.assert_allclose(centers, (edges[:-1] + edges[1:]) / 2, rtol=0,
+                                   atol=1e-13 * np.abs(edges).max())
+        np.testing.assert_array_equal(np.rint(heights * width * 5001), counts)
+
+    def test_figure_reduction_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        reduce = blockspec.linalg._DSBTRD
+
+        def perturbed(*args):
+            reduce(*args)
+            args[7][0] += 1.0  # the first off-diagonal of T
+
+        monkeypatch.setattr(blockspec.linalg, "_DSBTRD", perturbed)
+        rc = run_in(tmp_path, monkeypatch, ["figure", "--name", "fig1", "--grid", "100"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: figure fig1: band reduction (dsbtrd): "
+            "| ||T||_F^2 - ||M||_F^2 | = "
+        )
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_figure_p3_config(self, tmp_path, monkeypatch):
         rc = run_in(

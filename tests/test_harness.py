@@ -21,6 +21,7 @@ from blockspec.ensemble import (
     GammaWeights,
     RngSeed,
     build_F,
+    build_G,
     rng_from_seed,
 )
 from blockspec.errors import NumericalError, ValidationError
@@ -28,11 +29,13 @@ from blockspec.harness import (
     GapReport,
     approx_gap,
     empirical_spectrum,
+    fd_histogram,
     gap_report,
     ks_distance,
     levy_cubed_bound,
     levy_distance,
     map_trials,
+    spectrum_histogram,
     tail_bound,
     tail_bound_experiment,
     worker_count,
@@ -75,6 +78,87 @@ class TestEmpiricalSpectrum:
         spec = empirical_spectrum(fx["n"], W1, seed).to_scaled()
         assert spec.values.min() > -2.3
         assert spec.values.max() < 2.3
+
+
+def histogram_of_sorted(x):
+    """fd_histogram fed a sorted array's own values and searchsorted counts."""
+    return fd_histogram(len(x), x.__getitem__, partial(np.searchsorted, x, side="left"))
+
+
+class TestFdHistogram:
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(11)
+        yield "normal-5000", rng.standard_normal(5000)
+        yield "cauchy-1000", rng.standard_cauchy(1000)
+        yield "ties-500", rng.integers(-3, 4, 500).astype(float)
+        yield "uniform-17", rng.uniform(-1, 1, 17)
+        for size in (1, 2, 3, 4, 5):
+            yield f"normal-{size}", rng.standard_normal(size)
+        yield "iqr-zero", np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        yield "constant", np.full(6, 3.25)
+        yield "single", np.array([-7.5])
+
+    def test_equals_numpy_bit_for_bit(self):
+        for name, x in self.samples():
+            x = np.sort(x)
+            got = histogram_of_sorted(x)
+            counts, edges = np.histogram(x, bins="fd")
+            heights, _ = np.histogram(x, bins="fd", density=True)
+            np.testing.assert_array_equal(got.edges, edges, err_msg=name)
+            np.testing.assert_array_equal(got.counts, counts, err_msg=name)
+            np.testing.assert_array_equal(got.density, heights, err_msg=name)
+            assert got.counts.dtype == counts.dtype, name
+
+    def test_numpy_special_cases(self):
+        # IQR 0 gives one bin over [min, max]; min = max gives edges -/+ 0.5
+        got = histogram_of_sorted(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]))
+        assert got.edges.tolist() == [0.0, 2.0] and got.counts.tolist() == [7]
+        got = histogram_of_sorted(np.full(6, 3.25))
+        assert got.edges.tolist() == [2.75, 3.75] and got.counts.tolist() == [6]
+
+    def test_asks_only_for_six_order_statistics(self):
+        x = np.sort(np.random.default_rng(4).standard_normal(1000))
+        asked = []
+
+        def order_stat(k):
+            asked.append(k)
+            return x[k]
+
+        fd_histogram(len(x), order_stat, partial(np.searchsorted, x))
+        # min, max, and the neighbours of the quartile positions 249.75, 749.25
+        assert sorted(asked) == [0, 249, 250, 749, 750, 999]
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValidationError, match="at least one value"):
+            fd_histogram(0, lambda k: 0.0, lambda edges: edges)
+
+
+class TestSpectrumHistogram:
+    def test_equals_numpy_histogram_of_the_full_spectrum(self):
+        # bins and counts equal, edges within rounding of the two solvers
+        worst = 0.0
+        for w in (W1, W2, GammaWeights(3, (1.0, 4.0, 25.0))):
+            for blocks in (2, 3, 7, 40, 300):
+                n = blocks * w.p
+                for master in range(1, 9):
+                    seed = RngSeed(master, 5)
+                    got = spectrum_histogram(n, w, seed)
+                    values = empirical_spectrum(n, w, seed).to_scaled().values
+                    counts, edges = np.histogram(values, bins="fd")
+                    case = f"p={w.p} n={n} seed={master}"
+                    np.testing.assert_array_equal(got.counts, counts, err_msg=case)
+                    error = float(np.abs(got.edges - edges).max() / np.abs(edges).max())
+                    assert error <= 1e-13, case
+                    worst = max(worst, error)
+        print(f"worst relative edge difference {worst:.2e}")
+
+    def test_makes_no_full_solve(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("spectrum_histogram called eigh_banded")
+
+        monkeypatch.setattr(harness, "eigh_banded", refuse)
+        assert spectrum_histogram(60, W2, RngSeed(1)).counts.sum() == 60
 
 
 class TestApproxGap:

@@ -1,5 +1,6 @@
-"""The banded eigensolver, the SPD inverse square root, and the LU
-log-determinant reference the singularity gate is tested against.
+"""The banded eigensolver, the tridiagonal reduction with its bisection and
+Sturm counts, the SPD inverse square root, and the LU log-determinant
+reference the singularity gate is tested against.
 
 Known values:
 - constant-row-sum 2x2: eigenvalues are (diag - off, diag + off)
@@ -21,7 +22,15 @@ import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 from blockspec.errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 from blockspec import linalg
-from blockspec.linalg import SymmetricBanded, eigh_banded, spd_inv_sqrt
+from blockspec.linalg import (
+    SymmetricBanded,
+    Tridiagonal,
+    bisect_eigvals,
+    eigh_banded,
+    spd_inv_sqrt,
+    sturm_counts,
+    tridiagonal_form,
+)
 from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs
 from tests.oracles import banded_from_dense, entry, lu_log_abs_det, to_dense
 
@@ -153,6 +162,167 @@ class TestEighBanded:
         idle = iterations_per_second(lambda: time.sleep(0.2))
         during_solve = iterations_per_second(lambda: eigh_banded(m))
         assert during_solve >= 0.3 * idle
+
+
+def perturb_reduction(monkeypatch, index, delta):
+    """Make dsbtrd add delta to element 0 of its output argument `index`
+    (6 is the diagonal d, 7 the off-diagonal e)."""
+    reduce = linalg._DSBTRD
+
+    def perturbed(*args):
+        reduce(*args)
+        args[index][0] += delta
+
+    monkeypatch.setattr(linalg, "_DSBTRD", perturbed)
+
+
+class TestTridiagonalForm:
+    @pytest.mark.parametrize(
+        "n,w",
+        [
+            (12, GammaWeights(2, (2.0, 8.0))),
+            (60, GammaWeights(1, (1.0,))),
+            (300, GammaWeights(3, (1.0, 4.0, 25.0))),
+        ],
+    )
+    def test_same_spectrum_as_the_banded_solve(self, n, w):
+        m = build_G(n, w, RngSeed(3, 1))
+        t = tridiagonal_form(m)
+        assert t.d.shape == (n,) and t.e.shape == (n - 1,)
+        expected = eigh_banded(m)
+        got = scipy.linalg.eigvalsh_tridiagonal(t.d, t.e)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("dim,bandwidth", [(1, 0), (2, 1), (5, 0), (7, 4)])
+    def test_small_and_diagonal(self, dim, bandwidth):
+        rng = np.random.default_rng(dim)
+        m = SymmetricBanded(dim, bandwidth, rng.standard_normal((bandwidth + 1, dim)))
+        t = tridiagonal_form(m)
+        dense = np.diag(t.d) + np.diag(t.e, 1) + np.diag(t.e, -1)
+        np.testing.assert_allclose(np.linalg.eigvalsh(dense), eigh_banded(m), atol=1e-13)
+
+    @pytest.mark.parametrize("n", [12, 60])
+    @pytest.mark.parametrize(
+        "index,invariant", [(7, "||T||_F^2 - ||M||_F^2"), (6, "tr T - tr M")]
+    )
+    def test_gate_trips_on_a_perturbed_reduction(self, monkeypatch, n, index, invariant):
+        m = build_G(n, GammaWeights(2, (2.0, 8.0)), RngSeed(5))
+        tridiagonal_form(m)  # passes unperturbed
+        perturb_reduction(monkeypatch, index, 1e-9)
+        with pytest.raises(ConvergenceError, match="band reduction") as exc:
+            tridiagonal_form(m)
+        assert invariant in str(exc.value)
+
+    @pytest.mark.parametrize("size", [1e147, 1e-147, 1e300])
+    def test_scale_outside_the_unscaled_range_rejected(self, size):
+        # dsbevd rescales such a band before reducing it; the reduction
+        # alone would square it into overflow or underflow in its gate
+        m = SymmetricBanded(4, 1, np.full((2, 4), size))
+        with pytest.raises(ValidationError, match="outside"):
+            tridiagonal_form(m)
+
+    @pytest.mark.parametrize("size", [1e145, 1e-145])
+    def test_scale_inside_the_range_accepted(self, size):
+        m = SymmetricBanded(4, 1, np.array([[2.0, 0.0, 1.0, 3.0], [1.0, 1.0, 1.0, 0.0]]) * size)
+        t = tridiagonal_form(m)
+        np.testing.assert_allclose(
+            scipy.linalg.eigvalsh_tridiagonal(t.d, t.e), eigh_banded(m), rtol=1e-14
+        )
+
+    def test_zero_matrix(self):
+        t = tridiagonal_form(SymmetricBanded.zeros(5, 2))
+        assert not t.d.any() and not t.e.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        m = SymmetricBanded(3, 1, np.array([[1.0, 2.0, bad], [0.5, 0.5, 0.0]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            tridiagonal_form(m)
+
+    def test_bandwidth_must_be_below_dim(self):
+        with pytest.raises(ValidationError, match="bandwidth"):
+            tridiagonal_form(SymmetricBanded.zeros(2, 2))
+
+    def test_rejected_argument(self, monkeypatch):
+        def rejects(*args):
+            args[11]._obj.value = -4
+
+        monkeypatch.setattr(linalg, "_DSBTRD", rejects)
+        with pytest.raises(ValidationError, match="dsbtrd rejected argument 4"):
+            tridiagonal_form(SymmetricBanded.zeros(5, 2))
+
+
+class TestBisectionAndSturmCounts:
+    @pytest.fixture
+    def tridiagonal(self):
+        m = build_G(300, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(9))
+        return tridiagonal_form(m), eigh_banded(m)
+
+    def test_order_statistics_match_the_banded_solve(self, tridiagonal):
+        t, values = tridiagonal
+        scale = np.abs(values).max()
+        for il, iu in [(1, 1), (300, 300), (75, 76), (1, 300), (150, 152)]:
+            np.testing.assert_allclose(
+                bisect_eigvals(t, il, iu), values[il - 1:iu], rtol=0, atol=1e-13 * scale
+            )
+
+    def test_counts_match_the_banded_solve(self, tridiagonal):
+        t, values = tridiagonal
+        # midpoints between neighbours, and points beyond both ends
+        x = np.concatenate(([values[0] - 1.0], (values[:-1] + values[1:]) / 2, [values[-1] + 1.0]))
+        np.testing.assert_array_equal(
+            sturm_counts(t, x), np.searchsorted(values, x, side="right")
+        )
+        assert sturm_counts(t, np.array([])).shape == (0,)
+
+    def test_known_spectrum(self):
+        # path graph: eigenvalues 2 cos(k pi / (n + 1))
+        n = 9
+        t = Tridiagonal(np.zeros(n), np.ones(n - 1))
+        exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+        np.testing.assert_allclose(bisect_eigvals(t, 1, n), exact, atol=1e-15)
+        # x is no eigenvalue of a leading submatrix, 2 cos(j pi / (k + 1)),
+        # so no pivot is exactly 0 (see sturm_counts)
+        assert sturm_counts(t, np.array([-3.0, -1.1, 0.3, 3.0])).tolist() == [0, 3, 5, 9]
+
+    def test_one_by_one(self):
+        t = Tridiagonal(np.array([2.5]), np.array([]))
+        assert bisect_eigvals(t, 1, 1).tolist() == [2.5]
+        assert sturm_counts(t, np.array([2.0, 3.0])).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("il,iu", [(0, 1), (2, 1), (1, 10)])
+    def test_bad_index_range_rejected(self, il, iu):
+        t = Tridiagonal(np.zeros(9), np.ones(8))
+        with pytest.raises(ValidationError, match="il <= iu"):
+            bisect_eigvals(t, il, iu)
+
+    @pytest.mark.parametrize(
+        "d,e", [(np.zeros(3), np.ones(3)), (np.zeros(0), np.zeros(0)), (np.zeros((2, 2)), np.ones(1))]
+    )
+    def test_malformed_tridiagonal_rejected(self, d, e):
+        with pytest.raises(ValidationError, match="off-diagonal"):
+            bisect_eigvals(Tridiagonal(d, e), 1, 1)
+        with pytest.raises(ValidationError, match="off-diagonal"):
+            sturm_counts(Tridiagonal(d, e), np.zeros(1))
+
+    def test_failure_code_is_convergence_error(self, monkeypatch):
+        def fails(*args):
+            args[17]._obj.value = 1
+
+        monkeypatch.setattr(linalg, "_DSTEBZ", fails)
+        with pytest.raises(ConvergenceError, match="dstebz"):
+            bisect_eigvals(Tridiagonal(np.zeros(3), np.ones(2)), 1, 1)
+
+    def test_short_count_is_convergence_error(self, monkeypatch):
+        solve = linalg._DSTEBZ
+
+        def short(*args):
+            solve(*args)
+            args[10]._obj.value -= 1
+
+        monkeypatch.setattr(linalg, "_DSTEBZ", short)
+        with pytest.raises(ConvergenceError, match="returned 1 eigenvalues for indices 2..3"):
+            bisect_eigvals(Tridiagonal(np.zeros(4), np.ones(3)), 2, 3)
 
 
 class TestSymmetricBanded:
