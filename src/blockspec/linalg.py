@@ -7,19 +7,19 @@ All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
 (checked), banded inputs are symmetric by construction of SymmetricBanded.
 Both solves are backed by numpy's LAPACK, which meets the backward-stable
 accuracy contracts stated per function; the dense solve inside
-spd_inv_sqrt additionally verifies its residuals, and the tridiagonal
-reduction checks two invariants of the similarity.
+spd_inv_sqrt additionally verifies its residuals, and every banded solve
+checks two invariants of its tridiagonal reduction.
 
-The banded routines call LAPACK dsbevd, dsbtrd, dstebz and dlarrc as ctypes
+The banded routines call LAPACK dsbtrd, dsterf, dstebz and dlaebz as ctypes
 foreign calls, so the GIL is released for each call's duration and work on
 several threads (harness.map_trials) runs in parallel.  The routines are the
 ones in the LAPACK that numpy.linalg's _umath_linalg extension links
 against: the extension is opened with ctypes.CDLL by its file, and the
 symbol lookup also searches the libraries it depends on, so nothing new is
-loaded.  dsbevd is the same OpenBLAS routine scipy.linalg.eigvals_banded
-runs in the tested build, with the same arguments, so the values are
-bit-identical; scipy itself is not imported, which keeps it out of the
-start-up of every CLI process.  The symbols are the raw Fortran ones: every
+loaded, scipy included.  A full spectrum is dsbtrd, the reduction gate,
+then dsterf, the two steps of dsbevd for eigenvalues only, so it is
+bit-identical to scipy.linalg.eigvals_banded wherever dsbevd would not
+rescale the band.  The symbols are the raw Fortran ones: every
 argument is passed by reference, INTEGERs are 64-bit when numpy's LAPACK is
 ILP64 (numpy.linalg.lapack_lite._ilp64), and the lengths of the CHARACTER
 arguments follow the last argument.
@@ -50,9 +50,9 @@ else:
 _INT_P = ctypes.POINTER(_INT)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
-# The range of max |m_ij| that dsbevd reduces without scaling the matrix
-# first, [sqrt(safmin / eps), sqrt(eps / safmin)]; within it the squares
-# in tridiagonal_form's norm check neither overflow nor underflow.
+# The range of max |m_ij| that dsbevd reduces without scaling the matrix,
+# [sqrt(safmin / eps), sqrt(eps / safmin)]; tridiagonal_form scales a band
+# outside it so that the squares in its norm check stay finite and normal.
 _SAFE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _SAFE_MAX = 1.0 / _SAFE_MIN
 
@@ -79,21 +79,17 @@ def _lapack_routine(library: str, symbols: tuple[str, ...], *argtypes):
     )
 
 
-# dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info,
-#        len(jobz), len(uplo))
-_DSBEVD = _lapack_routine(
-    _umath_linalg.__file__, _symbols("dsbevd"),
-    ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
-    _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P,
-    ctypes.c_size_t, ctypes.c_size_t,
-)
-
 # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info, len(vect), len(uplo))
 _DSBTRD = _lapack_routine(
     _umath_linalg.__file__, _symbols("dsbtrd"),
     ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
     _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P,
     ctypes.c_size_t, ctypes.c_size_t,
+)
+
+# dsterf(n, d, e, info)
+_DSTERF = _lapack_routine(
+    _umath_linalg.__file__, _symbols("dsterf"), _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P
 )
 
 # dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
@@ -105,11 +101,13 @@ _DSTEBZ = _lapack_routine(
     _INT_P, _DOUBLE_P, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t,
 )
 
-# dlarrc(jobt, n, vl, vu, d, e, pivmin, eigcnt, lcnt, rcnt, info, len(jobt))
-_DLARRC = _lapack_routine(
-    _umath_linalg.__file__, _symbols("dlarrc"),
-    ctypes.c_char_p, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P,
-    _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P, ctypes.c_size_t,
+# dlaebz(ijob, nitmax, n, mmax, minp, nbmin, abstol, reltol, pivmin, d, e, e2,
+#        nval, ab, c, mout, nab, work, iwork, info)
+_DLAEBZ = _lapack_routine(
+    _umath_linalg.__file__, _symbols("dlaebz"),
+    _INT_P, _INT_P, _INT_P, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
+    _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
+    _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P,
 )
 
 
@@ -153,7 +151,7 @@ class SymmetricBanded:
         return cls(dim, bandwidth, np.zeros((bandwidth + 1, dim)))
 
     def scipy_band_upper(self) -> np.ndarray:
-        """LAPACK upper band storage (dsbevd, scipy.linalg.eig_banded), in
+        """LAPACK upper band storage (dsbtrd, scipy.linalg.eig_banded), in
         Fortran order: ab[u + i - j, j] holds entry (i, j) for i <= j."""
         u = self.bandwidth
         ab = np.zeros((u + 1, self.dim), order="F")
@@ -176,42 +174,27 @@ def require_symmetric(m: np.ndarray) -> np.ndarray:
 def eigh_banded(m: SymmetricBanded) -> np.ndarray:
     """All eigenvalues of a symmetric banded matrix, ascending.
 
-    dsbevd is backward stable: the values are the exact eigenvalues of
-    M + E with ||E||_2 of order dim * machine epsilon * ||M||_2, so each is
-    within that distance of an eigenvalue of M.  Requires bandwidth < dim
-    (densify wider matrices first).  LAPACK dsbevd runs with the GIL
-    released (see the module docstring).
+    LAPACK dsterf, the QR step of dsbevd, on tridiagonal_form(m), with the
+    GIL released.  Both steps are backward stable: the values are the
+    exact eigenvalues of M + E with ||E||_2 of order dim * machine epsilon
+    * ||M||_2, so each is within that distance of an eigenvalue of M.
+    Requires bandwidth < dim (densify wider matrices first).
     """
-    if m.bandwidth >= m.dim:
-        raise ValidationError(
-            f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use a dense eigensolver"
-        )
-    ab = m.scipy_band_upper()  # overwritten by dsbevd
-    if not np.all(np.isfinite(ab)):
-        raise ValidationError("banded matrix has non-finite entries")
-    n, kd = m.dim, m.bandwidth
-    values = np.empty(n)
-    z = np.empty(1)  # not referenced for jobz = 'N'
-    lwork = 2 * n  # dsbevd's minimum for jobz = 'N'
-    work = np.empty(lwork)
-    iwork = np.empty(1, dtype=_INT)
+    d, e = tridiagonal_form(m)  # fresh arrays, overwritten by dsterf
     info = _INT(0)
-    _DSBEVD(
-        b"N", b"U", _int(n), _int(kd), ab.ctypes.data_as(_DOUBLE_P), _int(kd + 1),
-        values.ctypes.data_as(_DOUBLE_P), z.ctypes.data_as(_DOUBLE_P), _int(1),
-        work.ctypes.data_as(_DOUBLE_P), _int(lwork), iwork.ctypes.data_as(_INT_P),
-        _int(1), ctypes.byref(info), 1, 1,
+    _DSTERF(
+        _int(len(d)), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P), ctypes.byref(info)
     )
     if info.value < 0:
-        raise ValidationError(f"dsbevd rejected argument {-info.value}")
+        raise ValidationError(f"dsterf rejected argument {-info.value}")
     if info.value > 0:
         raise ConvergenceError(
-            f"banded eigensolver did not converge: {info.value} off-diagonal "
+            f"banded eigensolver (dsterf) did not converge: {info.value} off-diagonal "
             "elements of the tridiagonal form did not converge to zero"
         )
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(d)):
         raise ConvergenceError("banded eigensolver produced non-finite values")
-    return np.sort(values)
+    return d
 
 
 class Tridiagonal(NamedTuple):
@@ -233,10 +216,12 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     a breach raises ConvergenceError naming the stage.  The factor 4 is
     set from measurement: over 1e5 random bands of dim 2-12 the larger
     residual reached 1.34 dim eps (at dim 3), and on the five figure
-    matrices at n = 5000 it stays below 0.01 dim eps.  max |m_ij| must be
-    0 or lie in [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146, 1e146],
-    where dsbevd reduces without rescaling and the squared norms stay
-    finite and normal; outside it ValidationError is raised.
+    matrices at n = 5000 it stays below 0.01 dim eps.  A band with max
+    |m_ij| outside [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146, 1e146],
+    which dsbevd would rescale, is reduced and checked as 2^-k M with max
+    |m_ij| 2^-k in [1/2, 1), and T is scaled back by 2^k: exact unless an
+    entry leaves the normal range.  A T beyond the float range raises
+    ConvergenceError.
     """
     if m.bandwidth >= m.dim:
         raise ValidationError(
@@ -246,11 +231,8 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     if not np.all(np.isfinite(ab)):
         raise ValidationError("banded matrix has non-finite entries")
     size = float(np.abs(ab).max())
-    if size != 0.0 and not _SAFE_MIN <= size <= _SAFE_MAX:
-        raise ValidationError(
-            f"banded matrix scale max |m_ij| = {size:.3e} is outside "
-            f"[{_SAFE_MIN:.3e}, {_SAFE_MAX:.3e}], the range of the unscaled reduction"
-        )
+    scale = 0 if size == 0.0 or _SAFE_MIN <= size <= _SAFE_MAX else math.frexp(size)[1]
+    np.ldexp(ab, -scale, out=ab)
     n, kd = m.dim, m.bandwidth
     trace = float(ab[kd].sum())
     frob_sq = float(np.sum(ab[kd] ** 2) + 2.0 * np.sum(ab[:kd] ** 2))
@@ -282,7 +264,11 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
             f"band reduction (dsbtrd): | ||T||_F^2 - ||M||_F^2 | = {frob_residual:.3e} "
             f"exceeds 4 * dim * eps * ||M||_F^2 = {tol * math.sqrt(frob_sq):.3e}"
         )
-    return Tridiagonal(d, e)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        t = Tridiagonal(np.ldexp(d, scale), np.ldexp(e, scale))
+    if not (np.isfinite(t.d).all() and np.isfinite(t.e).all()):
+        raise ConvergenceError(f"band reduction (dsbtrd): T overflows when scaled by 2^{scale}")
+    return t
 
 
 def _lapack_tridiagonal(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
@@ -339,27 +325,36 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     """For each x, the number of eigenvalues of t at or below x.
 
     By Sylvester's law of inertia this is the number of nonpositive pivots
-    of the LDL^T factorization of T - x I, which LAPACK dlarrc counts in
-    O(dim), with the GIL released.  dlarrc does not guard a pivot that is
-    exactly 0, which happens when x equals, in floating point, an
-    eigenvalue of a leading principal submatrix; the count can then be
-    off.  Structured matrices such as the path graph at x = -1 reach it; for
-    a sampled G each pivot would have to cancel to the last bit.
+    of the LDL^T factorization of T - x I.  One LAPACK dlaebz call
+    (IJOB = 1) counts them at every x, in O(dim) each, with the GIL
+    released.  As in dstebz, a pivot smaller in magnitude than pivmin =
+    tiny max(1, max e_i^2) is replaced by -pivmin, so a pivot that is
+    exactly 0 cannot break the count.
     """
     d, e = _lapack_tridiagonal(t)
-    n = len(d)
-    counts = np.empty(len(x), dtype=np.intp)
-    eigcnt, lcnt, rcnt, info = _INT(0), _INT(0), _INT(0), _INT(0)
-    for i, point in enumerate(np.asarray(x, dtype=float)):
-        _DLARRC(
-            b"T", _int(n), _double(point), _double(point), d.ctypes.data_as(_DOUBLE_P),
-            e.ctypes.data_as(_DOUBLE_P), _double(0.0), ctypes.byref(eigcnt),
-            ctypes.byref(lcnt), ctypes.byref(rcnt), ctypes.byref(info), 1,
-        )
-        if info.value != 0:
-            raise ValidationError(f"dlarrc rejected argument {-info.value}")
-        counts[i] = lcnt.value
-    return counts
+    x = np.asarray(x, dtype=float)
+    if len(x) == 0:
+        return np.zeros(0, dtype=np.intp)
+    # dlaebz counts at both ends of each interval: consecutive points make
+    # one interval, and an odd count is padded with x[0]
+    intervals = (len(x) + 1) // 2
+    ab = np.asfortranarray(np.resize(x, (intervals, 2)))
+    nab = np.empty(ab.shape, dtype=_INT, order="F")
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))
+    unused = np.empty(intervals)  # nval, c, work and iwork, for ijob = 1
+    mout, info = _INT(0), _INT(0)
+    _DLAEBZ(
+        _int(1), _int(0), _int(len(d)), _int(intervals), _int(intervals), _int(0),
+        _double(0.0), _double(0.0), _double(pivmin), d.ctypes.data_as(_DOUBLE_P),
+        e.ctypes.data_as(_DOUBLE_P), e2.ctypes.data_as(_DOUBLE_P),
+        unused.ctypes.data_as(_INT_P), ab.ctypes.data_as(_DOUBLE_P),
+        unused.ctypes.data_as(_DOUBLE_P), ctypes.byref(mout), nab.ctypes.data_as(_INT_P),
+        unused.ctypes.data_as(_DOUBLE_P), unused.ctypes.data_as(_INT_P), ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise ValidationError(f"dlaebz rejected argument {-info.value}")
+    return nab.reshape(-1)[: len(x)].astype(np.intp)
 
 
 def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:

@@ -209,6 +209,29 @@ class TestSubcommands:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "12", "--p", "2", "--gamma", "2,8"],
+            ["roots", "--n", "12", "--p", "2", "--gamma", "2,8"],
+        ],
+        ids=["sample", "roots"],
+    )
+    def test_banded_solve_reduction_failure_exits_3(self, tmp_path, monkeypatch, capsys, argv):
+        # every full spectrum goes through the gated reduction as well
+        reduce = blockspec.linalg._DSBTRD
+
+        def perturbed(*args):
+            reduce(*args)
+            args[7][0] += 1.0
+
+        monkeypatch.setattr(blockspec.linalg, "_DSBTRD", perturbed)
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        err = capsys.readouterr().err
+        assert "band reduction (dsbtrd)" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_figure_p3_config(self, tmp_path, monkeypatch):
         rc = run_in(
             tmp_path, monkeypatch,

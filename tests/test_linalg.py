@@ -7,9 +7,10 @@ Known values:
 - path-graph tridiagonal (0 diagonal, 1 off): eigenvalues 2 cos(k pi / (n+1))
 - rank-1 matrix has a numerically zero determinant
 
-The banded solve calls LAPACK dsbevd from numpy's LAPACK directly;
-scipy.linalg.eigvals_banded, which runs the same routine, is its bit-exact
-oracle here.
+The banded solve calls LAPACK dsbtrd, then dsterf, from numpy's LAPACK
+directly: the two steps of dsbevd, so scipy.linalg.eigvals_banded, which
+runs dsbevd, is its bit-exact oracle here wherever dsbevd does not rescale
+the band.
 """
 
 import threading
@@ -97,6 +98,8 @@ class TestEighBanded:
             pytest.param(
                 1002, GammaWeights(3, (1.0, 4.0, 25.0)), "jacobi", id="1002-jacobi-p3"
             ),
+            # the size of the p = 3 figures
+            pytest.param(5001, GammaWeights(3, (1.0, 4.0, 25.0)), "sample", id="5001-w2"),
         ],
     )
     def test_bit_identical_to_scipy(self, n, w, construction):
@@ -121,6 +124,22 @@ class TestEighBanded:
         m.bands[1:, dim - bandwidth:] = 0.0
         expected = np.sort(scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False))
         np.testing.assert_array_equal(eigh_banded(m), expected)
+
+    def test_rejected_argument(self, monkeypatch):
+        def rejects(*args):
+            args[3]._obj.value = -2
+
+        monkeypatch.setattr(linalg, "_DSTERF", rejects)
+        with pytest.raises(ValidationError, match="dsterf rejected argument 2"):
+            eigh_banded(SymmetricBanded.zeros(5, 2))
+
+    def test_failure_code_is_convergence_error(self, monkeypatch):
+        def fails(*args):
+            args[3]._obj.value = 1
+
+        monkeypatch.setattr(linalg, "_DSTERF", fails)
+        with pytest.raises(ConvergenceError, match="dsterf"):
+            eigh_banded(SymmetricBanded.zeros(5, 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 1), (1, 0)])
@@ -203,23 +222,49 @@ class TestTridiagonalForm:
 
     @pytest.mark.parametrize("n", [12, 60])
     @pytest.mark.parametrize(
-        "index,invariant", [(7, "||T||_F^2 - ||M||_F^2"), (6, "tr T - tr M")]
+        "index,invariant,solve",
+        [
+            pytest.param(index, invariant, solve, id=f"{index}-{invariant}{suffix}")
+            for solve, suffix in ((tridiagonal_form, ""), (eigh_banded, "-eigh_banded"))
+            for index, invariant in ((7, "||T||_F^2 - ||M||_F^2"), (6, "tr T - tr M"))
+        ],
     )
-    def test_gate_trips_on_a_perturbed_reduction(self, monkeypatch, n, index, invariant):
+    def test_gate_trips_on_a_perturbed_reduction(self, monkeypatch, n, index, invariant, solve):
         m = build_G(n, GammaWeights(2, (2.0, 8.0)), RngSeed(5))
-        tridiagonal_form(m)  # passes unperturbed
+        solve(m)  # passes unperturbed
         perturb_reduction(monkeypatch, index, 1e-9)
         with pytest.raises(ConvergenceError, match="band reduction") as exc:
-            tridiagonal_form(m)
+            solve(m)
         assert invariant in str(exc.value)
 
-    @pytest.mark.parametrize("size", [1e147, 1e-147, 1e300])
-    def test_scale_outside_the_unscaled_range_rejected(self, size):
-        # dsbevd rescales such a band before reducing it; the reduction
-        # alone would square it into overflow or underflow in its gate
-        m = SymmetricBanded(4, 1, np.full((2, 4), size))
-        with pytest.raises(ValidationError, match="outside"):
+    @pytest.mark.parametrize("k", [490, -490, 1000, -1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # a band outside [1e-146, 1e146] is reduced as 2^-j M and scaled
+        # back, which loses no bit while T stays in the normal range
+        m = build_G(60, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(3, 1))
+        t = tridiagonal_form(m)
+        scaled = tridiagonal_form(SymmetricBanded(m.dim, m.bandwidth, np.ldexp(m.bands, k)))
+        np.testing.assert_array_equal(scaled.d, np.ldexp(t.d, k))
+        np.testing.assert_array_equal(scaled.e, np.ldexp(t.e, k))
+
+    @pytest.mark.parametrize("size", [1e147, 1e-147, 1e300, 1e-300])
+    def test_scale_outside_the_unscaled_range_matches_scipy(self, size):
+        # dsbevd rescales such a band by another factor, so the last bits
+        # may differ
+        m = build_G(60, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(3, 1))
+        m = SymmetricBanded(m.dim, m.bandwidth, m.bands * size)
+        expected = np.sort(scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False))
+        np.testing.assert_allclose(
+            eigh_banded(m), expected, rtol=0, atol=1e-14 * np.abs(expected).max()
+        )
+
+    def test_beyond_the_float_range_raises(self):
+        # ||M||_2 = 5.7e308: the reduced T overflows when scaled back
+        m = SymmetricBanded(6, 4, np.full((5, 6), 1e308))
+        with pytest.raises(ConvergenceError, match="overflows"):
             tridiagonal_form(m)
+        with pytest.raises(ConvergenceError, match="overflows"):
+            eigh_banded(m)
 
     @pytest.mark.parametrize("size", [1e145, 1e-145])
     def test_scale_inside_the_range_accepted(self, size):
@@ -281,9 +326,10 @@ class TestBisectionAndSturmCounts:
         t = Tridiagonal(np.zeros(n), np.ones(n - 1))
         exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
         np.testing.assert_allclose(bisect_eigvals(t, 1, n), exact, atol=1e-15)
-        # x is no eigenvalue of a leading submatrix, 2 cos(j pi / (k + 1)),
-        # so no pivot is exactly 0 (see sturm_counts)
-        assert sturm_counts(t, np.array([-3.0, -1.1, 0.3, 3.0])).tolist() == [0, 3, 5, 9]
+        # x = -1 and x = 1 are eigenvalues 2 cos(j pi / (k + 1)) of leading
+        # submatrices, so a pivot of T - x I is exactly 0 there
+        x = np.array([-3.0, -1.1, -1.0, 0.3, 1.0, 3.0])
+        assert sturm_counts(t, x).tolist() == [0, 3, 3, 5, 6, 9]
 
     def test_one_by_one(self):
         t = Tridiagonal(np.array([2.5]), np.array([]))
@@ -312,6 +358,14 @@ class TestBisectionAndSturmCounts:
         monkeypatch.setattr(linalg, "_DSTEBZ", fails)
         with pytest.raises(ConvergenceError, match="dstebz"):
             bisect_eigvals(Tridiagonal(np.zeros(3), np.ones(2)), 1, 1)
+
+    def test_count_rejected_argument(self, monkeypatch):
+        def rejects(*args):
+            args[19]._obj.value = -3
+
+        monkeypatch.setattr(linalg, "_DLAEBZ", rejects)
+        with pytest.raises(ValidationError, match="dlaebz rejected argument 3"):
+            sturm_counts(Tridiagonal(np.zeros(3), np.ones(2)), np.zeros(3))
 
     def test_short_count_is_convergence_error(self, monkeypatch):
         solve = linalg._DSTEBZ
