@@ -24,7 +24,6 @@ patterns and a loop over the positional rule as oracles for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,53 +33,86 @@ from .linalg import SymmetricBanded
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class GammaWeights:
+class _Value:
+    """Base of the immutable value types: the attributes named in _fields
+    are set once, in __init__, and give equality, hash and repr."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class GammaWeights(_Value):
     """Block size p and the p positive weights gamma_1..gamma_p."""
 
-    p: int
-    gamma: tuple[float, ...]
+    _fields = ("p", "gamma")
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValidationError(f"p must be >= 1, got {self.p}")
-        gamma = tuple(float(g) for g in self.gamma)
-        if len(gamma) != self.p:
+    def __init__(self, p: int, gamma: tuple[float, ...]):
+        if p < 1:
+            raise ValidationError(f"p must be >= 1, got {p}")
+        gamma = tuple(float(g) for g in gamma)
+        if len(gamma) != p:
             raise ValidationError(
-                f"expected {self.p} gamma values, got {len(gamma)}"
+                f"expected {p} gamma values, got {len(gamma)}"
             )
         if not all(0.0 < g < math.inf for g in gamma):
             raise ValidationError(f"all gamma values must be positive and finite, got {gamma}")
-        object.__setattr__(self, "gamma", gamma)
+        self._set(p=p, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class RngSeed:
+class RngSeed(_Value):
     """(master, stream) pair; identical pairs give bit-identical draws."""
 
-    master: int
-    stream: int = 0
+    _fields = ("master", "stream")
 
-    def __post_init__(self):
-        for name in ("master", "stream"):
-            v = getattr(self, name)
+    def __init__(self, master: int, stream: int = 0):
+        for name, v in (("master", master), ("stream", stream)):
             if not (0 <= v < 2**64):
                 raise ValidationError(f"{name} must be a 64-bit unsigned integer")
+        self._set(master=master, stream=stream)
 
 
-@dataclass
 class EmpiricalSpectrum:
     """Sorted eigenvalues of one sampled matrix plus their provenance."""
 
-    n: int
-    p: int
-    gamma: tuple[float, ...]
-    seed: RngSeed | None
-    scaled: bool
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(
+        self,
+        n: int,
+        p: int,
+        gamma: tuple[float, ...],
+        seed: RngSeed | None,
+        scaled: bool,
+        values: np.ndarray,
+    ):
+        self.n = n
+        self.p = p
+        self.gamma = gamma
+        self.seed = seed
+        self.scaled = scaled
+        self.values = np.asarray(values, dtype=float)
         if len(self.values) != self.n:
             raise ValidationError(
                 f"expected {self.n} eigenvalues, got {len(self.values)}"
@@ -94,7 +126,9 @@ class EmpiricalSpectrum:
         """The same spectrum divided by sqrt(n), the weak-convergence scale."""
         if self.scaled:
             raise ValidationError("the spectrum is already scaled")
-        return replace(self, scaled=True, values=self.values / math.sqrt(self.n))
+        return EmpiricalSpectrum(
+            self.n, self.p, self.gamma, self.seed, True, self.values / math.sqrt(self.n)
+        )
 
 
 def rng_from_seed(seed: RngSeed) -> np.random.Generator:

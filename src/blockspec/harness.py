@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import threading
 from functools import partial
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -37,15 +36,12 @@ from .spectral import SpectralDensity
 R = TypeVar("R")
 
 
-@dataclass
 class GapReport:
     """Per-seed gap values for one matrix size."""
 
-    n: int
-    max_gaps: np.ndarray
-
-    def __post_init__(self):
-        self.max_gaps = np.asarray(self.max_gaps, dtype=float)
+    def __init__(self, n: int, max_gaps: np.ndarray):
+        self.n = n
+        self.max_gaps = np.asarray(max_gaps, dtype=float)
         if np.any(self.max_gaps < 0):
             raise ValidationError("max_gap values must be nonnegative")
 
@@ -126,16 +122,40 @@ def map_trials(tasks: Sequence[Callable[[], R]]) -> list[R]:
     `eigh_banded`, which dominates a solve at the sizes the CLI runs,
     releases it.  Results do not depend on the worker count.
 
-    When tasks fail, the exception of the first failing task in list order
-    is raised, whatever order they failed in, and the tasks not yet started
-    are cancelled; tasks already running finish before it propagates.
+    Each worker thread takes the next task in list order and stores its
+    result at that task's index.  Once a task has failed, no further task
+    starts; tasks already running finish, and then the exception of the
+    failing task earliest in list order is raised.  Every task before it
+    has started by then, so that is the exception a serial run raises.
     """
     workers = min(worker_count(), len(tasks)) if tasks else 1
     if workers <= 1:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Executor.map cancels the pending futures once a result raises
-        return list(pool.map(lambda task: task(), tasks))
+    results: list = [None] * len(tasks)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    upcoming = iter(range(len(tasks)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = None if failures else next(upcoming, None)
+            if index is None:
+                return
+            try:
+                results[index] = tasks[index]()
+            except BaseException as exc:  # raised again below, in the caller's thread
+                with lock:
+                    failures[index] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def check_trials(trials: int) -> None:

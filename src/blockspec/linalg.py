@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,9 +51,17 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 # The range of max |m_ij| that dsbevd reduces without scaling the matrix,
 # [sqrt(safmin / eps), sqrt(eps / safmin)]; tridiagonal_form scales a band
-# outside it so that the squares in its norm check stay finite and normal.
+# outside it so that the squares in its norm check stay finite and normal,
+# and bisect_eigvals and sturm_counts scale a tridiagonal outside it so that
+# the squares of its off-diagonal stay so.
 _SAFE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _SAFE_MAX = 1.0 / _SAFE_MIN
+
+
+def _scale_exponent(size: float) -> int:
+    """0 for a max |entry| `size` that is 0 or in [_SAFE_MIN, _SAFE_MAX],
+    else the k with size 2^-k in [1/2, 1)."""
+    return 0 if size == 0.0 or _SAFE_MIN <= size <= _SAFE_MAX else math.frexp(size)[1]
 
 
 def _symbols(name: str) -> tuple[str, ...]:
@@ -121,7 +128,6 @@ def _double(v: float):
     return ctypes.byref(ctypes.c_double(v))
 
 
-@dataclass
 class SymmetricBanded:
     """Symmetric n x n matrix with `bandwidth` nonzero super-diagonals.
 
@@ -130,16 +136,14 @@ class SymmetricBanded:
     bands are stored, so symmetry holds by construction.
     """
 
-    dim: int
-    bandwidth: int
-    bands: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, dim: int, bandwidth: int, bands: np.ndarray):
+        self.dim = dim
+        self.bandwidth = bandwidth
         if self.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {self.dim}")
         if self.bandwidth < 0:
             raise ValidationError(f"bandwidth must be >= 0, got {self.bandwidth}")
-        self.bands = np.asarray(self.bands, dtype=float)
+        self.bands = np.asarray(bands, dtype=float)
         if self.bands.shape != (self.bandwidth + 1, self.dim):
             raise ValidationError(
                 f"bands must have shape {(self.bandwidth + 1, self.dim)}, "
@@ -230,8 +234,7 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     ab = m.scipy_band_upper()  # overwritten by dsbtrd
     if not np.all(np.isfinite(ab)):
         raise ValidationError("banded matrix has non-finite entries")
-    size = float(np.abs(ab).max())
-    scale = 0 if size == 0.0 or _SAFE_MIN <= size <= _SAFE_MAX else math.frexp(size)[1]
+    scale = _scale_exponent(float(np.abs(ab).max()))
     np.ldexp(ab, -scale, out=ab)
     n, kd = m.dim, m.bandwidth
     trace = float(ab[kd].sum())
@@ -271,9 +274,13 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     return t
 
 
-def _lapack_tridiagonal(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
-    """t's d and e as float64 arrays of length dim, e padded with a zero."""
-    d = np.ascontiguousarray(t.d, dtype=float)
+def _lapack_tridiagonal(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray, int]:
+    """(d, e, k): t's d and e times 2^-k as float64 arrays of length dim, e
+    padded with a zero.  k is 0 unless max |t_ij| lies outside
+    [_SAFE_MIN, _SAFE_MAX] (`_scale_exponent`), so the squares of e stay
+    finite and normal; the scaling is exact unless an entry leaves the
+    normal range."""
+    d = np.asarray(t.d, dtype=float)
     n = len(d)
     if d.ndim != 1 or n < 1 or np.shape(t.e) != (n - 1,):
         raise ValidationError(
@@ -282,7 +289,8 @@ def _lapack_tridiagonal(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
         )
     e = np.zeros(n)
     e[: n - 1] = t.e
-    return d, e
+    scale = _scale_exponent(max(float(np.abs(d).max()), float(np.abs(e).max())))
+    return np.ldexp(d, -scale), np.ldexp(e, -scale), scale
 
 
 def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
@@ -290,9 +298,13 @@ def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
 
     LAPACK dstebz with RANGE = 'I' finds them by Sturm-count bisection to
     about two ulps relative, at O(dim) per count, with the GIL released.
-    Its info code and the number of values it returns are checked.
+    Its info code and the number of values it returns are checked.  A t
+    with max |t_ij| outside [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146,
+    1e146] is bisected as 2^-k t, scaled as in `tridiagonal_form`, and the
+    values are scaled back by 2^k; values beyond the float range raise
+    ConvergenceError.
     """
-    d, e = _lapack_tridiagonal(t)
+    d, e, scale = _lapack_tridiagonal(t)
     n = len(d)
     if not 1 <= il <= iu <= n:
         raise ValidationError(f"need 1 <= il <= iu <= dim = {n}, got il = {il}, iu = {iu}")
@@ -318,7 +330,11 @@ def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
         raise ConvergenceError(
             f"bisection (dstebz) returned {found.value} eigenvalues for indices {il}..{iu}"
         )
-    return w[: found.value].copy()
+    with np.errstate(over="ignore"):  # an overflow raises below
+        values = np.ldexp(w[: found.value], scale)
+    if not np.isfinite(values).all():
+        raise ConvergenceError(f"bisection (dstebz): eigenvalues overflow when scaled by 2^{scale}")
+    return values
 
 
 def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
@@ -329,16 +345,19 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     (IJOB = 1) counts them at every x, in O(dim) each, with the GIL
     released.  As in dstebz, a pivot smaller in magnitude than pivmin =
     tiny max(1, max e_i^2) is replaced by -pivmin, so a pivot that is
-    exactly 0 cannot break the count.
+    exactly 0 cannot break the count.  Counts do not change when T and x
+    are both scaled by 2^-k, so a t outside the range that `bisect_eigvals`
+    scales is counted as 2^-k t at 2^-k x.
     """
-    d, e = _lapack_tridiagonal(t)
+    d, e, scale = _lapack_tridiagonal(t)
     x = np.asarray(x, dtype=float)
     if len(x) == 0:
         return np.zeros(0, dtype=np.intp)
     # dlaebz counts at both ends of each interval: consecutive points make
     # one interval, and an odd count is padded with x[0]
     intervals = (len(x) + 1) // 2
-    ab = np.asfortranarray(np.resize(x, (intervals, 2)))
+    with np.errstate(over="ignore"):  # a point beyond the float range counts as +-inf
+        ab = np.asfortranarray(np.ldexp(np.resize(x, (intervals, 2)), -scale))
     nab = np.empty(ab.shape, dtype=_INT, order="F")
     e2 = e * e
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))

@@ -18,7 +18,6 @@ entry pattern, for these stages and for the limit blocks A0, B0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,6 @@ from .errors import NumericalError, ValidationError
 from .linalg import SymmetricBanded, eigh_banded, singular_blocks
 
 
-@dataclass
 class RecurrenceCoeffs:
     """Stacks A (m, p, p) of A_1..A_m and B (m, p, p) of B_0..B_{m-1}.
 
@@ -37,14 +35,11 @@ class RecurrenceCoeffs:
     `linalg.singular_blocks` states.
     """
 
-    p: int
-    m: int
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
+    def __init__(self, p: int, m: int, A: np.ndarray, B: np.ndarray):
+        self.p = p
+        self.m = m
+        self.A = np.asarray(A, dtype=float)
+        self.B = np.asarray(B, dtype=float)
         shape = (self.m, self.p, self.p)
         if self.A.shape != shape or self.B.shape != shape:
             raise ValidationError(

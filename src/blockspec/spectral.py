@@ -36,8 +36,6 @@ the semicircle law of the Dumitriu-Edelman beta-Hermite model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .ensemble import GammaWeights
@@ -46,23 +44,27 @@ from .linalg import require_symmetric, singular_blocks, spd_inv_sqrt
 from .matrixpoly import coefficient_blocks
 
 
-@dataclass
 class SpectralDensity:
     """Tabulated limit density on an ascending grid with its CDF, which
     starts at exactly 0 and ends at exactly 1."""
 
-    grid: np.ndarray
-    density: np.ndarray
-    cdf: np.ndarray
-    p: int | None = None
-    gamma: tuple[float, ...] | None = None
-    quad_tol: float | None = None
-    quad_err_est: float | None = None
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.density = np.asarray(self.density, dtype=float)
-        self.cdf = np.asarray(self.cdf, dtype=float)
+    def __init__(
+        self,
+        grid: np.ndarray,
+        density: np.ndarray,
+        cdf: np.ndarray,
+        p: int | None = None,
+        gamma: tuple[float, ...] | None = None,
+        quad_tol: float | None = None,
+        quad_err_est: float | None = None,
+    ):
+        self.grid = np.asarray(grid, dtype=float)
+        self.density = np.asarray(density, dtype=float)
+        self.cdf = np.asarray(cdf, dtype=float)
+        self.p = p
+        self.gamma = gamma
+        self.quad_tol = quad_tol
+        self.quad_err_est = quad_err_est
         if not (len(self.grid) == len(self.density) == len(self.cdf)):
             raise ValidationError("grid, density and cdf lengths differ")
         for name, values in (("grid", self.grid), ("density", self.density), ("cdf", self.cdf)):
@@ -90,7 +92,6 @@ class SpectralDensity:
         return float(self.grid[0]), float(self.grid[-1])
 
 
-@dataclass
 class LimitModel:
     """The s-independent factors A0, B0 of the homogeneous coefficient family.
 
@@ -100,16 +101,12 @@ class LimitModel:
     it to be positive definite.
     """
 
-    p: int
-    gamma: tuple[float, ...]
-    A0: np.ndarray
-    B0: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.A0 = require_symmetric(self.A0)
-        self.B0 = require_symmetric(self.B0)
-        self.gamma = tuple(float(g) for g in self.gamma)
+    def __init__(self, p: int, gamma: tuple[float, ...], A0: np.ndarray, B0: np.ndarray):
+        self.p = p
+        self.A0 = require_symmetric(A0)
+        self.B0 = require_symmetric(B0)
+        self.gamma = tuple(float(g) for g in gamma)
+        self._cache: dict = {}
         if self.A0.shape != (self.p, self.p) or self.B0.shape != (self.p, self.p):
             raise ValidationError("A0 and B0 must be p x p")
         if singular_blocks(self.A0[None]).size:
@@ -145,18 +142,43 @@ def _require_quad_tol(quad_tol: float) -> None:
         raise ValidationError(f"quad_tol must be positive and finite, got {quad_tol}")
 
 
-def _rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-# one panel is integrated with _GL_NODES Gauss-Legendre nodes; the embedded
-# _GL_NODES // 2 rule on the same panel gives the error estimate
+# one panel is integrated with the _GL_NODES-node Gauss-Legendre rule on
+# (0, 1), nodes _RULE_X and weights _RULE_W; the embedded _GL_NODES // 2 rule
+# on the same panel, appended to both, gives the error estimate.  Both rules
+# are np.polynomial.legendre.leggauss mapped to (0, 1), x -> (x + 1) / 2 and
+# w -> w / 2, written out in shortest repr so that importing the module does
+# not load numpy.polynomial; the tests pin them bit for bit.
 _GL_NODES = 32
-_RULE_X, _RULE_W = (
-    np.concatenate(parts) for parts in zip(_rule(_GL_NODES), _rule(_GL_NODES // 2))
-)
+_RULE_X = np.array([
+    0.001368069075259215, 0.007194244227365809, 0.017618872206246805, 0.03254696203113017,
+    0.051839422116973954, 0.07531619313371501, 0.10275810201602881, 0.13390894062985514,
+    0.16847786653489238, 0.20614212137961885, 0.24655004553388532, 0.28932436193468236,
+    0.33406569885893617, 0.38035631887393145, 0.42776401920860174, 0.4758461671561308,
+    0.5241538328438692, 0.5722359807913983, 0.6196436811260685, 0.6659343011410639,
+    0.7106756380653176, 0.7534499544661146, 0.7938578786203812, 0.8315221334651076,
+    0.8660910593701449, 0.8972418979839711, 0.924683806866285, 0.948160577883026,
+    0.9674530379688698, 0.9823811277937532, 0.9928057557726342, 0.9986319309247408,
+    # the embedded 16-node rule
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
+])
+_RULE_W = np.array([
+    0.003509305004735253, 0.008137197365452872, 0.012696032654631012, 0.017136931456510882,
+    0.021417949011113418, 0.025499029631188046, 0.029342046739267783, 0.03291111138818084,
+    0.03617289705442417, 0.039096947893535114, 0.041655962113473353, 0.04382604650220189,
+    0.04558693934788189, 0.046922199540402255, 0.047819360039637354, 0.04827004425736383,
+    0.04827004425736383, 0.047819360039637354, 0.046922199540402255, 0.04558693934788189,
+    0.04382604650220189, 0.041655962113473353, 0.039096947893535114, 0.03617289705442417,
+    0.03291111138818084, 0.029342046739267783, 0.025499029631188046, 0.021417949011113418,
+    0.017136931456510882, 0.012696032654631012, 0.008137197365452872, 0.003509305004735253,
+    # the embedded 16-node rule
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
+    0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
+    0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
+])
 _MIN_PANEL = 1e-14  # narrower u-panels are skipped
 _MAX_DEPTH = 8  # bisections of one panel before its tolerance counts as failed
 _ROUNDING = 64 * np.finfo(float).eps  # relative rounding level of a panel integral

@@ -324,6 +324,8 @@ from blockspec import linalg
 if sys.argv[1] == "blockspec-first":
     loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     assert not loaded, loaded
+    unused = {"concurrent.futures", "numpy.polynomial", "dataclasses"} & set(sys.modules)
+    assert not unused, unused
     import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 
@@ -334,9 +336,9 @@ assert np.array_equal(linalg.eigh_banded(m), expected)
 
 
 class TestImportHygiene:
-    """`import blockspec.cli` loads no scipy module, and the banded solve
-    equals scipy's bit for bit whether scipy.linalg is imported before
-    blockspec or after it."""
+    """`import blockspec.cli` loads no scipy module, nor concurrent.futures,
+    numpy.polynomial or dataclasses, and the banded solve equals scipy's bit
+    for bit whether scipy.linalg is imported before blockspec or after it."""
 
     @pytest.mark.parametrize("order", ["blockspec-first", "scipy-first"])
     def test_no_scipy_at_start_up(self, tmp_path, order):

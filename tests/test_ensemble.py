@@ -127,6 +127,17 @@ class TestGammaWeights:
         with pytest.raises(ValidationError):
             GammaWeights(0, ())
 
+    def test_values_are_equal_hashable_and_immutable(self):
+        w = GammaWeights(2, [2, 8])
+        assert w == GammaWeights(p=2, gamma=(2.0, 8.0)) and w.gamma == (2.0, 8.0)
+        assert {RngSeed(3): 1}[RngSeed(3, 0)] == 1 and RngSeed(3, 1) != RngSeed(3, 0)
+        assert w != (2, (2.0, 8.0)) and repr(RngSeed(3)) == "RngSeed(master=3, stream=0)"
+        for value, name in ((w, "gamma"), (RngSeed(3), "stream")):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+
 
 class TestDofLayout:
     @pytest.mark.parametrize("w", [GammaWeights(1, (2.0,)), W2, W3])

@@ -8,6 +8,8 @@ module.
 
 import json
 import math
+import sys
+import threading
 import time
 from functools import partial
 from pathlib import Path
@@ -429,6 +431,31 @@ class TestWorkers:
         threaded = map_trials(tasks)
         assert sequential == threaded
 
+    def test_map_trials_takes_each_task_once_under_contention(self, monkeypatch):
+        # more workers than cores on tiny tasks, with a short switch interval:
+        # a lost update of the shared index would run a task twice or never
+        monkeypatch.setenv("BLOCKSPEC_THREADS", "8")
+        calls = []
+
+        def work(i):
+            calls.append(i)
+            return i
+
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(map_trials([partial(work, i) for i in range(2000)]))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert out == [list(range(2000))]
+        assert sorted(calls) == list(range(2000))
+
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_map_trials_keeps_key_order(self, monkeypatch, threads):
         # later tasks finish first on a pool; results still follow the list
@@ -447,7 +474,8 @@ class TestWorkers:
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_map_trials_raises_first_failure_in_key_order(self, monkeypatch, threads):
         # task 0 fails last in time but first in list order, so its error is
-        # the one raised; the pending tasks are cancelled, not run
+        # the one raised; once task 1 has failed no further task starts, so
+        # only the tasks the workers took first ever run
         monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
         first = NumericalError("task 0 failed")
         started = []
@@ -465,6 +493,6 @@ class TestWorkers:
         with pytest.raises(NumericalError) as excinfo:
             map_trials([partial(work, key) for key in range(60)])
         assert excinfo.value is first
-        assert 0 in started and len(started) < 60
+        assert 0 in started and len(started) <= int(threads)
         if threads == "1":
             assert started == [0]

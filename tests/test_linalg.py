@@ -331,6 +331,33 @@ class TestBisectionAndSturmCounts:
         x = np.array([-3.0, -1.1, -1.0, 0.3, 1.0, 3.0])
         assert sturm_counts(t, x).tolist() == [0, 3, 3, 5, 6, 9]
 
+    def test_off_diagonal_beyond_the_square_root_of_the_float_range(self):
+        # e_i^2 overflows here; T is bisected and counted as 2^-k T
+        big = 1e200
+        t = Tridiagonal(np.zeros(3), np.array([big, big]))
+        x = np.array([-2 * big, -big, big, 2 * big])
+        assert sturm_counts(t, x).tolist() == [0, 1, 2, 3]
+        expected = np.array([-np.sqrt(2.0) * big, 0.0, np.sqrt(2.0) * big])
+        np.testing.assert_allclose(
+            bisect_eigvals(t, 1, 3), expected, rtol=0, atol=4 * np.spacing(np.sqrt(2.0) * big)
+        )
+
+    def test_tiny_tridiagonal_is_scaled_up(self):
+        # the same matrix at 1e-200: the counts and values scale with it, and
+        # a point that overflows when scaled up counts as +-inf
+        t = Tridiagonal(np.zeros(3), np.array([1e-200, 1e-200]))
+        x = np.array([-1e300, -2e-200, -1e-200, 1e-200, 2e-200, 1e300])
+        assert sturm_counts(t, x).tolist() == [0, 0, 1, 2, 3, 3]
+        np.testing.assert_allclose(
+            bisect_eigvals(t, 3, 3), [np.sqrt(2.0) * 1e-200], rtol=4 * np.finfo(float).eps
+        )
+
+    def test_eigenvalue_beyond_the_float_range_is_convergence_error(self):
+        t = Tridiagonal(np.array([1e308, 1e308]), np.array([1e308]))
+        assert sturm_counts(t, np.array([0.5e308, np.inf])).tolist() == [1, 2]
+        with pytest.raises(ConvergenceError, match="overflow when scaled by 2\\^1024"):
+            bisect_eigvals(t, 2, 2)
+
     def test_one_by_one(self):
         t = Tridiagonal(np.array([2.5]), np.array([]))
         assert bisect_eigvals(t, 1, 1).tolist() == [2.5]

@@ -347,6 +347,16 @@ class TestArcsineMixture:
             arcsine_mixture_density(2.0, 8.0, 0.5, 5e-324)
 
 
+class TestQuadratureRule:
+    def test_rule_is_leggauss_on_the_unit_interval(self):
+        # the 32-node rule, then its embedded 16-node rule, mapped to (0, 1)
+        rules = [np.polynomial.legendre.leggauss(nodes) for nodes in (32, 16)]
+        x = np.concatenate([(nodes + 1.0) / 2.0 for nodes, _ in rules])
+        w = np.concatenate([weights / 2.0 for _, weights in rules])
+        assert np.array_equal(spectral._RULE_X, x)
+        assert np.array_equal(spectral._RULE_W, w)
+
+
 class TestDensityGrid:
     def test_semicircle_table(self):
         table = density_grid(M1, 400, 1e-7)
