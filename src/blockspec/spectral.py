@@ -365,8 +365,9 @@ def arcsine_mixture_density(
     positive definite, as the generic path does.
 
     Each branch is integrated only where Q_j > 0 (module docstring), under
-    the kernel's map v = lo + (end - lo) sin^2(theta), and its error
-    estimate must meet the share quad_tol / 2, or NumericalError is raised.
+    the kernel's map v = lo + (end - lo) sin^2(theta), on Gauss-Legendre
+    panels in theta (`_theta_quadrature`), and its error estimate must meet
+    the share quad_tol / 2, or NumericalError is raised.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValidationError("gamma weights must be > 0")
@@ -384,13 +385,27 @@ def arcsine_mixture_density(
             min_eigenvalue=min_eig,
         )
     _require_quad_tol(quad_tol)
-    # imported here: the oracle is the only user of scipy's adaptive quad
-    from scipy.integrate import quad
-
-    m, branches = _arcsine_branches(gamma1, gamma2)
-    xi = x / m
     share = quad_tol / 2.0
     total = 0.0
+    for integrand, edges in _branch_integrands(gamma1, gamma2, x):
+        value, err, failure = _theta_quadrature(integrand, edges, share)
+        if failure:
+            raise NumericalError(
+                f"arcsine mixture quadrature at x = {float(x)!r}: error estimate {err:.3e} "
+                f"against its share {share:.3e} of quad_tol {quad_tol!r}: {failure}"
+            )
+        total += value
+    return total
+
+
+def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
+    """(integrand, edges) for each arcsine branch that is not empty at x: the
+    branch's density term is the integral of integrand(theta), a numpy
+    function, from edges[0] = 0 to edges[-1] = theta_end, and edges holds the
+    panels that the quadrature starts from."""
+    m, branches = _arcsine_branches(gamma1, gamma2)
+    xi = x / m
+    found = []
     for alpha, beta in branches:
         if not -beta < xi < max(alpha, 0.0):
             continue  # (alpha v - xi)(beta v + xi) <= 0 on all of (0, 1]
@@ -400,35 +415,90 @@ def arcsine_mixture_density(
                 (alpha, xi / alpha, (alpha - xi) / alpha, beta, xi) if xi >= 0.0
                 else (beta, -xi / beta, (xi + beta) / beta, alpha, -xi)
             )
-            k, theta_end = 2.0 * math.sqrt(width / c) / (math.pi * m), math.pi / 2.0
+            k = 2.0 * math.sqrt(width / c) / (math.pi * m)
+            # the other factor vanishes `near` below v = lo, a feature of width
+            # theta0 = sqrt(near / width) at theta = 0.  Both rules of a panel
+            # much wider than theta0 miss it alike, so their difference does not
+            # show the error (on [0, pi / 2] that was seen below theta0 = 2e-3);
+            # panels growing tenfold from theta0 resolve it
+            near = (slope * lo + offset) / slope if slope > 0.0 else math.inf
+            theta0 = math.sqrt(near / width)
+            edges = [0.0]
+            if 0.0 < theta0 < 0.1:
+                while theta0 < math.pi / 2.0:
+                    edges.append(theta0)
+                    theta0 *= 10.0
+            edges.append(math.pi / 2.0)
 
-            def integrand(theta: float) -> float:
-                v = lo + width * math.sin(theta) ** 2
-                return k * v * math.cos(theta) / math.sqrt(slope * v + offset)
+            def integrand(theta, k=k, lo=lo, width=width, slope=slope, offset=offset):
+                v = lo + width * np.sin(theta) ** 2
+                return k * v * np.cos(theta) / np.sqrt(slope * v + offset)
 
         else:
             # the factors vanish at lo = -xi / beta and end = xi / alpha, which
             # leaves k v; an end past v = 1 only shortens the theta range
             lo, width = -xi / beta, xi / alpha + xi / beta
             k = 2.0 / (math.pi * m * math.sqrt(-alpha * beta))
-            theta_end = math.pi / 2.0 if xi >= alpha else math.atan2(
+            edges = [0.0, math.pi / 2.0 if xi >= alpha else math.atan2(
                 math.sqrt((xi + beta) / beta), math.sqrt((xi - alpha) / alpha)
-            )
+            )]
 
-            def integrand(theta: float) -> float:
-                return k * (lo + width * math.sin(theta) ** 2)
+            def integrand(theta, k=k, lo=lo, width=width):
+                return k * (lo + width * np.sin(theta) ** 2)
 
-        # quad rejects a zero tolerance; a share that underflows fails below
-        value, err, _, *failure = quad(integrand, 0.0, theta_end, epsrel=0.0, limit=200,
-                                       epsabs=max(share, math.ulp(0.0)), full_output=1)
-        if failure or not err <= share:
-            raise NumericalError(
-                f"arcsine mixture quadrature at x = {float(x)!r}: error estimate {err:.3e} "
-                f"against its share {share:.3e} of quad_tol {quad_tol!r}: "
-                + (" ".join(failure[0].split()) if failure else "the estimate exceeds it")
+        found.append((integrand, np.array(edges)))
+    return found
+
+
+# theta_end <= pi / 2, so a panel bisected 40 times is under 1.5e-12 wide,
+# and the 32 nodes of one near pi / 2 lie only a few ulps of theta apart;
+# past that the rule no longer samples distinct points
+_MAX_BISECTIONS = 40
+
+
+def _theta_quadrature(integrand, edges: np.ndarray, share: float) -> tuple[float, float, str]:
+    """Integral of integrand from edges[0] to edges[-1], its error estimate,
+    and "" or why the estimate cannot meet share.
+
+    Each panel between consecutive edges is integrated with the
+    `_GL_NODES`-node rule of `_panel_integrals`, all nodes of all live
+    panels in one call of integrand, and checked against its embedded
+    half-size rule.  A panel gets the part of share in proportion to its
+    width; one whose estimate exceeds its part is bisected, each half taking
+    half of the part, so the estimates of the accepted panels sum to at most
+    share.  The integrands are nonnegative and smooth in theta, so bisection
+    resolves them and only a few panels stay live.  A panel fails when its
+    part has underflowed to 0, when its estimate is already at the rounding
+    level of its integral, which bisection cannot lower, or after
+    `_MAX_BISECTIONS` bisections.
+    """
+    a, b = edges[:-1], edges[1:]
+    shares = share * ((b - a) / edges[-1])
+    value = err = 0.0
+    depth = 0
+    while True:
+        width = (b - a)[:, None]
+        nodes = width * _RULE_W * integrand(a[:, None] + width * _RULE_X)
+        high = nodes[:, :_GL_NODES].sum(axis=1)
+        panel_err = np.abs(high - nodes[:, _GL_NODES:].sum(axis=1))
+        ok = (panel_err <= shares) & (shares > 0.0)
+        value += high[ok].sum()
+        err += panel_err[ok].sum()
+        if ok.all():
+            return float(value), float(err), ""
+        stuck = ~ok & ((depth == _MAX_BISECTIONS) | (shares == 0.0)
+                       | (panel_err <= _ROUNDING * high))
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            return float(value), float(err + panel_err[~ok].sum()), (
+                f"the theta-panel [{float(a[i])!r}, {float(b[i])!r}] keeps the estimate "
+                f"{panel_err[i]:.3e} above its share {shares[i]:.3e} after {depth} bisections"
             )
-        total += value
-    return total
+        a, b, shares = a[~ok], b[~ok], shares[~ok]
+        mid = (a + b) / 2.0
+        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+        shares = np.repeat(shares / 2.0, 2)
+        depth += 1
 
 
 def _arcsine_branches(gamma1: float, gamma2: float) -> tuple[float, tuple]:

@@ -335,15 +335,37 @@ assert np.array_equal(linalg.eigh_banded(m), expected)
 """
 
 
+RUN_CHECK = """
+import sys
+
+from blockspec.cli import run
+
+for command in ("oracle", "density"):
+    argv = [command, "--p", "2", "--gamma", "2,8", "--grid", "100", "--out", command + ".csv"]
+    assert run(argv) == 0, argv
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+
+
 class TestImportHygiene:
     """`import blockspec.cli` loads no scipy module, nor concurrent.futures,
     numpy.polynomial or dataclasses, and the banded solve equals scipy's bit
-    for bit whether scipy.linalg is imported before blockspec or after it."""
+    for bit whether scipy.linalg is imported before blockspec or after it.
+    The p = 2 oracle and density tables load no scipy module either."""
 
     @pytest.mark.parametrize("order", ["blockspec-first", "scipy-first"])
     def test_no_scipy_at_start_up(self, tmp_path, order):
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_CHECK, order],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_scipy_for_p2_tables(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CHECK],
             cwd=tmp_path, env=child_env(), capture_output=True, text=True,
             timeout=120,
         )
