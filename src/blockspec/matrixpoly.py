@@ -92,26 +92,31 @@ def recurrence_coeffs(n: int, w: GammaWeights) -> RecurrenceCoeffs:
 
 
 def eval_R(coeffs: RecurrenceCoeffs, m: int, x: complex) -> np.ndarray:
-    """R_m(x) by running the recurrence; x may be real or complex.
+    """R_m(x) by running the recurrence; x may be real or complex."""
+    if not 0 <= m <= coeffs.m:
+        raise ValidationError(f"need 0 <= m <= {coeffs.m}, got {m}")
+    return _recurrence(coeffs.A[:m], coeffs.B[:m], x)
+
+
+def _recurrence(a: np.ndarray, b: np.ndarray, x: complex) -> np.ndarray:
+    """R_m(x) for the stacks a = A_1..A_m and b = B_0..B_{m-1}, each (m, p, p).
 
     Each stage solves against A_{j+1} via LU with partial pivoting; a
     numerically singular stage raises NumericalError naming it.
     """
-    if not 0 <= m <= coeffs.m:
-        raise ValidationError(f"need 0 <= m <= {coeffs.m}, got {m}")
-    p = coeffs.p
-    dtype = complex if np.iscomplexobj(x) or isinstance(x, complex) else float
+    p = a.shape[-1]
+    dtype = complex if np.iscomplexobj(x) else float
     r_prev = np.zeros((p, p), dtype=dtype)
     r_cur = np.eye(p, dtype=dtype)
     eye = np.eye(p)
-    for j in range(m):
-        rhs = (x * eye - coeffs.B[j]) @ r_cur
+    for j in range(len(a)):
+        rhs = (x * eye - b[j]) @ r_cur
         if j > 0:
-            rhs -= coeffs.A[j - 1].T @ r_prev
+            rhs -= a[j - 1].T @ r_prev
         try:
-            r_next = np.linalg.solve(coeffs.A[j], rhs)
+            r_next = np.linalg.solve(a[j], rhs)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"A_{j + 1} is singular during eval_R: {exc}") from exc
+            raise NumericalError(f"A_{j + 1} is singular in the recurrence: {exc}") from exc
         r_prev, r_cur = r_cur, r_next
     return r_cur
 
@@ -119,53 +124,33 @@ def eval_R(coeffs: RecurrenceCoeffs, m: int, x: complex) -> np.ndarray:
 def cheb_T(a: np.ndarray, b: np.ndarray, n: int, t: float) -> np.ndarray:
     """Matrix Chebyshev polynomial of the first kind, T_n at t.
 
-    T_0 = I; the first two steps carry the sqrt(2) modification:
+    T_n is R_n of the recurrence with every B_j = B, A_1 = sqrt(2) A and
+    A_j = A for j >= 2.  For symmetric A that is T_0 = I and
         t T_0 = sqrt(2) A T_1 + B T_0
         t T_1 = A T_2 + B T_1 + sqrt(2) A T_0
         t T_n = A T_{n+1} + B T_n + A T_{n-1},  n >= 2.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    p = a.shape[0]
-    eye = np.eye(p)
-    t0 = eye.copy()
-    if n == 0:
-        return t0
-    t1 = _solve_stage(a, (t * eye - b) @ t0, 1) / math.sqrt(2.0)
-    if n == 1:
-        return t1
-    t2 = _solve_stage(a, (t * eye - b) @ t1 - math.sqrt(2.0) * (a @ t0), 2)
-    prev, cur = t1, t2
-    for stage in range(3, n + 1):
-        prev, cur = cur, _solve_stage(a, (t * eye - b) @ cur - a @ prev, stage)
-    return cur
+    stack = np.repeat(a[None], n, axis=0)
+    stack[:1] *= math.sqrt(2.0)
+    return _recurrence(stack, np.broadcast_to(np.asarray(b, dtype=float), stack.shape), t)
 
 
 def cheb_U(a: np.ndarray, b: np.ndarray, n: int, t: float) -> np.ndarray:
     """Matrix Chebyshev polynomial of the second kind, U_n at t.
 
-    U_{-1} = 0, U_0 = I, and t U_n = A^T U_{n+1} + B U_n + A U_{n-1}.
+    U_{-1} = 0, U_0 = I, and t U_n = A^T U_{n+1} + B U_n + A U_{n-1}: the
+    recurrence with every A_j = A^T and every B_j = B.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    p = a.shape[0]
-    eye = np.eye(p)
-    prev = np.zeros((p, p))
-    cur = eye.copy()
-    for stage in range(1, n + 1):
-        prev, cur = cur, _solve_stage(a.T, (t * eye - b) @ cur - a @ prev, stage)
-    return cur
-
-
-def _solve_stage(a: np.ndarray, rhs: np.ndarray, stage: int) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular coefficient matrix at stage {stage}") from exc
+    shape = (n, *a.shape)
+    return _recurrence(
+        np.broadcast_to(a.T, shape), np.broadcast_to(np.asarray(b, dtype=float), shape), t
+    )
 
 
 def jacobi_matrix(coeffs: RecurrenceCoeffs, m: int) -> SymmetricBanded:

@@ -20,7 +20,8 @@ some lambda_j crosses +-2 come in closed form from two p x p eigenvalue
 problems, and one batched pass integrates every grid point's panels between
 kinks with a fixed Gauss-Legendre rule, checked against its embedded
 half-size rule.  The same eigenvalues give the CDF in closed form through
-arccos(lambda_j / 2), since dlambda_j/dt = -w_j.
+arccos(lambda_j / 2), since dlambda_j/dt = -w_j.  One bisection driver,
+`_bisect`, refines the failed panels of this kernel and of the p = 2 oracle.
 
 The p = 2 oracle mixes two arcsine branches.  In u = sqrt(s) in (0, U],
 U = 1/sqrt(2), branch j has the integrand 2u / (pi sqrt(Q_j(u))) with
@@ -180,7 +181,7 @@ _RULE_W = np.array([
     0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
 ])
 _MIN_PANEL = 1e-14  # narrower u-panels are skipped
-_MAX_DEPTH = 8  # bisections of one panel before its tolerance counts as failed
+_MAX_DEPTH = 8  # the kernel's depth limit in `_bisect`
 _ROUNDING = 64 * np.finfo(float).eps  # relative rounding level of a panel integral
 _CHUNK_PANELS = 64  # panels per batched eigh call (64 * 48 matrices)
 
@@ -242,6 +243,38 @@ def _panel_integrals(
     return high, np.abs(high - low).max(axis=0)
 
 
+def _bisect(integrate, row, a, b, end, share, max_depth: int):
+    """Adaptive quadrature on the panels [a, b]; integrate(row, a, b, end)
+    gives the (k, panels) integrals of the live panels and their estimates.
+
+    A panel whose estimate meets its share is accepted, so the accepted
+    estimates sum to at most the total share.  The others are bisected: both
+    halves keep the row and take half the share, the left half ends at the
+    midpoint and the right half keeps end.  A panel is stuck when its share
+    is 0, its estimate is at the rounding level of its integrals, which
+    bisection cannot lower, or after max_depth bisections.  Returns the
+    accepted (row, values, err) of each depth and None, or for the first
+    stuck panel (depth, (row, a, b, share, err), the estimates of all
+    panels not accepted at that depth).
+    """
+    found = []
+    for depth in range(max_depth + 1):
+        values, err = integrate(row, a, b, end)
+        ok = (err <= share) & (share > 0.0)
+        found.append((row[ok], values[:, ok], err[ok]))
+        if ok.all():
+            return found, None
+        stuck = ~ok & ((depth == max_depth) | (share == 0.0)
+                       | (err <= _ROUNDING * values.max(axis=0)))
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            return found, (depth, (row[i], a[i], b[i], share[i], err[i]), err[~ok])
+        row, a, b, end, share = (x[~ok] for x in (row, a, b, end, share))
+        mid = (a + b) / 2.0
+        row, share = np.repeat(row, 2), np.repeat(share / 2.0, 2)
+        a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
+
+
 def _kinks(model: LimitModel, ts: np.ndarray) -> np.ndarray:
     """u-locations where an eigenvalue curve of W(u, t) meets +-2, per t.
 
@@ -282,10 +315,8 @@ def _density_table(
     precision.
 
     Every (t, panel) pair gets the share quad_tol / (panels at t) of the
-    tolerance.  A panel whose error estimate exceeds its share is bisected
-    and evaluated again; NumericalError is raised when a panel still exceeds
-    its share after _MAX_DEPTH bisections, or when its estimate is already
-    at the rounding level of its integrals, which bisection cannot lower.
+    tolerance, and `_bisect` refines the panels; NumericalError is raised
+    when a panel is stuck, at the latest after _MAX_DEPTH bisections.
     """
     _require_quad_tol(quad_tol)
     ts = np.asarray(ts, dtype=float)
@@ -303,34 +334,19 @@ def _density_table(
     row = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
     end = np.where(b == u_max, past[row], b)
-    share = quad_tol / keep.sum(axis=1)[row]
-
-    found = []
-    for depth in range(_MAX_DEPTH + 1):
-        values, err = _panel_integrals(model, ts[row], a, b, end)
-        ok = err <= share
-        found.append((row[ok], values[:, ok], err[ok]))
-        if ok.all():
-            break
-        stuck = ~ok & ((depth == _MAX_DEPTH) | (err <= _ROUNDING * values.max(axis=0)))
-        if stuck.any():
-            i = int(np.argmax(stuck))
-            raise NumericalError(
-                f"limit density quadrature at t = {float(ts[row[i]])!r}: error "
-                f"estimate {err[i]:.3e} exceeds its share {share[i]:.3e} of quad_tol "
-                f"{quad_tol!r} on the u-panel [{float(a[i])!r}, {float(b[i])!r}] "
-                f"after {depth} bisections"
-            )
-        # bisect the failed panels; the right half keeps the map's end
-        a, b, end, share = a[~ok], b[~ok], end[~ok], share[~ok]
-        mid = (a + b) / 2.0
-        row = np.repeat(row[~ok], 2)
-        a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
-        share = np.repeat(share / 2.0, 2)
-
-    row = np.concatenate([part[0] for part in found])
-    values = np.concatenate([part[1] for part in found], axis=1)
-    err = np.concatenate([part[2] for part in found])
+    found, stuck = _bisect(
+        lambda row, a, b, end: _panel_integrals(model, ts[row], a, b, end),
+        row, a, b, end, quad_tol / keep.sum(axis=1)[row], _MAX_DEPTH,
+    )
+    if stuck:
+        depth, (i, lo, hi, share, err), _ = stuck
+        raise NumericalError(
+            f"limit density quadrature at t = {float(ts[i])!r}: error "
+            f"estimate {err:.3e} exceeds its share {share:.3e} of quad_tol "
+            f"{quad_tol!r} on the u-panel [{float(lo)!r}, {float(hi)!r}] "
+            f"after {depth} bisections"
+        )
+    row, values, err = (np.concatenate(parts, axis=-1) for parts in zip(*found))
     density, below, above, err = (
         np.bincount(row, weights=w, minlength=len(ts)) for w in (*values, err)
     )
@@ -365,9 +381,10 @@ def arcsine_mixture_density(
     positive definite, as the generic path does.
 
     Each branch is integrated only where Q_j > 0 (module docstring), under
-    the kernel's map v = lo + (end - lo) sin^2(theta), on Gauss-Legendre
-    panels in theta (`_theta_quadrature`), and its error estimate must meet
-    the share quad_tol / 2, or NumericalError is raised.
+    the kernel's map v = lo + (end - lo) sin^2(theta), on the kernel's
+    Gauss-Legendre panels in theta (`_theta_panels`), refined by `_bisect`
+    with shares in proportion to panel width.  The branch's error estimate
+    must meet the share quad_tol / 2, or NumericalError is raised.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValidationError("gamma weights must be > 0")
@@ -388,13 +405,22 @@ def arcsine_mixture_density(
     share = quad_tol / 2.0
     total = 0.0
     for integrand, edges in _branch_integrands(gamma1, gamma2, x):
-        value, err, failure = _theta_quadrature(integrand, edges, share)
-        if failure:
+        a, b = edges[:-1], edges[1:]
+        found, stuck = _bisect(
+            lambda row, a, b, end: _theta_panels(integrand, a, b),
+            np.zeros(len(a), dtype=int), a, b, b, share * ((b - a) / edges[-1]),
+            _MAX_BISECTIONS,
+        )
+        if stuck:
+            depth, (_, lo, hi, part, est), pending = stuck
+            err = sum(accepted.sum() for _, _, accepted in found) + pending.sum()
             raise NumericalError(
-                f"arcsine mixture quadrature at x = {float(x)!r}: error estimate {err:.3e} "
-                f"against its share {share:.3e} of quad_tol {quad_tol!r}: {failure}"
+                f"arcsine mixture quadrature at x = {float(x)!r}: error estimate "
+                f"{float(err):.3e} against its share {share:.3e} of quad_tol "
+                f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
+                f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
             )
-        total += value
+        total += float(sum(high[0].sum() for _, high, _ in found))
     return total
 
 
@@ -402,7 +428,7 @@ def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
     """(integrand, edges) for each arcsine branch that is not empty at x: the
     branch's density term is the integral of integrand(theta), a numpy
     function, from edges[0] = 0 to edges[-1] = theta_end, and edges holds the
-    panels that the quadrature starts from."""
+    panels that `_bisect` starts from."""
     m, branches = _arcsine_branches(gamma1, gamma2)
     xi = x / m
     found = []
@@ -450,55 +476,20 @@ def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
     return found
 
 
-# theta_end <= pi / 2, so a panel bisected 40 times is under 1.5e-12 wide,
-# and the 32 nodes of one near pi / 2 lie only a few ulps of theta apart;
-# past that the rule no longer samples distinct points
+# the oracle's depth limit in `_bisect`: theta_end <= pi / 2, so a panel
+# bisected 40 times is under 1.5e-12 wide, and the 32 nodes of one near
+# pi / 2 lie only a few ulps of theta apart; past that the rule no longer
+# samples distinct points
 _MAX_BISECTIONS = 40
 
 
-def _theta_quadrature(integrand, edges: np.ndarray, share: float) -> tuple[float, float, str]:
-    """Integral of integrand from edges[0] to edges[-1], its error estimate,
-    and "" or why the estimate cannot meet share.
-
-    Each panel between consecutive edges is integrated with the
-    `_GL_NODES`-node rule of `_panel_integrals`, all nodes of all live
-    panels in one call of integrand, and checked against its embedded
-    half-size rule.  A panel gets the part of share in proportion to its
-    width; one whose estimate exceeds its part is bisected, each half taking
-    half of the part, so the estimates of the accepted panels sum to at most
-    share.  The integrands are nonnegative and smooth in theta, so bisection
-    resolves them and only a few panels stay live.  A panel fails when its
-    part has underflowed to 0, when its estimate is already at the rounding
-    level of its integral, which bisection cannot lower, or after
-    `_MAX_BISECTIONS` bisections.
-    """
-    a, b = edges[:-1], edges[1:]
-    shares = share * ((b - a) / edges[-1])
-    value = err = 0.0
-    depth = 0
-    while True:
-        width = (b - a)[:, None]
-        nodes = width * _RULE_W * integrand(a[:, None] + width * _RULE_X)
-        high = nodes[:, :_GL_NODES].sum(axis=1)
-        panel_err = np.abs(high - nodes[:, _GL_NODES:].sum(axis=1))
-        ok = (panel_err <= shares) & (shares > 0.0)
-        value += high[ok].sum()
-        err += panel_err[ok].sum()
-        if ok.all():
-            return float(value), float(err), ""
-        stuck = ~ok & ((depth == _MAX_BISECTIONS) | (shares == 0.0)
-                       | (panel_err <= _ROUNDING * high))
-        if stuck.any():
-            i = int(np.argmax(stuck))
-            return float(value), float(err + panel_err[~ok].sum()), (
-                f"the theta-panel [{float(a[i])!r}, {float(b[i])!r}] keeps the estimate "
-                f"{panel_err[i]:.3e} above its share {shares[i]:.3e} after {depth} bisections"
-            )
-        a, b, shares = a[~ok], b[~ok], shares[~ok]
-        mid = (a + b) / 2.0
-        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
-        shares = np.repeat(shares / 2.0, 2)
-        depth += 1
+def _theta_panels(integrand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `_panel_integrals` rule on the theta-panels [a, b], all nodes in
+    one call of integrand: the (1, panels) integrals and their estimates."""
+    width = (b - a)[:, None]
+    nodes = width * _RULE_W * integrand(a[:, None] + width * _RULE_X)
+    high = nodes[:, :_GL_NODES].sum(axis=1)
+    return high[None], np.abs(high - nodes[:, _GL_NODES:].sum(axis=1))
 
 
 def _arcsine_branches(gamma1: float, gamma2: float) -> tuple[float, tuple]:

@@ -267,6 +267,7 @@ class TestArcsineMixture:
             assert arcsine_mixture_density(g1, g2, x) == pytest.approx(total, abs=1e-6)
 
     def test_far_outside_support(self):
+        assert type(arcsine_mixture_density(2.0, 8.0, 0.5)) is float
         assert arcsine_mixture_density(2.0, 8.0, 7.5) == 0.0
         assert arcsine_mixture_density(2.0, 8.0, -7.5) == 0.0
 
@@ -444,6 +445,60 @@ class TestQuadratureRule:
         w = np.concatenate([weights / 2.0 for _, weights in rules])
         assert np.array_equal(spectral._RULE_X, x)
         assert np.array_equal(spectral._RULE_W, w)
+
+
+class TestBisect:
+    """The bisection driver shared by the kernel and the p = 2 oracle, on a
+    toy rule: each panel's integral is its width, and its error estimate is
+    its width squared, so every bisection quarters it."""
+
+    @staticmethod
+    def run(share, max_depth=8, a=(0.0, 1.0), b=(1.0, 3.0), end=(2.0, 3.0), scale=1.0):
+        calls = []
+
+        def integrate(row, a, b, end):
+            calls.append((row, a, b, end))
+            return scale * (b - a)[None], (b - a) ** 2
+
+        a, b, end = (np.array(x) for x in (a, b, end))
+        found, stuck = spectral._bisect(
+            integrate, np.arange(len(a)), a, b, end, np.array(share), max_depth
+        )
+        return found, stuck, calls
+
+    def test_accepted_estimates_meet_the_total_share(self):
+        share = [0.01, 0.05]
+        found, stuck, _ = self.run(share)
+        assert stuck is None
+        row, values, err = (np.concatenate(x, axis=-1) for x in zip(*found))
+        assert np.all(np.bincount(row, weights=err) <= share)
+        assert err.sum() <= sum(share)
+        # the accepted panels tile each row's range exactly once
+        np.testing.assert_allclose(np.bincount(row, weights=values[0]), [1.0, 2.0])
+
+    def test_halves_keep_row_and_end(self):
+        _, _, calls = self.run([0.5, 10.0])
+        # panel 0 = [0, 1] with end 2 fails its share once
+        row, a, b, end = calls[1]
+        assert row.tolist() == [0, 0]
+        assert a.tolist() == [0.0, 0.5] and b.tolist() == [0.5, 1.0]
+        assert end.tolist() == [0.5, 2.0]
+
+    def test_zero_share_is_stuck_at_depth_zero(self):
+        found, stuck, calls = self.run([1.0, 0.0])
+        depth, (row, lo, hi, share, err), pending = stuck
+        assert (depth, row, lo, hi, share, err) == (0, 1, 1.0, 3.0, 0.0, 4.0)
+        assert pending.tolist() == [4.0] and len(calls) == 1
+        assert [part[0].tolist() for part in found] == [[0]]
+
+    @pytest.mark.parametrize("max_depth", [0, 3, 8])
+    def test_max_depth_is_honoured(self, max_depth):
+        # estimates far above the rounding level, shares out of reach
+        _, stuck, calls = self.run([1e-300, 1e-300], max_depth, scale=1e-300)
+        assert len(calls) == max_depth + 1
+        depth, (row, lo, hi, _, _), pending = stuck
+        assert (depth, row, lo, hi) == (max_depth, 0, 0.0, 2.0**-max_depth)
+        assert len(pending) == 2 ** (max_depth + 1)
 
 
 class TestDensityGrid:
