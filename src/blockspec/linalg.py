@@ -19,10 +19,25 @@ symbol lookup also searches the libraries it depends on, so nothing new is
 loaded, scipy included.  A full spectrum is dsbtrd, the reduction gate,
 then dsterf, the two steps of dsbevd for eigenvalues only, so it is
 bit-identical to scipy.linalg.eigvals_banded wherever dsbevd would not
-rescale the band.  The symbols are the raw Fortran ones: every
-argument is passed by reference, INTEGERs are 64-bit when numpy's LAPACK is
-ILP64 (numpy.linalg.lapack_lite._ilp64), and the lengths of the CHARACTER
-arguments follow the last argument.
+rescale the band.
+
+The call convention, bound once per routine by `_routine`: the symbols are
+the raw Fortran ones, so every argument is passed by reference.  Arrays are
+typed with numpy.ctypeslib.ndpointer, which checks their dtype (float64, or
+the Fortran INTEGER: 64-bit when numpy's LAPACK is ILP64,
+numpy.linalg.lapack_lite._ilp64) and contiguity before LAPACK runs and
+raises ctypes.ArgumentError otherwise.  Scalars are ctypes instances, an
+argument the call never references is None, and the lengths of the
+CHARACTER arguments follow the last argument.  A negative INFO raises
+ValidationError naming the rejected argument (`_info`).
+
+The safe-range scaling: dsbevd reduces a matrix without scaling it when its
+max |m_ij| lies in [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146, 1e146],
+where the squares of its entries stay finite and normal.  A band or
+tridiagonal outside that range goes to LAPACK as 2^-k times itself, with
+max |m_ij| 2^-k in [1/2, 1) (`_scale_down`), and the results come back
+times 2^k (`_scale_up`): exact unless an entry leaves the normal range, and
+a result beyond the float range raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -32,12 +47,13 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.ctypeslib import ndpointer
 from numpy.linalg import _umath_linalg, lapack_lite
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 
 # Relative asymmetry max |M - M^T| <= SYMMETRY_RTOL max(1, max |M|) that
-# require_symmetric accepts.
+# require_symmetric and asymmetric_blocks accept.
 SYMMETRY_RTOL = 1e-12
 
 # Fortran INTEGER of numpy's LAPACK, and the names its builds give a routine:
@@ -47,26 +63,37 @@ if lapack_lite._ilp64:
 else:
     _INT, _SUFFIX = ctypes.c_int, "_"
 _INT_P = ctypes.POINTER(_INT)
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_DOUBLE = ctypes.c_double
+_DOUBLE_P = ctypes.POINTER(_DOUBLE)
+_CHAR, _LEN, _UNUSED = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p
+_DOUBLES = ndpointer(np.float64, flags="C_CONTIGUOUS")
+_INTS = ndpointer(_INT, flags="C_CONTIGUOUS")
+_DOUBLES_F = ndpointer(np.float64, flags="F_CONTIGUOUS")
+_INTS_F = ndpointer(_INT, flags="F_CONTIGUOUS")
 
-# The range of max |m_ij| that dsbevd reduces without scaling the matrix,
-# [sqrt(safmin / eps), sqrt(eps / safmin)]; tridiagonal_form scales a band
-# outside it so that the squares in its norm check stay finite and normal,
-# and bisect_eigvals and sturm_counts scale a tridiagonal outside it so that
-# the squares of its off-diagonal stay so.
 _SAFE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _SAFE_MAX = 1.0 / _SAFE_MIN
 
 
-def _scale_exponent(size: float) -> int:
-    """0 for a max |entry| `size` that is 0 or in [_SAFE_MIN, _SAFE_MAX],
-    else the k with size 2^-k in [1/2, 1)."""
-    return 0 if size == 0.0 or _SAFE_MIN <= size <= _SAFE_MAX else math.frexp(size)[1]
+def _scale_down(matrix: str, *arrays: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """(`arrays` times 2^-k, k): k is 0 when their max |entry| is 0 or in
+    [_SAFE_MIN, _SAFE_MAX], else it puts that max in [1/2, 1).  A
+    non-finite entry raises ValidationError naming the `matrix`."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"{matrix} has non-finite entries")
+    size = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    k = 0 if size == 0.0 or _SAFE_MIN <= size <= _SAFE_MAX else math.frexp(size)[1]
+    return [np.ldexp(a, -k) for a in arrays], k
 
 
-def _symbols(name: str) -> tuple[str, ...]:
-    """The symbol names numpy's LAPACK builds give routine `name`."""
-    return (f"scipy_{name}{_SUFFIX}", f"{name}{_SUFFIX}")
+def _scale_up(values: list[np.ndarray], k: int, stage: str) -> list[np.ndarray]:
+    """`values` times 2^k; ConvergenceError "<stage> when scaled by 2^k" if
+    one leaves the float range."""
+    with np.errstate(over="ignore"):  # an overflow raises below
+        values = [np.ldexp(v, k) for v in values]
+    if not all(np.isfinite(v).all() for v in values):
+        raise ConvergenceError(f"{stage} when scaled by 2^{k}")
+    return values
 
 
 def _lapack_routine(library: str, symbols: tuple[str, ...], *argtypes):
@@ -86,46 +113,43 @@ def _lapack_routine(library: str, symbols: tuple[str, ...], *argtypes):
     )
 
 
+def _routine(name: str, *argtypes):
+    """numpy's LAPACK routine `name`, under any name its builds give it."""
+    symbols = (f"scipy_{name}{_SUFFIX}", f"{name}{_SUFFIX}")
+    return _lapack_routine(_umath_linalg.__file__, symbols, *argtypes)
+
+
+def _info(name: str, info) -> int:
+    """The INFO value of routine `name`, raising if it rejected an argument."""
+    if info.value < 0:
+        raise ValidationError(f"{name} rejected argument {-info.value}")
+    return info.value
+
+
 # dsbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info, len(vect), len(uplo))
-_DSBTRD = _lapack_routine(
-    _umath_linalg.__file__, _symbols("dsbtrd"),
-    ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
-    _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P,
-    ctypes.c_size_t, ctypes.c_size_t,
+_DSBTRD = _routine(
+    "dsbtrd", _CHAR, _CHAR, _INT_P, _INT_P, _DOUBLES_F, _INT_P, _DOUBLES, _DOUBLES,
+    _UNUSED, _INT_P, _DOUBLES, _INT_P, _LEN, _LEN,
 )
 
 # dsterf(n, d, e, info)
-_DSTERF = _lapack_routine(
-    _umath_linalg.__file__, _symbols("dsterf"), _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P
-)
+_DSTERF = _routine("dsterf", _INT_P, _DOUBLES, _DOUBLES, _INT_P)
 
 # dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
 #        isplit, work, iwork, info, len(range), len(order))
-_DSTEBZ = _lapack_routine(
-    _umath_linalg.__file__, _symbols("dstebz"),
-    ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P,
-    _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
-    _INT_P, _DOUBLE_P, _INT_P, _INT_P, ctypes.c_size_t, ctypes.c_size_t,
+_DSTEBZ = _routine(
+    "dstebz", _CHAR, _CHAR, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P,
+    _DOUBLES, _DOUBLES, _INT_P, _INT_P, _DOUBLES, _INTS, _INTS, _DOUBLES, _INTS, _INT_P,
+    _LEN, _LEN,
 )
 
 # dlaebz(ijob, nitmax, n, mmax, minp, nbmin, abstol, reltol, pivmin, d, e, e2,
 #        nval, ab, c, mout, nab, work, iwork, info)
-_DLAEBZ = _lapack_routine(
-    _umath_linalg.__file__, _symbols("dlaebz"),
-    _INT_P, _INT_P, _INT_P, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
-    _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
-    _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P,
+_DLAEBZ = _routine(
+    "dlaebz", _INT_P, _INT_P, _INT_P, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
+    _DOUBLE_P, _DOUBLES, _DOUBLES, _DOUBLES, _UNUSED, _DOUBLES_F, _UNUSED, _INT_P,
+    _INTS_F, _UNUSED, _UNUSED, _INT_P,
 )
-
-
-def _int(v: int):
-    """A Fortran INTEGER argument, passed by reference."""
-    return ctypes.byref(_INT(v))
-
-
-def _double(v: float):
-    """A Fortran DOUBLE PRECISION argument, passed by reference."""
-    return ctypes.byref(ctypes.c_double(v))
 
 
 class SymmetricBanded:
@@ -169,8 +193,7 @@ def require_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
+    if asymmetric_blocks(m[None]).size:
         raise ValidationError("matrix is not symmetric")
     return m
 
@@ -186,12 +209,8 @@ def eigh_banded(m: SymmetricBanded) -> np.ndarray:
     """
     d, e = tridiagonal_form(m)  # fresh arrays, overwritten by dsterf
     info = _INT(0)
-    _DSTERF(
-        _int(len(d)), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P), ctypes.byref(info)
-    )
-    if info.value < 0:
-        raise ValidationError(f"dsterf rejected argument {-info.value}")
-    if info.value > 0:
+    _DSTERF(_INT(len(d)), d, e, info)
+    if _info("dsterf", info) > 0:
         raise ConvergenceError(
             f"banded eigensolver (dsterf) did not converge: {info.value} off-diagonal "
             "elements of the tridiagonal form did not converge to zero"
@@ -220,38 +239,27 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     a breach raises ConvergenceError naming the stage.  The factor 4 is
     set from measurement: over 1e5 random bands of dim 2-12 the larger
     residual reached 1.34 dim eps (at dim 3), and on the five figure
-    matrices at n = 5000 it stays below 0.01 dim eps.  A band with max
-    |m_ij| outside [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146, 1e146],
-    which dsbevd would rescale, is reduced and checked as 2^-k M with max
-    |m_ij| 2^-k in [1/2, 1), and T is scaled back by 2^k: exact unless an
-    entry leaves the normal range.  A T beyond the float range raises
-    ConvergenceError.
+    matrices at n = 5000 it stays below 0.01 dim eps.  A band outside the
+    safe range is reduced and checked as 2^-k M, and T is scaled back by
+    2^k (the module's safe-range scaling); a T beyond the float range
+    raises ConvergenceError.
     """
     if m.bandwidth >= m.dim:
         raise ValidationError(
             f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use a dense eigensolver"
         )
-    ab = m.scipy_band_upper()  # overwritten by dsbtrd
-    if not np.all(np.isfinite(ab)):
-        raise ValidationError("banded matrix has non-finite entries")
-    scale = _scale_exponent(float(np.abs(ab).max()))
-    np.ldexp(ab, -scale, out=ab)
+    (ab,), scale = _scale_down("banded matrix", m.scipy_band_upper())  # overwritten by dsbtrd
     n, kd = m.dim, m.bandwidth
     trace = float(ab[kd].sum())
     frob_sq = float(np.sum(ab[kd] ** 2) + 2.0 * np.sum(ab[:kd] ** 2))
     d = np.empty(n)
     e = np.empty(max(n - 1, 1))
-    q = np.empty(1)  # not referenced for vect = 'N'
-    work = np.empty(n)
     info = _INT(0)
     _DSBTRD(
-        b"N", b"U", _int(n), _int(kd), ab.ctypes.data_as(_DOUBLE_P), _int(kd + 1),
-        d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-        q.ctypes.data_as(_DOUBLE_P), _int(1), work.ctypes.data_as(_DOUBLE_P),
-        ctypes.byref(info), 1, 1,
+        b"N", b"U", _INT(n), _INT(kd), ab, _INT(kd + 1), d, e, None, _INT(1),
+        np.empty(n), info, 1, 1,
     )
-    if info.value != 0:
-        raise ValidationError(f"dsbtrd rejected argument {-info.value}")
+    _info("dsbtrd", info)
     e = e[: n - 1]
     tol = 4 * n * np.finfo(float).eps * math.sqrt(frob_sq)
     trace_residual = abs(float(d.sum()) - trace)
@@ -267,19 +275,12 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
             f"band reduction (dsbtrd): | ||T||_F^2 - ||M||_F^2 | = {frob_residual:.3e} "
             f"exceeds 4 * dim * eps * ||M||_F^2 = {tol * math.sqrt(frob_sq):.3e}"
         )
-    with np.errstate(over="ignore"):  # an overflow raises below
-        t = Tridiagonal(np.ldexp(d, scale), np.ldexp(e, scale))
-    if not (np.isfinite(t.d).all() and np.isfinite(t.e).all()):
-        raise ConvergenceError(f"band reduction (dsbtrd): T overflows when scaled by 2^{scale}")
-    return t
+    return Tridiagonal(*_scale_up([d, e], scale, "band reduction (dsbtrd): T overflows"))
 
 
-def _lapack_tridiagonal(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray, int]:
-    """(d, e, k): t's d and e times 2^-k as float64 arrays of length dim, e
-    padded with a zero.  k is 0 unless max |t_ij| lies outside
-    [_SAFE_MIN, _SAFE_MAX] (`_scale_exponent`), so the squares of e stay
-    finite and normal; the scaling is exact unless an entry leaves the
-    normal range."""
+def _lapack_tridiagonal(t: Tridiagonal) -> tuple[list[np.ndarray], int]:
+    """([d, e], k): t's d and e as float64 arrays of length dim, e padded
+    with a zero, scaled down by 2^-k into the safe range (`_scale_down`)."""
     d = np.asarray(t.d, dtype=float)
     n = len(d)
     if d.ndim != 1 or n < 1 or np.shape(t.e) != (n - 1,):
@@ -289,8 +290,7 @@ def _lapack_tridiagonal(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray, int]:
         )
     e = np.zeros(n)
     e[: n - 1] = t.e
-    scale = _scale_exponent(max(float(np.abs(d).max()), float(np.abs(e).max())))
-    return np.ldexp(d, -scale), np.ldexp(e, -scale), scale
+    return _scale_down("tridiagonal matrix", d, e)
 
 
 def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
@@ -299,41 +299,29 @@ def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
     LAPACK dstebz with RANGE = 'I' finds them by Sturm-count bisection to
     about two ulps relative, at O(dim) per count, with the GIL released.
     Its info code and the number of values it returns are checked.  A t
-    with max |t_ij| outside [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146,
-    1e146] is bisected as 2^-k t, scaled as in `tridiagonal_form`, and the
-    values are scaled back by 2^k; values beyond the float range raise
-    ConvergenceError.
+    outside the safe range is bisected as 2^-k t and the values are scaled
+    back by 2^k (the module's safe-range scaling); values beyond the float
+    range raise ConvergenceError.
     """
-    d, e, scale = _lapack_tridiagonal(t)
+    (d, e), scale = _lapack_tridiagonal(t)
     n = len(d)
     if not 1 <= il <= iu <= n:
         raise ValidationError(f"need 1 <= il <= iu <= dim = {n}, got il = {il}, iu = {iu}")
     w = np.empty(n)
-    iblock = np.empty(n, dtype=_INT)
-    isplit = np.empty(n, dtype=_INT)
-    work = np.empty(4 * n)
-    iwork = np.empty(3 * n, dtype=_INT)
-    found, nsplit, info = _INT(0), _INT(0), _INT(0)
+    found, info = _INT(0), _INT(0)
     _DSTEBZ(
-        b"I", b"E", _int(n), _double(0.0), _double(0.0), _int(il), _int(iu),
-        _double(2.0 * np.finfo(float).tiny), d.ctypes.data_as(_DOUBLE_P),
-        e.ctypes.data_as(_DOUBLE_P), ctypes.byref(found), ctypes.byref(nsplit),
-        w.ctypes.data_as(_DOUBLE_P), iblock.ctypes.data_as(_INT_P),
-        isplit.ctypes.data_as(_INT_P), work.ctypes.data_as(_DOUBLE_P),
-        iwork.ctypes.data_as(_INT_P), ctypes.byref(info), 1, 1,
+        b"I", b"E", _INT(n), _DOUBLE(0.0), _DOUBLE(0.0), _INT(il), _INT(iu),
+        _DOUBLE(2.0 * np.finfo(float).tiny), d, e, found, _INT(0), w,
+        np.empty(n, dtype=_INT), np.empty(n, dtype=_INT), np.empty(4 * n),
+        np.empty(3 * n, dtype=_INT), info, 1, 1,
     )
-    if info.value < 0:
-        raise ValidationError(f"dstebz rejected argument {-info.value}")
-    if info.value > 0:
+    if _info("dstebz", info) > 0:
         raise ConvergenceError(f"bisection (dstebz) failed with info = {info.value}")
     if found.value != iu - il + 1:
         raise ConvergenceError(
             f"bisection (dstebz) returned {found.value} eigenvalues for indices {il}..{iu}"
         )
-    with np.errstate(over="ignore"):  # an overflow raises below
-        values = np.ldexp(w[: found.value], scale)
-    if not np.isfinite(values).all():
-        raise ConvergenceError(f"bisection (dstebz): eigenvalues overflow when scaled by 2^{scale}")
+    (values,) = _scale_up([w[: found.value]], scale, "bisection (dstebz): eigenvalues overflow")
     return values
 
 
@@ -346,11 +334,13 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     released.  As in dstebz, a pivot smaller in magnitude than pivmin =
     tiny max(1, max e_i^2) is replaced by -pivmin, so a pivot that is
     exactly 0 cannot break the count.  Counts do not change when T and x
-    are both scaled by 2^-k, so a t outside the range that `bisect_eigvals`
-    scales is counted as 2^-k t at 2^-k x.
+    are both scaled by 2^-k, so a t outside the safe range is counted as
+    2^-k t at 2^-k x.  A NaN point is rejected; +-inf count as 0 and dim.
     """
-    d, e, scale = _lapack_tridiagonal(t)
+    (d, e), scale = _lapack_tridiagonal(t)
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValidationError("Sturm count points must not be NaN")
     if len(x) == 0:
         return np.zeros(0, dtype=np.intp)
     # dlaebz counts at both ends of each interval: consecutive points make
@@ -361,18 +351,13 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     nab = np.empty(ab.shape, dtype=_INT, order="F")
     e2 = e * e
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))
-    unused = np.empty(intervals)  # nval, c, work and iwork, for ijob = 1
-    mout, info = _INT(0), _INT(0)
+    info = _INT(0)
     _DLAEBZ(
-        _int(1), _int(0), _int(len(d)), _int(intervals), _int(intervals), _int(0),
-        _double(0.0), _double(0.0), _double(pivmin), d.ctypes.data_as(_DOUBLE_P),
-        e.ctypes.data_as(_DOUBLE_P), e2.ctypes.data_as(_DOUBLE_P),
-        unused.ctypes.data_as(_INT_P), ab.ctypes.data_as(_DOUBLE_P),
-        unused.ctypes.data_as(_DOUBLE_P), ctypes.byref(mout), nab.ctypes.data_as(_INT_P),
-        unused.ctypes.data_as(_DOUBLE_P), unused.ctypes.data_as(_INT_P), ctypes.byref(info),
+        _INT(1), _INT(0), _INT(len(d)), _INT(intervals), _INT(intervals), _INT(0),
+        _DOUBLE(0.0), _DOUBLE(0.0), _DOUBLE(pivmin), d, e, e2,
+        None, ab, None, _INT(0), nab, None, None, info,
     )
-    if info.value != 0:
-        raise ValidationError(f"dlaebz rejected argument {-info.value}")
+    _info("dlaebz", info)
     return nab.reshape(-1)[: len(x)].astype(np.intp)
 
 
@@ -435,3 +420,10 @@ def singular_blocks(a: np.ndarray) -> np.ndarray:
         | (logdet <= math.log(1e-12) + p * np.log(norm) + 1e-9)
         | (sigma_min <= math.sqrt(p * (p + 1) / 2.0) * 1e-12 * norm)
     )
+
+
+def asymmetric_blocks(a: np.ndarray) -> np.ndarray:
+    """Indices of the blocks X of a stack a of shape (m, p, p) with
+    max |X - X^T| > SYMMETRY_RTOL max(1, max |X|), ascending."""
+    asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    return np.flatnonzero(asym > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2), initial=1.0))

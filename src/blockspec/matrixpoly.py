@@ -24,15 +24,15 @@ import numpy as np
 
 from .ensemble import GammaWeights, check_size
 from .errors import NumericalError, ValidationError
-from .linalg import SymmetricBanded, eigh_banded, singular_blocks
+from .linalg import SymmetricBanded, asymmetric_blocks, eigh_banded, singular_blocks
 
 
 class RecurrenceCoeffs:
     """Stacks A (m, p, p) of A_1..A_m and B (m, p, p) of B_0..B_{m-1}.
 
-    All blocks must be finite and symmetric (max |X - X^T| <= 1e-12
-    max(1, max |X|)), and no A_i may be singular by the condition that
-    `linalg.singular_blocks` states.
+    All blocks must be finite and symmetric by the condition that
+    `linalg.asymmetric_blocks` states, and no A_i may be singular by the
+    condition that `linalg.singular_blocks` states.
     """
 
     def __init__(self, p: int, m: int, A: np.ndarray, B: np.ndarray):
@@ -48,8 +48,7 @@ class RecurrenceCoeffs:
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValidationError("coefficient blocks must be finite")
         for name, blocks in (("A", self.A), ("B", self.B)):
-            asym = np.abs(blocks - blocks.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-            bad = np.flatnonzero(asym > 1e-12 * np.abs(blocks).max(axis=(1, 2), initial=1.0))
+            bad = asymmetric_blocks(blocks)
             if bad.size:
                 raise ValidationError(f"{name} block {bad[0]} is not symmetric")
         bad = singular_blocks(self.A)

@@ -1,14 +1,15 @@
-"""Property tests of the `density`, `compare` and `gap` commands over their
-flag grammar.
+"""Property tests of the `density`, `compare`, `gap` and `figure` commands
+over their flag grammar.
 
-`compare` and `gap` run the density table, the roots solves and the sampled
-solves through one `map_trials` pool, and all three commands check their
-arguments before any work starts.  Every argv drawn from their flags must end
-in exit 0, 2 or 3 with one line on stderr for a failure, no traceback, no
-warning and no file left behind.  Exit 0 must write strict JSON, which holds
-only finite numbers, and for `density` a CSV of finite values whose CDF runs
-from exactly 0.0 to exactly 1.0.  Sizes stay small (n <= 60, trials <= 3,
-grid 100-200) so that an example takes a fraction of a second.
+`compare`, `gap` and `figure` run the density table and their solves through
+one `map_trials` pool, and all four commands check their arguments before any
+work starts.  Every argv drawn from their flags must end in exit 0, 2 or 3
+with one line on stderr for a failure, no traceback, no warning and no file
+left behind.  Exit 0 must write strict JSON, which holds only finite numbers,
+and CSVs of finite values; for `density` the CDF runs from exactly 0.0 to
+exactly 1.0.  Sizes stay small (n <= 60, trials <= 3, grid 100-200) so that
+an example takes a fraction of a second.  `figure` takes its p, weights and
+n from `cli.FIGURES`, which each example replaces by a drawn configuration.
 """
 
 import contextlib
@@ -18,9 +19,11 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
+from blockspec import cli
 from blockspec.cli import run
 from tests.test_oracle_property import MAGNITUDES, strict_json
 from tests.test_spectrum_property import SEED, sometimes
@@ -35,15 +38,22 @@ SETTINGS = settings(max_examples=50, deadline=None, database=None, derandomize=T
 
 
 @st.composite
-def weight_flags(draw):
-    """(p, ["--p=..", "--gamma=.."]); about one time in four the weights are
-    wrong in count or sign, or empty."""
+def weights(draw):
+    """(p, gamma); about one time in four the weights are wrong in count or
+    sign, or empty."""
     p = draw(st.integers(min_value=1, max_value=3))
     gamma = draw(st.lists(WEIGHT, min_size=p, max_size=p))
     gamma = sometimes(
         draw, gamma,
         st.sampled_from([gamma[1:], [*gamma, 1.0], [0.0, *gamma[1:]], [-1.0, *gamma[1:]]]),
     )
+    return p, gamma
+
+
+@st.composite
+def weight_flags(draw):
+    """(p, ["--p=..", "--gamma=.."]) for weights()."""
+    p, gamma = draw(weights())
     # the --flag=value form keeps a leading minus from reading as a flag
     return p, [f"--p={p}", "--gamma=" + ",".join(repr(g) for g in gamma)]
 
@@ -92,6 +102,16 @@ def gap_argv(draw):
         )
     )
     return argv if epsilon is None else [*argv, f"--epsilon={epsilon!r}"]
+
+
+@st.composite
+def figure_case(draw):
+    """(the FIGURES entry to replace, its drawn (p, gamma, n), argv)."""
+    name = draw(st.sampled_from(sorted(cli.FIGURES)))
+    p, gamma = draw(weights())
+    seed = sometimes(draw, draw(SEED), st.sampled_from([-1, 2**64]))
+    argv = ["figure", f"--name={name}", f"--seed={seed}", *table_flags(draw)]
+    return name, (p, tuple(gamma), size(draw, p)), argv
 
 
 def run_checked(argv: list[str], out: str, tmp: str) -> int:
@@ -156,3 +176,20 @@ def test_gap_exit_contract(argv):
         assert [row["n"] for row in report["tail_checks"]] == sizes
         for row in report["gap_table"]:
             assert len(row["max_gaps"]) == report["config"]["trials"]
+
+
+# about one example in four reaches exit 0, so more examples than the rest
+@settings(SETTINGS, max_examples=150)
+@given(case=figure_case())
+def test_figure_exit_contract(case):
+    name, config, argv = case
+    with tempfile.TemporaryDirectory() as tmp, patch.dict(cli.FIGURES, {name: config}):
+        if run_checked(argv, "o", tmp) != 0:
+            return
+        sidecar = strict_json(Path(tmp, "o.json").read_text())
+        assert sidecar["figure"] == name and sidecar["n"] == config[2]
+        for csv in ("o_hist.csv", "o_density.csv"):
+            lines = Path(tmp, csv).read_text().splitlines()
+            cells = [float(cell) for line in lines[1:] for cell in line.split(",")]
+            assert cells and all(math.isfinite(x) for x in cells)
+        assert sorted(os.listdir(tmp)) == ["o.json", "o_density.csv", "o_hist.csv"]

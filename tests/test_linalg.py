@@ -13,6 +13,7 @@ runs dsbevd, is its bit-exact oracle here wherever dsbevd does not rescale
 the band.
 """
 
+import ctypes
 import threading
 import time
 
@@ -28,6 +29,7 @@ from blockspec.linalg import (
     Tridiagonal,
     bisect_eigvals,
     eigh_banded,
+    require_symmetric,
     spd_inv_sqrt,
     sturm_counts,
     tridiagonal_form,
@@ -127,7 +129,7 @@ class TestEighBanded:
 
     def test_rejected_argument(self, monkeypatch):
         def rejects(*args):
-            args[3]._obj.value = -2
+            args[3].value = -2
 
         monkeypatch.setattr(linalg, "_DSTERF", rejects)
         with pytest.raises(ValidationError, match="dsterf rejected argument 2"):
@@ -135,7 +137,7 @@ class TestEighBanded:
 
     def test_failure_code_is_convergence_error(self, monkeypatch):
         def fails(*args):
-            args[3]._obj.value = 1
+            args[3].value = 1
 
         monkeypatch.setattr(linalg, "_DSTERF", fails)
         with pytest.raises(ConvergenceError, match="dsterf"):
@@ -181,6 +183,39 @@ class TestEighBanded:
         idle = iterations_per_second(lambda: time.sleep(0.2))
         during_solve = iterations_per_second(lambda: eigh_banded(m))
         assert during_solve >= 0.3 * idle
+
+
+def accepted(argtype):
+    """An argument that a LAPACK binding converts for `argtype`."""
+    if hasattr(argtype, "_dtype_"):  # an ndpointer; shape (1, 1) is C and F contiguous
+        return np.zeros((1, 1), dtype=argtype._dtype_)
+    if argtype in (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p):
+        return {ctypes.c_char_p: b"N", ctypes.c_size_t: 1, ctypes.c_void_p: None}[argtype]
+    return argtype._type_()  # an instance, which a POINTER type passes by reference
+
+
+ARRAY_ARGUMENTS = [
+    pytest.param(name, index, id=f"{name[1:].lower()}-{index + 1}")
+    for name in ("_DSBTRD", "_DSTERF", "_DSTEBZ", "_DLAEBZ")
+    for index, argtype in enumerate(getattr(linalg, name).argtypes)
+    if hasattr(argtype, "_dtype_")
+]
+
+
+@pytest.mark.parametrize("kind", ["float32", "other-kind", "strided"])
+@pytest.mark.parametrize("name,index", ARRAY_ARGUMENTS)
+def test_bindings_check_their_arrays(name, index, kind):
+    # ctypes converts every argument before the call, so LAPACK never runs
+    routine = getattr(linalg, name)
+    args = [accepted(argtype) for argtype in routine.argtypes]
+    dtype = routine.argtypes[index]._dtype_
+    args[index] = {
+        "float32": np.zeros(2, dtype=np.float32),
+        "other-kind": np.zeros(2, dtype=linalg._INT if dtype == np.float64 else np.float64),
+        "strided": np.zeros(4, dtype=dtype)[::2],
+    }[kind]
+    with pytest.raises(ctypes.ArgumentError, match=f"argument {index + 1}:"):
+        routine(*args)
 
 
 def perturb_reduction(monkeypatch, index, delta):
@@ -290,7 +325,7 @@ class TestTridiagonalForm:
 
     def test_rejected_argument(self, monkeypatch):
         def rejects(*args):
-            args[11]._obj.value = -4
+            args[11].value = -4
 
         monkeypatch.setattr(linalg, "_DSBTRD", rejects)
         with pytest.raises(ValidationError, match="dsbtrd rejected argument 4"):
@@ -378,9 +413,32 @@ class TestBisectionAndSturmCounts:
         with pytest.raises(ValidationError, match="off-diagonal"):
             sturm_counts(Tridiagonal(d, e), np.zeros(1))
 
+    @pytest.mark.parametrize(
+        "d,e",
+        [
+            ([np.nan, 1.0], [1.0]),
+            ([-np.inf, 0.0], [1.0]),
+            ([0.0, 0.0], [np.inf]),
+            ([0.0, 0.0], [np.nan]),
+        ],
+    )
+    def test_non_finite_tridiagonal_rejected(self, d, e):
+        t = Tridiagonal(np.array(d), np.array(e))
+        with pytest.raises(ValidationError, match="non-finite"):
+            bisect_eigvals(t, 1, 1)
+        with pytest.raises(ValidationError, match="non-finite"):
+            sturm_counts(t, np.array([0.0, 3.0]))
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, np.nan], [0.0, np.nan]])
+    def test_nan_point_rejected(self, x):
+        t = Tridiagonal(np.zeros(2), np.ones(1))
+        assert sturm_counts(t, np.array([-np.inf, np.inf])).tolist() == [0, 2]
+        with pytest.raises(ValidationError, match="NaN"):
+            sturm_counts(t, np.array(x))
+
     def test_failure_code_is_convergence_error(self, monkeypatch):
         def fails(*args):
-            args[17]._obj.value = 1
+            args[17].value = 1
 
         monkeypatch.setattr(linalg, "_DSTEBZ", fails)
         with pytest.raises(ConvergenceError, match="dstebz"):
@@ -388,7 +446,7 @@ class TestBisectionAndSturmCounts:
 
     def test_count_rejected_argument(self, monkeypatch):
         def rejects(*args):
-            args[19]._obj.value = -3
+            args[19].value = -3
 
         monkeypatch.setattr(linalg, "_DLAEBZ", rejects)
         with pytest.raises(ValidationError, match="dlaebz rejected argument 3"):
@@ -399,7 +457,7 @@ class TestBisectionAndSturmCounts:
 
         def short(*args):
             solve(*args)
-            args[10]._obj.value -= 1
+            args[10].value -= 1
 
         monkeypatch.setattr(linalg, "_DSTEBZ", short)
         with pytest.raises(ConvergenceError, match="returned 1 eigenvalues for indices 2..3"):
@@ -443,6 +501,17 @@ class TestSpdInvSqrt:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="not symmetric"):
             spd_inv_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("size", [1e-3, 1.0, 1e6])
+    def test_asymmetry_is_relative_to_max_1_and_the_block(self, size):
+        # the rule that require_symmetric and asymmetric_blocks share
+        tol = linalg.SYMMETRY_RTOL * max(1.0, size)
+        inside = np.array([[size, size], [size - 0.5 * tol, 0.0]])
+        outside = np.array([[size, size], [size - 2.0 * tol, 0.0]])
+        assert linalg.asymmetric_blocks(np.stack([inside, outside, inside])).tolist() == [1]
+        require_symmetric(inside)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            require_symmetric(outside)
 
     def test_residual_check(self, monkeypatch):
         # numpy's decomposition passes the 1e-12 * max(1, ||M||_2) backward
