@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, check_size
-from .errors import ConvergenceError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .harness import (
     approx_gap,
     check_epsilon,
@@ -46,48 +46,54 @@ FIGURES = {
 }
 
 
-def _parse_gamma(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, convert, what: str) -> list:
     try:
-        return tuple(float(part) for part in text.split(","))
+        return [convert(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"could not parse --gamma {text!r}: {exc}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"could not parse integer list {text!r}: {exc}") from exc
+        raise ValidationError(f"could not parse {what} {text!r}: {exc}") from exc
 
 
 def _weights(p: int, gamma_text: str) -> GammaWeights:
-    gamma = _parse_gamma(gamma_text)
+    gamma = _parse_list(gamma_text, float, "--gamma")
     if len(gamma) != p:
         raise ValidationError(f"--gamma lists {len(gamma)} values but --p is {p}")
     return GammaWeights(p=p, gamma=gamma)
 
 
-def _prepare_out(out: str | Path) -> Path:
-    path = Path(out)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_with_sidecar(out: str, write, table, sidecar: dict) -> int:
-    """Write a table with `write` and its JSON sidecar next to it."""
-    path = _prepare_out(out)
-    write(path, table)
-    formats.write_json(path.with_suffix(".json"), sidecar)
-    print(f"wrote {path} and {path.with_suffix('.json')}")
+def _write(*outputs) -> int:
+    """Write each output `(path, writer, *data)` as `writer(path, *data)` in its
+    created parent directory, all or nothing: if a write raises, the files already
+    written are removed and it propagates.  Prints "wrote" and the paths as given."""
+    written: list[Path] = []
+    try:
+        for path, writer, *data in outputs:
+            path = Path(path)
+            if path.parent != Path("."):
+                path.parent.mkdir(parents=True, exist_ok=True)
+            writer(path, *data)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    *rest, last = [str(path) for path, *_ in outputs]
+    print(f"wrote {', '.join(rest)} and {last}" if rest else f"wrote {last}")
     return 0
+
+
+def _sidecar(path: Path, payload: dict) -> tuple:
+    """The output that writes `payload` as the JSON sidecar of the table at `path`."""
+    return path.with_suffix(".json"), formats.write_json, payload
 
 
 def _write_spectrum(args: argparse.Namespace, spectrum: EmpiricalSpectrum) -> int:
     if args.scaled:
         spectrum = spectrum.to_scaled()
-    sidecar = formats.spectrum_sidecar(spectrum)
-    return _write_with_sidecar(args.out, formats.write_spectrum_csv, spectrum, sidecar)
+    path = Path(args.out)
+    return _write(
+        (path, formats.write_spectrum_csv, spectrum),
+        _sidecar(path, formats.spectrum_sidecar(spectrum)),
+    )
 
 
 def _roots_spectrum(coeffs: RecurrenceCoeffs, w: GammaWeights) -> EmpiricalSpectrum:
@@ -112,14 +118,16 @@ def cmd_density(args: argparse.Namespace) -> int:
     model = LimitModel.from_gamma(_weights(args.p, args.gamma))
     density = density_grid(model, args.grid, args.quad_tol)
     sidecar = {**formats.density_sidecar(density), "quad_err_est": density.quad_err_est}
-    return _write_with_sidecar(args.out, formats.write_density_csv, density, sidecar)
+    path = Path(args.out)
+    return _write((path, formats.write_density_csv, density), _sidecar(path, sidecar))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     density = oracle_density(_weights(args.p, args.gamma), args.grid, args.quad_tol)
     kind = "semicircle" if density.p == 1 else "arcsine-mixture"
     sidecar = {**formats.density_sidecar(density), "kind": kind}
-    return _write_with_sidecar(args.out, formats.write_density_csv, density, sidecar)
+    path = Path(args.out)
+    return _write((path, formats.write_density_csv, density), _sidecar(path, sidecar))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -176,14 +184,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             },
         },
     }
-    formats.write_json(_prepare_out(args.out), report)
-    print(f"wrote {args.out}")
-    return 0
+    return _write((args.out, formats.write_json, report))
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    n_list = _parse_int_list(args.n_list)
+    n_list = _parse_list(args.n_list, int, "integer list")
     check_epsilon(args.epsilon)
     table = []
     tail_checks = []
@@ -211,9 +217,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
         "gap_table": table,
         "tail_checks": tail_checks,
     }
-    formats.write_json(_prepare_out(args.out), report)
-    print(f"wrote {args.out}")
-    return 0
+    return _write((args.out, formats.write_json, report))
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -228,22 +232,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     ]
     try:
         density, histogram = map_trials(tasks)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"figure {args.name}: {exc}") from exc
+    except NumericalError as exc:
+        raise NumericalError(f"figure {args.name}: {exc}") from exc
     edges = histogram.edges
     centers = (edges[:-1] + edges[1:]) / 2.0
-
-    base = _prepare_out(args.out or args.name)
-    hist_path = base.parent / f"{base.name}_hist.csv"
-    density_path = base.parent / f"{base.name}_density.csv"
-    sidecar_path = base.parent / f"{base.name}.json"
-    formats.write_histogram_csv(hist_path, centers, histogram.density)
-    formats.write_density_csv(density_path, density)
-    binning = {
-        "rule": "freedman-diaconis",
-        "bins": int(len(centers)),
-        "bin_width": float(edges[1] - edges[0]),
-    }
+    binning = {"rule": "freedman-diaconis", "bins": int(len(centers)),
+               "bin_width": float(edges[1] - edges[0])}
     # p and gamma repeat in the density sidecar with equal values and keep
     # their first position
     sidecar = {
@@ -252,9 +246,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
         "binning": binning,
         **formats.density_sidecar(density),
     }
-    formats.write_json(sidecar_path, sidecar)
-    print(f"wrote {hist_path}, {density_path} and {sidecar_path}")
-    return 0
+    base = Path(args.out or args.name)
+    return _write(
+        (base.parent / f"{base.name}_hist.csv", formats.write_histogram_csv,
+         centers, histogram.density),
+        (base.parent / f"{base.name}_density.csv", formats.write_density_csv, density),
+        (base.parent / f"{base.name}.json", formats.write_json, sidecar),
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,68 +297,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, n=False, gamma=True, seed=False):
+    def command(name, func, help, *, n=False, weights=True, p_choices=None,
+                seed=False, trials=None, quad_tol=None, scaled=False, out, out_help=None):
+        """The subparser `name` with the flags it shares with other commands."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
         if n:
             sp.add_argument("--n", type=int, required=True, help="matrix size")
-        if gamma:
-            sp.add_argument("--p", type=int, required=True, help="block size")
+        if weights:
+            sp.add_argument("--p", type=int, required=True, choices=p_choices, help="block size")
             sp.add_argument("--gamma", required=True, help="comma-separated weights")
         if seed:
             sp.add_argument("--seed", type=int, default=0, help="master seed")
+        if trials is not None:
+            sp.add_argument("--trials", type=int, default=trials)
+        if quad_tol is not None:
+            sp.add_argument("--grid", type=int, default=400, help="grid intervals")
+            sp.add_argument("--quad-tol", type=float, default=quad_tol)
+        if scaled:
+            sp.add_argument("--scaled", action="store_true", help="divide by sqrt(n)")
+        sp.add_argument("--out", default=out, help=out_help)
+        return sp
 
-    sp = sub.add_parser("sample", help="eigenvalues of one sampled matrix")
-    add_common(sp, n=True, seed=True)
+    sp = command("sample", cmd_sample, "eigenvalues of one sampled matrix",
+                 n=True, seed=True, scaled=True, out="spectrum.csv")
     sp.add_argument("--stream", type=int, default=0, help="seed stream index")
-    sp.add_argument("--scaled", action="store_true", help="divide by sqrt(n)")
-    sp.add_argument("--out", default="spectrum.csv")
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("roots", help="deterministic polynomial roots")
-    add_common(sp, n=True)
-    sp.add_argument("--scaled", action="store_true", help="divide by sqrt(n)")
-    sp.add_argument("--out", default="roots.csv")
-    sp.set_defaults(func=cmd_roots)
-
-    sp = sub.add_parser("density", help="tabulated limiting spectral density")
-    add_common(sp)
-    sp.add_argument("--grid", type=int, default=400, help="grid intervals")
-    sp.add_argument("--quad-tol", type=float, default=1e-6)
-    sp.add_argument("--out", default="density.csv")
-    sp.set_defaults(func=cmd_density)
-
-    sp = sub.add_parser("oracle", help="closed-form density (p = 1 or 2)")
-    sp.add_argument("--p", type=int, required=True, choices=(1, 2))
-    sp.add_argument("--gamma", required=True, help="comma-separated weights")
-    sp.add_argument("--grid", type=int, default=400, help="grid intervals")
-    sp.add_argument("--quad-tol", type=float, default=1e-10)
-    sp.add_argument("--out", default="oracle.csv")
-    sp.set_defaults(func=cmd_oracle)
-
-    sp = sub.add_parser("compare", help="KS and Levy-bound report over trials")
-    add_common(sp, n=True, seed=True)
-    sp.add_argument("--trials", type=int, default=5)
-    sp.add_argument("--grid", type=int, default=400, help="grid intervals")
-    sp.add_argument("--quad-tol", type=float, default=1e-6)
-    sp.add_argument("--out", default="compare.json")
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("gap", help="uniform-gap table and tail-bound check")
+    command("roots", cmd_roots, "deterministic polynomial roots",
+            n=True, scaled=True, out="roots.csv")
+    command("density", cmd_density, "tabulated limiting spectral density",
+            quad_tol=1e-6, out="density.csv")
+    command("oracle", cmd_oracle, "closed-form density (p = 1 or 2)",
+            p_choices=(1, 2), quad_tol=1e-10, out="oracle.csv")
+    command("compare", cmd_compare, "KS and Levy-bound report over trials",
+            n=True, seed=True, trials=5, quad_tol=1e-6, out="compare.json")
+    sp = command("gap", cmd_gap, "uniform-gap table and tail-bound check",
+                 seed=True, trials=20, out="gap.json")
     sp.add_argument("--n-list", required=True, help="comma-separated sizes")
-    sp.add_argument("--p", type=int, required=True, help="block size")
-    sp.add_argument("--gamma", required=True, help="comma-separated weights")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0, help="master seed")
     sp.add_argument("--epsilon", type=float, default=30.0, help="tail threshold")
-    sp.add_argument("--out", default="gap.json")
-    sp.set_defaults(func=cmd_gap)
-
-    sp = sub.add_parser("figure", help="histogram + density data for a figure")
+    sp = command("figure", cmd_figure, "histogram + density data for a figure",
+                 weights=False, seed=True, quad_tol=1e-6, out=None,
+                 out_help="output base path (default: figure name)")
     sp.add_argument("--name", required=True, choices=sorted(FIGURES))
-    sp.add_argument("--seed", type=int, default=0, help="master seed")
-    sp.add_argument("--grid", type=int, default=400, help="grid intervals")
-    sp.add_argument("--quad-tol", type=float, default=1e-6)
-    sp.add_argument("--out", default=None, help="output base path (default: figure name)")
-    sp.set_defaults(func=cmd_figure)
 
     return parser
 

@@ -12,7 +12,8 @@ counts eigenvalues per bin instead of computing them all.  The tasks run on
 threads, and the LAPACK calls that dominate them release the GIL (see
 `linalg`).  Statistics are computed from the
 assembled results afterwards.  Theorem-style gap quantities are unscaled;
-weak-convergence quantities divide by sqrt(n) (`EmpiricalSpectrum.to_scaled`).
+weak-convergence quantities divide by sqrt(n): a spectrum through
+`EmpiricalSpectrum.to_scaled`, while `spectrum_histogram` divides T itself.
 Every spectrum carries a `scaled` flag to keep the two apart.
 """
 

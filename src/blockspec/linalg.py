@@ -335,10 +335,12 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     tiny max(1, max e_i^2) is replaced by -pivmin, so a pivot that is
     exactly 0 cannot break the count.  Counts do not change when T and x
     are both scaled by 2^-k, so a t outside the safe range is counted as
-    2^-k t at 2^-k x.  A NaN point is rejected; +-inf count as 0 and dim.
+    2^-k t at 2^-k x.  x must be 1-d without NaN; +-inf count as 0 and dim.
     """
     (d, e), scale = _lapack_tridiagonal(t)
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"Sturm count points must be 1-d, got shape {x.shape}")
     if np.isnan(x).any():
         raise ValidationError("Sturm count points must not be NaN")
     if len(x) == 0:

@@ -180,7 +180,6 @@ _RULE_W = np.array([
     0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
     0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
 ])
-_MIN_PANEL = 1e-14  # narrower u-panels are skipped
 _MAX_DEPTH = 8  # the kernel's depth limit in `_bisect`
 _ROUNDING = 64 * np.finfo(float).eps  # relative rounding level of a panel integral
 _CHUNK_PANELS = 64  # panels per batched eigh call (64 * 48 matrices)
@@ -330,7 +329,7 @@ def _density_table(
     past = np.where(kinks >= u_max, kinks, np.inf).min(axis=1, initial=np.inf)
     past = np.where(np.isfinite(past), past, u_max)
     a, b = edges[:, :-1], edges[:, 1:]
-    keep = b - a >= _MIN_PANEL
+    keep = b > a
     row = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
     end = np.where(b == u_max, past[row], b)

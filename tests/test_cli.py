@@ -164,6 +164,22 @@ class TestSubcommands:
         assert np.sum(heights) * width == pytest.approx(1.0, abs=1e-9)
         assert abs(np.trapezoid(table.density, table.grid) - 1.0) <= 1e-3
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["sample", "--n", "8", "--p", "1", "--gamma", "2", "--out", "sub/s.csv"],
+             "wrote sub/s.csv and sub/s.json"),
+            (["gap", "--n-list", "8", "--p", "1", "--gamma", "2", "--trials", "2",
+              "--out", "./g.json"], "wrote ./g.json"),
+            (["figure", "--name", "fig1", "--grid", "100", "--out", "sub/f"],
+             "wrote sub/f_hist.csv, sub/f_density.csv and sub/f.json"),
+        ],
+        ids=["sample", "gap", "figure"],
+    )
+    def test_wrote_line_lists_every_output(self, tmp_path, monkeypatch, capsys, argv, line):
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     def test_figure_makes_no_full_solve(self, tmp_path, monkeypatch, solve_sizes):
         # the histogram comes from bisection and Sturm counts on the
         # tridiagonal reduction, never from all n eigenvalues
@@ -206,6 +222,16 @@ class TestSubcommands:
             "numerical failure: figure fig1: band reduction (dsbtrd): "
             "| ||T||_F^2 - ||M||_F^2 | = "
         )
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figure_quadrature_failure_names_the_figure(self, tmp_path, monkeypatch, capsys):
+        # on one thread the density table fails before the sampled solve starts
+        monkeypatch.setenv("BLOCKSPEC_THREADS", "1")
+        argv = ["figure", "--name", "fig1", "--grid", "100", "--quad-tol", "1e-300"]
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: figure fig1: limit density quadrature")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -684,6 +710,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "blocker" in err
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    @pytest.mark.parametrize(
+        "argv,blocked",
+        [
+            (["sample", "--n", "8", "--p", "1", "--gamma", "2", "--out", "s.csv"], "s.json"),
+            (["density", "--p", "1", "--gamma", "2", "--grid", "100", "--out", "d.csv"],
+             "d.json"),
+            (["figure", "--name", "fig1", "--grid", "100", "--out", "f"], "f.json"),
+            (["figure", "--name", "fig1", "--grid", "100", "--out", "f"], "f_density.csv"),
+        ],
+        ids=["sample-sidecar", "density-sidecar", "figure-sidecar", "figure-density"],
+    )
+    def test_blocked_output_leaves_no_output(self, tmp_path, monkeypatch, capsys, argv, blocked):
+        # a directory where one output should go: the outputs written before
+        # it are removed again, so the command leaves all of them or none
+        (tmp_path / blocked).mkdir()
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert repr(blocked) in err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
 
 class TestDeterminism:

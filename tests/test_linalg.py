@@ -436,6 +436,13 @@ class TestBisectionAndSturmCounts:
         with pytest.raises(ValidationError, match="NaN"):
             sturm_counts(t, np.array(x))
 
+    @pytest.mark.parametrize("x", [1.0, np.zeros((2, 2))], ids=["0-d", "2-d"])
+    def test_non_vector_points_rejected(self, x):
+        # a (2, 2) array must not be read as its first two flattened points
+        t = Tridiagonal(np.zeros(2), np.ones(1))
+        with pytest.raises(ValidationError, match="1-d"):
+            sturm_counts(t, x)
+
     def test_failure_code_is_convergence_error(self, monkeypatch):
         def fails(*args):
             args[17].value = 1

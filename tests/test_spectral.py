@@ -689,6 +689,15 @@ class TestDensityKernel:
         ):
             assert density_at(model, t, 1e-9) == pytest.approx(reference, abs=1e-9)
 
+    def test_narrow_panel_is_integrated(self):
+        # at t = -4.999999999999995, just inside the support edge -5, a kink
+        # lies 7.8e-16 below u_max, and the density integrand is nonzero
+        # only on the panel between them
+        t = -4.999999999999995
+        assert density_at(M2, t, 1e-6) == pytest.approx(
+            arcsine_mixture_density(2.0, 8.0, t), abs=1.5e-9
+        )
+
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_kinks_are_level_crossings(self, name):
         # every u* = t / (k sqrt(p)), k an eigenvalue of B0 -+ 2 A0, puts an
