@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    GapReport,
     approx_gap,
     empirical_spectrum,
     gap_report,
@@ -35,10 +34,10 @@ from .matrixpoly import (
     roots,
 )
 from .spectral import (
-    LimitModel,
     SpectralDensity,
     arcsine_mixture_density,
     density_grid,
+    limit_blocks,
     oracle_density,
     semicircle_density,
     support_bound,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -28,12 +29,7 @@ from .harness import (
     tail_bound_experiment,
 )
 from .matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
-from .spectral import (
-    LimitModel,
-    check_density_args,
-    density_grid,
-    oracle_density,
-)
+from .spectral import check_density_args, density_grid, oracle_density
 from . import formats
 
 # the five published example configurations: (p, gamma, n)
@@ -81,6 +77,17 @@ def _write(*outputs) -> int:
     return 0
 
 
+def _table_path(text: str) -> Path:
+    """The --out of a table command, rejected while parsing when the table
+    and its JSON sidecar (`_sidecar`) would not be two files."""
+    path = Path(text)
+    if not path.name or path.suffix == ".json":
+        raise argparse.ArgumentTypeError(
+            f"{text!r} leaves no separate path for the table's JSON sidecar"
+        )
+    return path
+
+
 def _sidecar(path: Path, payload: dict) -> tuple:
     """The output that writes `payload` as the JSON sidecar of the table at `path`."""
     return path.with_suffix(".json"), formats.write_json, payload
@@ -89,10 +96,9 @@ def _sidecar(path: Path, payload: dict) -> tuple:
 def _write_spectrum(args: argparse.Namespace, spectrum: EmpiricalSpectrum) -> int:
     if args.scaled:
         spectrum = spectrum.to_scaled()
-    path = Path(args.out)
     return _write(
-        (path, formats.write_spectrum_csv, spectrum),
-        _sidecar(path, formats.spectrum_sidecar(spectrum)),
+        (args.out, formats.write_spectrum_csv, spectrum),
+        _sidecar(args.out, formats.spectrum_sidecar(spectrum)),
     )
 
 
@@ -115,31 +121,27 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    model = LimitModel.from_gamma(_weights(args.p, args.gamma))
-    density = density_grid(model, args.grid, args.quad_tol)
+    density = density_grid(_weights(args.p, args.gamma), args.grid, args.quad_tol)
     sidecar = {**formats.density_sidecar(density), "quad_err_est": density.quad_err_est}
-    path = Path(args.out)
-    return _write((path, formats.write_density_csv, density), _sidecar(path, sidecar))
+    return _write((args.out, formats.write_density_csv, density), _sidecar(args.out, sidecar))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     density = oracle_density(_weights(args.p, args.gamma), args.grid, args.quad_tol)
     kind = "semicircle" if density.p == 1 else "arcsine-mixture"
     sidecar = {**formats.density_sidecar(density), "kind": kind}
-    path = Path(args.out)
-    return _write((path, formats.write_density_csv, density), _sidecar(path, sidecar))
+    return _write((args.out, formats.write_density_csv, density), _sidecar(args.out, sidecar))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
     check_size(args.n, w)
     check_trials(args.trials)
-    model = LimitModel.from_gamma(w)
-    check_density_args(args.grid, args.quad_tol)
+    check_density_args(w, args.grid, args.quad_tol)
     coeffs = recurrence_coeffs(args.n, w)
     seeds = [RngSeed(args.seed, trial) for trial in range(args.trials)]
     tasks = [
-        partial(density_grid, model, args.grid, args.quad_tol),
+        partial(density_grid, w, args.grid, args.quad_tol),
         partial(_roots_spectrum, coeffs, w),
         *(partial(empirical_spectrum, args.n, w, seed) for seed in seeds),
     ]
@@ -193,17 +195,18 @@ def cmd_gap(args: argparse.Namespace) -> int:
     check_epsilon(args.epsilon)
     table = []
     tail_checks = []
-    for n, report in zip(n_list, gap_report(n_list, w, args.trials, args.seed)):
+    for n, gaps in zip(n_list, gap_report(n_list, w, args.trials, args.seed)):
+        scaled = gaps / math.sqrt(math.log(n))
         table.append(
             {
                 "n": n,
-                "max_gaps": [float(v) for v in report.max_gaps],
-                "scaled_gaps": [float(v) for v in report.scaled_gaps],
-                "median_scaled": report.median_scaled,
-                "p90_scaled": report.p90_scaled,
+                "max_gaps": gaps.tolist(),
+                "scaled_gaps": scaled.tolist(),
+                "median_scaled": float(np.median(scaled)),
+                "p90_scaled": float(np.quantile(scaled, 0.9)),
             }
         )
-        tail = tail_bound_experiment(n, w.p, args.epsilon, report.max_gaps)
+        tail = tail_bound_experiment(n, w.p, args.epsilon, gaps)
         tail_checks.append({"n": n, **tail._asdict()})
     report = {
         "config": {
@@ -224,10 +227,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     p, gamma, n = FIGURES[args.name]
     w = GammaWeights(p=p, gamma=gamma)
     seed = RngSeed(args.seed, 0)
-    model = LimitModel.from_gamma(w)
-    check_density_args(args.grid, args.quad_tol)
+    check_density_args(w, args.grid, args.quad_tol)
     tasks = [
-        partial(density_grid, model, args.grid, args.quad_tol),
+        partial(density_grid, w, args.grid, args.quad_tol),
         partial(spectrum_histogram, n, w, seed),
     ]
     try:
@@ -297,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *, n=False, weights=True, p_choices=None,
-                seed=False, trials=None, quad_tol=None, scaled=False, out, out_help=None):
+    def command(name, func, help, *, n=False, weights=True, p_choices=None, seed=False,
+                trials=None, quad_tol=None, scaled=False, out, out_type=str, out_help=None):
         """The subparser `name` with the flags it shares with other commands."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)
@@ -316,18 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--quad-tol", type=float, default=quad_tol)
         if scaled:
             sp.add_argument("--scaled", action="store_true", help="divide by sqrt(n)")
-        sp.add_argument("--out", default=out, help=out_help)
+        sp.add_argument("--out", default=out, type=out_type, help=out_help)
         return sp
 
     sp = command("sample", cmd_sample, "eigenvalues of one sampled matrix",
-                 n=True, seed=True, scaled=True, out="spectrum.csv")
+                 n=True, seed=True, scaled=True, out="spectrum.csv", out_type=_table_path)
     sp.add_argument("--stream", type=int, default=0, help="seed stream index")
     command("roots", cmd_roots, "deterministic polynomial roots",
-            n=True, scaled=True, out="roots.csv")
+            n=True, scaled=True, out="roots.csv", out_type=_table_path)
     command("density", cmd_density, "tabulated limiting spectral density",
-            quad_tol=1e-6, out="density.csv")
+            quad_tol=1e-6, out="density.csv", out_type=_table_path)
     command("oracle", cmd_oracle, "closed-form density (p = 1 or 2)",
-            p_choices=(1, 2), quad_tol=1e-10, out="oracle.csv")
+            p_choices=(1, 2), quad_tol=1e-10, out="oracle.csv", out_type=_table_path)
     command("compare", cmd_compare, "KS and Levy-bound report over trials",
             n=True, seed=True, trials=5, quad_tol=1e-6, out="compare.json")
     sp = command("gap", cmd_gap, "uniform-gap table and tail-bound check",

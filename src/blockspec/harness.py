@@ -37,29 +37,6 @@ from .spectral import SpectralDensity
 R = TypeVar("R")
 
 
-class GapReport:
-    """Per-seed gap values for one matrix size."""
-
-    def __init__(self, n: int, max_gaps: np.ndarray):
-        self.n = n
-        self.max_gaps = np.asarray(max_gaps, dtype=float)
-        if np.any(self.max_gaps < 0):
-            raise ValidationError("max_gap values must be nonnegative")
-
-    @property
-    def scaled_gaps(self) -> np.ndarray:
-        """The max gaps divided by sqrt(log n)."""
-        return self.max_gaps / math.sqrt(math.log(self.n))
-
-    @property
-    def median_scaled(self) -> float:
-        return float(np.median(self.scaled_gaps))
-
-    @property
-    def p90_scaled(self) -> float:
-        return float(np.quantile(self.scaled_gaps, 0.9))
-
-
 class TailBoundResult(NamedTuple):
     """Observed exceedance frequency against the exponential tail bound."""
 
@@ -247,9 +224,9 @@ def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> float:
 
 def gap_report(
     n_list: Sequence[int], w: GammaWeights, trials: int, master_seed: int
-) -> list[GapReport]:
-    """One GapReport per size in n_list, in list order, each over the seeds
-    (master_seed, 0..trials-1).
+) -> list[np.ndarray]:
+    """The max gaps (`approx_gap`) of each size in n_list, in list order: one
+    array per size, one gap per seed (master_seed, 0..trials-1).
 
     Every argument is checked before any solve starts.  The roots solve and
     the sampled solves of all sizes then go to one `map_trials` call, the
@@ -272,7 +249,7 @@ def gap_report(
     for n in sizes:
         reference = next(solved)
         gaps[n] = [approx_gap(next(solved), reference) for _ in range(trials)]
-    return [GapReport(n, gaps[n]) for n in n_list]
+    return [np.array(gaps[n]) for n in n_list]
 
 
 def tail_bound(n: int, p: int, epsilon: float) -> float:
@@ -287,10 +264,10 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def tail_bound_experiment(
-    n: int, p: int, epsilon: float, max_gaps: Sequence[float]
+    n: int, p: int, epsilon: float, max_gaps: np.ndarray
 ) -> TailBoundResult:
-    """Fraction of the trials' max gaps (one per trial, as in a `GapReport`
-    for size n) at or above epsilon, against the tail bound.
+    """Fraction of the trials' max gaps (one per trial, as `gap_report`
+    gives them for size n) at or above epsilon, against the tail bound.
 
     The pass threshold adds binomial slack: bound + 3 sigma + 1/trials, so a
     finite-trial frequency has statistical headroom without excusing a true

@@ -3,7 +3,8 @@ eigenvalue curves of the matrix pencil behind the Chebyshev matrix measure,
 plus independent closed-form oracles for p = 1 and p = 2.
 
 The coefficient family is sqrt(s*p)-homogeneous: A(s) = sqrt(s*p) * A0 and
-B(s) = sqrt(s*p) * B0, with A0, B0 built from the gamma weights.  For fixed
+B(s) = sqrt(s*p) * B0, with (A0, B0) = `limit_blocks(w)` of the gamma
+weights w: the limit law depends on the weights alone.  For fixed
 (s, t) the density integrand is
 
     sum_j  w_j / (pi * sqrt(4 - lambda_j^2))   over  |lambda_j| < 2,
@@ -37,11 +38,13 @@ the semicircle law of the Dumitriu-Edelman beta-Hermite model.
 from __future__ import annotations
 
 import math
+from functools import partial
+
 import numpy as np
 
 from .ensemble import GammaWeights
 from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
-from .linalg import require_symmetric, singular_blocks, spd_inv_sqrt
+from .linalg import singular_blocks, spd_inv_sqrt
 from .matrixpoly import coefficient_blocks
 
 
@@ -93,48 +96,21 @@ class SpectralDensity:
         return float(self.grid[0]), float(self.grid[-1])
 
 
-class LimitModel:
-    """The s-independent factors A0, B0 of the homogeneous coefficient family.
+def limit_blocks(w: GammaWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The s-independent factors (A0, B0) of the homogeneous coefficient
+    family: the gamma pattern of `coefficient_blocks` at count 1, A0 with
+    entries sqrt(gamma_{p-|i-j|} / 2) and B0 with zero diagonal and entries
+    sqrt(gamma_{|i-j|} / 2).
 
-    A0 has entries sqrt(gamma_{p-|i-j|} / 2); B0 has zero diagonal and
-    entries sqrt(gamma_{|i-j|} / 2).  A0 must be invertible (not singular
-    by `linalg.singular_blocks`); density evaluation additionally requires
-    it to be positive definite.
+    A0 must be invertible (not singular by `linalg.singular_blocks`);
+    density evaluation additionally requires it to be positive definite.
     """
-
-    def __init__(self, p: int, gamma: tuple[float, ...], A0: np.ndarray, B0: np.ndarray):
-        self.p = p
-        self.A0 = require_symmetric(A0)
-        self.B0 = require_symmetric(B0)
-        self.gamma = tuple(float(g) for g in gamma)
-        self._cache: dict = {}
-        if self.A0.shape != (self.p, self.p) or self.B0.shape != (self.p, self.p):
-            raise ValidationError("A0 and B0 must be p x p")
-        if singular_blocks(self.A0[None]).size:
-            raise ValidationError(
-                "A0 is singular for these gamma weights; the limit law is not defined"
-            )
-
-    @classmethod
-    def from_gamma(cls, w: GammaWeights) -> "LimitModel":
-        a0, b0 = coefficient_blocks(w, 1, 1)
-        return cls(p=w.p, gamma=w.gamma, A0=a0, B0=b0)
-
-    def _spd_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S0, A0inv, W0) with S0 = A0^{-1/2}; requires A0 positive definite."""
-        if "spd" not in self._cache:
-            try:
-                s0 = spd_inv_sqrt(self.A0)
-            except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(
-                    "density evaluation requires a positive definite A0 block "
-                    f"(smallest eigenvalue {exc.min_eigenvalue:.6e}, at most 1e-12 "
-                    "times the largest in magnitude); invertible but indefinite "
-                    "weight configurations are rejected",
-                    min_eigenvalue=exc.min_eigenvalue,
-                ) from exc
-            self._cache["spd"] = (s0, s0 @ s0, s0 @ self.B0 @ s0)
-        return self._cache["spd"]
+    a0, b0 = coefficient_blocks(w, 1, 1)
+    if singular_blocks(a0[None]).size:
+        raise ValidationError(
+            "A0 is singular for these gamma weights; the limit law is not defined"
+        )
+    return a0, b0
 
 
 def _require_quad_tol(quad_tol: float) -> None:
@@ -185,8 +161,9 @@ _ROUNDING = 64 * np.finfo(float).eps  # relative rounding level of a panel integ
 _CHUNK_PANELS = 64  # panels per batched eigh call (64 * 48 matrices)
 
 
-def _integrands(model: LimitModel, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The u-integrands of the density, the mass below t and the mass above t.
+def _integrands(a0inv: np.ndarray, w0: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The u-integrands of the density, the mass below t and the mass above t,
+    for the pencil a0inv = A0^{-1}, w0 = S0 B0 S0 with S0 = A0^{-1/2}.
 
     t and u broadcast together; the three integrands are stacked on a new
     first axis.  ds = 2u du, and the weights of W(u, t) carry the factor
@@ -194,8 +171,7 @@ def _integrands(model: LimitModel, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     sum_j w_j / (pi sqrt(4 - lambda_j^2)) of the coefficient pair
     sqrt(s p) (A0, B0) at s = u^2.
     """
-    _, a0inv, w0 = model._spd_parts()
-    sqrt_p = math.sqrt(model.p)
+    sqrt_p = math.sqrt(len(a0inv))
     lam, vec = np.linalg.eigh(w0 - (t / (u * sqrt_p))[..., None, None] * a0inv)
     weights = np.sum(vec * (a0inv @ vec), axis=-2)
     inside = np.abs(lam) < 2.0
@@ -214,10 +190,10 @@ def _integrands(model: LimitModel, t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _panel_integrals(
-    model: LimitModel, t: np.ndarray, a: np.ndarray, b: np.ndarray, end: np.ndarray
+    integrand, t: np.ndarray, a: np.ndarray, b: np.ndarray, end: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of the three `_integrands` over the u-panels [a, b], with
-    one error estimate a panel.
+    """Integrals of the three integrands of integrand(t, u) (the stacked
+    `_integrands`) over the u-panels [a, b], with one error estimate a panel.
 
     Panel i is mapped through u = a + (end - a) sin^2(theta), end >= b, for
     theta in (0, theta_end) with sin^2(theta_end) = (b - a) / (end - a).  The
@@ -236,7 +212,7 @@ def _panel_integrals(
         theta = theta_end[rows, None] * _RULE_X
         u = a[rows, None] + width * np.sin(theta) ** 2
         jac = width * np.sin(2.0 * theta) * theta_end[rows, None] * _RULE_W
-        nodes = jac * _integrands(model, t[rows, None], u)
+        nodes = jac * integrand(t[rows, None], u)
         high[:, rows] = nodes[..., :_GL_NODES].sum(axis=-1)
         low[:, rows] = nodes[..., _GL_NODES:].sum(axis=-1)
     return high, np.abs(high - low).max(axis=0)
@@ -274,7 +250,7 @@ def _bisect(integrate, row, a, b, end, share, max_depth: int):
         a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
 
 
-def _kinks(model: LimitModel, ts: np.ndarray) -> np.ndarray:
+def _kinks(a0: np.ndarray, b0: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """u-locations where an eigenvalue curve of W(u, t) meets +-2, per t.
 
     With u = sqrt(s), W(u, t) = W0 - (t / (u sqrt(p))) A0^{-1}, and
@@ -285,17 +261,12 @@ def _kinks(model: LimitModel, ts: np.ndarray) -> np.ndarray:
     of B0 - 2 A0 and B0 + 2 A0; entries outside (0, u_max] lie off the
     integration range.
     """
-    levels = np.concatenate(
-        [
-            np.linalg.eigvalsh(model.B0 - 2.0 * model.A0),
-            np.linalg.eigvalsh(model.B0 + 2.0 * model.A0),
-        ]
-    )
-    return ts[:, None] / (levels[levels != 0.0] * math.sqrt(model.p))
+    levels = np.concatenate([np.linalg.eigvalsh(b0 - 2.0 * a0), np.linalg.eigvalsh(b0 + 2.0 * a0)])
+    return ts[:, None] / (levels[levels != 0.0] * math.sqrt(len(a0)))
 
 
 def _density_table(
-    model: LimitModel, ts: np.ndarray, quad_tol: float
+    w: GammaWeights, ts: np.ndarray, quad_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Limit density, CDF and quadrature error estimate at every t in ts.
 
@@ -317,10 +288,22 @@ def _density_table(
     tolerance, and `_bisect` refines the panels; NumericalError is raised
     when a panel is stuck, at the latest after _MAX_DEPTH bisections.
     """
+    a0, b0 = limit_blocks(w)
     _require_quad_tol(quad_tol)
+    try:
+        s0 = spd_inv_sqrt(a0)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(
+            "density evaluation requires a positive definite A0 block "
+            f"(smallest eigenvalue {exc.min_eigenvalue:.6e}, at most 1e-12 "
+            "times the largest in magnitude); invertible but indefinite "
+            "weight configurations are rejected",
+            min_eigenvalue=exc.min_eigenvalue,
+        ) from exc
+    integrand = partial(_integrands, s0 @ s0, s0 @ b0 @ s0)
     ts = np.asarray(ts, dtype=float)
-    u_max = math.sqrt(1.0 / model.p)
-    kinks = _kinks(model, ts)
+    u_max = math.sqrt(1.0 / w.p)
+    kinks = _kinks(a0, b0, ts)
     inner = np.sort(np.where((kinks > 0.0) & (kinks < u_max), kinks, u_max), axis=1)
     edges = np.concatenate(
         [np.zeros((len(ts), 1)), inner, np.full((len(ts), 1), u_max)], axis=1
@@ -334,7 +317,7 @@ def _density_table(
     a, b = a[keep], b[keep]
     end = np.where(b == u_max, past[row], b)
     found, stuck = _bisect(
-        lambda row, a, b, end: _panel_integrals(model, ts[row], a, b, end),
+        lambda row, a, b, end: _panel_integrals(integrand, ts[row], a, b, end),
         row, a, b, end, quad_tol / keep.sum(axis=1)[row], _MAX_DEPTH,
     )
     if stuck:
@@ -514,22 +497,29 @@ def _branch_cdf(alpha: float, beta: float, xi: float) -> float:
     return math.atan2(math.sqrt(xi + beta), math.sqrt(alpha - xi)) / math.pi
 
 
-def support_bound(model: LimitModel) -> float:
+def support_bound(w: GammaWeights) -> float:
     """Row-sum bound M* = ||B0||_inf + 2 ||A0||_inf on the support: the
     coefficient pair sqrt(s p) (A0, B0) at s = 1/p."""
-    return float(np.abs(model.B0).sum(axis=1).max() + 2.0 * np.abs(model.A0).sum(axis=1).max())
+    a0, b0 = limit_blocks(w)
+    return float(np.abs(b0).sum(axis=1).max() + 2.0 * np.abs(a0).sum(axis=1).max())
 
 
-def check_density_args(grid_size: int, quad_tol: float) -> None:
+def check_density_args(w: GammaWeights, grid_size: int, quad_tol: float) -> None:
     """The argument checks of `density_grid` and `oracle_density`, in their
-    order, for callers that reject bad arguments before any other work."""
+    order (singular A0, grid, quad_tol), for callers that reject bad
+    arguments before any other work."""
+    limit_blocks(w)
+    _check_grid(grid_size, quad_tol)
+
+
+def _check_grid(grid_size: int, quad_tol: float) -> None:
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
     _require_quad_tol(quad_tol)
 
 
 def _grid(bound: float, grid_size: int, quad_tol: float) -> np.ndarray:
-    check_density_args(grid_size, quad_tol)
+    _check_grid(grid_size, quad_tol)
     grid = np.linspace(-bound, bound, grid_size + 1)
     if grid_size % 2 == 0:
         # linspace can miss 0 by an ulp of M*, where a p = 2 density may diverge
@@ -540,7 +530,7 @@ def _grid(bound: float, grid_size: int, quad_tol: float) -> np.ndarray:
 def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:
     """The closed-form oracle table for p = 1 or 2 on the grid of `density_grid`:
     the density unscaled at each point, and the exact CDF of the module docstring."""
-    bound = support_bound(LimitModel.from_gamma(w))
+    bound = support_bound(w)
     grid = _grid(bound, grid_size, quad_tol)
     if w.p == 1:
         density = [semicircle_density(w.gamma[0], t) for t in grid]
@@ -557,17 +547,17 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
     return SpectralDensity(grid, density, cdf, p=w.p, gamma=w.gamma, quad_tol=quad_tol)
 
 
-def density_grid(model: LimitModel, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
+def density_grid(w: GammaWeights, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
     spanning [-M*, M*], in one batched pass of the quadrature kernel."""
-    grid = _grid(support_bound(model), grid_size, quad_tol)
-    density, cdf, err = _density_table(model, grid, quad_tol)
+    grid = _grid(support_bound(w), grid_size, quad_tol)
+    density, cdf, err = _density_table(w, grid, quad_tol)
     return SpectralDensity(
         grid=grid,
         density=density,
         cdf=cdf,
-        p=model.p,
-        gamma=model.gamma,
+        p=w.p,
+        gamma=w.gamma,
         quad_tol=quad_tol,
         quad_err_est=float(err.max()),
     )

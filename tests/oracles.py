@@ -40,7 +40,7 @@ from blockspec.ensemble import GammaWeights, check_size
 from blockspec.errors import ValidationError
 from blockspec import spectral
 from blockspec.linalg import SymmetricBanded, require_symmetric, spd_inv_sqrt
-from blockspec.spectral import LimitModel, SpectralDensity
+from blockspec.spectral import SpectralDensity, limit_blocks
 
 
 def entry(m: SymmetricBanded, i: int, j: int) -> float:
@@ -109,12 +109,13 @@ class LambdaPoint(NamedTuple):
     weight: float
 
 
-def build_AB(model: LimitModel, s: float) -> tuple[np.ndarray, np.ndarray]:
+def build_AB(w: GammaWeights, s: float) -> tuple[np.ndarray, np.ndarray]:
     """The coefficient pair (A(s), B(s)) = sqrt(s*p) * (A0, B0)."""
     if s <= 0:
         raise ValidationError(f"s must be > 0, got {s}")
-    factor = math.sqrt(s * model.p)
-    return factor * model.A0, factor * model.B0
+    factor = math.sqrt(s * w.p)
+    a0, b0 = limit_blocks(w)
+    return factor * a0, factor * b0
 
 
 def lambda_and_weights(a: np.ndarray, b: np.ndarray, t: float) -> list[LambdaPoint]:
@@ -145,15 +146,15 @@ def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
     return total
 
 
-def density_at(model: LimitModel, t: float, quad_tol: float = 1e-8) -> float:
+def density_at(w: GammaWeights, t: float, quad_tol: float = 1e-8) -> float:
     """Limit density f(t): the one-point table of `spectral._density_table`,
     the kernel behind `density_grid`, held to the absolute tolerance quad_tol
     by its embedded error estimate."""
-    density, _, _ = spectral._density_table(model, np.array([float(t)]), quad_tol)
+    density, _, _ = spectral._density_table(w, np.array([float(t)]), quad_tol)
     return float(density[0])
 
 
-def limit_moments(model: LimitModel, k_max: int) -> np.ndarray:
+def limit_moments(w: GammaWeights, k_max: int) -> np.ndarray:
     """Moments m_0..m_k_max of the limit law, with no quadrature.
 
     The density is the trace of an s-integral over (0, 1/p] of Chebyshev-T
@@ -163,15 +164,16 @@ def limit_moments(model: LimitModel, k_max: int) -> np.ndarray:
     of the symbol's k-th power, the s-integral of (s p)^(k/2) gives
     m_k = mu_k / (p (k/2 + 1)).
     """
-    p = model.p
+    p = w.p
+    a0, b0 = limit_blocks(w)
     # coeffs[k_max + j] is the p x p coefficient of z^j in the current power
     coeffs = np.zeros((2 * k_max + 1, p, p))
     coeffs[k_max] = np.eye(p)
     moments = [1.0]
     for k in range(1, k_max + 1):
-        power = coeffs @ model.B0
-        power[1:] += coeffs[:-1] @ model.A0
-        power[:-1] += coeffs[1:] @ model.A0
+        power = coeffs @ b0
+        power[1:] += coeffs[:-1] @ a0
+        power[:-1] += coeffs[1:] @ a0
         coeffs = power
         moments.append(float(np.trace(coeffs[k_max])) / (p * (k / 2 + 1)))
     return np.array(moments)

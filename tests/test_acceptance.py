@@ -40,7 +40,6 @@ from blockspec.matrixpoly import (
     roots,
 )
 from blockspec.spectral import (
-    LimitModel,
     arcsine_mixture_density,
     density_grid,
     semicircle_density,
@@ -78,15 +77,15 @@ def criterion(num: int, name: str):
 def test_criterion_01_semicircle_oracle():
     with criterion(1, "semicircle oracle") as info:
         start = time.monotonic()
-        model = LimitModel.from_gamma(GammaWeights(1, (2.0,)))
-        table = density_grid(model, 400, 1e-7)
+        w = GammaWeights(1, (2.0,))
+        table = density_grid(w, 400, 1e-7)
         assert len(table.grid) == 401
         max_err = max(
             abs(d - semicircle_density(2.0, t))
             for t, d in zip(table.grid, table.density)
         )
         assert max_err <= 1e-3
-        f0 = density_at(model, 0.0, 1e-8)
+        f0 = density_at(w, 0.0, 1e-8)
         assert abs(f0 - 1.0 / math.pi) <= 1e-4
         elapsed = time.monotonic() - start
         assert elapsed < 10.0
@@ -96,8 +95,8 @@ def test_criterion_01_semicircle_oracle():
 def test_criterion_02_arcsine_mixture_oracle():
     with criterion(2, "arcsine mixture oracle") as info:
         start = time.monotonic()
-        model = LimitModel.from_gamma(GammaWeights(2, (2.0, 8.0)))
-        bound = support_bound(model)
+        w = GammaWeights(2, (2.0, 8.0))
+        bound = support_bound(w)
         # density kinks: branch support edges at the top coefficient scale
         # (beta_j +- 2 alpha_j at s = 1/2) plus the branch accumulation at 0
         kinks = [-5.0, -3.0, 0.0, 1.0, 7.0]
@@ -106,7 +105,7 @@ def test_criterion_02_arcsine_mixture_oracle():
             t for t in grid if all(abs(t - k) > 0.02 for k in kinks)
         ]
         max_err = max(
-            abs(density_at(model, t, 1e-8) - arcsine_mixture_density(2.0, 8.0, t))
+            abs(density_at(w, t, 1e-8) - arcsine_mixture_density(2.0, 8.0, t))
             for t in kept
         )
         assert max_err <= 1e-3
@@ -119,10 +118,10 @@ def test_criterion_03_normalization():
     with criterion(3, "normalization of the limit law") as info:
         worst = 0.0
         for p, gamma in EXAMPLE_CONFIGS:
-            model = LimitModel.from_gamma(GammaWeights(p, gamma))
-            bound = support_bound(model)
+            w = GammaWeights(p, gamma)
+            bound = support_bound(w)
             grid = np.linspace(-bound, bound, 401)
-            density = np.array([density_at(model, t, 1e-7) for t in grid])
+            density = np.array([density_at(w, t, 1e-7) for t in grid])
             mass = float(np.trapezoid(density, grid))
             assert abs(mass - 1.0) <= 1e-3, (p, gamma, mass)
             worst = max(worst, abs(mass - 1.0))
@@ -136,8 +135,7 @@ def test_criterion_04_weak_convergence_ks():
         for key in ("p2", "p3"):
             fx = FIXTURES["criterion4"][key]
             w = GammaWeights(fx["p"], tuple(fx["gamma"]))
-            model = LimitModel.from_gamma(w)
-            table = density_grid(model, 400, 1e-6)
+            table = density_grid(w, 400, 1e-6)
             seed = RngSeed(fx["master_seed"], fx["trial"])
             spectrum = empirical_spectrum(fx["n"], w, seed).to_scaled()
             ks = ks_distance(spectrum, table)
@@ -154,8 +152,10 @@ def test_criterion_05_gap_scaling():
         fx = FIXTURES["criterion5"]
         w = GammaWeights(1, (1.0,))
         medians = {
-            report.n: report.median_scaled
-            for report in gap_report(fx["sizes"], w, fx["trials"], fx["master_seed"])
+            n: float(np.median(gaps / math.sqrt(math.log(n))))
+            for n, gaps in zip(
+                fx["sizes"], gap_report(fx["sizes"], w, fx["trials"], fx["master_seed"])
+            )
         }
         assert medians[1600] <= 1.5 * medians[100], medians
         elapsed = time.monotonic() - start
@@ -170,13 +170,13 @@ def test_criterion_06_tail_bound():
     with criterion(6, "exponential tail bound") as info:
         fx = FIXTURES["criterion6"]
         w = GammaWeights(1, (1.0,))
-        (report,) = gap_report([fx["n"]], w, fx["trials"], fx["master_seed"])
-        res30 = tail_bound_experiment(fx["n"], w.p, 30.0, report.max_gaps)
+        (gaps,) = gap_report([fx["n"]], w, fx["trials"], fx["master_seed"])
+        res30 = tail_bound_experiment(fx["n"], w.p, 30.0, gaps)
         assert res30.bound < 1e-19
         assert res30.empirical_freq == 0.0
         # epsilon solving 2 n (p+1) exp(-eps^2/(18 p^2)) = 1/2
         eps_half = math.sqrt(18.0 * math.log(2 * fx["n"] * 2 / 0.5))
-        res_half = tail_bound_experiment(fx["n"], w.p, eps_half, report.max_gaps)
+        res_half = tail_bound_experiment(fx["n"], w.p, eps_half, gaps)
         assert res_half.bound == pytest.approx(0.5, abs=1e-12)
         assert res_half.empirical_freq <= res_half.threshold
         info["detail"] = (

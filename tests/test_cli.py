@@ -23,6 +23,10 @@ from blockspec.spectral import semicircle_density
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
 
+# the message for an --out whose JSON sidecar would not be a file of its own
+OUT_REJECTED = "'{}' leaves no separate path for the table's JSON sidecar"
+
+
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return run(argv)
@@ -129,7 +133,13 @@ class TestSubcommands:
         assert rc == 0
         report = read_json(tmp_path / "gap.json")
         assert [row["n"] for row in report["gap_table"]] == [60, 120]
-        assert all(len(row["max_gaps"]) == 4 for row in report["gap_table"])
+        for row in report["gap_table"]:
+            assert len(row["max_gaps"]) == 4
+            # bit for bit: each max gap divided by sqrt(log n)
+            scaled = np.array(row["max_gaps"]) / math.sqrt(math.log(row["n"]))
+            assert row["scaled_gaps"] == scaled.tolist()
+            assert row["median_scaled"] == float(np.median(scaled))
+            assert row["p90_scaled"] == float(np.quantile(scaled, 0.9))
         assert all(check["satisfied"] for check in report["tail_checks"])
 
     def test_gap_rows_follow_list_order(self, tmp_path, monkeypatch, solve_sizes):
@@ -666,9 +676,25 @@ class TestExitCodes:
              "error: grid_size must be >= 100, got 50"),
             (["compare", "--n", "12", "--p", "2", "--gamma", "4,4"],
              "error: A0 is singular for these gamma weights"),
+            # two faults: the first line names the one checked first
+            (["compare", "--n", "12", "--p", "2", "--gamma", "4,4", "--grid", "99"],
+             "error: A0 is singular for these gamma weights"),
+            (["density", "--p", "2", "--gamma", "4,4", "--grid", "99"],
+             "error: A0 is singular for these gamma weights"),
+            (["oracle", "--p", "2", "--gamma", "4,4", "--grid", "99"],
+             "error: A0 is singular for these gamma weights"),
+            (["density", "--p", "2", "--gamma", "8,2", "--grid", "99"],
+             "error: grid_size must be >= 100, got 99"),
+            (["sample", "--n", "8", "--p", "1", "--gamma", "2", "--out", "x.json"],
+             f"error: argument --out: {OUT_REJECTED.format('x.json')}"),
+            (["roots", "--n", "8", "--p", "1", "--gamma", "2", "--out", "x.json"],
+             f"error: argument --out: {OUT_REJECTED.format('x.json')}"),
         ],
         ids=["gap-epsilon", "gap-indivisible-second", "gap-n-below-3", "gap-trials",
-             "figure-grid", "figure-quad-tol", "compare-grid", "compare-singular-a0"],
+             "figure-grid", "figure-quad-tol", "compare-grid", "compare-singular-a0",
+             "compare-singular-a0-and-grid", "density-singular-a0-and-grid",
+             "oracle-singular-a0-and-grid", "density-indefinite-and-grid",
+             "sample-out-json", "roots-out-json"],
     )
     def test_arguments_checked_before_any_solve(
         self, tmp_path, monkeypatch, capsys, solve_sizes, argv, message
@@ -710,6 +736,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "blocker" in err
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    @pytest.mark.parametrize("out", ["", ".", "x.json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "8", "--p", "1", "--gamma", "2"],
+            ["roots", "--n", "8", "--p", "1", "--gamma", "2"],
+            ["density", "--p", "1", "--gamma", "2", "--grid", "100"],
+            ["oracle", "--p", "1", "--gamma", "2", "--grid", "100"],
+        ],
+        ids=["sample", "roots", "density", "oracle"],
+    )
+    def test_out_without_a_sidecar_path_rejected(
+        self, tmp_path, monkeypatch, capsys, solve_sizes, argv, out
+    ):
+        # the JSON sidecar goes to --out with the suffix .json: an --out that
+        # already ends in .json, or that names no file, leaves it no path of
+        # its own.  No table is computed (a call of either density would raise)
+        monkeypatch.setattr(blockspec.cli, "density_grid", None)
+        monkeypatch.setattr(blockspec.cli, "oracle_density", None)
+        assert run_in(tmp_path, monkeypatch, argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: argument --out: {OUT_REJECTED.format(out)}\n"
+        assert solve_sizes == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv,blocked",

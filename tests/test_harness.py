@@ -28,7 +28,6 @@ from blockspec.ensemble import (
 )
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.harness import (
-    GapReport,
     approx_gap,
     empirical_spectrum,
     fd_histogram,
@@ -43,7 +42,7 @@ from blockspec.harness import (
     worker_count,
 )
 from blockspec.linalg import eigh_banded
-from blockspec.spectral import LimitModel, SpectralDensity, density_grid
+from blockspec.spectral import SpectralDensity, density_grid
 from tests.oracles import build_F_tilde, levy_reference
 
 FIXTURES = json.loads(
@@ -56,7 +55,7 @@ W2 = GammaWeights(2, (2.0, 8.0))
 
 @pytest.fixture(scope="module")
 def semicircle_table():
-    return density_grid(LimitModel.from_gamma(W1), 400, 1e-7)
+    return density_grid(W1, 400, 1e-7)
 
 
 class TestEmpiricalSpectrum:
@@ -168,36 +167,34 @@ class TestApproxGap:
         # with every normal forced to 0 and every chi draw to sqrt(dof),
         # the sample equals the deterministic matrix and the gap vanishes
         monkeypatch.setattr(harness, "build_G", lambda n, w, seed: build_F(n, w))
-        (report,) = gap_report([12], W2, 2, 0)
-        assert report.max_gaps.max() <= 1e-10
-        assert report.scaled_gaps.max() <= 1e-10
+        (gaps,) = gap_report([12], W2, 2, 0)
+        assert gaps.max() <= 1e-10
 
     def test_scaled_gap_definition(self):
         gap = approx_gap(
             empirical_spectrum(100, W1, RngSeed(5, 1)), eigh_banded(build_F_tilde(100, W1))
         )
         assert type(gap) is float
-        report = GapReport(n=100, max_gaps=[gap])
-        assert report.scaled_gaps.tolist() == [gap / math.sqrt(math.log(100))]
 
     def test_reference_shortcut_matches(self):
         # the shared roots solve of gap_report equals the oracle F-tilde spectrum
         ref = eigh_banded(build_F_tilde(60, W2))
-        (report,) = gap_report([60], W2, 3, 9)
-        for trial in range(3):
-            gap = approx_gap(empirical_spectrum(60, W2, RngSeed(9, trial)), ref)
-            assert report.max_gaps[trial] == gap
-            assert report.scaled_gaps[trial] == gap / math.sqrt(math.log(60))
+        (gaps,) = gap_report([60], W2, 3, 9)
+        assert gaps.tolist() == [
+            approx_gap(empirical_spectrum(60, W2, RngSeed(9, trial)), ref) for trial in range(3)
+        ]
 
     def test_median_scaled_gap_does_not_grow(self):
         fx = FIXTURES["criterion5"]
         small, large = gap_report([100, 400], GammaWeights(1, (1.0,)), 10, fx["master_seed"])
-        assert (small.n, large.n) == (100, 400)
-        assert large.median_scaled <= 1.5 * small.median_scaled
+        assert (len(small), len(large)) == (10, 10)
+        assert np.median(large / math.sqrt(math.log(400))) <= 1.5 * np.median(
+            small / math.sqrt(math.log(100))
+        )
 
     def test_p2_sanity_ceiling(self):
-        (rep,) = gap_report([200], W2, 3, 20260810)
-        assert rep.max_gaps.max() <= 60.0
+        (gaps,) = gap_report([200], W2, 3, 20260810)
+        assert gaps.max() <= 60.0
 
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError, match="log n > 1"):
@@ -209,14 +206,13 @@ class TestApproxGap:
             approx_gap(scaled, np.zeros(12))
 
     def test_reports_follow_list_order(self):
-        # sizes are solved largest first; a report does not depend on the
-        # other sizes in the list, and a repeated size repeats its report
+        # sizes are solved largest first; the gaps of a size do not depend on
+        # the other sizes in the list, and a repeated size repeats its gaps
         alone = {n: gap_report([n], W2, 2, 4)[0] for n in (24, 12)}
         reports = gap_report([12, 24, 12], W2, 2, 4)
-        assert [r.n for r in reports] == [12, 24, 12]
-        for report in reports:
-            np.testing.assert_array_equal(report.max_gaps, alone[report.n].max_gaps)
-            np.testing.assert_array_equal(report.scaled_gaps, alone[report.n].scaled_gaps)
+        assert len(reports) == 3
+        for n, gaps in zip([12, 24, 12], reports):
+            np.testing.assert_array_equal(gaps, alone[n])
 
     def test_every_size_checked_before_any_solve(self, monkeypatch):
         solves = []
@@ -230,8 +226,8 @@ class TestApproxGap:
 class TestTailBound:
     @staticmethod
     def gaps(n, trials, master_seed):
-        (report,) = gap_report([n], W1, trials, master_seed)
-        return report.max_gaps
+        (gaps,) = gap_report([n], W1, trials, master_seed)
+        return gaps
 
     def test_huge_epsilon(self):
         res = tail_bound_experiment(60, 1, 1e6, self.gaps(60, 5, 1))

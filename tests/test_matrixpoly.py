@@ -25,7 +25,7 @@ from blockspec.matrixpoly import (
     recurrence_coeffs,
     roots,
 )
-from blockspec.spectral import LimitModel
+from blockspec.spectral import limit_blocks
 from tests.oracles import lu_log_abs_det, to_dense
 
 W2 = GammaWeights(2, (2.0, 8.0))
@@ -68,12 +68,12 @@ class TestRecurrenceCoeffs:
         n = 10_000
         c = recurrence_coeffs(n, W2)
         a, b = c.A / math.sqrt(n), c.B / math.sqrt(n)
-        model = LimitModel.from_gamma(W2)
+        a0, b0 = limit_blocks(W2)
         m = n // 2
         # next-to-last and last stages both approach the limit blocks
-        assert np.abs(a[m - 2] - model.A0).max() <= 5.0 / math.sqrt(n)
-        assert np.abs(a[m - 1] - model.A0).max() <= 1e-2
-        assert np.abs(b[m - 1] - model.B0).max() <= 1e-2
+        assert np.abs(a[m - 2] - a0).max() <= 5.0 / math.sqrt(n)
+        assert np.abs(a[m - 1] - a0).max() <= 1e-2
+        assert np.abs(b[m - 1] - b0).max() <= 1e-2
 
     def test_rejects_singular_A(self):
         with pytest.raises(ValidationError, match="singular"):
@@ -84,12 +84,12 @@ class TestRecurrenceCoeffs:
         assert c.A.shape == c.B.shape == (4, 3, 3)
 
     def test_limit_blocks_are_count_one(self):
-        # LimitModel's A0, B0 are the same pattern at count 1
+        # the limit law's A0, B0 are the same pattern at count 1
         w = GammaWeights(3, (0.1, 2.9, 7.3))
-        model = LimitModel.from_gamma(w)
         a0, b0 = coefficient_blocks(w, 1, 1)
-        np.testing.assert_array_equal(model.A0, a0)
-        np.testing.assert_array_equal(model.B0, b0)
+        limit_a0, limit_b0 = limit_blocks(w)
+        np.testing.assert_array_equal(limit_a0, a0)
+        np.testing.assert_array_equal(limit_b0, b0)
         i, j = np.indices((3, 3))
         gamma = np.asarray(w.gamma)
         np.testing.assert_array_equal(a0, np.sqrt(gamma[3 - np.abs(i - j) - 1] / 2.0))
@@ -184,11 +184,6 @@ class TestSingularityGate:
         # the docstring's two clauses at their thresholds, N = 1
         a = np.diag(diag)
         assert batched_gate_rejects(a) == rejected
-        if rejected:
-            with pytest.raises(ValidationError, match="A0 is singular"):
-                LimitModel(p=len(diag), gamma=diag, A0=a, B0=np.zeros_like(a))
-        else:
-            LimitModel(p=len(diag), gamma=diag, A0=a, B0=np.zeros_like(a))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_accepts_well_conditioned(self, p):

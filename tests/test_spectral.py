@@ -13,17 +13,20 @@ import pytest
 
 from blockspec import spectral
 from blockspec.cli import FIGURES
-from blockspec.ensemble import GammaWeights
+from blockspec.ensemble import EmpiricalSpectrum, GammaWeights
 from blockspec.errors import (
     NotPositiveDefiniteError,
     NumericalError,
     ValidationError,
 )
+from blockspec.harness import ks_distance
+from blockspec.linalg import spd_inv_sqrt
+from blockspec.matrixpoly import recurrence_coeffs, roots
 from blockspec.spectral import (
-    LimitModel,
     SpectralDensity,
     arcsine_mixture_density,
     density_grid,
+    limit_blocks,
     oracle_density,
     semicircle_density,
     support_bound,
@@ -36,24 +39,28 @@ from tests.oracles import (
     trace_density,
 )
 
-M1 = LimitModel.from_gamma(GammaWeights(1, (2.0,)))
-M2 = LimitModel.from_gamma(GammaWeights(2, (2.0, 8.0)))
+M1 = GammaWeights(1, (2.0,))
+M2 = GammaWeights(2, (2.0, 8.0))
 
 
 class TestLimitModel:
+    """The limit law's blocks (A0, B0) = `limit_blocks(w)`."""
+
     def test_blocks_p2(self):
-        np.testing.assert_allclose(M2.A0, [[2.0, 1.0], [1.0, 2.0]], atol=1e-15)
-        np.testing.assert_allclose(M2.B0, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+        a0, b0 = limit_blocks(M2)
+        np.testing.assert_allclose(a0, [[2.0, 1.0], [1.0, 2.0]], atol=1e-15)
+        np.testing.assert_allclose(b0, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_singular_A0_rejected(self):
         with pytest.raises(ValidationError, match="singular"):
-            LimitModel.from_gamma(GammaWeights(2, (4.0, 4.0)))
+            limit_blocks(GammaWeights(2, (4.0, 4.0)))
 
     def test_indefinite_A0_rejected_at_density_time(self):
         # gamma reversed: A0 = [[1, 2], [2, 1]] is invertible but indefinite
-        model = LimitModel.from_gamma(GammaWeights(2, (8.0, 2.0)))
+        w = GammaWeights(2, (8.0, 2.0))
+        limit_blocks(w)
         with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
-            density_grid(model, 100)
+            density_grid(w, 100)
 
 
 class TestBuildAB:
@@ -63,8 +70,7 @@ class TestBuildAB:
         np.testing.assert_allclose(b, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_p1_scalar(self):
-        model = LimitModel.from_gamma(GammaWeights(1, (3.0,)))
-        a, b = build_AB(model, 0.7)
+        a, b = build_AB(GammaWeights(1, (3.0,)), 0.7)
         assert a[0, 0] == pytest.approx(math.sqrt(0.7 * 3.0 / 2.0))
         assert b[0, 0] == 0.0
 
@@ -127,7 +133,7 @@ class TestLambdaAndWeights:
         ts = np.linspace(-3.0, 3.0, 25)
         for j in range(2):
             values = [
-                lambda_and_weights(M2.A0, M2.B0, t)[j].value for t in ts
+                lambda_and_weights(*limit_blocks(M2), t)[j].value for t in ts
             ]
             assert np.all(np.diff(values) < 0)
 
@@ -183,10 +189,8 @@ class TestLimitDensity:
         # scaling every gamma by c stretches the density by sqrt(c)
         c = 2.3
         for p, gamma in ((1, (2.0,)), (2, (2.0, 8.0))):
-            base = LimitModel.from_gamma(GammaWeights(p, gamma))
-            scaled = LimitModel.from_gamma(
-                GammaWeights(p, tuple(c * g for g in gamma))
-            )
+            base = GammaWeights(p, gamma)
+            scaled = GammaWeights(p, tuple(c * g for g in gamma))
             for t in (0.0, 0.8, -1.3, 2.1):
                 assert density_at(scaled, t * math.sqrt(c)) * math.sqrt(
                     c
@@ -209,8 +213,7 @@ class TestLimitDensity:
         # drops exact hits loses the breakpoint and about 2% of this value.
         # Reference frozen from a panel integration under a sin^2 endpoint
         # substitution at tolerance 1e-12.
-        model = LimitModel.from_gamma(GammaWeights(3, (4.0, 4.0, 100.0)))
-        value = density_at(model, -3.0 * math.sqrt(2.0), 1e-10)
+        value = density_at(GammaWeights(3, (4.0, 4.0, 100.0)), -3.0 * math.sqrt(2.0), 1e-10)
         assert value == pytest.approx(0.04484540135872291, abs=1e-8)
 
 
@@ -320,8 +323,7 @@ class TestArcsineMixture:
     def test_alpha2_near_zero(self, gamma2, references):
         # alpha_2 = 2 sqrt(gamma2) - 3 sqrt(gamma1) cancels here; 13 points
         # from -M* to M* through t = 0, against 40-digit mpmath references
-        model = LimitModel.from_gamma(GammaWeights(2, (4.0, gamma2)))
-        m = support_bound(model)
+        m = support_bound(GammaWeights(2, (4.0, gamma2)))
         for x, reference in zip(np.linspace(-m, m, 13), references):
             assert arcsine_mixture_density(4.0, gamma2, x, 1e-10) == pytest.approx(
                 reference, abs=1e-9
@@ -333,7 +335,7 @@ class TestArcsineMixture:
     def test_branch_edges_are_exact_at_the_support_bound(self, gamma):
         # M* is summed as support_bound sums it, so x = +-M* lies outside
         # both branches: density exactly 0, and the CDF terms exactly 1/2 or 0
-        m = support_bound(LimitModel.from_gamma(GammaWeights(2, gamma)))
+        m = support_bound(GammaWeights(2, gamma))
         m_branches, branches = spectral._arcsine_branches(*gamma)
         assert m_branches == m and branches[0][0] == 1.0
         for x, term in ((m, 0.5), (-m, 0.0)):
@@ -541,14 +543,36 @@ class TestLimitMoments:
         # int t^k dF = M*^k - k int t^(k-1) F dt by parts on [-M*, M*]; the
         # trapezoid over the grid-400 CDF is within 1.17e-4 M*^k for k <= 8
         p, gamma, _ = FIGURES[name]
-        model = LimitModel.from_gamma(GammaWeights(p, gamma))
-        table = density_grid(model, 400, 1e-6)
-        bound = support_bound(model)
+        w = GammaWeights(p, gamma)
+        table = density_grid(w, 400, 1e-6)
+        bound = support_bound(w)
         t, cdf = table.grid, table.cdf
-        expected = limit_moments(model, 8)
+        expected = limit_moments(w, 8)
         for k in range(1, 9):
             moment = bound**k - k * np.trapezoid(t ** (k - 1) * cdf, t)
             assert abs(moment - expected[k]) <= 2e-4 * bound**k, (k, moment, expected[k])
+
+
+class TestRootsAgainstTable:
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_scaled_roots_follow_the_table(self, name):
+        """n KS between the scaled polynomial roots and the grid-1000 table is
+        deterministic and O(1): the roots' counting function stays within a
+        few roots of n F(t), kinks included, at p = 2 and 3.
+
+        Measured for fig1..fig5: 1.51, 1.41, 2.12, 2.01 and 2.27 at n = 1200;
+        1.56, 1.41, 2.14, 2.05 and 3.02 at n = 2400.  Fig5's 3.02 is the
+        linear interpolation of the table in `ks_distance`.
+        """
+        p, gamma, _ = FIGURES[name]
+        w = GammaWeights(p, gamma)
+        table = density_grid(w, 1000, 1e-6)
+        for n in (1200, 2400):
+            values = roots(recurrence_coeffs(n, w), n // p)
+            spectrum = EmpiricalSpectrum(
+                n=n, p=p, gamma=w.gamma, seed=None, scaled=False, values=values
+            ).to_scaled()
+            assert n * ks_distance(spectrum, table) <= 4.0, n
 
 
 class TestSpectralDensity:
@@ -592,7 +616,7 @@ class TestOracleDensity:
         else:
             expected = [arcsine_mixture_density(*gamma, t, 1e-10) for t in table.grid]
         assert table.density.tolist() == expected
-        m = support_bound(LimitModel.from_gamma(GammaWeights(p, gamma)))
+        m = support_bound(GammaWeights(p, gamma))
         assert len(table.grid) == 121 and table.support == (-m, m)
 
     @pytest.mark.parametrize("p,gamma", TABLES)
@@ -607,7 +631,7 @@ class TestOracleDensity:
         # two independent closed forms: arccos of the kernel's eigenvalues,
         # and the integration-by-parts identity over the two branches
         w = GammaWeights(p, gamma)
-        kernel = density_grid(LimitModel.from_gamma(w), 400, 1e-10)
+        kernel = density_grid(w, 400, 1e-10)
         assert np.abs(oracle_density(w, 400, 1e-10).cdf - kernel.cdf).max() <= 1e-9
 
     def test_cdf_derivative_is_the_density(self):
@@ -645,11 +669,8 @@ class TestOracleDensity:
             oracle_density(GammaWeights(2, (2.0, 8.0)), 100, 1e-300)
 
 
-def _figure_models():
-    return {
-        name: LimitModel.from_gamma(GammaWeights(p, gamma))
-        for name, (p, gamma, _) in sorted(FIGURES.items())
-    }
+def _figure_weights():
+    return {name: GammaWeights(p, gamma) for name, (p, gamma, _) in sorted(FIGURES.items())}
 
 
 class TestDensityKernel:
@@ -681,13 +702,13 @@ class TestDensityKernel:
         # exit lies just past u_max, and the last panel's map must end there
         # to keep its inverse square root smooth.  References: 40-digit
         # quadrature of the two arcsine branches.
-        model = LimitModel.from_gamma(GammaWeights(2, (2.0, 3.0)))
+        w = GammaWeights(2, (2.0, 3.0))
         for t, reference in (
             (-0.5505102577, 0.84870816077197805),
             (-0.55051031, 0.84845483138024336),
             (-0.5505157, 0.84589714841450993),
         ):
-            assert density_at(model, t, 1e-9) == pytest.approx(reference, abs=1e-9)
+            assert density_at(w, t, 1e-9) == pytest.approx(reference, abs=1e-9)
 
     def test_narrow_panel_is_integrated(self):
         # at t = -4.999999999999995, just inside the support edge -5, a kink
@@ -702,14 +723,14 @@ class TestDensityKernel:
     def test_kinks_are_level_crossings(self, name):
         # every u* = t / (k sqrt(p)), k an eigenvalue of B0 -+ 2 A0, puts an
         # eigenvalue of W(u*, t) on +-2; W built by the independent path
-        model = _figure_models()[name]
-        u_max = math.sqrt(1.0 / model.p)
-        ts = np.linspace(-support_bound(model), support_bound(model), 41)
-        kinks = spectral._kinks(model, ts)
+        w = _figure_weights()[name]
+        u_max = math.sqrt(1.0 / w.p)
+        ts = np.linspace(-support_bound(w), support_bound(w), 41)
+        kinks = spectral._kinks(*limit_blocks(w), ts)
         checked = 0
         for t, row in zip(ts, kinks):
             for u in row[(row > 0.0) & (row <= u_max)]:
-                a, b = build_AB(model, u * u)
+                a, b = build_AB(w, u * u)
                 lams = np.array([pt.value for pt in lambda_and_weights(a, b, t)])
                 assert np.abs(np.abs(lams) - 2.0).min() <= 1e-12, (t, u, lams)
                 checked += 1
@@ -718,19 +739,21 @@ class TestDensityKernel:
     @pytest.mark.parametrize("name", ["fig1", "fig5"])
     def test_node_integrand_matches_trace_density(self, name):
         # in u = sqrt(s), ds = 2u du: the node integrand is 2u trace_density
-        model = _figure_models()[name]
+        w = _figure_weights()[name]
         rng = np.random.default_rng(5)
-        bound = support_bound(model)
+        bound = support_bound(w)
         t = rng.uniform(-bound, bound, 60)
-        u = rng.uniform(0.05, math.sqrt(1.0 / model.p), 60)
-        node = spectral._integrands(model, t, u)[0]
+        u = rng.uniform(0.05, math.sqrt(1.0 / w.p), 60)
+        a0, b0 = limit_blocks(w)
+        s0 = spd_inv_sqrt(a0)
+        node = spectral._integrands(s0 @ s0, s0 @ b0 @ s0, t, u)[0]
         for ti, ui, value in zip(t, u, node):
-            expected = 2.0 * ui * trace_density(*build_AB(model, ui * ui), ti)
+            expected = 2.0 * ui * trace_density(*build_AB(w, ui * ui), ti)
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_raw_cdf_runs_from_zero_to_one(self, name):
-        table = density_grid(_figure_models()[name], 400, 1e-6)
+        table = density_grid(_figure_weights()[name], 400, 1e-6)
         assert table.cdf[0] == 0.0
         assert abs(table.cdf[-1] - 1.0) <= 1e-12
         assert np.all(np.diff(table.cdf) >= 0.0)
@@ -746,10 +769,10 @@ class TestDensityKernel:
         np.testing.assert_allclose((hi - lo) / (2.0 * h), density, rtol=0.0, atol=1e-7)
 
     def test_one_point_case_equals_the_grid(self):
-        for model in _figure_models().values():
-            table = density_grid(model, 120, 1e-6)
+        for w in _figure_weights().values():
+            table = density_grid(w, 120, 1e-6)
             for t, d in list(zip(table.grid, table.density))[::10]:
-                assert density_at(model, t, 1e-6) == d
+                assert density_at(w, t, 1e-6) == d
 
     def test_unattainable_tolerance_raises(self):
         with pytest.raises(NumericalError, match="quad_tol 1e-300"):
@@ -758,7 +781,7 @@ class TestDensityKernel:
             density_grid(M1, 100, 1e-300)
 
     def test_decreasing_cdf_raises(self, monkeypatch):
-        def fake(model, ts, quad_tol):
+        def fake(w, ts, quad_tol):
             cdf = np.linspace(0.0, 1.0, len(ts))
             cdf[50] = cdf[48]
             return np.zeros(len(ts)), cdf, np.zeros(len(ts))
