@@ -122,8 +122,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     density = density_grid(_weights(args.p, args.gamma), args.grid, args.quad_tol)
-    sidecar = {**formats.density_sidecar(density), "quad_err_est": density.quad_err_est}
-    return _write((args.out, formats.write_density_csv, density), _sidecar(args.out, sidecar))
+    return _write(
+        (args.out, formats.write_density_csv, density),
+        _sidecar(args.out, formats.density_sidecar(density)),
+    )
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -177,6 +179,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "summary": {
             "median": float(np.median(ks_values)),
             "p90": float(np.quantile(ks_values, 0.9)),
+            "quad_err_est": density.quad_err_est,
             "bound_checks": {
                 "levy": {
                     "checked": args.trials,

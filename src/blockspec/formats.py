@@ -82,14 +82,18 @@ def write_spectrum_csv(path: str | Path, spectrum: EmpiricalSpectrum) -> None:
 
 
 def density_sidecar(density: SpectralDensity) -> dict:
+    """The table's configuration, and `quad_err_est` for a quadrature table."""
     lo, hi = density.support
-    return {
+    sidecar = {
         "p": density.p,
         "gamma": None if density.gamma is None else list(density.gamma),
         "grid_size": len(density.grid) - 1,
         "quad_tol": density.quad_tol,
         "support": [lo, hi],
     }
+    if density.quad_err_est is not None:
+        sidecar["quad_err_est"] = density.quad_err_est
+    return sidecar
 
 
 def write_density_csv(path: str | Path, density: SpectralDensity) -> None:

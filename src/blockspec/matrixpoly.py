@@ -10,9 +10,10 @@ as (m, p, p) stacks of symmetric blocks (the transpose is kept in eval_R
 regardless, so the recurrence stays correct for general nonsingular A).
 Roots of det R_m are never found by polynomial root-finding: they are the
 eigenvalues of the block Jacobi matrix built from the coefficients (F-tilde,
-cospectral with `ensemble.build_F`), and the determinant path is kept only
-as a residual check.  `coefficient_blocks` is the one construction of the
-entry pattern, for these stages and for the limit blocks A0, B0.
+cospectral with `ensemble.build_F`).  `eval_R` evaluates R_m itself; no
+library code calls it, and the tests use det R_m at the roots as their
+residual check.  `coefficient_blocks` is the one construction of the entry
+pattern, for these stages and for the limit blocks A0, B0.
 """
 
 from __future__ import annotations

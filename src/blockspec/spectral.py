@@ -15,14 +15,18 @@ for the unit eigenvectors u_j.  By first-order perturbation, dlambda_j/dt =
 -w_j, so every curve is strictly decreasing in t and the weights double as
 exact derivatives, which avoids curve tracking entirely.
 
-The s-integral runs over (0, 1/p].  A u = sqrt(s) substitution removes the
-1/sqrt(s) divergence of the weights at s -> 0.  The square-root kinks where
-some lambda_j crosses +-2 come in closed form from two p x p eigenvalue
-problems, and one batched pass integrates every grid point's panels between
-kinks with a fixed Gauss-Legendre rule, checked against its embedded
-half-size rule.  The same eigenvalues give the CDF in closed form through
-arccos(lambda_j / 2), since dlambda_j/dt = -w_j.  One bisection driver,
-`_bisect`, refines the failed panels of this kernel and of the p = 2 oracle.
+The s-integral runs over (0, 1/p].  W(t) at s is W0 - k A0^{-1} with
+k = t / sqrt(s p), W0 = A0^{-1/2} B0 A0^{-1/2}, and its weights carry the
+factor 1 / sqrt(s p), so in k the integrand depends on k alone and t only
+sets the range, k from t outward (`_density_table`).  The square-root kinks
+where some lambda_j crosses +-2 are 2p fixed levels of k, the eigenvalues
+of B0 -+ 2 A0 (`_levels`).  The integrals between levels are computed once,
+on shared panels, and every grid point adds one panel of its own.  The
+panels are batched over the grid and integrated with a fixed
+Gauss-Legendre rule, checked against its embedded half-size rule.  The
+same eigenvalues give the CDF in closed form through arccos(lambda_j / 2),
+since dlambda_j/dt = -w_j.  One bisection driver, `_bisect`, refines the
+failed panels of this kernel and of the p = 2 oracle.
 
 The p = 2 oracle mixes two arcsine branches.  In u = sqrt(s) in (0, U],
 U = 1/sqrt(2), branch j has the integrand 2u / (pi sqrt(Q_j(u))) with
@@ -161,47 +165,44 @@ _ROUNDING = 64 * np.finfo(float).eps  # relative rounding level of a panel integ
 _CHUNK_PANELS = 64  # panels per batched eigh call (64 * 48 matrices)
 
 
-def _integrands(a0inv: np.ndarray, w0: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The u-integrands of the density, the mass below t and the mass above t,
-    for the pencil a0inv = A0^{-1}, w0 = S0 B0 S0 with S0 = A0^{-1/2}.
+def _integrands(a0inv: np.ndarray, w0: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(2 / (pi p)) (D(k), E_below(k), E_above(k)) for the pencil
+    W(k) = W0 - k A0^{-1}, a0inv = A0^{-1} and w0 = W0 = S0 B0 S0 with
+    S0 = A0^{-1/2}, stacked on a new first axis; k has any shape.
 
-    t and u broadcast together; the three integrands are stacked on a new
-    first axis.  ds = 2u du, and the weights of W(u, t) carry the factor
-    1 / (u sqrt(p)), so the density integrand is 2u times the trace density
-    sum_j w_j / (pi sqrt(4 - lambda_j^2)) of the coefficient pair
-    sqrt(s p) (A0, B0) at s = u^2.
+    D(k) = sum_j w_j / sqrt(4 - lambda_j^2) over |lambda_j| < 2, for the
+    eigenvalues lambda_j of W(k) and the weights w_j = v_j^T A0^{-1} v_j of
+    its unit eigenvectors v_j.  E_below(k) = sum_j arccos(lambda_j / 2) and
+    E_above(k) = sum_j arccos(-lambda_j / 2), with lambda_j / 2 clipped to
+    [-1, 1], add up to p pi.
     """
-    sqrt_p = math.sqrt(len(a0inv))
-    lam, vec = np.linalg.eigh(w0 - (t / (u * sqrt_p))[..., None, None] * a0inv)
+    lam, vec = np.linalg.eigh(w0 - k[..., None, None] * a0inv)
     weights = np.sum(vec * (a0inv @ vec), axis=-2)
     inside = np.abs(lam) < 2.0
     radicand = np.where(inside, (2.0 - lam) * (2.0 + lam), 1.0)
     half = np.clip(lam / 2.0, -1.0, 1.0)
-    density = np.sum(np.where(inside, weights / np.sqrt(radicand), 0.0), axis=-1)
-    below = np.sum(np.arccos(half), axis=-1)
-    above = np.sum(np.arccos(-half), axis=-1)
-    return np.stack(
-        [
-            density * (2.0 / (math.pi * sqrt_p)),
-            below * u * (2.0 / math.pi),
-            above * u * (2.0 / math.pi),
-        ]
-    )
+    terms = [
+        np.sum(np.where(inside, weights / np.sqrt(radicand), 0.0), axis=-1),
+        np.sum(np.arccos(half), axis=-1),
+        np.sum(np.arccos(-half), axis=-1),
+    ]
+    return np.stack(terms) * (2.0 / (math.pi * len(a0inv)))
 
 
 def _panel_integrals(
     integrand, t: np.ndarray, a: np.ndarray, b: np.ndarray, end: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of the three integrands of integrand(t, u) (the stacked
-    `_integrands`) over the u-panels [a, b], with one error estimate a panel.
+    """Integrals of the three integrands of integrand(t, x) over the panels
+    [a, b] in x, t a parameter per panel, with one error estimate a panel.
 
-    Panel i is mapped through u = a + (end - a) sin^2(theta), end >= b, for
-    theta in (0, theta_end) with sin^2(theta_end) = (b - a) / (end - a).  The
-    map cancels the inverse-square-root behaviour of a kink at a and at end,
-    so all three integrands are smooth in theta even when the kink at end
-    lies just past the panel.  Returns the (3, panels) integrals and the
-    largest of their three error estimates, |K-node rule - K/2-node rule|,
-    per panel.
+    Panel i is mapped through x = a + (end - a) sin^2(theta), with b between
+    a and end, for theta in (0, theta_end) with sin^2(theta_end) = (b - a) /
+    (end - a).  The map cancels the inverse-square-root behaviour of a kink
+    at a and at end, so all three integrands are smooth in theta even when
+    the kink at end lies just past the panel.  A panel with b < a gives the
+    integral from a to b, the negative of that over [b, a].  Returns the
+    (3, panels) integrals and the largest of their three error estimates,
+    |K-node rule - K/2-node rule|, per panel.
     """
     theta_end = np.arcsin(np.sqrt((b - a) / (end - a)))
     high = np.empty((3, len(t)))
@@ -240,7 +241,7 @@ def _bisect(integrate, row, a, b, end, share, max_depth: int):
         if ok.all():
             return found, None
         stuck = ~ok & ((depth == max_depth) | (share == 0.0)
-                       | (err <= _ROUNDING * values.max(axis=0)))
+                       | (err <= _ROUNDING * np.abs(values).max(axis=0)))
         if stuck.any():
             i = int(np.argmax(stuck))
             return found, (depth, (row[i], a[i], b[i], share[i], err[i]), err[~ok])
@@ -250,19 +251,125 @@ def _bisect(integrate, row, a, b, end, share, max_depth: int):
         a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
 
 
-def _kinks(a0: np.ndarray, b0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """u-locations where an eigenvalue curve of W(u, t) meets +-2, per t.
+def _levels(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """The k at which an eigenvalue of W(k) = W0 - k A0^{-1} meets +-2,
+    ascending and distinct, with 0 left out.
 
-    With u = sqrt(s), W(u, t) = W0 - (t / (u sqrt(p))) A0^{-1}, and
-    W0 - k A0^{-1} - l I = S0 (B0 - k I - l A0) S0 with S0 = A0^{-1/2}.  So a
-    curve meets the level l exactly where k = t / (u sqrt(p)) is an
-    eigenvalue of B0 - l A0: two p x p eigenvalue problems give every kink
-    at every t.  Row i holds t_i / (k sqrt(p)) for each nonzero eigenvalue k
-    of B0 - 2 A0 and B0 + 2 A0; entries outside (0, u_max] lie off the
-    integration range.
+    W0 - k A0^{-1} - l I = S0 (B0 - k I - l A0) S0 with S0 = A0^{-1/2}, so
+    W(k) has the eigenvalue l exactly where k is an eigenvalue of B0 - l A0:
+    the levels are the eigenvalues of B0 - 2 A0 and B0 + 2 A0.
     """
     levels = np.concatenate([np.linalg.eigvalsh(b0 - 2.0 * a0), np.linalg.eigvalsh(b0 + 2.0 * a0)])
-    return ts[:, None] / (levels[levels != 0.0] * math.sqrt(len(a0)))
+    return np.unique(levels[levels != 0.0])
+
+
+def _panel_sums(integrand, q, a, b, end, share, at_t, quad_tol: float, variable: str):
+    """`_panel_integrals` of integrand(q, x) on the panels [a, b], refined
+    by `_bisect` until each meets its share: the (4, panels) rows of the
+    three integrals and the summed estimate of each panel.  A stuck panel
+    raises NumericalError naming at_t of that panel."""
+    keep = np.nonzero(b != a)[0]  # an empty panel adds an exact 0
+    found, stuck = _bisect(
+        lambda row, a, b, end: _panel_integrals(integrand, q[row], a, b, end),
+        keep, a[keep], b[keep], end[keep], share[keep], _MAX_DEPTH,
+    )
+    if stuck:
+        depth, (i, lo, hi, part, err), _ = stuck
+        raise NumericalError(
+            f"limit density quadrature at t = {float(at_t[i])!r}: error "
+            f"estimate {err:.3e} exceeds its share {part:.3e} of quad_tol "
+            f"{quad_tol!r} on the {variable}-panel [{float(lo)!r}, {float(hi)!r}] "
+            f"after {depth} bisections"
+        )
+    row, values, err = (np.concatenate(parts, axis=-1) for parts in zip(*found))
+    return np.stack([np.bincount(row, weights=x, minlength=len(a)) for x in (*values, err)])
+
+
+def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: float,
+               quad_tol: float):
+    """Density, mass below t, mass above t and error estimate, (4, len(ts)),
+    at the ts of one sign, sign * t > 0, by the scheme of `_density_table`
+    with values(k) = `_integrands` at k; levels holds the x = sign * k /
+    scale of the `_levels` of that sign, ascending and below 1."""
+
+    def in_k(q, x):
+        # q = t / scale on t's own panel, the integrands of f(t) and the
+        # masses at t; q = +-1 on a shared panel, unweighted
+        d, below, above = values(np.copysign(x, q) * scale)
+        return np.stack([np.abs(q) * d / x**2, q * q * below / x**3, q * q * above / x**3])
+
+    def in_v(q, v):
+        d, below, above = values(q / v * scale)
+        return np.stack([d, below * v, above * v])
+
+    x = np.abs(ts) / scale
+    n = len(levels)
+    inner = 1 if sign > 0.0 else 2  # the mass that reaches 1 as |t| grows
+    out = np.zeros((4, len(ts)))
+    out[inner] = 1.0  # past the last level, where f and the outer mass are 0
+    gap = np.searchsorted(levels, x, side="right")
+    live = np.nonzero(gap < n)[0]
+    if not len(live):
+        return out
+    x, gap, ts = x[live], gap[live], ts[live]
+    q = ts / scale
+    lo = np.concatenate([[0.0], levels[:-1]])
+    mid = (lo + levels) / 2.0
+    # the shared half-gaps outward: [mid_0, L_0], then [L_{i-1}, mid_i] and
+    # [mid_i, L_i]; reach is the largest x of a t that uses one
+    a_sh = np.stack([lo, mid], axis=1).ravel()[1:]
+    b_sh = np.stack([mid, levels], axis=1).ravel()[1:]
+    reach = np.stack([lo, levels], axis=1).ravel()[1:]
+    reach[-1] = mid[-1]
+    direct = (gap == n - 1) & (x >= mid[-1])
+    near_zero = (gap == 0) & (x < mid[0])
+    # t takes the shared panels from first on; the direct half-gap takes none
+    first = np.where(direct, 2 * n - 1, 2 * gap)
+    used = int(first.min())
+    own = ~near_zero
+    a_own = np.where(direct, x, mid[gap])[own]
+    b_own = np.where(direct, levels[-1], x)[own]
+    end_own = np.where(direct | (x > mid[gap]), levels[gap], lo[gap])[own]
+    count = 2 * n - 1 - used
+    sums = _panel_sums(
+        in_k,
+        np.concatenate([np.full(count, sign), q[own]]),
+        np.concatenate([a_sh[used:], a_own]),
+        np.concatenate([b_sh[used:], b_own]),
+        np.concatenate([b_sh[used:], end_own]),
+        np.concatenate([quad_tol / (2 * (2 * n - 1)) / reach[used:],
+                        np.full(len(a_own), quad_tol / 2.0)]),
+        np.concatenate([np.full(count, ts[np.argmin(first)]), ts[own]]),
+        quad_tol, "k",
+    )
+    shared = np.zeros((4, 2 * n))
+    shared[:, used:-1] = sums[:, :count]
+    shared[inner, -1] = 1.0 / levels[-1] ** 2  # the inner mass past the last level
+    suffix = np.cumsum(shared[:, ::-1], axis=1)[:, ::-1]
+    point = np.empty((4, len(x)))
+    # an anchored panel runs from mid to t, so its integral enters negated
+    point[:3, own] = sums[:3, count:] * np.where(direct, 1.0, -1.0)[own]
+    point[3, own] = sums[3, count:]
+    if near_zero.any():
+        # v = t / k over [t / mid_0, 1], the start floored at the smallest
+        # normal float, in panels graded tenfold from the start
+        owner, a_v, b_v = [], [], []
+        for i in np.nonzero(near_zero)[0]:
+            e = [max(x[i] / mid[0], np.finfo(float).tiny)]
+            while e[-1] * 10.0 < 1.0:
+                e.append(e[-1] * 10.0)
+            owner += [i] * len(e)
+            a_v += e
+            b_v += e[1:] + [1.0]
+        owner, a_v, b_v = np.array(owner), np.array(a_v), np.array(b_v)
+        sums = _panel_sums(in_v, q[owner], a_v, b_v, b_v, quad_tol / 2.0 / np.bincount(owner)[owner],
+                           ts[owner], quad_tol, "v")
+        point[:, near_zero] = np.stack(
+            [np.bincount(owner, weights=row, minlength=len(x)) for row in sums]
+        )[:, near_zero]
+    weight = np.stack([x, x * x, x * x, x])
+    out[:, live] = point + weight * suffix[:, first]
+    return out
 
 
 def _density_table(
@@ -270,23 +377,47 @@ def _density_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Limit density, CDF and quadrature error estimate at every t in ts.
 
-    With u = sqrt(s) the s-integrals run over u in (0, u_max], u_max =
-    sqrt(1/p), split into panels at the `_kinks` inside that range, so every
-    panel carries smooth integrands once mapped.
+    In k = t / (u sqrt(p)), u = sqrt(s), the pencil is W(k) = W0 - k A0^{-1}
+    (`_integrands`), and the integrals over u in (0, sqrt(1/p)] run over k
+    from t outward.  With x = |k| and C = 2 / (pi p),
 
-    The density integrand is sum_j w_j / (pi sqrt(4 - lambda_j^2)) over
-    |lambda_j| < 2.  The mass below t has integrand sum_j arccos(lambda_j/2)
-    / pi with lambda_j / 2 clipped to [-1, 1], whose t-derivative is the
-    density integrand because dlambda_j/dt = -w_j; the mass above t uses
-    arccos(-lambda_j / 2), and the two add up to 1.  The CDF is the mass
-    below t where that is the smaller one and 1 - (mass above t) elsewhere:
-    both are exact zeros outside the support, so the table starts at 0 and
-    ends at 1 with no normalization, and either tail keeps its relative
-    precision.
+        f(t) = |t| int_{|t|}^inf C D(k) x^-2 dx,
+        mass below t = t^2 int_{|t|}^inf C E_below(k) x^-3 dx,
 
-    Every (t, panel) pair gets the share quad_tol / (panels at t) of the
-    tolerance, and `_bisect` refines the panels; NumericalError is raised
-    when a panel is stuck, at the latest after _MAX_DEPTH bisections.
+    and the mass above t alike with E_above.  The integrands are smooth
+    between the levels (`_levels`), with inverse square roots at them.  Past
+    the last level of each sign no curve is inside (-2, 2): D = 0 there, one
+    E is 0 and the other is p pi, whose tail from x = L is 1 / L^2.
+
+    Each gap between levels is cut at its midpoint, its anchor.  The
+    half-gaps are shared panels, mapped toward their level, integrated once
+    and summed outward.  Each t takes the sums past its own gap's anchor
+    and integrates one panel of its own, from the anchor to t, mapped toward
+    the nearer level.  Two gaps differ.  In the first, (0, L_1), a t below
+    the anchor is integrated in v = t / k over [t / anchor, 1], on panels
+    graded tenfold; there the integrands C D(t / v) of f(t) and
+    C E(t / v) v of the masses stay bounded as t -> 0.  In the outer half
+    of the last gap, t integrates [|t|, L] directly, so the outer mass is
+    an integral, not a difference, and it is an exact 0 from L on.  At
+    t = 0, f = C D(0) and the masses are C E(0) / 2.
+
+    The mass below t has the t-derivative f, since dlambda_j/dt = -w_j;
+    the two masses add up to 1.  The CDF is the mass below t where that is
+    the smaller one and 1 - (mass above t) elsewhere: both are exact zeros
+    outside the support, so the table starts at 0 and ends at 1 with no
+    normalization, and either tail keeps its relative precision.
+
+    The k-integrals run in units of scale, the power of two just above the
+    largest |level|, for any weights: every panel in use then lies in
+    (0, 1), where x^-3 stays finite and t^2 <= |t|.  A panel's estimate
+    enters f(t) times |t| and the masses times t^2, so at most |t| times
+    itself.  t's own panels share quad_tol / 2, their estimates weighted
+    exactly; each of the 2n - 1 shared panels of a side with n levels gets
+    (quad_tol / 2) / (2n - 1) / r, r the largest |t| that uses it, whatever
+    the ts.  The estimate returned for t is its own estimates plus |t|
+    times those of the shared panels it uses: at most quad_tol.  `_bisect`
+    refines the panels; NumericalError is raised when a panel is stuck, at
+    the latest after _MAX_DEPTH bisections.
     """
     a0, b0 = limit_blocks(w)
     _require_quad_tol(quad_tol)
@@ -300,38 +431,21 @@ def _density_table(
             "weight configurations are rejected",
             min_eigenvalue=exc.min_eigenvalue,
         ) from exc
-    integrand = partial(_integrands, s0 @ s0, s0 @ b0 @ s0)
+    values = partial(_integrands, s0 @ s0, s0 @ b0 @ s0)
     ts = np.asarray(ts, dtype=float)
-    u_max = math.sqrt(1.0 / w.p)
-    kinks = _kinks(a0, b0, ts)
-    inner = np.sort(np.where((kinks > 0.0) & (kinks < u_max), kinks, u_max), axis=1)
-    edges = np.concatenate(
-        [np.zeros((len(ts), 1)), inner, np.full((len(ts), 1), u_max)], axis=1
-    )
-    # the nearest kink past u_max, if any, ends the map of the last panel
-    past = np.where(kinks >= u_max, kinks, np.inf).min(axis=1, initial=np.inf)
-    past = np.where(np.isfinite(past), past, u_max)
-    a, b = edges[:, :-1], edges[:, 1:]
-    keep = b > a
-    row = np.nonzero(keep)[0]
-    a, b = a[keep], b[keep]
-    end = np.where(b == u_max, past[row], b)
-    found, stuck = _bisect(
-        lambda row, a, b, end: _panel_integrals(integrand, ts[row], a, b, end),
-        row, a, b, end, quad_tol / keep.sum(axis=1)[row], _MAX_DEPTH,
-    )
-    if stuck:
-        depth, (i, lo, hi, share, err), _ = stuck
-        raise NumericalError(
-            f"limit density quadrature at t = {float(ts[i])!r}: error "
-            f"estimate {err:.3e} exceeds its share {share:.3e} of quad_tol "
-            f"{quad_tol!r} on the u-panel [{float(lo)!r}, {float(hi)!r}] "
-            f"after {depth} bisections"
-        )
-    row, values, err = (np.concatenate(parts, axis=-1) for parts in zip(*found))
-    density, below, above, err = (
-        np.bincount(row, weights=w, minlength=len(ts)) for w in (*values, err)
-    )
+    levels = _levels(a0, b0)
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(levels).max(initial=0.0)))[1])
+    levels = levels / scale
+    table = np.zeros((4, len(ts)))
+    for sign, side in ((1.0, levels[levels > 0.0]), (-1.0, -levels[levels < 0.0][::-1])):
+        on = sign * ts > 0.0
+        if on.any():
+            table[:, on] = _half_line(values, side, sign, ts[on], scale, quad_tol)
+    at_zero = ts == 0.0
+    if at_zero.any():
+        f0, below0, above0 = values(np.zeros(1))[:, 0]
+        table[:3, at_zero] = [[f0], [below0 / 2.0], [above0 / 2.0]]
+    density, below, above, err = table
     cdf = np.where(below <= above, below, 1.0 - above)
     return density, cdf, err
 
@@ -549,7 +663,7 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
 
 def density_grid(w: GammaWeights, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
-    spanning [-M*, M*], in one batched pass of the quadrature kernel."""
+    spanning [-M*, M*], batched over the grid in the quadrature kernel."""
     grid = _grid(support_bound(w), grid_size, quad_tol)
     density, cdf, err = _density_table(w, grid, quad_tol)
     return SpectralDensity(

@@ -721,35 +721,75 @@ class TestDensityKernel:
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_kinks_are_level_crossings(self, name):
-        # every u* = t / (k sqrt(p)), k an eigenvalue of B0 -+ 2 A0, puts an
-        # eigenvalue of W(u*, t) on +-2; W built by the independent path
+        # at every level k, W0 - k A0^{-1} has an eigenvalue +-2; it is W of
+        # the independent path build_AB(w, s) at t = k sqrt(s p), for any s
         w = _figure_weights()[name]
-        u_max = math.sqrt(1.0 / w.p)
-        ts = np.linspace(-support_bound(w), support_bound(w), 41)
-        kinks = spectral._kinks(*limit_blocks(w), ts)
+        levels = spectral._levels(*limit_blocks(w))
         checked = 0
-        for t, row in zip(ts, kinks):
-            for u in row[(row > 0.0) & (row <= u_max)]:
-                a, b = build_AB(w, u * u)
+        for k in levels:
+            for s in np.linspace(0.01, 1.0 / w.p, 10):
+                a, b = build_AB(w, s)
+                t = k * math.sqrt(s * w.p)
                 lams = np.array([pt.value for pt in lambda_and_weights(a, b, t)])
-                assert np.abs(np.abs(lams) - 2.0).min() <= 1e-12, (t, u, lams)
+                assert np.abs(np.abs(lams) - 2.0).min() <= 1e-12, (k, s, lams)
                 checked += 1
         assert checked >= 40
 
     @pytest.mark.parametrize("name", ["fig1", "fig5"])
     def test_node_integrand_matches_trace_density(self, name):
-        # in u = sqrt(s), ds = 2u du: the node integrand is 2u trace_density
+        # W(k) is the pencil of build_AB(w, s) at t = k c, c = sqrt(s p),
+        # whose weights carry 1 / c: the density row 2 D(k) / (pi p) is
+        # (2 c / p) trace_density
         w = _figure_weights()[name]
         rng = np.random.default_rng(5)
         bound = support_bound(w)
-        t = rng.uniform(-bound, bound, 60)
-        u = rng.uniform(0.05, math.sqrt(1.0 / w.p), 60)
+        k = rng.uniform(-1.5 * bound, 1.5 * bound, 60)
+        s = rng.uniform(0.0025, 1.0 / w.p, 60)
         a0, b0 = limit_blocks(w)
         s0 = spd_inv_sqrt(a0)
-        node = spectral._integrands(s0 @ s0, s0 @ b0 @ s0, t, u)[0]
-        for ti, ui, value in zip(t, u, node):
-            expected = 2.0 * ui * trace_density(*build_AB(w, ui * ui), ti)
+        node = spectral._integrands(s0 @ s0, s0 @ b0 @ s0, k)[0]
+        for ki, si, value in zip(k, s, node):
+            c = math.sqrt(si * w.p)
+            expected = (2.0 * c / w.p) * trace_density(*build_AB(w, si), ki * c)
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+    def test_figure_tables_take_few_integrand_evaluations(self, monkeypatch):
+        # one 48-node panel per grid point, plus the shared panels and the
+        # few bisections; the per-point kernel this replaced took 100-131
+        sizes = []
+        integrands = spectral._integrands
+
+        def counting(a0inv, w0, k):
+            sizes.append(np.size(k))
+            return integrands(a0inv, w0, k)
+
+        monkeypatch.setattr(spectral, "_integrands", counting)
+        for name, w in _figure_weights().items():
+            sizes.clear()
+            density_grid(w, 400, 1e-6)
+            assert sum(sizes) <= 60 * 401, name
+
+    @pytest.mark.parametrize(
+        "gamma, grid", [((2.0, 8.0), 400), ((1.0, 100.0), 400), ((2.0, 8.0), 100), ((2.0, 8.0), 120)]
+    )
+    def test_table_matches_the_oracle_far_below_quad_tol(self, gamma, grid):
+        # fig1, fig2 and the p = 2 density tables of the benchmark and the
+        # golden files, at their quad_tol 1e-6
+        table = density_grid(GammaWeights(2, gamma), grid, 1e-6)
+        reference = [arcsine_mixture_density(*gamma, t, 1e-12) for t in table.grid]
+        assert np.abs(table.density - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [(2.0, 8.0), (1.0, 100.0)])
+    def test_small_t_matches_the_graded_oracle(self, gamma):
+        # as t -> 0 t's own range [t, anchor] in k spans ever more decades;
+        # 3.2e-8 at (2, 8) and 5.6e-6 at (1, 100) once exited 3
+        w = GammaWeights(2, gamma)
+        for e in range(-12, 0):
+            for t in (10.0**e, 3.2 * 10.0**e, 5.6 * 10.0**e):
+                for x in (t, -t):
+                    if abs(x) <= 0.1:
+                        reference = arcsine_mixture_density(*gamma, x, 1e-13)
+                        assert density_at(w, x, 1e-8) == pytest.approx(reference, abs=1e-13), x
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_raw_cdf_runs_from_zero_to_one(self, name):
