@@ -251,6 +251,15 @@ def _bisect(integrate, row, a, b, end, share, max_depth: int):
         a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
 
 
+def _graded_edges(start: float, stop: float) -> list[float]:
+    """Panel edges start, 10 start, 100 start, ... below stop, then stop:
+    panels growing tenfold away from a narrow feature at start."""
+    edges = [start]
+    while edges[-1] * 10.0 < stop:
+        edges.append(edges[-1] * 10.0)
+    return edges + [stop]
+
+
 def _levels(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """The k at which an eigenvalue of W(k) = W0 - k A0^{-1} meets +-2,
     ascending and distinct, with 0 left out.
@@ -263,11 +272,14 @@ def _levels(a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     return np.unique(levels[levels != 0.0])
 
 
-def _panel_sums(integrand, q, a, b, end, share, at_t, quad_tol: float, variable: str):
+def _panel_sums(integrand, q, a, b, end, share, at_t, weight, quad_tol: float,
+                variable: str, unit: float):
     """`_panel_integrals` of integrand(q, x) on the panels [a, b], refined
     by `_bisect` until each meets its share: the (4, panels) rows of the
     three integrals and the summed estimate of each panel.  A stuck panel
-    raises NumericalError naming at_t of that panel."""
+    raises NumericalError naming at_t of that panel, its estimate and share
+    times weight, the factor with which they enter at_t's estimate, and its
+    bounds times unit, in the variable named."""
     keep = np.nonzero(b != a)[0]  # an empty panel adds an exact 0
     found, stuck = _bisect(
         lambda row, a, b, end: _panel_integrals(integrand, q[row], a, b, end),
@@ -277,9 +289,9 @@ def _panel_sums(integrand, q, a, b, end, share, at_t, quad_tol: float, variable:
         depth, (i, lo, hi, part, err), _ = stuck
         raise NumericalError(
             f"limit density quadrature at t = {float(at_t[i])!r}: error "
-            f"estimate {err:.3e} exceeds its share {part:.3e} of quad_tol "
-            f"{quad_tol!r} on the {variable}-panel [{float(lo)!r}, {float(hi)!r}] "
-            f"after {depth} bisections"
+            f"estimate {err * weight[i]:.3e} exceeds its share {part * weight[i]:.3e} "
+            f"of quad_tol {quad_tol!r} on the {variable}-panel "
+            f"[{float(lo * unit)!r}, {float(hi * unit)!r}] after {depth} bisections"
         )
     row, values, err = (np.concatenate(parts, axis=-1) for parts in zip(*found))
     return np.stack([np.bincount(row, weights=x, minlength=len(a)) for x in (*values, err)])
@@ -331,6 +343,8 @@ def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: f
     b_own = np.where(direct, levels[-1], x)[own]
     end_own = np.where(direct | (x > mid[gap]), levels[gap], lo[gap])[own]
     count = 2 * n - 1 - used
+    # a stuck shared panel is reported at the largest |t| that uses it
+    widest = [int(np.argmax(np.where(first <= j, x, -1.0))) for j in range(used, 2 * n - 1)]
     sums = _panel_sums(
         in_k,
         np.concatenate([np.full(count, sign), q[own]]),
@@ -339,8 +353,9 @@ def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: f
         np.concatenate([b_sh[used:], end_own]),
         np.concatenate([quad_tol / (2 * (2 * n - 1)) / reach[used:],
                         np.full(len(a_own), quad_tol / 2.0)]),
-        np.concatenate([np.full(count, ts[np.argmin(first)]), ts[own]]),
-        quad_tol, "k",
+        np.concatenate([ts[widest], ts[own]]),
+        np.concatenate([x[widest], np.ones(len(a_own))]),
+        quad_tol, "k", sign * scale,
     )
     shared = np.zeros((4, 2 * n))
     shared[:, used:-1] = sums[:, :count]
@@ -355,15 +370,13 @@ def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: f
         # normal float, in panels graded tenfold from the start
         owner, a_v, b_v = [], [], []
         for i in np.nonzero(near_zero)[0]:
-            e = [max(x[i] / mid[0], np.finfo(float).tiny)]
-            while e[-1] * 10.0 < 1.0:
-                e.append(e[-1] * 10.0)
-            owner += [i] * len(e)
-            a_v += e
-            b_v += e[1:] + [1.0]
+            e = _graded_edges(max(x[i] / mid[0], np.finfo(float).tiny), 1.0)
+            owner += [i] * (len(e) - 1)
+            a_v += e[:-1]
+            b_v += e[1:]
         owner, a_v, b_v = np.array(owner), np.array(a_v), np.array(b_v)
         sums = _panel_sums(in_v, q[owner], a_v, b_v, b_v, quad_tol / 2.0 / np.bincount(owner)[owner],
-                           ts[owner], quad_tol, "v")
+                           ts[owner], np.ones(len(owner)), quad_tol, "v", 1.0)
         point[:, near_zero] = np.stack(
             [np.bincount(owner, weights=row, minlength=len(x)) for row in sums]
         )[:, near_zero]
@@ -545,12 +558,8 @@ def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
             # panels growing tenfold from theta0 resolve it
             near = (slope * lo + offset) / slope if slope > 0.0 else math.inf
             theta0 = math.sqrt(near / width)
-            edges = [0.0]
-            if 0.0 < theta0 < 0.1:
-                while theta0 < math.pi / 2.0:
-                    edges.append(theta0)
-                    theta0 *= 10.0
-            edges.append(math.pi / 2.0)
+            edges = [0.0] + (_graded_edges(theta0, math.pi / 2.0) if 0.0 < theta0 < 0.1
+                             else [math.pi / 2.0])
 
             def integrand(theta, k=k, lo=lo, width=width, slope=slope, offset=offset):
                 v = lo + width * np.sin(theta) ** 2

@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -583,8 +582,9 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: limit density quadrature at t = ")
-        share = re.search(r"exceeds its share (\S+) of quad_tol 1e-06 ", err)
-        assert share and 0.0 < float(share[1]) < 1e-6
+        # the shared half-gap [L / 2, L] of the level L = sqrt(2e-300), bisected once,
+        # at the largest t below it: (quad_tol / 2) (t / L) / 2
+        assert "exceeds its share 2.400e-07 of quad_tol 1e-06 on the k-panel [" in err
         assert "positive definite" not in err
         assert list(tmp_path.iterdir()) == []
 
