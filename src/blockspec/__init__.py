@@ -5,7 +5,6 @@ from .ensemble import (
     EmpiricalSpectrum,
     GammaWeights,
     RngSeed,
-    build_F,
     build_G,
     rng_from_seed,
 )
@@ -26,10 +25,6 @@ from .harness import (
 from .linalg import SymmetricBanded, eigh_banded, spd_inv_sqrt
 from .matrixpoly import (
     RecurrenceCoeffs,
-    cheb_T,
-    cheb_U,
-    eval_R,
-    markov_bound_check,
     recurrence_coeffs,
     roots,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -77,11 +78,20 @@ def _write(*outputs) -> int:
     return 0
 
 
+def _base_path(text: str) -> str:
+    """An --out, rejected while parsing when it names no file: '', '.', '..',
+    '/' or any text ending in '/', which pathlib would drop."""
+    if os.path.basename(text) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    return text
+
+
 def _table_path(text: str) -> Path:
-    """The --out of a table command, rejected while parsing when the table
-    and its JSON sidecar (`_sidecar`) would not be two files."""
-    path = Path(text)
-    if not path.name or path.suffix == ".json":
+    """The --out of a table command, rejected while parsing when it names no
+    file or when the table and its JSON sidecar (`_sidecar`) would not be two
+    files."""
+    path = Path(_base_path(text))
+    if path.suffix == ".json":
         raise argparse.ArgumentTypeError(
             f"{text!r} leaves no separate path for the table's JSON sidecar"
         )
@@ -104,7 +114,7 @@ def _write_spectrum(args: argparse.Namespace, spectrum: EmpiricalSpectrum) -> in
 
 def _roots_spectrum(coeffs: RecurrenceCoeffs, w: GammaWeights) -> EmpiricalSpectrum:
     """The deterministic roots as an unscaled spectrum with no seed."""
-    values = roots(coeffs, coeffs.m)
+    values = roots(coeffs)
     return EmpiricalSpectrum(
         n=coeffs.m * w.p, p=w.p, gamma=w.gamma, seed=None, scaled=False, values=values
     )
@@ -303,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *, n=False, weights=True, p_choices=None, seed=False,
-                trials=None, quad_tol=None, scaled=False, out, out_type=str, out_help=None):
+                trials=None, quad_tol=None, scaled=False, out, out_type=_base_path,
+                out_help=None):
         """The subparser `name` with the flags it shares with other commands."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)

@@ -1,24 +1,24 @@
-"""Seeded sampling of the random block matrix G and its deterministic
-counterpart F.
+"""Seeded sampling of the random block matrix G.
 
-Both matrices are symmetric banded with half-bandwidth 2p-1 and share one
-scalar entry layout (1-based global indices, r < c, offset d = c - r):
+G is symmetric banded with half-bandwidth 2p-1, with one scalar entry
+layout (1-based global indices, r < c, offset d = c - r):
 
   d = 0            standard normal draw (one per diagonal position)
   1 <= d <= p-1    chi draw with dof gamma_d * (n - c + 1), always present
   p <= d <= 2p-1   chi draw with dof gamma_{2p-d} * (n - r - p + 1), present
                    only when r and c fall in adjacent p-blocks
 
-F replaces each normal with 0 and each chi_k draw with sqrt(k); all entries
-carry the 1/sqrt(2) prefactor.  F is permutation-similar to F-tilde, the
-block Jacobi matrix of the associated matrix orthogonal polynomials
-(`matrixpoly.jacobi_matrix(matrixpoly.recurrence_coeffs(n, w), n // p)`),
-so the two have equal spectra, which the tests assert.
+and all off-diagonal entries carry the 1/sqrt(2) prefactor.  Its
+deterministic counterpart F replaces each normal with 0 and each chi_k draw
+with sqrt(k).  F is permutation-similar to F-tilde, the block Jacobi matrix
+of the associated matrix orthogonal polynomials
+(`matrixpoly.jacobi_matrix(matrixpoly.recurrence_coeffs(n, w))`).  The
+library builds only F-tilde; the tests build F and assert equal spectra.
 
 `chi_layout` is the one construction of this layout: it returns every chi
-position with its dof as arrays, and `build_G` and `build_F` both read it.
-The test suite keeps an independent blockwise transcription of the block
-patterns and a loop over the positional rule as oracles for it.
+position with its dof as arrays, and `build_G` reads it.  The test suite
+keeps an independent blockwise transcription of the block patterns and a
+loop over the positional rule as oracles for it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import SymmetricBanded
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class _Value:
@@ -188,13 +186,5 @@ def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
     rng = rng_from_seed(seed)
     out = SymmetricBanded.zeros(n, 2 * w.p - 1)
     out.bands[0, :] = rng.standard_normal(n)
-    out.bands[cols - rows, rows - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / _SQRT2
-    return out
-
-
-def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
-    """Deterministic counterpart of G: normals -> 0, chi_k draws -> sqrt(k)."""
-    rows, cols, dof = chi_layout(n, w)
-    out = SymmetricBanded.zeros(n, 2 * w.p - 1)
-    out.bands[cols - rows, rows - 1] = np.sqrt(dof) / _SQRT2
+    out.bands[cols - rows, rows - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
     return out

@@ -242,7 +242,7 @@ def gap_report(
     seeds = [RngSeed(master_seed, trial) for trial in range(trials)]
     tasks = []
     for n in sizes:
-        tasks.append(partial(roots, coeffs[n], n // w.p))
+        tasks.append(partial(roots, coeffs[n]))
         tasks += [partial(empirical_spectrum, n, w, seed) for seed in seeds]
     solved = iter(map_trials(tasks))
     gaps = {}

@@ -10,6 +10,10 @@ library computes in a vectorized or closed form:
 - `build_F_tilde`: the block Jacobi matrix of the matrix orthogonal
   polynomials, entry by entry, against `matrixpoly.jacobi_matrix` of
   `matrixpoly.recurrence_coeffs`;
+- `build_F`: the deterministic counterpart of G, cospectral with F-tilde;
+- `eval_R`, `cheb_T` and `cheb_U`: R_m and the matrix Chebyshev polynomials
+  run through the recurrence, against `matrixpoly.roots` and the scalar
+  closed forms, and `markov_bound_check`, the resolvent-type bound;
 - `build_AB`, `lambda_and_weights` and `trace_density`: the coefficient
   pair at one s, its eigenvalue curves with derivative weights, and the
   trace density at one (s, t), against the batched quadrature kernel of
@@ -22,7 +26,8 @@ library computes in a vectorized or closed form:
   candidate value, against `harness.levy_distance`.
 
 It also holds the test-side helpers with no caller in the library:
-`banded_from_dense` and the readers of the files `formats` writes.
+`banded_from_dense`, `truncated` (the first m stages of a coefficient set)
+and the readers of the files `formats` writes.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from blockspec.ensemble import GammaWeights, check_size
+from blockspec.ensemble import GammaWeights, check_size, chi_layout
 from blockspec.errors import ValidationError
 from blockspec import spectral
 from blockspec.linalg import SymmetricBanded, require_symmetric, spd_inv_sqrt
+from blockspec.matrixpoly import RecurrenceCoeffs
 from blockspec.spectral import SpectralDensity, limit_blocks
 
 
@@ -100,6 +106,89 @@ def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
                 val = math.sqrt(((i - 1) * p + max(q, l)) * gamma[p - abs(q - l) - 1] / 2.0)
                 out.bands[c - r, r - 1] = val
     return out
+
+
+def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
+    """Deterministic counterpart of G from `ensemble.chi_layout`: normals -> 0,
+    chi_k draws -> sqrt(k).  Permutation-similar to build_F_tilde."""
+    rows, cols, dof = chi_layout(n, w)
+    out = SymmetricBanded.zeros(n, 2 * w.p - 1)
+    out.bands[cols - rows, rows - 1] = np.sqrt(dof) / math.sqrt(2.0)
+    return out
+
+
+def truncated(coeffs: RecurrenceCoeffs, m: int) -> RecurrenceCoeffs:
+    """The coefficient set of the first m stages of coeffs."""
+    return RecurrenceCoeffs(coeffs.p, m, coeffs.A[:m], coeffs.B[:m])
+
+
+def eval_R(coeffs: RecurrenceCoeffs, m: int, x: complex) -> np.ndarray:
+    """R_m(x) by running the recurrence; x may be real or complex."""
+    return _recurrence(coeffs.A[:m], coeffs.B[:m], x)
+
+
+def _recurrence(a: np.ndarray, b: np.ndarray, x: complex) -> np.ndarray:
+    """R_m(x) for the stacks a = A_1..A_m and b = B_0..B_{m-1}, each (m, p, p),
+    solving each stage for R_{j+1}; the A_j^T term keeps it right for any
+    nonsingular A, symmetric or not."""
+    p = a.shape[-1]
+    dtype = complex if np.iscomplexobj(x) else float
+    r_prev = np.zeros((p, p), dtype=dtype)
+    r_cur = np.eye(p, dtype=dtype)
+    eye = np.eye(p)
+    for j in range(len(a)):
+        rhs = (x * eye - b[j]) @ r_cur
+        if j > 0:
+            rhs -= a[j - 1].T @ r_prev
+        r_prev, r_cur = r_cur, np.linalg.solve(a[j], rhs)
+    return r_cur
+
+
+def cheb_T(a: np.ndarray, b: np.ndarray, n: int, t: float) -> np.ndarray:
+    """Matrix Chebyshev polynomial of the first kind, T_n at t: R_n of the
+    recurrence with every B_j = B, A_1 = sqrt(2) A and A_j = A for j >= 2.
+    For symmetric A that is T_0 = I, t T_0 = sqrt(2) A T_1 + B T_0,
+    t T_1 = A T_2 + B T_1 + sqrt(2) A T_0 and, for n >= 2,
+    t T_n = A T_{n+1} + B T_n + A T_{n-1}."""
+    stack = np.repeat(np.asarray(a, dtype=float)[None], n, axis=0)
+    stack[:1] *= math.sqrt(2.0)
+    return _recurrence(stack, np.broadcast_to(b, stack.shape), t)
+
+
+def cheb_U(a: np.ndarray, b: np.ndarray, n: int, t: float) -> np.ndarray:
+    """Matrix Chebyshev polynomial of the second kind, U_n at t: U_{-1} = 0,
+    U_0 = I and t U_n = A^T U_{n+1} + B U_n + A U_{n-1}, the recurrence with
+    every A_j = A^T and every B_j = B."""
+    a = np.asarray(a, dtype=float)
+    shape = (n, *a.shape)
+    return _recurrence(np.broadcast_to(a.T, shape), np.broadcast_to(b, shape), t)
+
+
+class MarkovBound(NamedTuple):
+    """One evaluation of the resolvent-type quadratic form and its bounds."""
+
+    lhs: float
+    upper: float
+    lower: float
+
+
+def markov_bound_check(
+    coeffs: RecurrenceCoeffs, n: int, z: complex, v: np.ndarray, m_bound: float
+) -> MarkovBound:
+    """|v^T R_n(z) R_{n+1}(z)^{-1} A_{n+1}^{-1} v| and its bounds, for v nonzero
+    and m_bound = M such that all roots of R_{n+1} lie in [-M, M], z outside.
+    The upper bound v^T v / dist(z, [-M, M]) always applies; the strict lower
+    bound v^T v / (2|z|) applies when |z| > M."""
+    v = np.asarray(v, dtype=float)
+    z = complex(z)
+    y = np.linalg.solve(eval_R(coeffs, n + 1, z), np.linalg.solve(coeffs.A[n], v))
+    vtv = float(v @ v)
+    dist = math.hypot(max(abs(z.real) - m_bound, 0.0), z.imag)
+    return MarkovBound(
+        lhs=float(abs(v @ (eval_R(coeffs, n, z) @ y))),
+        upper=vtv / dist,
+        lower=vtv / (2.0 * abs(z)),
+    )
 
 
 class LambdaPoint(NamedTuple):

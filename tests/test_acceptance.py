@@ -19,7 +19,6 @@ from blockspec.cli import run
 from blockspec.ensemble import (
     GammaWeights,
     RngSeed,
-    build_F,
     build_G,
     rng_from_seed,
 )
@@ -29,23 +28,24 @@ from blockspec.harness import (
     ks_distance,
     tail_bound_experiment,
 )
-from blockspec.matrixpoly import (
-    RecurrenceCoeffs,
-    cheb_T,
-    cheb_U,
-    eval_R,
-    jacobi_matrix,
-    markov_bound_check,
-    recurrence_coeffs,
-    roots,
-)
+from blockspec.matrixpoly import RecurrenceCoeffs, jacobi_matrix, recurrence_coeffs, roots
 from blockspec.spectral import (
     arcsine_mixture_density,
     density_grid,
     semicircle_density,
     support_bound,
 )
-from tests.oracles import chi_sample, density_at, to_dense
+from tests.oracles import (
+    build_F,
+    cheb_T,
+    cheb_U,
+    chi_sample,
+    density_at,
+    eval_R,
+    markov_bound_check,
+    to_dense,
+    truncated,
+)
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()
@@ -194,7 +194,7 @@ def test_criterion_07_structural_equivalences():
         for n, p, gamma in ((12, 3, (1.0, 4.0, 25.0)), (20, 2, (2.0, 8.0)), (10, 1, (2.0,))):
             w = GammaWeights(p, gamma)
             e_f = np.linalg.eigvalsh(to_dense(build_F(n, w)))
-            ft = jacobi_matrix(recurrence_coeffs(n, w), n // p)
+            ft = jacobi_matrix(recurrence_coeffs(n, w))
             e_ft = np.linalg.eigvalsh(to_dense(ft))
             gap = float(np.abs(e_f - e_ft).max())
             assert gap <= 1e-10, (n, p, gap)
@@ -209,7 +209,7 @@ def test_criterion_07_structural_equivalences():
         ):
             coeffs = recurrence_coeffs(n, w)
             m = 10 // w.p if w.p > 1 else 10
-            rts = roots(coeffs, m)
+            rts = roots(recurrence_coeffs(m * w.p, w))
             grid = np.linspace(rts[0] - 1.0, rts[-1] + 1.0, 21)
             ref = max(np.linalg.slogdet(eval_R(coeffs, m, g))[1] for g in grid)
             for x in rts:
@@ -247,7 +247,7 @@ def test_criterion_08_resolvent_bound_sweep():
         total = 0
         for label, coeffs, degree in configs:
             rng = np.random.default_rng(hash(label) % 2**32)
-            m_bound = float(np.abs(roots(coeffs, degree + 1)).max())
+            m_bound = float(np.abs(roots(truncated(coeffs, degree + 1))).max())
             for k in range(100):
                 if k % 2:
                     sign = 1.0 if k % 4 == 1 else -1.0

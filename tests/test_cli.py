@@ -23,8 +23,10 @@ from blockspec.spectral import semicircle_density
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
 
-# the message for an --out whose JSON sidecar would not be a file of its own
+# the messages for an --out whose JSON sidecar would not be a file of its
+# own, and for one that names no file
 OUT_REJECTED = "'{}' leaves no separate path for the table's JSON sidecar"
+NO_FILE = "'{}' names no file"
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -743,7 +745,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error:") and "blocker" in err
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
-    @pytest.mark.parametrize("out", ["", ".", "x.json"])
+    @pytest.mark.parametrize("out", ["", ".", "..", "/", "sub/", "x.json"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -763,8 +765,28 @@ class TestExitCodes:
         monkeypatch.setattr(blockspec.cli, "density_grid", None)
         monkeypatch.setattr(blockspec.cli, "oracle_density", None)
         assert run_in(tmp_path, monkeypatch, argv + ["--out", out]) == 2
-        assert capsys.readouterr().err == f"error: argument --out: {OUT_REJECTED.format(out)}\n"
+        message = (OUT_REJECTED if out == "x.json" else NO_FILE).format(out)
+        assert capsys.readouterr().err == f"error: argument --out: {message}\n"
         assert solve_sizes == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", ".", "..", "/", "sub/", "sub/.."])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "--name", "fig1", "--grid", "100"],
+            ["compare", "--n", "8", "--p", "1", "--gamma", "2", "--trials", "1"],
+            ["gap", "--n-list", "8", "--p", "1", "--gamma", "2", "--trials", "1"],
+        ],
+        ids=["figure", "compare", "gap"],
+    )
+    def test_out_naming_no_file_rejected(self, tmp_path, monkeypatch, capsys, argv, out):
+        # pathlib would drop a trailing '/', and figure's base '.' or '..' would
+        # write `_hist.csv` or `...json`.  No solve starts (a call would raise)
+        monkeypatch.setattr(blockspec.cli, "map_trials", None)
+        monkeypatch.setattr(blockspec.cli, "gap_report", None)
+        assert run_in(tmp_path, monkeypatch, argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: argument --out: {NO_FILE.format(out)}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -22,8 +22,6 @@ from blockspec.ensemble import (
     EmpiricalSpectrum,
     GammaWeights,
     RngSeed,
-    build_F,
-    build_G,
     rng_from_seed,
 )
 from blockspec.errors import NumericalError, ValidationError
@@ -43,7 +41,7 @@ from blockspec.harness import (
 )
 from blockspec.linalg import eigh_banded
 from blockspec.spectral import SpectralDensity, density_grid
-from tests.oracles import build_F_tilde, levy_reference
+from tests.oracles import build_F, build_F_tilde, levy_reference
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()

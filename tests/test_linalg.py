@@ -108,7 +108,7 @@ class TestEighBanded:
         if construction == "sample":
             m = build_G(n, w, RngSeed(31, 2))
         else:
-            m = jacobi_matrix(recurrence_coeffs(n, w), n // w.p)
+            m = jacobi_matrix(recurrence_coeffs(n, w))
         expected = np.sort(scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False))
         np.testing.assert_array_equal(eigh_banded(m), expected)
 

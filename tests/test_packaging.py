@@ -1,5 +1,6 @@
 """Every module that `src/blockspec` imports is in the standard library, is
-blockspec itself, or is a declared run-time dependency in pyproject.toml."""
+blockspec itself, or is a declared run-time dependency in pyproject.toml, and
+every function and class that `src/blockspec` defines has a caller there."""
 
 import ast
 import re
@@ -39,3 +40,27 @@ def test_package_imports_only_declared_dependencies():
         if name not in sys.stdlib_module_names and name != "blockspec" and name not in declared
     }
     assert undeclared == set()
+
+
+def test_every_library_name_has_a_library_caller():
+    # a top-level function or class that no module of the package refers to
+    # (by name, attribute or import) is test-only code and belongs in tests/
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    referenced = {
+        getattr(node, field[type(node)])
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if type(node) in field
+    }
+    defined = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert sorted((m, name) for m, name in defined if name not in referenced) == []

@@ -33,6 +33,7 @@ from blockspec.spectral import (
 )
 from tests.oracles import (
     build_AB,
+    cheb_T,
     density_at,
     lambda_and_weights,
     limit_moments,
@@ -568,7 +569,7 @@ class TestRootsAgainstTable:
         w = GammaWeights(p, gamma)
         table = density_grid(w, 1000, 1e-6)
         for n in (1200, 2400):
-            values = roots(recurrence_coeffs(n, w), n // p)
+            values = roots(recurrence_coeffs(n, w))
             spectrum = EmpiricalSpectrum(
                 n=n, p=p, gamma=w.gamma, seed=None, scaled=False, values=values
             ).to_scaled()
@@ -752,6 +753,39 @@ class TestDensityKernel:
             c = math.sqrt(si * w.p)
             expected = (2.0 * c / w.p) * trace_density(*build_AB(w, si), ki * c)
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig4"])
+    def test_chebyshev_T_is_orthonormal_under_the_kernel_measure(self, name):
+        # the kernel's integrand is the trace of the matrix measure M(x) dx of
+        # the Chebyshev polynomials of the first kind with blocks (A0, B0): for
+        # S = A0^{-1/2} and the eigenpairs (lambda_j, v_j) of S (B0 - x) S,
+        # M(x) = (1/pi) S V diag((4 - lambda_j^2)^{-1/2} if |lambda_j| < 2,
+        # else 0) V^T S, and T_0..T_3 are orthonormal under it.  Each gap
+        # between the levels is integrated under x = a + (b - a) sin^2(theta),
+        # which removes the inverse square roots at both ends
+        w = _figure_weights()[name]
+        a0, b0 = limit_blocks(w)
+        s0 = spd_inv_sqrt(a0)
+
+        def measure(x):
+            lam, vec = np.linalg.eigh(s0 @ (b0 - x * np.eye(w.p)) @ s0)
+            scale = np.where(np.abs(lam) < 2.0, 4.0 - lam**2, np.inf) ** -0.5
+            return s0 @ (vec * scale) @ vec.T @ s0 / math.pi
+
+        levels = spectral._levels(a0, b0)
+        for x in np.concatenate([levels[:-1] + np.diff(levels) * f for f in (0.25, 0.5, 0.75)]):
+            kernel = spectral._integrands(s0 @ s0, s0 @ b0 @ s0, np.array(x))[0]
+            assert np.trace(measure(x)) == pytest.approx(w.p / 2.0 * kernel, rel=1e-13)
+        theta, weight = np.polynomial.legendre.leggauss(200)
+        theta, weight = (theta + 1.0) * math.pi / 4.0, weight * math.pi / 4.0
+        gram = np.zeros((4, 4, w.p, w.p))
+        for a, b in zip(levels[:-1], levels[1:]):
+            for th, wt in zip(theta, weight):
+                x = a + (b - a) * math.sin(th) ** 2
+                mx = measure(x) * (b - a) * math.sin(2.0 * th) * wt
+                t = [cheb_T(a0, b0, m, x) for m in range(4)]
+                gram += [[tm @ mx @ tn.T for tn in t] for tm in t]
+        assert np.abs(gram - np.eye(4)[:, :, None, None] * np.eye(w.p)).max() <= 1e-9
 
     def test_figure_tables_take_few_integrand_evaluations(self, monkeypatch):
         # one 48-node panel per grid point, plus the shared panels and the
