@@ -16,7 +16,9 @@ of the associated matrix orthogonal polynomials
 library builds only F-tilde; the tests build F and assert equal spectra.
 
 `chi_layout` is the one construction of this layout: it returns every chi
-position with its dof as arrays, and `build_G` reads it.  The test suite
+position with its dof as arrays, and `build_G` reads it and writes G
+straight into LAPACK's upper band storage (`linalg.SymmetricBanded`), entry
+(r, c) at ab[2p - 1 + r - c, c - 1], the form `dsbtrd` reduces.  The test suite
 keeps an independent blockwise transcription of the block patterns and a
 loop over the positional rule as oracles for it.
 """
@@ -184,7 +186,8 @@ def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
     """
     rows, cols, dof = chi_layout(n, w)
     rng = rng_from_seed(seed)
-    out = SymmetricBanded.zeros(n, 2 * w.p - 1)
-    out.bands[0, :] = rng.standard_normal(n)
-    out.bands[cols - rows, rows - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
+    kd = 2 * w.p - 1
+    out = SymmetricBanded.zeros(n, kd)
+    out.ab[kd] = rng.standard_normal(n)
+    out.ab[kd + rows - cols, cols - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
     return out

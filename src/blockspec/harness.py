@@ -156,7 +156,10 @@ def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> floa
         return order_stat(size - 1)
     k = math.floor(index)
     t = index - k
-    a, b = order_stat(k), order_stat(k + 1)
+    a = order_stat(k)
+    if t == 0:  # a + diff * 0, bit for bit, without asking for b
+        return a + 0.0
+    b = order_stat(k + 1)
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
@@ -167,10 +170,10 @@ def fd_histogram(
     count_below: Callable[[np.ndarray], np.ndarray],
 ) -> Histogram:
     """np.histogram(x, bins="fd") of a sample x of `size` values, built from
-    six order statistics and one count per interior bin edge.
+    at most six order statistics and one count per interior bin edge.
 
     order_stat(k) is the k-th smallest value (0-based); it is asked for the
-    minimum, the maximum and the two values around each quartile.
+    minimum, the maximum and the values that numpy's quartiles weight.
     count_below(edges) gives, for each interior edge, the number of values
     below it; a count of the values at or below it differs only where a
     value equals an edge, which numpy puts in the upper bin.  The edges, the bin count and the heights follow numpy's
@@ -197,7 +200,7 @@ def spectrum_histogram(n: int, w: GammaWeights, seed: RngSeed) -> Histogram:
     sampled from seed, without computing that spectrum.
 
     G is reduced to a tridiagonal T once (`tridiagonal_form`, whose gate
-    checks the reduction), T / sqrt(n) gives the six order statistics by
+    checks the reduction), T / sqrt(n) gives the order statistics by
     bisection and the count at each interior bin edge by a Sturm count.
     Bins and counts equal those of np.histogram of
     empirical_spectrum(n, w, seed).to_scaled().values unless an eigenvalue

@@ -14,7 +14,7 @@ The banded routines call LAPACK dsbtrd, dsterf, dstebz and dlaebz as ctypes
 foreign calls, so the GIL is released for each call's duration and work on
 several threads (harness.map_trials) runs in parallel.  The routines are the
 ones in the LAPACK that numpy.linalg's _umath_linalg extension links
-against: the extension is opened with ctypes.CDLL by its file, and the
+against: the extension is opened once with ctypes.CDLL by its file, and the
 symbol lookup also searches the libraries it depends on, so nothing new is
 loaded, scipy included.  A full spectrum is dsbtrd, the reduction gate,
 then dsterf, the two steps of dsbevd for eigenvalues only, so it is
@@ -96,27 +96,22 @@ def _scale_up(values: list[np.ndarray], k: int, stage: str) -> list[np.ndarray]:
     return values
 
 
-def _lapack_routine(library: str, symbols: tuple[str, ...], *argtypes):
-    """ctypes foreign function for the first of `symbols` that the shared
-    object `library` or one of its dependencies exports."""
-    lib = ctypes.CDLL(library)
-    for symbol in symbols:
-        try:
-            routine = getattr(lib, symbol)
-        except AttributeError:
-            continue
-        routine.argtypes, routine.restype = argtypes, None
-        return routine
-    raise ImportError(
-        f"neither {library} nor a library it loads exports any of the LAPACK "
-        f"symbols {', '.join(symbols)}"
-    )
+_LAPACK = ctypes.CDLL(_umath_linalg.__file__)
 
 
 def _routine(name: str, *argtypes):
-    """numpy's LAPACK routine `name`, under any name its builds give it."""
+    """ctypes foreign function for numpy's LAPACK routine `name`, under the
+    first of the names its builds give it that `_LAPACK` exports."""
     symbols = (f"scipy_{name}{_SUFFIX}", f"{name}{_SUFFIX}")
-    return _lapack_routine(_umath_linalg.__file__, symbols, *argtypes)
+    found = [symbol for symbol in symbols if hasattr(_LAPACK, symbol)]
+    if not found:
+        raise ImportError(
+            f"neither {_umath_linalg.__file__} nor a library it loads exports any "
+            f"of the LAPACK symbols {', '.join(symbols)}"
+        )
+    routine = getattr(_LAPACK, found[0])
+    routine.argtypes, routine.restype = argtypes, None
+    return routine
 
 
 def _info(name: str, info) -> int:
@@ -153,39 +148,31 @@ _DLAEBZ = _routine(
 
 
 class SymmetricBanded:
-    """Symmetric n x n matrix with `bandwidth` nonzero super-diagonals.
-
-    bands[d, j] holds entry (j, j+d) for 0-based j (d = 0 is the diagonal);
-    each band is padded with trailing zeros to length dim.  Only the upper
-    bands are stored, so symmetry holds by construction.
+    """Symmetric n x n matrix with `bandwidth` = u nonzero super-diagonals,
+    in LAPACK's upper band storage: ab, of shape (u + 1, dim) in Fortran
+    order, holds entry (i, j) at ab[u + i - j, j] for 0-based i <= j, so
+    symmetry holds by construction.  The corner ab[u - d, :d], which no
+    entry maps to, is zeroed on construction.
     """
 
-    def __init__(self, dim: int, bandwidth: int, bands: np.ndarray):
+    def __init__(self, dim: int, bandwidth: int, ab: np.ndarray):
         self.dim = dim
         self.bandwidth = bandwidth
         if self.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {self.dim}")
         if self.bandwidth < 0:
             raise ValidationError(f"bandwidth must be >= 0, got {self.bandwidth}")
-        self.bands = np.asarray(bands, dtype=float)
-        if self.bands.shape != (self.bandwidth + 1, self.dim):
+        self.ab = np.array(ab, dtype=float, order="F")
+        if self.ab.shape != (self.bandwidth + 1, self.dim):
             raise ValidationError(
-                f"bands must have shape {(self.bandwidth + 1, self.dim)}, "
-                f"got {self.bands.shape}"
+                f"ab must have shape {(self.bandwidth + 1, self.dim)}, got {self.ab.shape}"
             )
+        for row in range(self.bandwidth):
+            self.ab[row, : self.bandwidth - row] = 0.0
 
     @classmethod
     def zeros(cls, dim: int, bandwidth: int) -> "SymmetricBanded":
         return cls(dim, bandwidth, np.zeros((bandwidth + 1, dim)))
-
-    def scipy_band_upper(self) -> np.ndarray:
-        """LAPACK upper band storage (dsbtrd, scipy.linalg.eig_banded), in
-        Fortran order: ab[u + i - j, j] holds entry (i, j) for i <= j."""
-        u = self.bandwidth
-        ab = np.zeros((u + 1, self.dim), order="F")
-        for d in range(u + 1):
-            ab[u - d, d:] = self.bands[d, : self.dim - d]
-        return ab
 
 
 def require_symmetric(m: np.ndarray) -> np.ndarray:
@@ -248,7 +235,7 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
         raise ValidationError(
             f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use a dense eigensolver"
         )
-    (ab,), scale = _scale_down("banded matrix", m.scipy_band_upper())  # overwritten by dsbtrd
+    (ab,), scale = _scale_down("banded matrix", m.ab)  # a copy, overwritten by dsbtrd
     n, kd = m.dim, m.bandwidth
     trace = float(ab[kd].sum())
     frob_sq = float(np.sum(ab[kd] ** 2) + 2.0 * np.sum(ab[:kd] ** 2))

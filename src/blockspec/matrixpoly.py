@@ -84,17 +84,18 @@ def recurrence_coeffs(n: int, w: GammaWeights) -> RecurrenceCoeffs:
 def jacobi_matrix(coeffs: RecurrenceCoeffs) -> SymmetricBanded:
     """Block tridiagonal matrix with diagonal B_0..B_{m-1}, coupling A_1..A_{m-1}.
 
-    Entry (q, l) of block i sits on row i p + q, in band l - q for B_i and
-    band p + l - q for A_{i+1}; each stack is written by one indexed
-    assignment.
+    With u the bandwidth, entry (q, l) of B_i goes to ab[u + q - l, i p + l]
+    and that of A_{i+1} to ab[u - p + q - l, (i + 1) p + l]; each stack is
+    written by one indexed assignment.
     """
     p, m = coeffs.p, coeffs.m
-    out = SymmetricBanded.zeros(m * p, min(2 * p - 1, m * p - 1))
+    u = min(2 * p - 1, m * p - 1)
+    out = SymmetricBanded.zeros(m * p, u)
     q, l = np.indices((p, p))
-    row = p * np.arange(m)[:, None, None] + q
+    col = p * np.arange(m)[:, None, None] + l
     upper = q <= l
-    out.bands[(l - q)[upper], row[:, upper]] = coeffs.B[:, upper]
-    out.bands[p + l - q, row[: m - 1]] = coeffs.A[: m - 1]
+    out.ab[(u + q - l)[upper], col[:, upper]] = coeffs.B[:, upper]
+    out.ab[u - p + q - l, col[1:]] = coeffs.A[: m - 1]
     return out
 
 

@@ -4,7 +4,7 @@ Each one is a direct, loop-by-loop transcription of a definition that the
 library computes in a vectorized or closed form:
 
 - `entry` and `to_dense`: one entry of a banded matrix, read off its
-  bands, and the whole matrix written out;
+  band storage, and the whole matrix written out;
 - `chi_sample`: one chi draw, the per-entry form of `build_G`'s single
   vectorized draw;
 - `build_F_tilde`: the block Jacobi matrix of the matrix orthogonal
@@ -52,19 +52,18 @@ from blockspec.spectral import SpectralDensity, limit_blocks
 def entry(m: SymmetricBanded, i: int, j: int) -> float:
     """Entry (i, j) of a banded matrix, 0-based; zero outside the band."""
     i, j = (i, j) if i <= j else (j, i)
-    d = j - i
-    if d > m.bandwidth:
+    if j - i > m.bandwidth:
         return 0.0
-    return float(m.bands[d, i])
+    return float(m.ab[m.bandwidth + i - j, j])
 
 
 def to_dense(m: SymmetricBanded) -> np.ndarray:
-    """The full symmetric matrix held by the bands of m."""
+    """The full symmetric matrix held by the band storage of m."""
     out = np.zeros((m.dim, m.dim))
     for d in range(m.bandwidth + 1):
         idx = np.arange(m.dim - d)
-        out[idx, idx + d] = m.bands[d, : m.dim - d]
-        out[idx + d, idx] = m.bands[d, : m.dim - d]
+        out[idx, idx + d] = m.ab[m.bandwidth - d, d:]
+        out[idx + d, idx] = m.ab[m.bandwidth - d, d:]
     return out
 
 
@@ -91,20 +90,21 @@ def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
     check_size(n, w)
     p, gamma = w.p, w.gamma
     m = n // p
-    out = SymmetricBanded.zeros(n, min(2 * p - 1, n - 1))
+    u = min(2 * p - 1, n - 1)
+    out = SymmetricBanded.zeros(n, u)
     for i in range(m):
         off = i * p
         for q in range(1, p + 1):
             for l in range(q + 1, p + 1):
                 val = math.sqrt((i * p + q) * gamma[l - q - 1] / 2.0)
-                out.bands[l - q, off + q - 1] = val
+                out.ab[u + q - l, off + l - 1] = val
     for i in range(1, m):
         row_off = (i - 1) * p
         for q in range(1, p + 1):
             for l in range(1, p + 1):
                 r, c = row_off + q, i * p + l
                 val = math.sqrt(((i - 1) * p + max(q, l)) * gamma[p - abs(q - l) - 1] / 2.0)
-                out.bands[c - r, r - 1] = val
+                out.ab[u + r - c, c - 1] = val
     return out
 
 
@@ -112,8 +112,9 @@ def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
     """Deterministic counterpart of G from `ensemble.chi_layout`: normals -> 0,
     chi_k draws -> sqrt(k).  Permutation-similar to build_F_tilde."""
     rows, cols, dof = chi_layout(n, w)
-    out = SymmetricBanded.zeros(n, 2 * w.p - 1)
-    out.bands[cols - rows, rows - 1] = np.sqrt(dof) / math.sqrt(2.0)
+    kd = 2 * w.p - 1
+    out = SymmetricBanded.zeros(n, kd)
+    out.ab[kd + rows - cols, cols - 1] = np.sqrt(dof) / math.sqrt(2.0)
     return out
 
 
@@ -320,7 +321,7 @@ def banded_from_dense(m: np.ndarray, bandwidth: int) -> SymmetricBanded:
     n = m.shape[0]
     out = SymmetricBanded.zeros(n, bandwidth)
     for d in range(bandwidth + 1):
-        out.bands[d, : n - d] = np.diagonal(m, d)
+        out.ab[bandwidth - d, d:] = np.diagonal(m, d)
     return out
 
 

@@ -226,8 +226,8 @@ def test_criterion_07_structural_equivalences():
         off = np.array(
             [chi_sample(rng, (n - i) * beta) / math.sqrt(2.0) for i in range(1, n)]
         )
-        assert np.array_equal(g.bands[0], diag)
-        assert np.array_equal(g.bands[1, : n - 1], off)
+        assert np.array_equal(g.ab[1], diag)
+        assert np.array_equal(g.ab[0, 1:], off)
         info["detail"] = (
             f"max cospectral gap={worst_gap:.1e}, worst root residual={worst_resid:.1f}"
         )

@@ -372,7 +372,7 @@ if sys.argv[1] == "blockspec-first":
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 
 m = build_G(60, GammaWeights(2, (2.0, 8.0)), RngSeed(5, 0))
-expected = np.sort(scipy.linalg.eigvals_banded(m.scipy_band_upper(), lower=False))
+expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
 assert np.array_equal(linalg.eigh_banded(m), expected)
 """
 

@@ -214,9 +214,9 @@ class TestBuildG:
     def test_determinism(self):
         a = build_G(12, W2, RngSeed(42, 3))
         b = build_G(12, W2, RngSeed(42, 3))
-        assert np.array_equal(a.bands, b.bands)
+        assert np.array_equal(a.ab, b.ab)
         c = build_G(12, W2, RngSeed(42, 4))
-        assert not np.array_equal(a.bands, c.bands)
+        assert not np.array_equal(a.ab, c.ab)
 
     def test_seeds_above_two_to_the_63_stay_distinct(self):
         # a key list of Python ints goes through float64 in Philox
@@ -231,18 +231,19 @@ class TestBuildG:
         # pinned draws for p=2, gamma=(2,8), seed (123456789, 7); guards both
         # the draw-order contract and cross-platform stream stability
         g = build_G(6, W2, RngSeed(123456789, 7))
+        # LAPACK upper band storage: row 3 - d holds band d in columns d..5
         expected = np.array(
             [
+                [0.0, 0.0, 0.0, 1.5199462837048232, 0.0, 1.3776410763476197],
+                [0.0, 0.0, 3.759492545699537, 4.30708152281388, 3.0071580829971944,
+                 2.1932391151313415],
+                [0.0, 3.275302382723484, 1.8054439920246312, 1.2793301685450087,
+                 1.2571353875620264, 0.9447427921302473],
                 [0.08587118829966121, -1.1139618238026523, 0.13295895001901578,
                  -1.4522326395967347, -0.222410254742506, 3.4525461440978553],
-                [3.275302382723484, 1.8054439920246312, 1.2793301685450087,
-                 1.2571353875620264, 0.9447427921302473, 0.0],
-                [3.759492545699537, 4.30708152281388, 3.0071580829971944,
-                 2.1932391151313415, 0.0, 0.0],
-                [1.5199462837048232, 0.0, 1.3776410763476197, 0.0, 0.0, 0.0],
             ]
         )
-        np.testing.assert_array_equal(g.bands, expected)
+        np.testing.assert_array_equal(g.ab, expected)
 
     def test_p1_reduction_is_entrywise(self):
         # p = 1 must reproduce the scalar tridiagonal model built directly
@@ -253,8 +254,8 @@ class TestBuildG:
         rng = rng_from_seed(seed)
         diag = rng.standard_normal(n)
         off = np.array([chi_sample(rng, (n - i) * beta) for i in range(1, n)])
-        np.testing.assert_array_equal(g.bands[0], diag)
-        np.testing.assert_array_equal(g.bands[1, : n - 1], off / math.sqrt(2.0))
+        np.testing.assert_array_equal(g.ab[1], diag)
+        np.testing.assert_array_equal(g.ab[0, 1:], off / math.sqrt(2.0))
 
     @pytest.mark.parametrize(
         "n,w", [(12, W2), (15, W3), (24, W4), (8, GammaWeights(2, (0.7, 1.3)))]
@@ -265,19 +266,20 @@ class TestBuildG:
         # vectorized draw
         seed = RngSeed(2718, 1)
         rng = rng_from_seed(seed)
-        expected = np.zeros((2 * w.p, n))
-        expected[0] = rng.standard_normal(n)
+        kd = 2 * w.p - 1
+        expected = np.zeros((kd + 1, n))
+        expected[kd] = rng.standard_normal(n)
         table = block_dof_table(n, w)
         for r, c in sorted(table):
-            expected[c - r, r - 1] = chi_sample(rng, table[(r, c)]) / math.sqrt(2.0)
-        np.testing.assert_array_equal(build_G(n, w, seed).bands, expected)
+            expected[kd + r - c, c - 1] = chi_sample(rng, table[(r, c)]) / math.sqrt(2.0)
+        np.testing.assert_array_equal(build_G(n, w, seed).ab, expected)
 
     @pytest.mark.parametrize("n,w", [(40, GammaWeights(1, (2.5,))), (40, W2), (42, W3)])
     def test_mean_square_trace(self, n, w):
         # E tr(G^2) = tr(F^2) + n: each chi_k^2 has mean k and each N(0,1)^2
         # mean 1; tr(M^2) is the sum of squared entries, so no solve is needed
         def trace_sq(m):
-            return float((m.bands[0] ** 2).sum() + 2.0 * (m.bands[1:] ** 2).sum())
+            return float((m.ab[-1] ** 2).sum() + 2.0 * (m.ab[:-1] ** 2).sum())
 
         samples = np.array([trace_sq(build_G(n, w, RngSeed(2024, s))) for s in range(200)])
         expected = trace_sq(build_F(n, w)) + n
@@ -295,12 +297,12 @@ class TestBuildF:
     def test_p2_n4_entry(self):
         f = build_F(4, W2)
         assert entry(f, 0, 1) == pytest.approx(math.sqrt(3 * 2.0 / 2.0))
-        assert np.all(f.bands[0] == 0.0)
+        assert np.all(f.ab[-1] == 0.0)
 
     def test_p1_small(self):
         f = build_F(3, GammaWeights(1, (2.0,)))
-        np.testing.assert_allclose(f.bands[0], 0.0)
-        np.testing.assert_allclose(f.bands[1, :2], [math.sqrt(2.0), 1.0], atol=1e-15)
+        np.testing.assert_allclose(f.ab[1], 0.0)
+        np.testing.assert_allclose(f.ab[0, 1:], [math.sqrt(2.0), 1.0], atol=1e-15)
 
 
 def f_tilde(n, w):
@@ -317,9 +319,9 @@ class TestBuildFTilde:
     def test_p1_classic_pattern(self):
         gamma1 = 3.0
         ft = f_tilde(5, GammaWeights(1, (gamma1,)))
-        np.testing.assert_allclose(ft.bands[0], 0.0)
+        np.testing.assert_allclose(ft.ab[1], 0.0)
         expected = [math.sqrt(i * gamma1 / 2.0) for i in range(1, 5)]
-        np.testing.assert_allclose(ft.bands[1, :4], expected, atol=1e-15)
+        np.testing.assert_allclose(ft.ab[0, 1:], expected, atol=1e-15)
 
     def test_spectrum_matches_roots(self):
         # the entry-by-entry loop against the roots of the recurrence
@@ -348,7 +350,7 @@ class TestBuildFTilde:
         ft = f_tilde(n, w)
         ref = build_F_tilde(n, w)
         assert (ft.dim, ft.bandwidth) == (ref.dim, ref.bandwidth)
-        np.testing.assert_array_equal(ft.bands, ref.bands)
+        np.testing.assert_array_equal(ft.ab, ref.ab)
 
 
 class TestEmpiricalSpectrumType:

@@ -97,6 +97,8 @@ class TestFdHistogram:
         yield "iqr-zero", np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
         yield "constant", np.full(6, 3.25)
         yield "single", np.array([-7.5])
+        for size in (9, 13, 4001):  # both quartiles on an order statistic
+            yield f"normal-{size}", rng.standard_normal(size)
 
     def test_equals_numpy_bit_for_bit(self):
         for name, x in self.samples():
@@ -127,6 +129,29 @@ class TestFdHistogram:
         fd_histogram(len(x), order_stat, partial(np.searchsorted, x))
         # min, max, and the neighbours of the quartile positions 249.75, 749.25
         assert sorted(asked) == [0, 249, 250, 749, 750, 999]
+
+    @pytest.mark.parametrize("size,calls", [(5001, 4), (5000, 6)])
+    def test_skips_an_order_statistic_of_weight_zero(self, size, calls):
+        # at size 5001 the quartile positions 1250 and 3750 are whole, so
+        # numpy's interpolation gives the next value weight 0
+        x = np.sort(np.random.default_rng(size).standard_normal(size))
+        asked = []
+
+        def order_stat(k):
+            asked.append(k)
+            return x[k]
+
+        got = fd_histogram(size, order_stat, partial(np.searchsorted, x, side="left"))
+        assert len(asked) == calls
+        counts, edges = np.histogram(x, bins="fd")
+        np.testing.assert_array_equal(got.edges, edges)
+        np.testing.assert_array_equal(got.counts, counts)
+
+    def test_quartile_on_a_negative_zero_matches_numpy(self):
+        x = np.array([-1.0, -0.0, -0.0, 0.5, 1.0])
+        got = harness._percentile(len(x), x.__getitem__, 0.25)
+        expected = np.percentile(x, 25)
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError, match="at least one value"):
