@@ -91,7 +91,7 @@ def _table_path(text: str) -> Path:
     file or when the table and its JSON sidecar (`_sidecar`) would not be two
     files."""
     path = Path(_base_path(text))
-    if path.suffix == ".json":
+    if path.suffix.lower() == ".json":
         raise argparse.ArgumentTypeError(
             f"{text!r} leaves no separate path for the table's JSON sidecar"
         )
@@ -114,10 +114,7 @@ def _write_spectrum(args: argparse.Namespace, spectrum: EmpiricalSpectrum) -> in
 
 def _roots_spectrum(coeffs: RecurrenceCoeffs, w: GammaWeights) -> EmpiricalSpectrum:
     """The deterministic roots as an unscaled spectrum with no seed."""
-    values = roots(coeffs)
-    return EmpiricalSpectrum(
-        n=coeffs.m * w.p, p=w.p, gamma=w.gamma, seed=None, scaled=False, values=values
-    )
+    return EmpiricalSpectrum(w, None, False, roots(coeffs))
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -140,7 +137,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     density = oracle_density(_weights(args.p, args.gamma), args.grid, args.quad_tol)
-    kind = "semicircle" if density.p == 1 else "arcsine-mixture"
+    kind = "semicircle" if density.w.p == 1 else "arcsine-mixture"
     sidecar = {**formats.density_sidecar(density), "kind": kind}
     return _write((args.out, formats.write_density_csv, density), _sidecar(args.out, sidecar))
 
@@ -257,7 +254,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     # their first position
     sidecar = {
         "figure": args.name,
-        **formats.sample_sidecar(n, w.p, w.gamma, seed, scaled=True),
+        **formats.sample_sidecar(n, w, seed, scaled=True),
         "binning": binning,
         **formats.density_sidecar(density),
     }

@@ -21,6 +21,9 @@ straight into LAPACK's upper band storage (`linalg.SymmetricBanded`), entry
 (r, c) at ab[2p - 1 + r - c, c - 1], the form `dsbtrd` reduces.  The test suite
 keeps an independent blockwise transcription of the block patterns and a
 loop over the positional rule as oracles for it.
+
+A spectrum is an `EmpiricalSpectrum(w, seed, scaled, values)`: it carries
+the weights as one `GammaWeights` w, and its size n is len(values).
 """
 
 from __future__ import annotations
@@ -96,39 +99,27 @@ class RngSeed(_Value):
 
 
 class EmpiricalSpectrum:
-    """Sorted eigenvalues of one sampled matrix plus their provenance."""
+    """Sorted eigenvalues of one sampled matrix plus their provenance: the
+    weights w, the seed (None for the deterministic roots) and the `scaled`
+    flag.  The size n is read from len(values) and must be divisible by w.p.
+    """
 
-    def __init__(
-        self,
-        n: int,
-        p: int,
-        gamma: tuple[float, ...],
-        seed: RngSeed | None,
-        scaled: bool,
-        values: np.ndarray,
-    ):
-        self.n = n
-        self.p = p
-        self.gamma = gamma
+    def __init__(self, w: GammaWeights, seed: RngSeed | None, scaled: bool, values: np.ndarray):
+        self.w = w
         self.seed = seed
         self.scaled = scaled
         self.values = np.asarray(values, dtype=float)
-        if len(self.values) != self.n:
-            raise ValidationError(
-                f"expected {self.n} eigenvalues, got {len(self.values)}"
-            )
+        self.n = len(self.values)
         if np.any(np.diff(self.values) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
-        if self.n % self.p != 0:
-            raise ValidationError(f"n={self.n} is not divisible by p={self.p}")
+        if self.n % w.p != 0:
+            raise ValidationError(f"n={self.n} is not divisible by p={w.p}")
 
     def to_scaled(self) -> "EmpiricalSpectrum":
         """The same spectrum divided by sqrt(n), the weak-convergence scale."""
         if self.scaled:
             raise ValidationError("the spectrum is already scaled")
-        return EmpiricalSpectrum(
-            self.n, self.p, self.gamma, self.seed, True, self.values / math.sqrt(self.n)
-        )
+        return EmpiricalSpectrum(self.w, self.seed, True, self.values / math.sqrt(self.n))
 
 
 def rng_from_seed(seed: RngSeed) -> np.random.Generator:
@@ -187,7 +178,7 @@ def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
     rows, cols, dof = chi_layout(n, w)
     rng = rng_from_seed(seed)
     kd = 2 * w.p - 1
-    out = SymmetricBanded.zeros(n, kd)
-    out.ab[kd] = rng.standard_normal(n)
-    out.ab[kd + rows - cols, cols - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
-    return out
+    ab = np.zeros((kd + 1, n))
+    ab[kd] = rng.standard_normal(n)
+    ab[kd + rows - cols, cols - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
+    return SymmetricBanded(ab)

@@ -5,6 +5,10 @@ CSV uses '.' decimals, no thousands separators, '\n' newlines, and shortest
 round-trip float formatting (Python repr).  Files are written atomically
 (temp file in the target directory, then rename) so identical inputs always
 produce bit-identical outputs and partial writes never survive.
+
+The sidecars take the weights as one `GammaWeights` w
+(`sample_sidecar(n, w, seed, scaled)`, or a table's own w) and write them
+as the keys "p" and "gamma".
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import EmpiricalSpectrum, RngSeed
+from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed
 from .errors import NumericalError
 from .spectral import SpectralDensity
 
@@ -56,23 +60,19 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def sample_sidecar(
-    n: int, p: int, gamma: tuple[float, ...], seed: RngSeed | None, scaled: bool
-) -> dict:
+def sample_sidecar(n: int, w: GammaWeights, seed: RngSeed | None, scaled: bool) -> dict:
     """Provenance of a spectrum of size n, or of a histogram of one."""
     return {
         "n": n,
-        "p": p,
-        "gamma": list(gamma),
+        "p": w.p,
+        "gamma": list(w.gamma),
         "seed": None if seed is None else {"master": seed.master, "stream": seed.stream},
         "scaled": scaled,
     }
 
 
 def spectrum_sidecar(spectrum: EmpiricalSpectrum) -> dict:
-    return sample_sidecar(
-        spectrum.n, spectrum.p, spectrum.gamma, spectrum.seed, spectrum.scaled
-    )
+    return sample_sidecar(spectrum.n, spectrum.w, spectrum.seed, spectrum.scaled)
 
 
 def write_spectrum_csv(path: str | Path, spectrum: EmpiricalSpectrum) -> None:
@@ -85,8 +85,8 @@ def density_sidecar(density: SpectralDensity) -> dict:
     """The table's configuration, and `quad_err_est` for a quadrature table."""
     lo, hi = density.support
     sidecar = {
-        "p": density.p,
-        "gamma": None if density.gamma is None else list(density.gamma),
+        "p": density.w.p,
+        "gamma": list(density.w.gamma),
         "grid_size": len(density.grid) - 1,
         "quad_tol": density.quad_tol,
         "support": [lo, hi],

@@ -144,8 +144,7 @@ def check_trials(trials: int) -> None:
 
 def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpectrum:
     """Sorted, unscaled eigenvalues of the matrix G sampled from seed."""
-    values = eigh_banded(build_G(n, w, seed))
-    return EmpiricalSpectrum(n=n, p=w.p, gamma=w.gamma, seed=seed, scaled=False, values=values)
+    return EmpiricalSpectrum(w, seed, False, eigh_banded(build_G(n, w, seed)))
 
 
 def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> float:

@@ -4,7 +4,9 @@ SPD inverse square root, and the numerical singularity test for stacks of
 small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
-(checked), banded inputs are symmetric by construction of SymmetricBanded.
+(checked), banded inputs are symmetric by construction of SymmetricBanded,
+which takes only its band storage ab and reads dim and bandwidth from the
+shape of ab.
 Both solves are backed by numpy's LAPACK, which meets the backward-stable
 accuracy contracts stated per function; the dense solve inside
 spd_inv_sqrt additionally verifies its residuals, and every banded solve
@@ -148,31 +150,23 @@ _DLAEBZ = _routine(
 
 
 class SymmetricBanded:
-    """Symmetric n x n matrix with `bandwidth` = u nonzero super-diagonals,
-    in LAPACK's upper band storage: ab, of shape (u + 1, dim) in Fortran
-    order, holds entry (i, j) at ab[u + i - j, j] for 0-based i <= j, so
-    symmetry holds by construction.  The corner ab[u - d, :d], which no
-    entry maps to, is zeroed on construction.
+    """Symmetric matrix in LAPACK's upper band storage: ab, of shape
+    (u + 1, dim) in Fortran order, holds entry (i, j) at ab[u + i - j, j]
+    for 0-based i <= j, so symmetry holds by construction.  `dim` and the
+    `bandwidth` u, the number of nonzero super-diagonals, are read from
+    ab's shape.  The corner ab[u - d, :d], which no entry maps to, is zeroed
+    on construction, in a copy: a caller's array is never changed.
     """
 
-    def __init__(self, dim: int, bandwidth: int, ab: np.ndarray):
-        self.dim = dim
-        self.bandwidth = bandwidth
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        if self.bandwidth < 0:
-            raise ValidationError(f"bandwidth must be >= 0, got {self.bandwidth}")
+    def __init__(self, ab: np.ndarray):
         self.ab = np.array(ab, dtype=float, order="F")
-        if self.ab.shape != (self.bandwidth + 1, self.dim):
+        if self.ab.ndim != 2 or 0 in self.ab.shape:
             raise ValidationError(
-                f"ab must have shape {(self.bandwidth + 1, self.dim)}, got {self.ab.shape}"
+                f"ab must be 2-d with at least one row and one column, got shape {self.ab.shape}"
             )
+        self.bandwidth, self.dim = self.ab.shape[0] - 1, self.ab.shape[1]
         for row in range(self.bandwidth):
             self.ab[row, : self.bandwidth - row] = 0.0
-
-    @classmethod
-    def zeros(cls, dim: int, bandwidth: int) -> "SymmetricBanded":
-        return cls(dim, bandwidth, np.zeros((bandwidth + 1, dim)))
 
 
 def require_symmetric(m: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ The three-term recurrence is
 
     x R_m(x) = A_{m+1} R_{m+1}(x) + B_m R_m(x) + A_m^T R_{m-1}(x)
 
-with R_{-1} = 0, R_0 = I.  A coefficient set holds A_1..A_m and B_0..B_{m-1}
-as (m, p, p) stacks of symmetric blocks.  Roots of det R_m are never found
+with R_{-1} = 0, R_0 = I.  A coefficient set, `RecurrenceCoeffs(A, B)`,
+holds A_1..A_m and B_0..B_{m-1} as (m, p, p) stacks of symmetric blocks;
+m and p are read from the shape of A.  Roots of det R_m are never found
 by polynomial root-finding: they are the eigenvalues of the block Jacobi
 matrix built from the coefficients (F-tilde, cospectral with the
 deterministic counterpart F of `ensemble.build_G`).  Stage i of
@@ -28,23 +29,23 @@ from .linalg import SymmetricBanded, asymmetric_blocks, eigh_banded, singular_bl
 
 
 class RecurrenceCoeffs:
-    """Stacks A (m, p, p) of A_1..A_m and B (m, p, p) of B_0..B_{m-1}.
+    """Stacks A (m, p, p) of A_1..A_m and B (m, p, p) of B_0..B_{m-1}; the
+    stage count m and the block size p are read from A's shape.
 
     All blocks must be finite and symmetric by the condition that
     `linalg.asymmetric_blocks` states, and no A_i may be singular by the
     condition that `linalg.singular_blocks` states.
     """
 
-    def __init__(self, p: int, m: int, A: np.ndarray, B: np.ndarray):
-        self.p = p
-        self.m = m
+    def __init__(self, A: np.ndarray, B: np.ndarray):
         self.A = np.asarray(A, dtype=float)
         self.B = np.asarray(B, dtype=float)
-        shape = (self.m, self.p, self.p)
-        if self.A.shape != shape or self.B.shape != shape:
+        shape = self.A.shape
+        if len(shape) != 3 or shape[1] != shape[2] or self.B.shape != shape:
             raise ValidationError(
-                f"A and B must have shape {shape}, got {self.A.shape}, {self.B.shape}"
+                f"A must be an (m, p, p) stack and B of the same shape, got {shape}, {self.B.shape}"
             )
+        self.m, self.p = shape[:2]
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValidationError("coefficient blocks must be finite")
         for name, blocks in (("A", self.A), ("B", self.B)):
@@ -78,7 +79,7 @@ def recurrence_coeffs(n: int, w: GammaWeights) -> RecurrenceCoeffs:
     q, l = np.indices((w.p, w.p)) + 1
     stage = w.p * np.arange(n // w.p)[:, None, None]
     a, b = coefficient_blocks(w, stage + np.maximum(q, l), stage + np.minimum(q, l))
-    return RecurrenceCoeffs(p=w.p, m=n // w.p, A=a, B=b)
+    return RecurrenceCoeffs(a, b)
 
 
 def jacobi_matrix(coeffs: RecurrenceCoeffs) -> SymmetricBanded:
@@ -90,13 +91,13 @@ def jacobi_matrix(coeffs: RecurrenceCoeffs) -> SymmetricBanded:
     """
     p, m = coeffs.p, coeffs.m
     u = min(2 * p - 1, m * p - 1)
-    out = SymmetricBanded.zeros(m * p, u)
+    ab = np.zeros((u + 1, m * p))
     q, l = np.indices((p, p))
     col = p * np.arange(m)[:, None, None] + l
     upper = q <= l
-    out.ab[(u + q - l)[upper], col[:, upper]] = coeffs.B[:, upper]
-    out.ab[u - p + q - l, col[1:]] = coeffs.A[: m - 1]
-    return out
+    ab[(u + q - l)[upper], col[:, upper]] = coeffs.B[:, upper]
+    ab[u - p + q - l, col[1:]] = coeffs.A[: m - 1]
+    return SymmetricBanded(ab)
 
 
 def roots(coeffs: RecurrenceCoeffs) -> np.ndarray:

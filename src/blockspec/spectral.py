@@ -37,6 +37,11 @@ branch's arcsine CDF arccos(z_j(u)) / pi, z_j(u) = (b_j u - x) / (2 a_j u),
 against 2u du by parts gives the CDF from the density f:
 F(x) = sum_j arccos(z_j(U)) / (2 pi) + x f(x) / 2.  For p = 1 the oracle is
 the semicircle law of the Dumitriu-Edelman beta-Hermite model.
+
+Both tables are a `SpectralDensity(w, grid, density, cdf, quad_tol,
+quad_err_est=None)` of the weights they were computed for; only the
+oracle's has no quad_err_est.  `check_density_args` states their argument
+checks once, and both build their grid through it.
 """
 
 from __future__ import annotations
@@ -53,24 +58,24 @@ from .matrixpoly import coefficient_blocks
 
 
 class SpectralDensity:
-    """Tabulated limit density on an ascending grid with its CDF, which
-    starts at exactly 0 and ends at exactly 1."""
+    """Tabulated limit density of the weights w on an ascending grid with
+    its CDF, which starts at exactly 0 and ends at exactly 1, tabulated to
+    quad_tol; quad_err_est is the largest quadrature error estimate of a
+    grid point (`density_grid`), None for the closed-form oracle."""
 
     def __init__(
         self,
+        w: GammaWeights,
         grid: np.ndarray,
         density: np.ndarray,
         cdf: np.ndarray,
-        p: int | None = None,
-        gamma: tuple[float, ...] | None = None,
-        quad_tol: float | None = None,
+        quad_tol: float,
         quad_err_est: float | None = None,
     ):
+        self.w = w
         self.grid = np.asarray(grid, dtype=float)
         self.density = np.asarray(density, dtype=float)
         self.cdf = np.asarray(cdf, dtype=float)
-        self.p = p
-        self.gamma = gamma
         self.quad_tol = quad_tol
         self.quad_err_est = quad_err_est
         if not (len(self.grid) == len(self.density) == len(self.cdf)):
@@ -627,22 +632,21 @@ def support_bound(w: GammaWeights) -> float:
     return float(np.abs(b0).sum(axis=1).max() + 2.0 * np.abs(a0).sum(axis=1).max())
 
 
-def check_density_args(w: GammaWeights, grid_size: int, quad_tol: float) -> None:
+def check_density_args(w: GammaWeights, grid_size: int, quad_tol: float) -> float:
     """The argument checks of `density_grid` and `oracle_density`, in their
     order (singular A0, grid, quad_tol), for callers that reject bad
-    arguments before any other work."""
-    limit_blocks(w)
-    _check_grid(grid_size, quad_tol)
-
-
-def _check_grid(grid_size: int, quad_tol: float) -> None:
+    arguments before any other work.  Returns M* (`support_bound`)."""
+    bound = support_bound(w)
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
     _require_quad_tol(quad_tol)
+    return bound
 
 
-def _grid(bound: float, grid_size: int, quad_tol: float) -> np.ndarray:
-    _check_grid(grid_size, quad_tol)
+def _grid(w: GammaWeights, grid_size: int, quad_tol: float) -> np.ndarray:
+    """The grid_size + 1 points of a table spanning [-M*, M*], after
+    `check_density_args`; linspace ends them at exactly -+M*."""
+    bound = check_density_args(w, grid_size, quad_tol)
     grid = np.linspace(-bound, bound, grid_size + 1)
     if grid_size % 2 == 0:
         # linspace can miss 0 by an ulp of M*, where a p = 2 density may diverge
@@ -653,13 +657,12 @@ def _grid(bound: float, grid_size: int, quad_tol: float) -> np.ndarray:
 def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:
     """The closed-form oracle table for p = 1 or 2 on the grid of `density_grid`:
     the density unscaled at each point, and the exact CDF of the module docstring."""
-    bound = support_bound(w)
-    grid = _grid(bound, grid_size, quad_tol)
+    grid = _grid(w, grid_size, quad_tol)
     if w.p == 1:
         density = [semicircle_density(w.gamma[0], t) for t in grid]
         # y = t / (2 r) as in semicircle_density, exactly +-1 at +-M* = +-2 r
         cdf = [0.5 + (y * math.sqrt((1.0 - y) * (1.0 + y)) + math.asin(y)) / math.pi
-               if abs(y) < 1.0 else float(y > 0.0) for y in grid / bound]
+               if abs(y) < 1.0 else float(y > 0.0) for y in grid / grid[-1]]
     elif w.p == 2:
         density = [arcsine_mixture_density(*w.gamma, t, quad_tol) for t in grid]
         m, branches = _arcsine_branches(*w.gamma)
@@ -667,20 +670,12 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
                for t, f in zip(grid, density)]
     else:
         raise ValidationError(f"the closed-form oracle needs p = 1 or p = 2, got p = {w.p}")
-    return SpectralDensity(grid, density, cdf, p=w.p, gamma=w.gamma, quad_tol=quad_tol)
+    return SpectralDensity(w, grid, density, cdf, quad_tol)
 
 
 def density_grid(w: GammaWeights, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
     spanning [-M*, M*], batched over the grid in the quadrature kernel."""
-    grid = _grid(support_bound(w), grid_size, quad_tol)
+    grid = _grid(w, grid_size, quad_tol)
     density, cdf, err = _density_table(w, grid, quad_tol)
-    return SpectralDensity(
-        grid=grid,
-        density=density,
-        cdf=cdf,
-        p=w.p,
-        gamma=w.gamma,
-        quad_tol=quad_tol,
-        quad_err_est=float(err.max()),
-    )
+    return SpectralDensity(w, grid, density, cdf, quad_tol, float(err.max()))

@@ -91,21 +91,21 @@ def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
     p, gamma = w.p, w.gamma
     m = n // p
     u = min(2 * p - 1, n - 1)
-    out = SymmetricBanded.zeros(n, u)
+    ab = np.zeros((u + 1, n))
     for i in range(m):
         off = i * p
         for q in range(1, p + 1):
             for l in range(q + 1, p + 1):
                 val = math.sqrt((i * p + q) * gamma[l - q - 1] / 2.0)
-                out.ab[u + q - l, off + l - 1] = val
+                ab[u + q - l, off + l - 1] = val
     for i in range(1, m):
         row_off = (i - 1) * p
         for q in range(1, p + 1):
             for l in range(1, p + 1):
                 r, c = row_off + q, i * p + l
                 val = math.sqrt(((i - 1) * p + max(q, l)) * gamma[p - abs(q - l) - 1] / 2.0)
-                out.ab[u + r - c, c - 1] = val
-    return out
+                ab[u + r - c, c - 1] = val
+    return SymmetricBanded(ab)
 
 
 def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
@@ -113,14 +113,14 @@ def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
     chi_k draws -> sqrt(k).  Permutation-similar to build_F_tilde."""
     rows, cols, dof = chi_layout(n, w)
     kd = 2 * w.p - 1
-    out = SymmetricBanded.zeros(n, kd)
-    out.ab[kd + rows - cols, cols - 1] = np.sqrt(dof) / math.sqrt(2.0)
-    return out
+    ab = np.zeros((kd + 1, n))
+    ab[kd + rows - cols, cols - 1] = np.sqrt(dof) / math.sqrt(2.0)
+    return SymmetricBanded(ab)
 
 
 def truncated(coeffs: RecurrenceCoeffs, m: int) -> RecurrenceCoeffs:
     """The coefficient set of the first m stages of coeffs."""
-    return RecurrenceCoeffs(coeffs.p, m, coeffs.A[:m], coeffs.B[:m])
+    return RecurrenceCoeffs(coeffs.A[:m], coeffs.B[:m])
 
 
 def eval_R(coeffs: RecurrenceCoeffs, m: int, x: complex) -> np.ndarray:
@@ -318,11 +318,10 @@ def levy_reference(a: np.ndarray, b: np.ndarray) -> float:
 def banded_from_dense(m: np.ndarray, bandwidth: int) -> SymmetricBanded:
     """The band storage of a symmetric matrix, keeping `bandwidth` bands."""
     m = require_symmetric(m)
-    n = m.shape[0]
-    out = SymmetricBanded.zeros(n, bandwidth)
+    ab = np.zeros((bandwidth + 1, m.shape[0]))
     for d in range(bandwidth + 1):
-        out.ab[bandwidth - d, d:] = np.diagonal(m, d)
-    return out
+        ab[bandwidth - d, d:] = np.diagonal(m, d)
+    return SymmetricBanded(ab)
 
 
 def read_json(path: str | Path) -> dict:
@@ -338,14 +337,18 @@ def read_spectrum_csv(path: str | Path) -> np.ndarray:
         return np.array([float(line.split(",")[1]) for line in fh if line.strip()])
 
 
-def read_density_csv(path: str | Path) -> SpectralDensity:
+def read_density_csv(path: str | Path, sidecar: str | Path | None = None) -> SpectralDensity:
+    """The table at path, with the weights and quad_tol of its JSON sidecar,
+    by default the path with suffix .json (a figure's is <name>.json)."""
+    meta = read_json(Path(path).with_suffix(".json") if sidecar is None else sidecar)
     with open(path, "r") as fh:
         header = fh.readline().strip()
         if header != "t,density,cdf":
             raise ValidationError(f"unexpected density CSV header: {header!r}")
         rows = [tuple(map(float, line.split(","))) for line in fh if line.strip()]
     grid, density, cdf = (np.array(col) for col in zip(*rows))
-    return SpectralDensity(grid=grid, density=density, cdf=cdf)
+    w = GammaWeights(meta["p"], meta["gamma"])
+    return SpectralDensity(w, grid, density, cdf, meta["quad_tol"], meta.get("quad_err_est"))
 
 
 def read_histogram_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -236,11 +236,7 @@ def test_criterion_07_structural_equivalences():
 def test_criterion_08_resolvent_bound_sweep():
     with criterion(8, "resolvent bound sweep") as info:
         configs = [
-            ("p1-const", RecurrenceCoeffs(
-                p=1, m=8,
-                A=[np.eye(1) for _ in range(8)],
-                B=[np.zeros((1, 1)) for _ in range(8)],
-            ), 5),
+            ("p1-const", RecurrenceCoeffs(np.ones((8, 1, 1)), np.zeros((8, 1, 1))), 5),
             ("p2", recurrence_coeffs(20, GammaWeights(2, (2.0, 8.0))), 5),
             ("p3", recurrence_coeffs(30, GammaWeights(3, (1.0, 4.0, 25.0))), 4),
         ]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -169,7 +170,7 @@ class TestSubcommands:
         )
         assert rc == 0
         centers, heights = read_histogram_csv(tmp_path / "fig1_hist.csv")
-        table = read_density_csv(tmp_path / "fig1_density.csv")
+        table = read_density_csv(tmp_path / "fig1_density.csv", tmp_path / "fig1.json")
         sidecar = read_json(tmp_path / "fig1.json")
         assert sidecar["n"] == 5000
         assert sidecar["binning"]["rule"] == "freedman-diaconis"
@@ -285,7 +286,9 @@ class TestSubcommands:
         assert sidecar["n"] == 5001
         assert sidecar["gamma"] == [1.0, 4.0, 25.0]
         centers, _ = read_histogram_csv(tmp_path / "out" / "fig4_hist.csv")
-        table = read_density_csv(tmp_path / "out" / "fig4_density.csv")
+        table = read_density_csv(
+            tmp_path / "out" / "fig4_density.csv", tmp_path / "out" / "fig4.json"
+        )
         # histogram support sits inside the tabulated support
         lo, hi = table.grid[0], table.grid[-1]
         assert lo < centers.min() and centers.max() < hi
@@ -301,7 +304,7 @@ class TestSubcommands:
             )
             assert rc == 0
             centers, heights = read_histogram_csv(tmp_path / f"{name}_hist.csv")
-            table = read_density_csv(tmp_path / f"{name}_density.csv")
+            table = read_density_csv(tmp_path / f"{name}_density.csv", tmp_path / f"{name}.json")
             density_at = np.interp(centers, table.grid, table.density)
             deviation = np.mean(np.abs(heights - density_at)) / table.density.max()
             assert deviation <= 0.02, (name, deviation)
@@ -314,6 +317,38 @@ class TestSubcommands:
             "fig4": (3, (1.0, 4.0, 25.0), 5001),
             "fig5": (3, (1.0, 100.0, 200.0), 5001),
         }
+
+
+def readme_examples() -> list[list[str]]:
+    """The arguments of every `blockspec ...` line of the sh block under
+    README's `## CLI` heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("blockspec ")]
+
+
+def expected_outputs(argv: list[str]) -> list[str]:
+    """The files a command writes: a table and its JSON sidecar, a report,
+    or a figure's histogram, density table and sidecar."""
+    args = blockspec.cli.build_parser().parse_args(argv)
+    if args.command == "figure":
+        base = args.out or args.name
+        return [f"{base}_hist.csv", f"{base}_density.csv", f"{base}.json"]
+    if args.command in ("compare", "gap"):
+        return [args.out]
+    return [str(args.out), str(Path(args.out).with_suffix(".json"))]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    examples = readme_examples()
+    assert len(examples) == 7 and {argv[0] for argv in examples} == {
+        "sample", "roots", "density", "oracle", "compare", "gap", "figure"
+    }
+    for argv in examples:
+        assert run_in(tmp_path, monkeypatch, argv) == 0, argv
+        for name in expected_outputs(argv):
+            assert (tmp_path / name).is_file(), (argv, name)
 
 
 def child_env():
@@ -745,7 +780,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error:") and "blocker" in err
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
-    @pytest.mark.parametrize("out", ["", ".", "..", "/", "sub/", "x.json"])
+    @pytest.mark.parametrize("out", ["", ".", "..", "/", "sub/", "x.json", "x.JSON", "sub/x.Json"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -760,12 +795,14 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, solve_sizes, argv, out
     ):
         # the JSON sidecar goes to --out with the suffix .json: an --out that
-        # already ends in .json, or that names no file, leaves it no path of
-        # its own.  No table is computed (a call of either density would raise)
+        # already ends in .json in any case (x.JSON and x.json are one file
+        # on a case-insensitive file system), or that names no file, leaves
+        # it no path of its own.  No table is computed (a call of either
+        # density would raise)
         monkeypatch.setattr(blockspec.cli, "density_grid", None)
         monkeypatch.setattr(blockspec.cli, "oracle_density", None)
         assert run_in(tmp_path, monkeypatch, argv + ["--out", out]) == 2
-        message = (OUT_REJECTED if out == "x.json" else NO_FILE).format(out)
+        message = (OUT_REJECTED if out.lower().endswith(".json") else NO_FILE).format(out)
         assert capsys.readouterr().err == f"error: argument --out: {message}\n"
         assert solve_sizes == []
         assert list(tmp_path.iterdir()) == []

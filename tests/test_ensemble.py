@@ -356,8 +356,14 @@ class TestBuildFTilde:
 class TestEmpiricalSpectrumType:
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError):
-            EmpiricalSpectrum(2, 1, (1.0,), None, False, np.array([1.0, 0.0]))
+            EmpiricalSpectrum(GammaWeights(1, (1.0,)), None, False, np.array([1.0, 0.0]))
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValidationError):
-            EmpiricalSpectrum(3, 1, (1.0,), None, False, np.array([1.0, 2.0]))
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_n_is_the_number_of_values(self, n):
+        spectrum = EmpiricalSpectrum(W2, RngSeed(3), False, np.arange(n, dtype=float))
+        assert spectrum.n == n
+        assert spectrum.to_scaled().n == n
+
+    def test_rejects_a_length_indivisible_by_p(self):
+        with pytest.raises(ValidationError, match="n=5 is not divisible by p=2"):
+            EmpiricalSpectrum(W2, None, False, np.arange(5.0))

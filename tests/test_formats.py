@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from blockspec.ensemble import EmpiricalSpectrum, RngSeed
+from blockspec.ensemble import EmpiricalSpectrum, GammaWeights, RngSeed
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.formats import (
+    density_sidecar,
     fmt,
     spectrum_sidecar,
     write_density_csv,
@@ -25,9 +26,7 @@ def test_fmt_round_trips():
 
 def test_spectrum_round_trip(tmp_path):
     values = np.sort(np.random.default_rng(0).standard_normal(17))
-    spec = EmpiricalSpectrum(
-        n=17, p=1, gamma=(2.0,), seed=RngSeed(5, 6), scaled=True, values=values
-    )
+    spec = EmpiricalSpectrum(GammaWeights(1, (2.0,)), RngSeed(5, 6), True, values)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, spec)
     np.testing.assert_array_equal(read_spectrum_csv(path), values)
@@ -40,7 +39,7 @@ def test_spectrum_round_trip(tmp_path):
     payload = read_json(sidecar)
     assert payload["seed"] == {"master": 5, "stream": 6}
     assert payload["scaled"] is True
-    assert payload["gamma"] == [2.0]
+    assert payload["n"] == 17 and payload["p"] == 1 and payload["gamma"] == [2.0]
 
 
 def test_spectrum_header_checked(tmp_path):
@@ -58,10 +57,13 @@ def test_density_round_trip(tmp_path):
         [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(grid))]
     )
     cdf /= cdf[-1]
-    table = SpectralDensity(grid=grid, density=density, cdf=cdf)
+    w = GammaWeights(2, (2.0, 8.0))
+    table = SpectralDensity(w, grid, density, cdf, 1e-6, 2.5e-9)
     path = tmp_path / "density.csv"
     write_density_csv(path, table)
+    write_json(tmp_path / "density.json", density_sidecar(table))
     back = read_density_csv(path)
+    assert (back.w, back.quad_tol, back.quad_err_est) == (w, 1e-6, 2.5e-9)
     np.testing.assert_array_equal(back.grid, grid)
     np.testing.assert_array_equal(back.density, density)
     np.testing.assert_array_equal(back.cdf, cdf)

@@ -287,19 +287,14 @@ class TestKsDistance:
         rng = rng_from_seed(RngSeed(fx["master_seed"], fx["stream"]))
         u = np.sort(rng.uniform(0.0, 1.0, fx["n"]))
         x = np.sort(np.interp(u, semicircle_table.cdf, semicircle_table.grid))
-        spec = EmpiricalSpectrum(
-            n=fx["n"], p=1, gamma=(2.0,), seed=None, scaled=True, values=x
-        )
+        spec = EmpiricalSpectrum(W1, None, True, x)
         assert ks_distance(spec, semicircle_table) <= fx["tol"]
 
     def test_point_mass_at_median(self, semicircle_table):
         median = float(
             np.interp(0.5, semicircle_table.cdf, semicircle_table.grid)
         )
-        spec = EmpiricalSpectrum(
-            n=50, p=1, gamma=(2.0,), seed=None, scaled=True,
-            values=np.full(50, median),
-        )
+        spec = EmpiricalSpectrum(W1, None, True, np.full(50, median))
         assert ks_distance(spec, semicircle_table) == pytest.approx(0.5, abs=0.02)
 
     def test_empirical_semicircle(self, semicircle_table):
@@ -309,10 +304,7 @@ class TestKsDistance:
         assert ks_distance(spec, semicircle_table) <= fx["tol"]
 
     def test_requires_scaled_spectrum(self, semicircle_table):
-        spec = EmpiricalSpectrum(
-            n=2, p=1, gamma=(2.0,), seed=None, scaled=False,
-            values=np.array([0.0, 1.0]),
-        )
+        spec = EmpiricalSpectrum(W1, None, False, np.array([0.0, 1.0]))
         with pytest.raises(ValidationError, match="scaled"):
             ks_distance(spec, semicircle_table)
 
@@ -321,18 +313,15 @@ class TestKsDistance:
         # table whose CDF does not end at exactly 1 cannot be built
         with pytest.raises(NumericalError, match="CDF ends at 0.9, not exactly 1.0"):
             SpectralDensity(
-                grid=semicircle_table.grid,
-                density=semicircle_table.density,
-                cdf=semicircle_table.cdf * 0.9,
+                W1, semicircle_table.grid, semicircle_table.density,
+                semicircle_table.cdf * 0.9, semicircle_table.quad_tol,
             )
 
 
 class TestLevyBound:
     def _spectrum(self, values):
         values = np.sort(np.asarray(values, dtype=float))
-        return EmpiricalSpectrum(
-            n=len(values), p=1, gamma=(1.0,), seed=None, scaled=True, values=values
-        )
+        return EmpiricalSpectrum(GammaWeights(1, (1.0,)), None, True, values)
 
     def test_identical_inputs(self):
         values = np.linspace(-1, 1, 40)

@@ -14,6 +14,7 @@ the band.
 """
 
 import ctypes
+import re
 import threading
 import time
 
@@ -45,13 +46,13 @@ def random_symmetric(rng, n, scale=1.0):
 
 class TestEighBanded:
     def test_path_graph(self):
-        m = SymmetricBanded(3, 1, np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        m = SymmetricBanded(np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(
             eigh_banded(m), [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12
         )
 
     def test_diagonal_matrix(self):
-        m = SymmetricBanded(3, 0, np.array([[3.0, 1.0, 2.0]]))
+        m = SymmetricBanded(np.array([[3.0, 1.0, 2.0]]))
         np.testing.assert_allclose(eigh_banded(m), [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_matches_dense_oracle(self):
@@ -84,7 +85,7 @@ class TestEighBanded:
 
     def test_bandwidth_must_be_below_dim(self):
         with pytest.raises(ValidationError, match="densify"):
-            eigh_banded(SymmetricBanded.zeros(2, 3))
+            eigh_banded(SymmetricBanded(np.zeros((4, 2))))
 
     @pytest.mark.parametrize(
         "n,w,construction",
@@ -123,7 +124,7 @@ class TestEighBanded:
         # no entry maps to ab[u - d, :d]: LAPACK ignores it, but the
         # reduction gate sums the whole array
         ab = np.random.default_rng(5).standard_normal((4, 9))
-        m = SymmetricBanded(9, 3, ab)
+        m = SymmetricBanded(ab)
         corner = np.add.outer(np.arange(4), np.arange(9)) < 3
         assert not m.ab[corner].any()
         np.testing.assert_array_equal(m.ab[~corner], ab[~corner])
@@ -133,7 +134,7 @@ class TestEighBanded:
     @pytest.mark.parametrize("dim,bandwidth", [(1, 0), (2, 0), (2, 1), (50, 0)])
     def test_small_and_diagonal_bit_identical_to_scipy(self, dim, bandwidth):
         rng = np.random.default_rng(dim + bandwidth)
-        m = SymmetricBanded(dim, bandwidth, rng.standard_normal((bandwidth + 1, dim)))
+        m = SymmetricBanded(rng.standard_normal((bandwidth + 1, dim)))
         expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
         np.testing.assert_array_equal(eigh_banded(m), expected)
 
@@ -143,7 +144,7 @@ class TestEighBanded:
 
         monkeypatch.setattr(linalg, "_DSTERF", rejects)
         with pytest.raises(ValidationError, match="dsterf rejected argument 2"):
-            eigh_banded(SymmetricBanded.zeros(5, 2))
+            eigh_banded(SymmetricBanded(np.zeros((3, 5))))
 
     def test_failure_code_is_convergence_error(self, monkeypatch):
         def fails(*args):
@@ -151,12 +152,12 @@ class TestEighBanded:
 
         monkeypatch.setattr(linalg, "_DSTERF", fails)
         with pytest.raises(ConvergenceError, match="dsterf"):
-            eigh_banded(SymmetricBanded.zeros(5, 2))
+            eigh_banded(SymmetricBanded(np.zeros((3, 5))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(1, 1), (0, 1)])
     def test_non_finite_input_rejected(self, bad, where):
-        m = SymmetricBanded(3, 1, np.array([[0.0, 0.5, 0.5], [1.0, 2.0, 3.0]]))
+        m = SymmetricBanded(np.array([[0.0, 0.5, 0.5], [1.0, 2.0, 3.0]]))
         m.ab[where] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             eigh_banded(m)
@@ -260,7 +261,7 @@ class TestTridiagonalForm:
     @pytest.mark.parametrize("dim,bandwidth", [(1, 0), (2, 1), (5, 0), (7, 4)])
     def test_small_and_diagonal(self, dim, bandwidth):
         rng = np.random.default_rng(dim)
-        m = SymmetricBanded(dim, bandwidth, rng.standard_normal((bandwidth + 1, dim)))
+        m = SymmetricBanded(rng.standard_normal((bandwidth + 1, dim)))
         t = tridiagonal_form(m)
         dense = np.diag(t.d) + np.diag(t.e, 1) + np.diag(t.e, -1)
         np.testing.assert_allclose(np.linalg.eigvalsh(dense), eigh_banded(m), atol=1e-13)
@@ -288,7 +289,7 @@ class TestTridiagonalForm:
         # back, which loses no bit while T stays in the normal range
         m = build_G(60, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(3, 1))
         t = tridiagonal_form(m)
-        scaled = tridiagonal_form(SymmetricBanded(m.dim, m.bandwidth, np.ldexp(m.ab, k)))
+        scaled = tridiagonal_form(SymmetricBanded(np.ldexp(m.ab, k)))
         np.testing.assert_array_equal(scaled.d, np.ldexp(t.d, k))
         np.testing.assert_array_equal(scaled.e, np.ldexp(t.e, k))
 
@@ -297,7 +298,7 @@ class TestTridiagonalForm:
         # dsbevd rescales such a band by another factor, so the last bits
         # may differ
         m = build_G(60, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(3, 1))
-        m = SymmetricBanded(m.dim, m.bandwidth, m.ab * size)
+        m = SymmetricBanded(m.ab * size)
         expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
         np.testing.assert_allclose(
             eigh_banded(m), expected, rtol=0, atol=1e-14 * np.abs(expected).max()
@@ -305,7 +306,7 @@ class TestTridiagonalForm:
 
     def test_beyond_the_float_range_raises(self):
         # ||M||_2 = 5.7e308: the reduced T overflows when scaled back
-        m = SymmetricBanded(6, 4, np.full((5, 6), 1e308))
+        m = SymmetricBanded(np.full((5, 6), 1e308))
         with pytest.raises(ConvergenceError, match="overflows"):
             tridiagonal_form(m)
         with pytest.raises(ConvergenceError, match="overflows"):
@@ -313,25 +314,25 @@ class TestTridiagonalForm:
 
     @pytest.mark.parametrize("size", [1e145, 1e-145])
     def test_scale_inside_the_range_accepted(self, size):
-        m = SymmetricBanded(4, 1, np.array([[0.0, 1.0, 1.0, 1.0], [2.0, 0.0, 1.0, 3.0]]) * size)
+        m = SymmetricBanded(np.array([[0.0, 1.0, 1.0, 1.0], [2.0, 0.0, 1.0, 3.0]]) * size)
         t = tridiagonal_form(m)
         np.testing.assert_allclose(
             scipy.linalg.eigvalsh_tridiagonal(t.d, t.e), eigh_banded(m), rtol=1e-14
         )
 
     def test_zero_matrix(self):
-        t = tridiagonal_form(SymmetricBanded.zeros(5, 2))
+        t = tridiagonal_form(SymmetricBanded(np.zeros((3, 5))))
         assert not t.d.any() and not t.e.any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
-        m = SymmetricBanded(3, 1, np.array([[0.0, 0.5, 0.5], [1.0, 2.0, bad]]))
+        m = SymmetricBanded(np.array([[0.0, 0.5, 0.5], [1.0, 2.0, bad]]))
         with pytest.raises(ValidationError, match="non-finite"):
             tridiagonal_form(m)
 
     def test_bandwidth_must_be_below_dim(self):
         with pytest.raises(ValidationError, match="bandwidth"):
-            tridiagonal_form(SymmetricBanded.zeros(2, 2))
+            tridiagonal_form(SymmetricBanded(np.zeros((3, 2))))
 
     def test_rejected_argument(self, monkeypatch):
         def rejects(*args):
@@ -339,7 +340,7 @@ class TestTridiagonalForm:
 
         monkeypatch.setattr(linalg, "_DSBTRD", rejects)
         with pytest.raises(ValidationError, match="dsbtrd rejected argument 4"):
-            tridiagonal_form(SymmetricBanded.zeros(5, 2))
+            tridiagonal_form(SymmetricBanded(np.zeros((3, 5))))
 
 
 class TestBisectionAndSturmCounts:
@@ -492,11 +493,16 @@ class TestSymmetricBanded:
         assert entry(banded, 1, 3) == dense[1, 3]
         assert entry(banded, 3, 1) == dense[1, 3]
 
+    @pytest.mark.parametrize("bands,dim", [(1, 1), (1, 7), (3, 7), (4, 4)])
+    def test_sizes_are_read_from_the_shape(self, bands, dim):
+        m = SymmetricBanded(np.ones((bands, dim)))
+        assert (m.bandwidth, m.dim) == (bands - 1, dim)
+
     def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            SymmetricBanded(3, 1, np.zeros((3, 3)))
-        with pytest.raises(ValidationError):
-            SymmetricBanded(0, 0, np.zeros((1, 0)))
+        # 1-d, 3-d, no column, no row, neither
+        for shape in [(3,), (2, 3, 3), (1, 0), (0, 3), (0, 0)]:
+            with pytest.raises(ValidationError, match=f"2-d .* got shape {re.escape(str(shape))}$"):
+                SymmetricBanded(np.zeros(shape))
 
 
 class TestSpdInvSqrt:

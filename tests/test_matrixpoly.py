@@ -8,6 +8,7 @@ Scalar closed forms (block size 1, A = 1, B = 0; on a grid in criterion 9):
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ B0 = np.array([[0.0]])
 
 
 def constant_coeffs(m):
-    return RecurrenceCoeffs(p=1, m=m, A=[A1.copy() for _ in range(m)], B=[B0.copy() for _ in range(m)])
+    return RecurrenceCoeffs([A1.copy() for _ in range(m)], [B0.copy() for _ in range(m)])
 
 
 def log_det_relative_to_grid(coeffs, m, x, grid):
@@ -83,7 +84,7 @@ class TestRecurrenceCoeffs:
 
     def test_rejects_singular_A(self):
         with pytest.raises(ValidationError, match="singular"):
-            RecurrenceCoeffs(p=1, m=1, A=[np.array([[0.0]])], B=[B0.copy()])
+            RecurrenceCoeffs([np.array([[0.0]])], [B0.copy()])
 
     def test_stacks(self):
         c = recurrence_coeffs(12, W3)
@@ -109,18 +110,27 @@ class TestRecurrenceCoeffs:
         np.testing.assert_array_equal(a0, np.sqrt(gamma[3 - np.abs(i - j) - 1] / 2.0))
 
     def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(ValidationError, match="shape"):
-            RecurrenceCoeffs(p=2, m=2, A=np.eye(2)[None], B=np.zeros((2, 2, 2)))
+        # a non-square stack, a 2-d A, and stacks of different shapes
+        for a_shape, b_shape in [((2, 2, 3), (2, 2, 3)), ((2, 2), (2, 2)),
+                                 ((1, 2, 2), (2, 2, 2)), ((2, 2, 2), (2, 3, 3))]:
+            with pytest.raises(ValidationError, match=re.escape(f"got {a_shape}, {b_shape}")):
+                RecurrenceCoeffs(np.ones(a_shape), np.zeros(b_shape))
         with pytest.raises(ValidationError, match="finite"):
-            RecurrenceCoeffs(p=1, m=1, A=[np.array([[np.nan]])], B=[B0])
+            RecurrenceCoeffs([np.array([[np.nan]])], [B0])
         with pytest.raises(ValidationError, match="B block 1 is not symmetric"):
             B = [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]]
-            RecurrenceCoeffs(p=2, m=2, A=np.stack([np.eye(2)] * 2), B=B)
+            RecurrenceCoeffs(np.stack([np.eye(2)] * 2), B)
+
+    def test_sizes_are_read_from_the_stacks(self):
+        c = RecurrenceCoeffs(np.stack([np.eye(3)] * 5), np.zeros((5, 3, 3)))
+        assert (c.m, c.p) == (5, 3)
+        c = recurrence_coeffs(12, W3)
+        assert (c.m, c.p) == (4, 3)
 
     def test_names_first_singular_stage(self):
         a = np.stack([np.eye(2), np.eye(2), np.ones((2, 2)), np.zeros((2, 2))])
         with pytest.raises(ValidationError, match="A_3 is numerically singular"):
-            RecurrenceCoeffs(p=2, m=4, A=a, B=np.zeros((4, 2, 2)))
+            RecurrenceCoeffs(a, np.zeros((4, 2, 2)))
 
 
 def lu_gate_rejects(a):
@@ -134,7 +144,7 @@ def lu_gate_rejects(a):
 
 def batched_gate_rejects(a):
     try:
-        RecurrenceCoeffs(p=a.shape[0], m=1, A=a[None], B=np.zeros((1,) + a.shape))
+        RecurrenceCoeffs(a[None], np.zeros((1,) + a.shape))
     except ValidationError as exc:
         assert "singular" in str(exc)
         return True

@@ -570,9 +570,7 @@ class TestRootsAgainstTable:
         table = density_grid(w, 1000, 1e-6)
         for n in (1200, 2400):
             values = roots(recurrence_coeffs(n, w))
-            spectrum = EmpiricalSpectrum(
-                n=n, p=p, gamma=w.gamma, seed=None, scaled=False, values=values
-            ).to_scaled()
+            spectrum = EmpiricalSpectrum(w, None, False, values).to_scaled()
             assert n * ks_distance(spectrum, table) <= 4.0, n
 
 
@@ -588,7 +586,7 @@ class TestSpectralDensity:
         values[column][3] = bad
         t = repr(bad) if column == "grid" else "0.5"
         with pytest.raises(NumericalError, match=f"non-finite {column} value {bad!r} at t = {t}$"):
-            SpectralDensity(**values)
+            SpectralDensity(M1, **values, quad_tol=1e-6)
 
     @pytest.mark.parametrize(
         "index,value,message",
@@ -603,7 +601,7 @@ class TestSpectralDensity:
         cdf = np.linspace(0.0, 1.0, 5)
         cdf[index] = value
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            SpectralDensity(grid=np.linspace(-1.0, 1.0, 5), density=np.full(5, 0.5), cdf=cdf)
+            SpectralDensity(M1, np.linspace(-1.0, 1.0, 5), np.full(5, 0.5), cdf, 1e-6)
 
 
 class TestOracleDensity:
