@@ -35,7 +35,6 @@ from .spectral import (
     limit_blocks,
     oracle_density,
     semicircle_density,
-    support_bound,
 )
 
 __version__ = "0.1.0"

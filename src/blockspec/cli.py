@@ -33,13 +33,13 @@ from .matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
 from .spectral import check_density_args, density_grid, oracle_density
 from . import formats
 
-# the five published example configurations: (p, gamma, n)
+# the five published example configurations: (gamma, n)
 FIGURES = {
-    "fig1": (2, (2.0, 8.0), 5000),
-    "fig2": (2, (1.0, 100.0), 5000),
-    "fig3": (3, (4.0, 4.0, 100.0), 5001),
-    "fig4": (3, (1.0, 4.0, 25.0), 5001),
-    "fig5": (3, (1.0, 100.0, 200.0), 5001),
+    "fig1": ((2.0, 8.0), 5000),
+    "fig2": ((1.0, 100.0), 5000),
+    "fig3": ((4.0, 4.0, 100.0), 5001),
+    "fig4": ((1.0, 4.0, 25.0), 5001),
+    "fig5": ((1.0, 100.0, 200.0), 5001),
 }
 
 
@@ -54,7 +54,7 @@ def _weights(p: int, gamma_text: str) -> GammaWeights:
     gamma = _parse_list(gamma_text, float, "--gamma")
     if len(gamma) != p:
         raise ValidationError(f"--gamma lists {len(gamma)} values but --p is {p}")
-    return GammaWeights(p=p, gamma=gamma)
+    return GammaWeights(gamma)
 
 
 def _write(*outputs) -> int:
@@ -234,8 +234,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    p, gamma, n = FIGURES[args.name]
-    w = GammaWeights(p=p, gamma=gamma)
+    gamma, n = FIGURES[args.name]
+    w = GammaWeights(gamma)
     seed = RngSeed(args.seed, 0)
     check_density_args(w, args.grid, args.quad_tol)
     tasks = [

@@ -22,13 +22,16 @@ straight into LAPACK's upper band storage (`linalg.SymmetricBanded`), entry
 keeps an independent blockwise transcription of the block patterns and a
 loop over the positional rule as oracles for it.
 
-A spectrum is an `EmpiricalSpectrum(w, seed, scaled, values)`: it carries
-the weights as one `GammaWeights` w, and its size n is len(values).
+The weights are one `GammaWeights(gamma)`, and its block size p is
+len(gamma).  A spectrum is an `EmpiricalSpectrum(w, seed, scaled, values)`:
+it carries the weights as one `GammaWeights` w, and its size n is
+len(values).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -69,39 +72,44 @@ class _Value:
 
 
 class GammaWeights(_Value):
-    """Block size p and the p positive weights gamma_1..gamma_p."""
+    """The positive weights gamma_1..gamma_p; the block size p is how many
+    there are."""
 
-    _fields = ("p", "gamma")
+    _fields = ("gamma",)
 
-    def __init__(self, p: int, gamma: tuple[float, ...]):
-        if p < 1:
-            raise ValidationError(f"p must be >= 1, got {p}")
+    def __init__(self, gamma: tuple[float, ...]):
         gamma = tuple(float(g) for g in gamma)
-        if len(gamma) != p:
-            raise ValidationError(
-                f"expected {p} gamma values, got {len(gamma)}"
-            )
+        if not gamma:
+            raise ValidationError("gamma must list at least one weight")
         if not all(0.0 < g < math.inf for g in gamma):
             raise ValidationError(f"all gamma values must be positive and finite, got {gamma}")
-        self._set(p=p, gamma=gamma)
+        self._set(gamma=gamma, p=len(gamma))
 
 
 class RngSeed(_Value):
-    """(master, stream) pair; identical pairs give bit-identical draws."""
+    """(master, stream) pair; identical pairs give bit-identical draws.
+    Each is an integer in [0, 2**64), Python or numpy, stored as an int."""
 
     _fields = ("master", "stream")
 
     def __init__(self, master: int, stream: int = 0):
+        values = {}
         for name, v in (("master", master), ("stream", stream)):
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {v!r}") from None
             if not (0 <= v < 2**64):
                 raise ValidationError(f"{name} must be a 64-bit unsigned integer")
-        self._set(master=master, stream=stream)
+            values[name] = v
+        self._set(**values)
 
 
 class EmpiricalSpectrum:
-    """Sorted eigenvalues of one sampled matrix plus their provenance: the
-    weights w, the seed (None for the deterministic roots) and the `scaled`
-    flag.  The size n is read from len(values) and must be divisible by w.p.
+    """Sorted finite eigenvalues of one sampled matrix plus their
+    provenance: the weights w, the seed (None for the deterministic roots)
+    and the `scaled` flag.  The size n is read from len(values) and must be
+    divisible by w.p.
     """
 
     def __init__(self, w: GammaWeights, seed: RngSeed | None, scaled: bool, values: np.ndarray):
@@ -110,6 +118,8 @@ class EmpiricalSpectrum:
         self.scaled = scaled
         self.values = np.asarray(values, dtype=float)
         self.n = len(self.values)
+        if not np.isfinite(self.values).all():
+            raise ValidationError("eigenvalues must be finite")
         if np.any(np.diff(self.values) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
         if self.n % w.p != 0:

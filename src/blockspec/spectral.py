@@ -39,9 +39,11 @@ F(x) = sum_j arccos(z_j(U)) / (2 pi) + x f(x) / 2.  For p = 1 the oracle is
 the semicircle law of the Dumitriu-Edelman beta-Hermite model.
 
 Both tables are a `SpectralDensity(w, grid, density, cdf, quad_tol,
-quad_err_est=None)` of the weights they were computed for; only the
-oracle's has no quad_err_est.  `check_density_args` states their argument
-checks once, and both build their grid through it.
+quad_err_est=None)` of the weights w = `GammaWeights(gamma)` they were
+computed for, p = len(gamma); only the oracle's has no quad_err_est.
+`check_density_args` states their argument checks once and returns
+(A0, B0): both build their grid from those blocks, and `density_grid`
+hands them to `_density_table`, so a table builds its limit blocks once.
 """
 
 from __future__ import annotations
@@ -391,9 +393,11 @@ def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: f
 
 
 def _density_table(
-    w: GammaWeights, ts: np.ndarray, quad_tol: float
+    a0: np.ndarray, b0: np.ndarray, ts: np.ndarray, quad_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Limit density, CDF and quadrature error estimate at every t in ts.
+    """Limit density, CDF and quadrature error estimate at every t in ts,
+    for the limit blocks (A0, B0) = `limit_blocks(w)` and a quad_tol that
+    `check_density_args` has accepted.
 
     In k = t / (u sqrt(p)), u = sqrt(s), the pencil is W(k) = W0 - k A0^{-1}
     (`_integrands`), and the integrals over u in (0, sqrt(1/p)] run over k
@@ -437,8 +441,6 @@ def _density_table(
     refines the panels; NumericalError is raised when a panel is stuck, at
     the latest after _MAX_DEPTH bisections.
     """
-    a0, b0 = limit_blocks(w)
-    _require_quad_tol(quad_tol)
     try:
         s0 = spd_inv_sqrt(a0)
     except NotPositiveDefiniteError as exc:
@@ -472,7 +474,7 @@ def semicircle_density(gamma1: float, x: float) -> float:
     """Closed-form p = 1 limit density sqrt(2*gamma1 - x^2) / (pi * gamma1),
     as sqrt((1 - y)(1 + y)) / (pi r) with r = sqrt(gamma1 / 2), y = x / (2 r):
     neither 2 gamma1 nor x^2 can overflow, and y = +-1 exactly at the p = 1
-    `support_bound` 2 r."""
+    support bound M* = 2 r (`_grid`)."""
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
     r = math.sqrt(gamma1 / 2.0)
@@ -605,7 +607,7 @@ def _theta_panels(integrand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
 def _arcsine_branches(gamma1: float, gamma2: float) -> tuple[float, tuple]:
     """M* and the branch factors (alpha_j, beta_j) U / M*, so that branch j's
     radicand is M*^2 (alpha_j v - xi)(beta_j v + xi) in v = u / U, xi = x / M*.
-    M* is summed as in `support_bound`: alpha_1 = 1 exactly, and xi = +-1
+    M* is summed as in `_grid`: alpha_1 = 1 exactly, and xi = +-1
     lies outside both branches."""
     s1, s2 = math.sqrt(gamma1 / 2.0), math.sqrt(gamma2 / 2.0)
     m = s1 + 2.0 * (s2 + s1)
@@ -625,28 +627,26 @@ def _branch_cdf(alpha: float, beta: float, xi: float) -> float:
     return math.atan2(math.sqrt(xi + beta), math.sqrt(alpha - xi)) / math.pi
 
 
-def support_bound(w: GammaWeights) -> float:
-    """Row-sum bound M* = ||B0||_inf + 2 ||A0||_inf on the support: the
-    coefficient pair sqrt(s p) (A0, B0) at s = 1/p."""
-    a0, b0 = limit_blocks(w)
-    return float(np.abs(b0).sum(axis=1).max() + 2.0 * np.abs(a0).sum(axis=1).max())
-
-
-def check_density_args(w: GammaWeights, grid_size: int, quad_tol: float) -> float:
+def check_density_args(
+    w: GammaWeights, grid_size: int, quad_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The argument checks of `density_grid` and `oracle_density`, in their
-    order (singular A0, grid, quad_tol), for callers that reject bad
-    arguments before any other work.  Returns M* (`support_bound`)."""
-    bound = support_bound(w)
+    order (singular A0, grid, quad_tol), for them and for callers that
+    reject bad arguments before any other work.  Returns (A0, B0)
+    (`limit_blocks`)."""
+    blocks = limit_blocks(w)
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
     _require_quad_tol(quad_tol)
-    return bound
+    return blocks
 
 
-def _grid(w: GammaWeights, grid_size: int, quad_tol: float) -> np.ndarray:
-    """The grid_size + 1 points of a table spanning [-M*, M*], after
-    `check_density_args`; linspace ends them at exactly -+M*."""
-    bound = check_density_args(w, grid_size, quad_tol)
+def _grid(a0: np.ndarray, b0: np.ndarray, grid_size: int) -> np.ndarray:
+    """The grid_size + 1 points of a table spanning [-M*, M*] for the limit
+    blocks (A0, B0), with M* = ||B0||_inf + 2 ||A0||_inf the row-sum bound
+    on the support: the coefficient pair sqrt(s p) (A0, B0) at s = 1/p.
+    linspace ends the grid at exactly -+M*."""
+    bound = float(np.abs(b0).sum(axis=1).max() + 2.0 * np.abs(a0).sum(axis=1).max())
     grid = np.linspace(-bound, bound, grid_size + 1)
     if grid_size % 2 == 0:
         # linspace can miss 0 by an ulp of M*, where a p = 2 density may diverge
@@ -657,7 +657,7 @@ def _grid(w: GammaWeights, grid_size: int, quad_tol: float) -> np.ndarray:
 def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:
     """The closed-form oracle table for p = 1 or 2 on the grid of `density_grid`:
     the density unscaled at each point, and the exact CDF of the module docstring."""
-    grid = _grid(w, grid_size, quad_tol)
+    grid = _grid(*check_density_args(w, grid_size, quad_tol), grid_size)
     if w.p == 1:
         density = [semicircle_density(w.gamma[0], t) for t in grid]
         # y = t / (2 r) as in semicircle_density, exactly +-1 at +-M* = +-2 r
@@ -676,6 +676,7 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
 def density_grid(w: GammaWeights, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
     spanning [-M*, M*], batched over the grid in the quadrature kernel."""
-    grid = _grid(w, grid_size, quad_tol)
-    density, cdf, err = _density_table(w, grid, quad_tol)
+    a0, b0 = check_density_args(w, grid_size, quad_tol)
+    grid = _grid(a0, b0, grid_size)
+    density, cdf, err = _density_table(a0, b0, grid, quad_tol)
     return SpectralDensity(w, grid, density, cdf, quad_tol, float(err.max()))

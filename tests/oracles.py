@@ -239,9 +239,19 @@ def trace_density(a: np.ndarray, b: np.ndarray, t: float) -> float:
 def density_at(w: GammaWeights, t: float, quad_tol: float = 1e-8) -> float:
     """Limit density f(t): the one-point table of `spectral._density_table`,
     the kernel behind `density_grid`, held to the absolute tolerance quad_tol
-    by its embedded error estimate."""
-    density, _, _ = spectral._density_table(w, np.array([float(t)]), quad_tol)
+    by its embedded error estimate, after the checks of `density_grid` on
+    A0 and quad_tol."""
+    blocks = limit_blocks(w)
+    spectral._require_quad_tol(quad_tol)
+    density, _, _ = spectral._density_table(*blocks, np.array([float(t)]), quad_tol)
     return float(density[0])
+
+
+def support_bound(w: GammaWeights) -> float:
+    """Row-sum bound M* = ||B0||_inf + 2 ||A0||_inf on the support, the
+    end of every table's grid, summed as `spectral._grid` sums it."""
+    a0, b0 = limit_blocks(w)
+    return float(np.abs(b0).sum(axis=1).max() + 2.0 * np.abs(a0).sum(axis=1).max())
 
 
 def limit_moments(w: GammaWeights, k_max: int) -> np.ndarray:
@@ -347,7 +357,7 @@ def read_density_csv(path: str | Path, sidecar: str | Path | None = None) -> Spe
             raise ValidationError(f"unexpected density CSV header: {header!r}")
         rows = [tuple(map(float, line.split(","))) for line in fh if line.strip()]
     grid, density, cdf = (np.array(col) for col in zip(*rows))
-    w = GammaWeights(meta["p"], meta["gamma"])
+    w = GammaWeights(meta["gamma"])
     return SpectralDensity(w, grid, density, cdf, meta["quad_tol"], meta.get("quad_err_est"))
 
 

@@ -33,7 +33,6 @@ from blockspec.spectral import (
     arcsine_mixture_density,
     density_grid,
     semicircle_density,
-    support_bound,
 )
 from tests.oracles import (
     build_F,
@@ -43,6 +42,7 @@ from tests.oracles import (
     density_at,
     eval_R,
     markov_bound_check,
+    support_bound,
     to_dense,
     truncated,
 )
@@ -52,12 +52,12 @@ FIXTURES = json.loads(
 )
 
 EXAMPLE_CONFIGS = [
-    (1, (2.0,)),
-    (2, (2.0, 8.0)),
-    (2, (1.0, 100.0)),
-    (3, (4.0, 4.0, 100.0)),
-    (3, (1.0, 4.0, 25.0)),
-    (3, (1.0, 100.0, 200.0)),
+    (2.0,),
+    (2.0, 8.0),
+    (1.0, 100.0),
+    (4.0, 4.0, 100.0),
+    (1.0, 4.0, 25.0),
+    (1.0, 100.0, 200.0),
 ]
 
 
@@ -77,7 +77,7 @@ def criterion(num: int, name: str):
 def test_criterion_01_semicircle_oracle():
     with criterion(1, "semicircle oracle") as info:
         start = time.monotonic()
-        w = GammaWeights(1, (2.0,))
+        w = GammaWeights((2.0,))
         table = density_grid(w, 400, 1e-7)
         assert len(table.grid) == 401
         max_err = max(
@@ -95,7 +95,7 @@ def test_criterion_01_semicircle_oracle():
 def test_criterion_02_arcsine_mixture_oracle():
     with criterion(2, "arcsine mixture oracle") as info:
         start = time.monotonic()
-        w = GammaWeights(2, (2.0, 8.0))
+        w = GammaWeights((2.0, 8.0))
         bound = support_bound(w)
         # density kinks: branch support edges at the top coefficient scale
         # (beta_j +- 2 alpha_j at s = 1/2) plus the branch accumulation at 0
@@ -117,13 +117,13 @@ def test_criterion_02_arcsine_mixture_oracle():
 def test_criterion_03_normalization():
     with criterion(3, "normalization of the limit law") as info:
         worst = 0.0
-        for p, gamma in EXAMPLE_CONFIGS:
-            w = GammaWeights(p, gamma)
+        for gamma in EXAMPLE_CONFIGS:
+            w = GammaWeights(gamma)
             bound = support_bound(w)
             grid = np.linspace(-bound, bound, 401)
             density = np.array([density_at(w, t, 1e-7) for t in grid])
             mass = float(np.trapezoid(density, grid))
-            assert abs(mass - 1.0) <= 1e-3, (p, gamma, mass)
+            assert abs(mass - 1.0) <= 1e-3, (gamma, mass)
             worst = max(worst, abs(mass - 1.0))
         info["detail"] = f"worst |mass-1| = {worst:.2e} across {len(EXAMPLE_CONFIGS)} configs"
 
@@ -134,7 +134,7 @@ def test_criterion_04_weak_convergence_ks():
         details = []
         for key in ("p2", "p3"):
             fx = FIXTURES["criterion4"][key]
-            w = GammaWeights(fx["p"], tuple(fx["gamma"]))
+            w = GammaWeights(tuple(fx["gamma"]))
             table = density_grid(w, 400, 1e-6)
             seed = RngSeed(fx["master_seed"], fx["trial"])
             spectrum = empirical_spectrum(fx["n"], w, seed).to_scaled()
@@ -150,7 +150,7 @@ def test_criterion_05_gap_scaling():
     with criterion(5, "uniform gap scaling in n") as info:
         start = time.monotonic()
         fx = FIXTURES["criterion5"]
-        w = GammaWeights(1, (1.0,))
+        w = GammaWeights((1.0,))
         medians = {
             n: float(np.median(gaps / math.sqrt(math.log(n))))
             for n, gaps in zip(
@@ -169,7 +169,7 @@ def test_criterion_05_gap_scaling():
 def test_criterion_06_tail_bound():
     with criterion(6, "exponential tail bound") as info:
         fx = FIXTURES["criterion6"]
-        w = GammaWeights(1, (1.0,))
+        w = GammaWeights((1.0,))
         (gaps,) = gap_report([fx["n"]], w, fx["trials"], fx["master_seed"])
         res30 = tail_bound_experiment(fx["n"], w.p, 30.0, gaps)
         assert res30.bound < 1e-19
@@ -191,21 +191,21 @@ def test_criterion_07_structural_equivalences():
         # deterministic counterpart and the block Jacobi form of the
         # recurrence coefficients are cospectral
         worst_gap = 0.0
-        for n, p, gamma in ((12, 3, (1.0, 4.0, 25.0)), (20, 2, (2.0, 8.0)), (10, 1, (2.0,))):
-            w = GammaWeights(p, gamma)
+        for n, gamma in ((12, (1.0, 4.0, 25.0)), (20, (2.0, 8.0)), (10, (2.0,))):
+            w = GammaWeights(gamma)
             e_f = np.linalg.eigvalsh(to_dense(build_F(n, w)))
             ft = jacobi_matrix(recurrence_coeffs(n, w))
             e_ft = np.linalg.eigvalsh(to_dense(ft))
             gap = float(np.abs(e_f - e_ft).max())
-            assert gap <= 1e-10, (n, p, gap)
+            assert gap <= 1e-10, (n, gamma, gap)
             worst_gap = max(worst_gap, gap)
 
         # roots satisfy the determinant residual check
         worst_resid = -np.inf
         for w, n in (
-            (GammaWeights(1, (1.5,)), 10),
-            (GammaWeights(2, (2.0, 8.0)), 20),
-            (GammaWeights(3, (1.0, 4.0, 25.0)), 30),
+            (GammaWeights((1.5,)), 10),
+            (GammaWeights((2.0, 8.0)), 20),
+            (GammaWeights((1.0, 4.0, 25.0)), 30),
         ):
             coeffs = recurrence_coeffs(n, w)
             m = 10 // w.p if w.p > 1 else 10
@@ -220,7 +220,7 @@ def test_criterion_07_structural_equivalences():
 
         # the scalar case reproduces the classical tridiagonal model entrywise
         beta, n, seed = 3.0, 10, RngSeed(2024, 1)
-        g = build_G(n, GammaWeights(1, (beta,)), seed)
+        g = build_G(n, GammaWeights((beta,)), seed)
         rng = rng_from_seed(seed)
         diag = rng.standard_normal(n)
         off = np.array(
@@ -237,8 +237,8 @@ def test_criterion_08_resolvent_bound_sweep():
     with criterion(8, "resolvent bound sweep") as info:
         configs = [
             ("p1-const", RecurrenceCoeffs(np.ones((8, 1, 1)), np.zeros((8, 1, 1))), 5),
-            ("p2", recurrence_coeffs(20, GammaWeights(2, (2.0, 8.0))), 5),
-            ("p3", recurrence_coeffs(30, GammaWeights(3, (1.0, 4.0, 25.0))), 4),
+            ("p2", recurrence_coeffs(20, GammaWeights((2.0, 8.0))), 5),
+            ("p3", recurrence_coeffs(30, GammaWeights((1.0, 4.0, 25.0))), 4),
         ]
         total = 0
         for label, coeffs, degree in configs:

@@ -215,7 +215,7 @@ class TestSubcommands:
         assert rc == 0
         centers, heights = read_histogram_csv(tmp_path / "fig4_hist.csv")
         sidecar = read_json(tmp_path / "fig4.json")
-        values = empirical_spectrum(5001, GammaWeights(3, (1.0, 4.0, 25.0)), RngSeed(7)).values
+        values = empirical_spectrum(5001, GammaWeights((1.0, 4.0, 25.0)), RngSeed(7)).values
         counts, edges = np.histogram(values / np.sqrt(5001), bins="fd")
         assert sidecar["binning"]["bins"] == len(counts) == len(centers)
         width = sidecar["binning"]["bin_width"]
@@ -311,11 +311,11 @@ class TestSubcommands:
 
     def test_figure_configs_are_pinned(self):
         assert FIGURES == {
-            "fig1": (2, (2.0, 8.0), 5000),
-            "fig2": (2, (1.0, 100.0), 5000),
-            "fig3": (3, (4.0, 4.0, 100.0), 5001),
-            "fig4": (3, (1.0, 4.0, 25.0), 5001),
-            "fig5": (3, (1.0, 100.0, 200.0), 5001),
+            "fig1": ((2.0, 8.0), 5000),
+            "fig2": ((1.0, 100.0), 5000),
+            "fig3": ((4.0, 4.0, 100.0), 5001),
+            "fig4": ((1.0, 4.0, 25.0), 5001),
+            "fig5": ((1.0, 100.0, 200.0), 5001),
         }
 
 
@@ -406,7 +406,7 @@ if sys.argv[1] == "blockspec-first":
     import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 
-m = build_G(60, GammaWeights(2, (2.0, 8.0)), RngSeed(5, 0))
+m = build_G(60, GammaWeights((2.0, 8.0)), RngSeed(5, 0))
 expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
 assert np.array_equal(linalg.eigh_banded(m), expected)
 """

@@ -32,9 +32,9 @@ from blockspec.linalg import eigh_banded
 from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs, roots
 from tests.oracles import build_F, build_F_tilde, chi_sample, entry, to_dense
 
-W2 = GammaWeights(2, (2.0, 8.0))
-W3 = GammaWeights(3, (1.0, 4.0, 25.0))
-W4 = GammaWeights(4, (0.3, 1.7, 2.25, 9.1))
+W2 = GammaWeights((2.0, 8.0))
+W3 = GammaWeights((1.0, 4.0, 25.0))
+W4 = GammaWeights((0.3, 1.7, 2.25, 9.1))
 
 
 def scalar_entry_dof(r, c, n, w):
@@ -116,19 +116,21 @@ class TestChiSample:
 class TestGammaWeights:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
-            GammaWeights(2, (1.0, 0.0))
+            GammaWeights((1.0, 0.0))
 
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            GammaWeights(2, (1.0,))
+    def test_p_is_the_number_of_weights(self):
+        for gamma in ((2.0,), (2.0, 8.0), (0.3, 1.7, 2.25, 9.1)):
+            assert GammaWeights(gamma).p == len(gamma)
+        # p is read from gamma, so gamma alone gives equality and repr
+        assert repr(W2) == "GammaWeights(gamma=(2.0, 8.0))"
 
     def test_rejects_p_zero(self):
         with pytest.raises(ValidationError):
-            GammaWeights(0, ())
+            GammaWeights(())
 
     def test_values_are_equal_hashable_and_immutable(self):
-        w = GammaWeights(2, [2, 8])
-        assert w == GammaWeights(p=2, gamma=(2.0, 8.0)) and w.gamma == (2.0, 8.0)
+        w = GammaWeights([2, 8])
+        assert w == GammaWeights((2.0, 8.0)) and w.gamma == (2.0, 8.0)
         assert {RngSeed(3): 1}[RngSeed(3, 0)] == 1 and RngSeed(3, 1) != RngSeed(3, 0)
         assert w != (2, (2.0, 8.0)) and repr(RngSeed(3)) == "RngSeed(master=3, stream=0)"
         for value, name in ((w, "gamma"), (RngSeed(3), "stream")):
@@ -138,8 +140,27 @@ class TestGammaWeights:
                 delattr(value, name)
 
 
+class TestRngSeed:
+    @pytest.mark.parametrize(
+        "master, stream, name",
+        [(1.5, 0, "master"), ("1", 0, "master"), (1, 2.0, "stream"),
+         (-1, 0, "master"), (0, 2**64, "stream")],
+    )
+    def test_rejects_what_is_no_64_bit_unsigned_integer(self, master, stream, name):
+        # 1.5 would otherwise draw the matrix of master 1 through the uint64 key
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            RngSeed(master, stream)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        seed = RngSeed(np.uint64(2**64 - 1), np.int32(3))
+        assert seed == RngSeed(2**64 - 1, 3)
+        assert type(seed.master) is int and type(seed.stream) is int
+        draws = [rng_from_seed(s).random(4).tobytes() for s in (seed, RngSeed(2**64 - 1, 3))]
+        assert draws[0] == draws[1]
+
+
 class TestDofLayout:
-    @pytest.mark.parametrize("w", [GammaWeights(1, (2.0,)), W2, W3])
+    @pytest.mark.parametrize("w", [GammaWeights((2.0,)), W2, W3])
     @pytest.mark.parametrize("mult", [2, 4, 10])
     def test_block_table_matches_scalar_rule(self, w, mult):
         n = mult * w.p
@@ -152,7 +173,7 @@ class TestDofLayout:
     def test_p2_n4_literal_values(self):
         # read directly off the diagonal/coupling block displays for i = 0, 1
         g1, g2 = 3.0, 5.0
-        w = GammaWeights(2, (g1, g2))
+        w = GammaWeights((g1, g2))
         assert scalar_entry_dof(1, 2, 4, w) == pytest.approx(3 * g1)
         assert scalar_entry_dof(1, 3, 4, w) == pytest.approx(2 * g2)
         assert scalar_entry_dof(2, 3, 4, w) == pytest.approx(2 * g1)
@@ -169,7 +190,7 @@ class TestDofLayout:
 
     def test_p3_n12_literal_values(self):
         g1, g2, g3 = 1.0, 4.0, 25.0
-        w = GammaWeights(3, (g1, g2, g3))
+        w = GammaWeights((g1, g2, g3))
         n = 12
         # diagonal block i = 0, first rows
         assert scalar_entry_dof(1, 2, n, w) == pytest.approx(11 * g1)
@@ -189,7 +210,7 @@ class TestDofLayout:
         assert scalar_entry_dof(1, 5, 6, W2) is None  # offset 4 > 2p-1 = 3
         assert scalar_entry_dof(2, 5, 6, W2) is None  # offset 3 across non-adjacent blocks
 
-    @pytest.mark.parametrize("w", [GammaWeights(1, (2.0,)), W2, W3, W4])
+    @pytest.mark.parametrize("w", [GammaWeights((2.0,)), W2, W3, W4])
     @pytest.mark.parametrize("mult", [2, 3, 7, 25])
     def test_chi_layout_matches_block_table(self, w, mult):
         # same positions, in row-major (draw) order, with bit-equal dofs
@@ -250,7 +271,7 @@ class TestBuildG:
         # from the same draw sequence: n normals, then chi((n-i) * beta)
         beta = 2.5
         n, seed = 8, RngSeed(99, 5)
-        g = build_G(n, GammaWeights(1, (beta,)), seed)
+        g = build_G(n, GammaWeights((beta,)), seed)
         rng = rng_from_seed(seed)
         diag = rng.standard_normal(n)
         off = np.array([chi_sample(rng, (n - i) * beta) for i in range(1, n)])
@@ -258,7 +279,7 @@ class TestBuildG:
         np.testing.assert_array_equal(g.ab[0, 1:], off / math.sqrt(2.0))
 
     @pytest.mark.parametrize(
-        "n,w", [(12, W2), (15, W3), (24, W4), (8, GammaWeights(2, (0.7, 1.3)))]
+        "n,w", [(12, W2), (15, W3), (24, W4), (8, GammaWeights((0.7, 1.3)))]
     )
     def test_matches_scalar_draw_loop(self, n, w):
         # the per-entry loop over the blockwise oracle, one chi_sample per
@@ -274,7 +295,7 @@ class TestBuildG:
             expected[kd + r - c, c - 1] = chi_sample(rng, table[(r, c)]) / math.sqrt(2.0)
         np.testing.assert_array_equal(build_G(n, w, seed).ab, expected)
 
-    @pytest.mark.parametrize("n,w", [(40, GammaWeights(1, (2.5,))), (40, W2), (42, W3)])
+    @pytest.mark.parametrize("n,w", [(40, GammaWeights((2.5,))), (40, W2), (42, W3)])
     def test_mean_square_trace(self, n, w):
         # E tr(G^2) = tr(F^2) + n: each chi_k^2 has mean k and each N(0,1)^2
         # mean 1; tr(M^2) is the sum of squared entries, so no solve is needed
@@ -300,7 +321,7 @@ class TestBuildF:
         assert np.all(f.ab[-1] == 0.0)
 
     def test_p1_small(self):
-        f = build_F(3, GammaWeights(1, (2.0,)))
+        f = build_F(3, GammaWeights((2.0,)))
         np.testing.assert_allclose(f.ab[1], 0.0)
         np.testing.assert_allclose(f.ab[0, 1:], [math.sqrt(2.0), 1.0], atol=1e-15)
 
@@ -318,7 +339,7 @@ class TestBuildFTilde:
 
     def test_p1_classic_pattern(self):
         gamma1 = 3.0
-        ft = f_tilde(5, GammaWeights(1, (gamma1,)))
+        ft = f_tilde(5, GammaWeights((gamma1,)))
         np.testing.assert_allclose(ft.ab[1], 0.0)
         expected = [math.sqrt(i * gamma1 / 2.0) for i in range(1, 5)]
         np.testing.assert_allclose(ft.ab[0, 1:], expected, atol=1e-15)
@@ -333,14 +354,14 @@ class TestBuildFTilde:
     @pytest.mark.parametrize(
         "w",
         [
-            GammaWeights(1, (2.0,)),
-            GammaWeights(1, (0.37,)),
+            GammaWeights((2.0,)),
+            GammaWeights((0.37,)),
             W2,
-            GammaWeights(2, (0.7, 1.3)),
+            GammaWeights((0.7, 1.3)),
             W3,
-            GammaWeights(3, (0.1, 2.9, 7.3)),
+            GammaWeights((0.1, 2.9, 7.3)),
             W4,
-            GammaWeights(4, (1.0, 2.0, 3.0, 5.0)),
+            GammaWeights((1.0, 2.0, 3.0, 5.0)),
         ],
     )
     @pytest.mark.parametrize("mult", [2, 10, 1000])
@@ -356,7 +377,13 @@ class TestBuildFTilde:
 class TestEmpiricalSpectrumType:
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError):
-            EmpiricalSpectrum(GammaWeights(1, (1.0,)), None, False, np.array([1.0, 0.0]))
+            EmpiricalSpectrum(GammaWeights((1.0,)), None, False, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, value):
+        # NaN compares False both ways, so the sortedness check alone passes it
+        with pytest.raises(ValidationError, match="finite"):
+            EmpiricalSpectrum(W2, None, False, [1.0, value, 2.0, 3.0])
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_n_is_the_number_of_values(self, n):

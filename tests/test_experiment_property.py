@@ -8,8 +8,8 @@ with one line on stderr for a failure, no traceback, no warning and no file
 left behind.  Exit 0 must write strict JSON, which holds only finite numbers,
 and CSVs of finite values; for `density` the CDF runs from exactly 0.0 to
 exactly 1.0.  Sizes stay small (n <= 60, trials <= 3, grid 100-200) so that
-an example takes a fraction of a second.  `figure` takes its p, weights and
-n from `cli.FIGURES`, which each example replaces by a drawn configuration.
+an example takes a fraction of a second.  `figure` takes its weights and n
+from `cli.FIGURES`, which each example replaces by a drawn configuration.
 """
 
 import contextlib
@@ -106,12 +106,12 @@ def gap_argv(draw):
 
 @st.composite
 def figure_case(draw):
-    """(the FIGURES entry to replace, its drawn (p, gamma, n), argv)."""
+    """(the FIGURES entry to replace, its drawn (gamma, n), argv)."""
     name = draw(st.sampled_from(sorted(cli.FIGURES)))
     p, gamma = draw(weights())
     seed = sometimes(draw, draw(SEED), st.sampled_from([-1, 2**64]))
     argv = ["figure", f"--name={name}", f"--seed={seed}", *table_flags(draw)]
-    return name, (p, tuple(gamma), size(draw, p)), argv
+    return name, (tuple(gamma), size(draw, p)), argv
 
 
 def run_checked(argv: list[str], out: str, tmp: str) -> int:
@@ -187,7 +187,7 @@ def test_figure_exit_contract(case):
         if run_checked(argv, "o", tmp) != 0:
             return
         sidecar = strict_json(Path(tmp, "o.json").read_text())
-        assert sidecar["figure"] == name and sidecar["n"] == config[2]
+        assert sidecar["figure"] == name and sidecar["n"] == config[1]
         for csv in ("o_hist.csv", "o_density.csv"):
             lines = Path(tmp, csv).read_text().splitlines()
             cells = [float(cell) for line in lines[1:] for cell in line.split(",")]

@@ -26,7 +26,7 @@ def test_fmt_round_trips():
 
 def test_spectrum_round_trip(tmp_path):
     values = np.sort(np.random.default_rng(0).standard_normal(17))
-    spec = EmpiricalSpectrum(GammaWeights(1, (2.0,)), RngSeed(5, 6), True, values)
+    spec = EmpiricalSpectrum(GammaWeights((2.0,)), RngSeed(5, 6), True, values)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, spec)
     np.testing.assert_array_equal(read_spectrum_csv(path), values)
@@ -57,7 +57,7 @@ def test_density_round_trip(tmp_path):
         [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * np.diff(grid))]
     )
     cdf /= cdf[-1]
-    w = GammaWeights(2, (2.0, 8.0))
+    w = GammaWeights((2.0, 8.0))
     table = SpectralDensity(w, grid, density, cdf, 1e-6, 2.5e-9)
     path = tmp_path / "density.csv"
     write_density_csv(path, table)

@@ -47,8 +47,8 @@ FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()
 )
 
-W1 = GammaWeights(1, (2.0,))
-W2 = GammaWeights(2, (2.0, 8.0))
+W1 = GammaWeights((2.0,))
+W2 = GammaWeights((2.0, 8.0))
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ class TestSpectrumHistogram:
     def test_equals_numpy_histogram_of_the_full_spectrum(self):
         # bins and counts equal, edges within rounding of the two solvers
         worst = 0.0
-        for w in (W1, W2, GammaWeights(3, (1.0, 4.0, 25.0))):
+        for w in (W1, W2, GammaWeights((1.0, 4.0, 25.0))):
             for blocks in (2, 3, 7, 40, 300):
                 n = blocks * w.p
                 for master in range(1, 9):
@@ -209,7 +209,7 @@ class TestApproxGap:
 
     def test_median_scaled_gap_does_not_grow(self):
         fx = FIXTURES["criterion5"]
-        small, large = gap_report([100, 400], GammaWeights(1, (1.0,)), 10, fx["master_seed"])
+        small, large = gap_report([100, 400], GammaWeights((1.0,)), 10, fx["master_seed"])
         assert (len(small), len(large)) == (10, 10)
         assert np.median(large / math.sqrt(math.log(400))) <= 1.5 * np.median(
             small / math.sqrt(math.log(100))
@@ -221,7 +221,7 @@ class TestApproxGap:
 
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError, match="log n > 1"):
-            gap_report([12, 2], GammaWeights(1, (1.0,)), 1, 0)
+            gap_report([12, 2], GammaWeights((1.0,)), 1, 0)
 
     def test_requires_unscaled_spectrum(self):
         scaled = empirical_spectrum(12, W2, RngSeed(0, 0)).to_scaled()
@@ -321,7 +321,7 @@ class TestKsDistance:
 class TestLevyBound:
     def _spectrum(self, values):
         values = np.sort(np.asarray(values, dtype=float))
-        return EmpiricalSpectrum(GammaWeights(1, (1.0,)), None, True, values)
+        return EmpiricalSpectrum(GammaWeights((1.0,)), None, True, values)
 
     def test_identical_inputs(self):
         values = np.linspace(-1, 1, 40)

@@ -35,8 +35,8 @@ from tests.oracles import (
     truncated,
 )
 
-W2 = GammaWeights(2, (2.0, 8.0))
-W3 = GammaWeights(3, (1.0, 4.0, 25.0))
+W2 = GammaWeights((2.0, 8.0))
+W3 = GammaWeights((1.0, 4.0, 25.0))
 A1 = np.array([[1.0]])
 B0 = np.array([[0.0]])
 
@@ -55,7 +55,7 @@ def log_det_relative_to_grid(coeffs, m, x, grid):
 
 class TestRecurrenceCoeffs:
     def test_p1_raw(self):
-        c = recurrence_coeffs(6, GammaWeights(1, (2.0,)))
+        c = recurrence_coeffs(6, GammaWeights((2.0,)))
         for i, a in enumerate(c.A, start=1):
             assert a[0, 0] == pytest.approx(math.sqrt(i * 2.0 / 2.0))
         for b in c.B:
@@ -92,7 +92,7 @@ class TestRecurrenceCoeffs:
 
     def test_stages_do_not_depend_on_n(self):
         # the set for n = m p is the first m stages of any larger one, bit for bit
-        for w in (GammaWeights(1, (1.5,)), W2, W3):
+        for w in (GammaWeights((1.5,)), W2, W3):
             full = recurrence_coeffs(10 * w.p, w)
             for m in range(2, 11):
                 c = recurrence_coeffs(m * w.p, w)
@@ -100,7 +100,7 @@ class TestRecurrenceCoeffs:
 
     def test_limit_blocks_are_count_one(self):
         # the limit law's A0, B0 are the same pattern at count 1
-        w = GammaWeights(3, (0.1, 2.9, 7.3))
+        w = GammaWeights((0.1, 2.9, 7.3))
         a0, b0 = coefficient_blocks(w, 1, 1)
         limit_a0, limit_b0 = limit_blocks(w)
         np.testing.assert_array_equal(limit_a0, a0)
@@ -233,7 +233,7 @@ class TestEvalR:
         np.testing.assert_allclose(eval_R(c, 1, x), expected, atol=1e-14)
 
     def test_det_residual_at_roots_p1(self):
-        c = recurrence_coeffs(4, GammaWeights(1, (2.0,)))
+        c = recurrence_coeffs(4, GammaWeights((2.0,)))
         rts = roots(c)
         grid = np.linspace(rts[0] - 1.0, rts[-1] + 1.0, 21)
         for x in rts:
@@ -285,7 +285,7 @@ class TestRoots:
         )
 
     @pytest.mark.parametrize(
-        "w,n", [(GammaWeights(1, (1.5,)), 10), (W2, 20), (W3, 30)]
+        "w,n", [(GammaWeights((1.5,)), 10), (W2, 20), (W3, 30)]
     )
     def test_det_residual_consistency(self, w, n):
         c = recurrence_coeffs(n, w)
@@ -307,16 +307,16 @@ class TestRoots:
         assert np.all(dense[0:2, 4:6] == 0.0)
 
     @pytest.mark.parametrize(
-        "p,gamma",
-        [(1, (2.0,)), *((p, gamma) for p, gamma, _ in FIGURES.values())],
+        "gamma",
+        [(2.0,), *(gamma for gamma, _ in FIGURES.values())],
         ids=["p1", *FIGURES],
     )
-    def test_power_sums_equal_traces(self, p, gamma):
+    def test_power_sums_equal_traces(self, gamma):
         # (1/n) sum (lambda / sqrt(n))^k over the roots equals (1/n) tr (F /
         # sqrt(n))^k, an exact sum over the entries of the cospectral build_F:
         # a check of the banded solve that needs no dense eigensolver
         n = 300
-        w = GammaWeights(p, gamma)
+        w = GammaWeights(gamma)
         scaled_roots = roots(recurrence_coeffs(n, w)) / math.sqrt(n)
         f = to_dense(build_F(n, w)) / math.sqrt(n)
         power = np.eye(n)

@@ -1,6 +1,8 @@
 """Every module that `src/blockspec` imports is in the standard library, is
-blockspec itself, or is a declared run-time dependency in pyproject.toml, and
-every function and class that `src/blockspec` defines has a caller there."""
+blockspec itself, or is a declared run-time dependency in pyproject.toml;
+every function and class that `src/blockspec` defines has a caller there;
+and every module of the package and its tests parses as the oldest Python
+that pyproject.toml admits."""
 
 import ast
 import re
@@ -64,3 +66,13 @@ def test_every_library_name_has_a_library_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert sorted((m, name) for m, name in defined if name not in referenced) == []
+
+
+def test_modules_parse_as_the_oldest_supported_python():
+    # pyproject.toml admits Python >= 3.10; feature_version makes a newer
+    # interpreter reject the syntax that 3.10 lacks (except*, for example)
+    assert re.search(r'requires-python = ">=3\.10"', (ROOT / "pyproject.toml").read_text())
+    modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

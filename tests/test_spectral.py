@@ -29,7 +29,6 @@ from blockspec.spectral import (
     limit_blocks,
     oracle_density,
     semicircle_density,
-    support_bound,
 )
 from tests.oracles import (
     build_AB,
@@ -37,11 +36,12 @@ from tests.oracles import (
     density_at,
     lambda_and_weights,
     limit_moments,
+    support_bound,
     trace_density,
 )
 
-M1 = GammaWeights(1, (2.0,))
-M2 = GammaWeights(2, (2.0, 8.0))
+M1 = GammaWeights((2.0,))
+M2 = GammaWeights((2.0, 8.0))
 
 
 class TestLimitModel:
@@ -54,11 +54,11 @@ class TestLimitModel:
 
     def test_singular_A0_rejected(self):
         with pytest.raises(ValidationError, match="singular"):
-            limit_blocks(GammaWeights(2, (4.0, 4.0)))
+            limit_blocks(GammaWeights((4.0, 4.0)))
 
     def test_indefinite_A0_rejected_at_density_time(self):
         # gamma reversed: A0 = [[1, 2], [2, 1]] is invertible but indefinite
-        w = GammaWeights(2, (8.0, 2.0))
+        w = GammaWeights((8.0, 2.0))
         limit_blocks(w)
         with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
             density_grid(w, 100)
@@ -71,7 +71,7 @@ class TestBuildAB:
         np.testing.assert_allclose(b, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_p1_scalar(self):
-        a, b = build_AB(GammaWeights(1, (3.0,)), 0.7)
+        a, b = build_AB(GammaWeights((3.0,)), 0.7)
         assert a[0, 0] == pytest.approx(math.sqrt(0.7 * 3.0 / 2.0))
         assert b[0, 0] == 0.0
 
@@ -189,9 +189,9 @@ class TestLimitDensity:
     def test_gamma_scaling_homogeneity(self):
         # scaling every gamma by c stretches the density by sqrt(c)
         c = 2.3
-        for p, gamma in ((1, (2.0,)), (2, (2.0, 8.0))):
-            base = GammaWeights(p, gamma)
-            scaled = GammaWeights(p, tuple(c * g for g in gamma))
+        for gamma in ((2.0,), (2.0, 8.0)):
+            base = GammaWeights(gamma)
+            scaled = GammaWeights(tuple(c * g for g in gamma))
             for t in (0.0, 0.8, -1.3, 2.1):
                 assert density_at(scaled, t * math.sqrt(c)) * math.sqrt(
                     c
@@ -214,7 +214,7 @@ class TestLimitDensity:
         # drops exact hits loses the breakpoint and about 2% of this value.
         # Reference frozen from a panel integration under a sin^2 endpoint
         # substitution at tolerance 1e-12.
-        value = density_at(GammaWeights(3, (4.0, 4.0, 100.0)), -3.0 * math.sqrt(2.0), 1e-10)
+        value = density_at(GammaWeights((4.0, 4.0, 100.0)), -3.0 * math.sqrt(2.0), 1e-10)
         assert value == pytest.approx(0.04484540135872291, abs=1e-8)
 
 
@@ -324,7 +324,7 @@ class TestArcsineMixture:
     def test_alpha2_near_zero(self, gamma2, references):
         # alpha_2 = 2 sqrt(gamma2) - 3 sqrt(gamma1) cancels here; 13 points
         # from -M* to M* through t = 0, against 40-digit mpmath references
-        m = support_bound(GammaWeights(2, (4.0, gamma2)))
+        m = support_bound(GammaWeights((4.0, gamma2)))
         for x, reference in zip(np.linspace(-m, m, 13), references):
             assert arcsine_mixture_density(4.0, gamma2, x, 1e-10) == pytest.approx(
                 reference, abs=1e-9
@@ -336,7 +336,7 @@ class TestArcsineMixture:
     def test_branch_edges_are_exact_at_the_support_bound(self, gamma):
         # M* is summed as support_bound sums it, so x = +-M* lies outside
         # both branches: density exactly 0, and the CDF terms exactly 1/2 or 0
-        m = support_bound(GammaWeights(2, gamma))
+        m = support_bound(GammaWeights(gamma))
         m_branches, branches = spectral._arcsine_branches(*gamma)
         assert m_branches == m and branches[0][0] == 1.0
         for x, term in ((m, 0.5), (-m, 0.0)):
@@ -393,12 +393,12 @@ class TestArcsineMixture:
         from scipy.integrate import quad
 
         points = []
-        for gamma in (FIGURES["fig1"][1], FIGURES["fig2"][1]):
+        for gamma in (FIGURES["fig1"][0], FIGURES["fig2"][0]):
             m, _ = spectral._arcsine_branches(*gamma)
             grid = np.linspace(-m, m, 401)
             grid[200] = 0.0
             points += [(gamma, float(x)) for x in grid]
-        for gamma in (FIGURES["fig1"][1], FIGURES["fig2"][1], (1.0, 2.25)):
+        for gamma in (FIGURES["fig1"][0], FIGURES["fig2"][0], (1.0, 2.25)):
             m, branches = spectral._arcsine_branches(*gamma)
             points += [(gamma, x) for x in (0.0, 1e-300, -1e-300, 1e-8, -1e-8)]
             points += [
@@ -533,6 +533,22 @@ class TestDensityGrid:
         with pytest.raises(ValidationError):
             density_grid(M1, 99)
 
+    def test_limit_law_is_checked_once_per_table(self, monkeypatch):
+        # the grid and the kernel share one (A0, B0) and one quad_tol check
+        calls = dict.fromkeys(("limit_blocks", "_require_quad_tol"), 0)
+        for name in calls:
+            def counted(*args, wrapped=getattr(spectral, name), name=name):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        density_grid(M2, 100, 1e-6)
+        assert calls == {"limit_blocks": 1, "_require_quad_tol": 1}
+        # the p = 2 oracle checks quad_tol at every point, A0 once
+        calls["limit_blocks"] = 0
+        oracle_density(M2, 100, 1e-10)
+        assert calls["limit_blocks"] == 1
+
 
 class TestLimitMoments:
     def test_p1_moments_are_catalan(self):
@@ -543,8 +559,8 @@ class TestLimitMoments:
     def test_density_table_moments(self, name):
         # int t^k dF = M*^k - k int t^(k-1) F dt by parts on [-M*, M*]; the
         # trapezoid over the grid-400 CDF is within 1.17e-4 M*^k for k <= 8
-        p, gamma, _ = FIGURES[name]
-        w = GammaWeights(p, gamma)
+        gamma, _ = FIGURES[name]
+        w = GammaWeights(gamma)
         table = density_grid(w, 400, 1e-6)
         bound = support_bound(w)
         t, cdf = table.grid, table.cdf
@@ -565,8 +581,8 @@ class TestRootsAgainstTable:
         1.56, 1.41, 2.14, 2.05 and 3.02 at n = 2400.  Fig5's 3.02 is the
         linear interpolation of the table in `ks_distance`.
         """
-        p, gamma, _ = FIGURES[name]
-        w = GammaWeights(p, gamma)
+        gamma, _ = FIGURES[name]
+        w = GammaWeights(gamma)
         table = density_grid(w, 1000, 1e-6)
         for n in (1200, 2400):
             values = roots(recurrence_coeffs(n, w))
@@ -609,18 +625,18 @@ class TestOracleDensity:
 
     @pytest.mark.parametrize("p,gamma", TABLES)
     def test_density_column_is_the_closed_form(self, p, gamma):
-        table = oracle_density(GammaWeights(p, gamma), 120, 1e-10)
+        table = oracle_density(GammaWeights(gamma), 120, 1e-10)
         if p == 1:
             expected = [semicircle_density(gamma[0], t) for t in table.grid]
         else:
             expected = [arcsine_mixture_density(*gamma, t, 1e-10) for t in table.grid]
         assert table.density.tolist() == expected
-        m = support_bound(GammaWeights(p, gamma))
+        m = support_bound(GammaWeights(gamma))
         assert len(table.grid) == 121 and table.support == (-m, m)
 
     @pytest.mark.parametrize("p,gamma", TABLES)
     def test_cdf_runs_from_zero_to_one(self, p, gamma):
-        table = oracle_density(GammaWeights(p, gamma), 400, 1e-10)
+        table = oracle_density(GammaWeights(gamma), 400, 1e-10)
         assert table.cdf[0] == 0.0 and table.cdf[-1] == 1.0
         assert np.all(np.diff(table.cdf) >= 0.0)
         assert table.density[0] == 0.0 and table.density[-1] == 0.0
@@ -629,7 +645,7 @@ class TestOracleDensity:
     def test_cdf_matches_the_kernel(self, p, gamma):
         # two independent closed forms: arccos of the kernel's eigenvalues,
         # and the integration-by-parts identity over the two branches
-        w = GammaWeights(p, gamma)
+        w = GammaWeights(gamma)
         kernel = density_grid(w, 400, 1e-10)
         assert np.abs(oracle_density(w, 400, 1e-10).cdf - kernel.cdf).max() <= 1e-9
 
@@ -650,26 +666,26 @@ class TestOracleDensity:
                 assert slope == pytest.approx(arcsine_mixture_density(*gamma, t, 1e-12), abs=1e-8)
 
     def test_semicircle_cdf(self):
-        table = oracle_density(GammaWeights(1, (2.0,)), 400, 1e-10)
+        table = oracle_density(GammaWeights((2.0,)), 400, 1e-10)
         y = table.grid / 2.0
         exact = 0.5 + (y * np.sqrt(1.0 - y * y) + np.arcsin(y)) / math.pi
         assert np.abs(table.cdf - exact).max() <= 1e-15
 
     def test_arguments_checked(self):
         with pytest.raises(ValidationError, match="grid_size"):
-            oracle_density(GammaWeights(2, (2.0, 8.0)), 99, 1e-10)
+            oracle_density(GammaWeights((2.0, 8.0)), 99, 1e-10)
         with pytest.raises(ValidationError, match="quad_tol"):
-            oracle_density(GammaWeights(1, (2.0,)), 100, math.nan)
+            oracle_density(GammaWeights((2.0,)), 100, math.nan)
         with pytest.raises(ValidationError, match="p = 1 or p = 2"):
-            oracle_density(GammaWeights(3, (1.0, 4.0, 25.0)), 100, 1e-10)
+            oracle_density(GammaWeights((1.0, 4.0, 25.0)), 100, 1e-10)
 
     def test_quad_tol_is_enforced(self):
         with pytest.raises(NumericalError, match="share 5.000e-301 of quad_tol 1e-300"):
-            oracle_density(GammaWeights(2, (2.0, 8.0)), 100, 1e-300)
+            oracle_density(GammaWeights((2.0, 8.0)), 100, 1e-300)
 
 
 def _figure_weights():
-    return {name: GammaWeights(p, gamma) for name, (p, gamma, _) in sorted(FIGURES.items())}
+    return {name: GammaWeights(gamma) for name, (gamma, _) in sorted(FIGURES.items())}
 
 
 class TestDensityKernel:
@@ -701,7 +717,7 @@ class TestDensityKernel:
         # exit lies just past u_max, and the last panel's map must end there
         # to keep its inverse square root smooth.  References: 40-digit
         # quadrature of the two arcsine branches.
-        w = GammaWeights(2, (2.0, 3.0))
+        w = GammaWeights((2.0, 3.0))
         for t, reference in (
             (-0.5505102577, 0.84870816077197805),
             (-0.55051031, 0.84845483138024336),
@@ -807,7 +823,7 @@ class TestDensityKernel:
     def test_table_matches_the_oracle_far_below_quad_tol(self, gamma, grid):
         # fig1, fig2 and the p = 2 density tables of the benchmark and the
         # golden files, at their quad_tol 1e-6
-        table = density_grid(GammaWeights(2, gamma), grid, 1e-6)
+        table = density_grid(GammaWeights(gamma), grid, 1e-6)
         reference = [arcsine_mixture_density(*gamma, t, 1e-12) for t in table.grid]
         assert np.abs(table.density - reference).max() <= 1e-12
 
@@ -815,7 +831,7 @@ class TestDensityKernel:
     def test_small_t_matches_the_graded_oracle(self, gamma):
         # as t -> 0 t's own range [t, anchor] in k spans ever more decades;
         # 3.2e-8 at (2, 8) and 5.6e-6 at (1, 100) once exited 3
-        w = GammaWeights(2, gamma)
+        w = GammaWeights(gamma)
         for e in range(-12, 0):
             for t in (10.0**e, 3.2 * 10.0**e, 5.6 * 10.0**e):
                 for x in (t, -t):
@@ -835,9 +851,10 @@ class TestDensityKernel:
         # F' = f: central differences of the closed-form CDF
         h = 1e-5
         ts = np.array([-4.2, -1.7, 0.6, 2.9, 5.5])
-        density, _, _ = spectral._density_table(M2, ts, 1e-10)
-        _, lo, _ = spectral._density_table(M2, ts - h, 1e-10)
-        _, hi, _ = spectral._density_table(M2, ts + h, 1e-10)
+        blocks = limit_blocks(M2)
+        density, _, _ = spectral._density_table(*blocks, ts, 1e-10)
+        _, lo, _ = spectral._density_table(*blocks, ts - h, 1e-10)
+        _, hi, _ = spectral._density_table(*blocks, ts + h, 1e-10)
         np.testing.assert_allclose((hi - lo) / (2.0 * h), density, rtol=0.0, atol=1e-7)
 
     def test_one_point_case_equals_the_grid(self):
@@ -853,7 +870,7 @@ class TestDensityKernel:
             density_grid(M1, 100, 1e-300)
 
     def test_decreasing_cdf_raises(self, monkeypatch):
-        def fake(w, ts, quad_tol):
+        def fake(a0, b0, ts, quad_tol):
             cdf = np.linspace(0.0, 1.0, len(ts))
             cdf[50] = cdf[48]
             return np.zeros(len(ts)), cdf, np.zeros(len(ts))
