@@ -8,12 +8,7 @@ from .ensemble import (
     build_G,
     rng_from_seed,
 )
-from .errors import (
-    ConvergenceError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import ConvergenceError, NumericalError, ValidationError
 from .harness import (
     approx_gap,
     empirical_spectrum,

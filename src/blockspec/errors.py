@@ -1,7 +1,11 @@
 """Exception hierarchy shared by the library and the CLI.
 
-ValidationError covers bad user input (CLI exit code 2), NumericalError
-covers failures of the numerics themselves (CLI exit code 3).
+ValidationError covers input that violates a documented precondition (CLI
+exit code 2).  That includes a matrix that is not positive definite where
+one must be (`linalg.spd_inv_sqrt`), so gamma weights whose A0 is singular
+or indefinite are rejected by `spectral.limit_blocks` before any solve.
+NumericalError covers failures of the numerics themselves (CLI exit
+code 3).
 """
 
 from __future__ import annotations
@@ -17,11 +21,3 @@ class NumericalError(RuntimeError):
 
 class ConvergenceError(NumericalError):
     """An eigensolver failed to converge or missed its residual check."""
-
-
-class NotPositiveDefiniteError(NumericalError):
-    """A matrix required to be positive definite is not."""
-
-    def __init__(self, message: str, min_eigenvalue: float):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue

@@ -100,15 +100,15 @@ def map_trials(tasks: Sequence[Callable[[], R]]) -> list[R]:
     `eigh_banded`, which dominates a solve at the sizes the CLI runs,
     releases it.  Results do not depend on the worker count.
 
-    Each worker thread takes the next task in list order and stores its
-    result at that task's index.  Once a task has failed, no further task
-    starts; tasks already running finish, and then the exception of the
-    failing task earliest in list order is raised.  Every task before it
-    has started by then, so that is the exception a serial run raises.
+    Each worker takes the next task in list order and stores its result
+    at that task's index; the calling thread is one of the workers, so one
+    worker is a serial run and starts no thread.  Once a task has failed,
+    no further task starts; tasks already running finish, and then the
+    exception of the failing task earliest in list order is raised.  Every
+    task before it has started by then, so that is the exception a serial
+    run raises.
     """
-    workers = min(worker_count(), len(tasks)) if tasks else 1
-    if workers <= 1:
-        return [task() for task in tasks]
+    workers = min(worker_count(), len(tasks))
     results: list = [None] * len(tasks)
     failures: dict[int, BaseException] = {}
     lock = threading.Lock()
@@ -126,9 +126,10 @@ def map_trials(tasks: Sequence[Callable[[], R]]) -> list[R]:
                 with lock:
                     failures[index] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
+    work()
     for thread in threads:
         thread.join()
     if failures:

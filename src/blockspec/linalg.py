@@ -52,7 +52,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 from numpy.linalg import _umath_linalg, lapack_lite
 
-from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 # Relative asymmetry max |M - M^T| <= SYMMETRY_RTOL max(1, max |M|) that
 # require_symmetric and asymmetric_blocks accept.
@@ -344,15 +344,15 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     return nab.reshape(-1)[: len(x)].astype(np.intp)
 
 
-def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
+def spd_inv_sqrt(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Inverse square root S of a positive definite matrix, S M S = I.
 
     The eigensolve's residual max |M V - V Lambda| and orthonormality defect
     max |V^T V - I| must be at most 1e-12 max(1, ||M||_2), its backward-error
     check; otherwise ConvergenceError is raised.  The smallest eigenvalue
     must exceed 1e-12 times the largest eigenvalue magnitude ||M||_2, a test
-    that does not depend on the scale of M; otherwise the matrix is rejected
-    (this is how invalid gamma configurations surface downstream).
+    that does not depend on the scale of M; otherwise ValidationError names
+    the matrix as `name` and gives its smallest eigenvalue.
     """
     m = require_symmetric(m)
     try:
@@ -371,10 +371,9 @@ def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
         )
     min_eig = float(values[0])
     if not min_eig > 1e-12 * norm:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {min_eig:.6e} "
-            f"<= 1e-12 * ||M||_2 = 1e-12 * {norm:.6e}",
-            min_eigenvalue=min_eig,
+        raise ValidationError(
+            f"{name} is not positive definite: smallest eigenvalue {min_eig:.6e} "
+            f"<= 1e-12 * ||{name}||_2 = 1e-12 * {norm:.6e}"
         )
     s = (vectors / np.sqrt(values)) @ vectors.T
     return (s + s.T) / 2.0

@@ -54,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from .ensemble import GammaWeights
-from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import singular_blocks, spd_inv_sqrt
 from .matrixpoly import coefficient_blocks
 
@@ -113,15 +113,24 @@ def limit_blocks(w: GammaWeights) -> tuple[np.ndarray, np.ndarray]:
     entries sqrt(gamma_{p-|i-j|} / 2) and B0 with zero diagonal and entries
     sqrt(gamma_{|i-j|} / 2).
 
-    A0 must be invertible (not singular by `linalg.singular_blocks`);
-    density evaluation additionally requires it to be positive definite.
+    The one gate of the limit law: every density path works with
+    A0^{-1/2}, so A0 must not be singular (`linalg.singular_blocks`) and
+    must be positive definite (`linalg.spd_inv_sqrt`); ValidationError is
+    raised otherwise, the singular test first.
     """
     a0, b0 = coefficient_blocks(w, 1, 1)
     if singular_blocks(a0[None]).size:
         raise ValidationError(
             "A0 is singular for these gamma weights; the limit law is not defined"
         )
+    spd_inv_sqrt(a0, "A0")
     return a0, b0
+
+
+def _require_finite_x(x: float) -> None:
+    """Reject an oracle argument x that is not a finite number."""
+    if not math.isfinite(x):
+        raise ValidationError(f"x must be finite, got {x}")
 
 
 def _require_quad_tol(quad_tol: float) -> None:
@@ -441,16 +450,7 @@ def _density_table(
     refines the panels; NumericalError is raised when a panel is stuck, at
     the latest after _MAX_DEPTH bisections.
     """
-    try:
-        s0 = spd_inv_sqrt(a0)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(
-            "density evaluation requires a positive definite A0 block "
-            f"(smallest eigenvalue {exc.min_eigenvalue:.6e}, at most 1e-12 "
-            "times the largest in magnitude); invertible but indefinite "
-            "weight configurations are rejected",
-            min_eigenvalue=exc.min_eigenvalue,
-        ) from exc
+    s0 = spd_inv_sqrt(a0)
     values = partial(_integrands, s0 @ s0, s0 @ b0 @ s0)
     ts = np.asarray(ts, dtype=float)
     levels = _levels(a0, b0)
@@ -474,9 +474,10 @@ def semicircle_density(gamma1: float, x: float) -> float:
     """Closed-form p = 1 limit density sqrt(2*gamma1 - x^2) / (pi * gamma1),
     as sqrt((1 - y)(1 + y)) / (pi r) with r = sqrt(gamma1 / 2), y = x / (2 r):
     neither 2 gamma1 nor x^2 can overflow, and y = +-1 exactly at the p = 1
-    support bound M* = 2 r (`_grid`)."""
-    if gamma1 <= 0:
-        raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
+    support bound M* = 2 r (`_grid`).  gamma1 must be positive and finite
+    (`GammaWeights`) and x finite."""
+    GammaWeights((gamma1,))
+    _require_finite_x(x)
     r = math.sqrt(gamma1 / 2.0)
     y = x / (2.0 * r)
     if abs(y) >= 1.0:
@@ -493,8 +494,9 @@ def arcsine_mixture_density(
     s in (0, 1/2] wherever the radicand is positive, with
     a_1 = sqrt(gamma2) + sqrt(gamma1), a_2 = sqrt(gamma2) - sqrt(gamma1),
     b_1 = sqrt(gamma1), b_2 = -sqrt(gamma1).  This is the independent oracle
-    for the generic p = 2 path.  It requires gamma1 < gamma2, where A0 is
-    positive definite, as the generic path does.
+    for the generic p = 2 path.  It requires weights that `GammaWeights`
+    accepts with gamma1 < gamma2, where A0 is positive definite, as
+    `limit_blocks` does, and a finite x.
 
     Each branch is integrated only where Q_j > 0 (module docstring), under
     the kernel's map v = lo + (end - lo) sin^2(theta), on the kernel's
@@ -502,21 +504,14 @@ def arcsine_mixture_density(
     with shares in proportion to panel width.  The branch's error estimate
     must meet the share quad_tol / 2, or NumericalError is raised.
     """
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValidationError("gamma weights must be > 0")
-    if gamma1 == gamma2:
+    GammaWeights((gamma1, gamma2))
+    if not gamma1 < gamma2:
+        # A0 has the eigenvalues sqrt(gamma2 / 2) +- sqrt(gamma1 / 2)
         raise ValidationError(
-            "gamma1 == gamma2 makes the coupling block singular; "
-            "the p = 2 limit density is not defined"
+            "the p = 2 oracle requires gamma1 < gamma2, where A0 is positive "
+            f"definite, got gamma1 = {gamma1}, gamma2 = {gamma2}"
         )
-    if gamma1 > gamma2:
-        # A0 has eigenvalues sqrt(gamma2 / 2) +- sqrt(gamma1 / 2)
-        min_eig = math.sqrt(gamma2 / 2.0) - math.sqrt(gamma1 / 2.0)
-        raise NotPositiveDefiniteError(
-            "the p = 2 oracle requires a positive definite A0 block; gamma1 > gamma2 "
-            f"gives it the smallest eigenvalue {min_eig:.6e}",
-            min_eigenvalue=min_eig,
-        )
+    _require_finite_x(x)
     _require_quad_tol(quad_tol)
     share = quad_tol / 2.0
     total = 0.0
@@ -631,9 +626,9 @@ def check_density_args(
     w: GammaWeights, grid_size: int, quad_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The argument checks of `density_grid` and `oracle_density`, in their
-    order (singular A0, grid, quad_tol), for them and for callers that
-    reject bad arguments before any other work.  Returns (A0, B0)
-    (`limit_blocks`)."""
+    order (A0 singular, A0 indefinite, grid, quad_tol), for them and for
+    callers that reject bad arguments before any other work.  Returns
+    (A0, B0) (`limit_blocks`)."""
     blocks = limit_blocks(w)
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")

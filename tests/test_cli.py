@@ -28,6 +28,9 @@ from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_
 # own, and for one that names no file
 OUT_REJECTED = "'{}' leaves no separate path for the table's JSON sidecar"
 NO_FILE = "'{}' names no file"
+# the start of the message for weights whose A0 is invertible but
+# indefinite, up to its smallest eigenvalue
+INDEFINITE_A0 = "A0 is not positive definite: smallest eigenvalue "
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -503,14 +506,16 @@ class TestExitCodes:
         assert rc == 2
         assert "singular" in capsys.readouterr().err
 
-    def test_indefinite_weights_fail_numerically(self, tmp_path, monkeypatch, capsys):
+    def test_indefinite_weights_rejected_as_validation(self, tmp_path, monkeypatch, capsys):
         # reversed p = 2 weights give an invertible but indefinite block
         rc = run_in(
             tmp_path, monkeypatch,
             ["density", "--p", "2", "--gamma", "8,2", "--grid", "100"],
         )
-        assert rc == 3
-        assert "positive definite" in capsys.readouterr().err
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: A0 is not positive definite") and "-1.000000e+00" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_indefinite_weights_oracle_names_a0(self, tmp_path, monkeypatch, capsys):
         # A0 has eigenvalues sqrt(2/2) +- sqrt(8/2); the oracle's quadrature
@@ -519,10 +524,10 @@ class TestExitCodes:
             tmp_path, monkeypatch,
             ["oracle", "--p", "2", "--gamma", "8,2", "--grid", "100"],
         )
-        assert rc == 3
+        assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and err.count("\n") == 1
-        assert "positive definite A0" in err and "-1.000000e+00" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "A0 is not positive definite" in err and "-1.000000e+00" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -726,8 +731,23 @@ class TestExitCodes:
              "error: A0 is singular for these gamma weights"),
             (["oracle", "--p", "2", "--gamma", "4,4", "--grid", "99"],
              "error: A0 is singular for these gamma weights"),
+            # A0 is checked before the grid
             (["density", "--p", "2", "--gamma", "8,2", "--grid", "99"],
-             "error: grid_size must be >= 100, got 99"),
+             f"error: {INDEFINITE_A0}-1.000000e+00"),
+            (["density", "--p", "2", "--gamma", "8,2", "--grid", "100"],
+             f"error: {INDEFINITE_A0}-1.000000e+00"),
+            (["oracle", "--p", "2", "--gamma", "8,2", "--grid", "100"],
+             f"error: {INDEFINITE_A0}-1.000000e+00"),
+            (["compare", "--n", "4000", "--p", "2", "--gamma", "8,2", "--trials", "4"],
+             f"error: {INDEFINITE_A0}-1.000000e+00"),
+            # an invertible A0 with eigenvalues -1.414, 0.310 and 3.226
+            (["density", "--p", "3", "--gamma", "9,1,1", "--grid", "100"],
+             f"error: {INDEFINITE_A0}-1.414"),
+            (["compare", "--n", "3000", "--p", "3", "--gamma", "9,1,1", "--trials", "4"],
+             f"error: {INDEFINITE_A0}-1.414"),
+            # A0's first and last rows are equal
+            (["compare", "--n", "3000", "--p", "3", "--gamma", "1,9,1", "--trials", "4"],
+             "error: A0 is singular for these gamma weights; the limit law is not defined"),
             (["sample", "--n", "8", "--p", "1", "--gamma", "2", "--out", "x.json"],
              f"error: argument --out: {OUT_REJECTED.format('x.json')}"),
             (["roots", "--n", "8", "--p", "1", "--gamma", "2", "--out", "x.json"],
@@ -737,6 +757,8 @@ class TestExitCodes:
              "figure-grid", "figure-quad-tol", "compare-grid", "compare-singular-a0",
              "compare-singular-a0-and-grid", "density-singular-a0-and-grid",
              "oracle-singular-a0-and-grid", "density-indefinite-and-grid",
+             "density-indefinite", "oracle-indefinite", "compare-indefinite",
+             "density-indefinite-p3", "compare-indefinite-p3", "compare-singular-a0-p3",
              "sample-out-json", "roots-out-json"],
     )
     def test_arguments_checked_before_any_solve(

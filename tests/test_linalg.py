@@ -23,7 +23,7 @@ import pytest
 import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
-from blockspec.errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
+from blockspec.errors import ConvergenceError, ValidationError
 from blockspec import linalg
 from blockspec.linalg import (
     SymmetricBanded,
@@ -561,10 +561,9 @@ class TestSpdInvSqrt:
             spd_inv_sqrt(np.eye(2))
 
     def test_rejects_indefinite_with_eigenvalue(self):
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(ValidationError) as err:
             spd_inv_sqrt(np.diag([1.0, -2.0]))
-        assert err.value.min_eigenvalue == pytest.approx(-2.0)
-        assert "-2" in str(err.value)
+        assert "smallest eigenvalue -2.000000e+00" in str(err.value)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150])
     def test_test_is_relative_to_the_norm(self, scale):
@@ -573,7 +572,7 @@ class TestSpdInvSqrt:
         m = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
         s = spd_inv_sqrt(m)
         np.testing.assert_allclose(s @ m @ s, np.eye(2), atol=1e-10)
-        with pytest.raises(NotPositiveDefiniteError, match="1e-12"):
+        with pytest.raises(ValidationError, match="1e-12"):
             spd_inv_sqrt(scale * np.diag([1.0, 1e-13]))
 
     def test_random_spd_within_condition_bound(self):

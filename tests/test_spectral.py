@@ -14,11 +14,7 @@ import pytest
 from blockspec import spectral
 from blockspec.cli import FIGURES
 from blockspec.ensemble import EmpiricalSpectrum, GammaWeights
-from blockspec.errors import (
-    NotPositiveDefiniteError,
-    NumericalError,
-    ValidationError,
-)
+from blockspec.errors import NumericalError, ValidationError
 from blockspec.harness import ks_distance
 from blockspec.linalg import spd_inv_sqrt
 from blockspec.matrixpoly import recurrence_coeffs, roots
@@ -58,10 +54,9 @@ class TestLimitModel:
 
     def test_indefinite_A0_rejected_at_density_time(self):
         # gamma reversed: A0 = [[1, 2], [2, 1]] is invertible but indefinite
-        w = GammaWeights((8.0, 2.0))
-        limit_blocks(w)
-        with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
-            density_grid(w, 100)
+        with pytest.raises(ValidationError, match="A0 is not positive definite: "
+                           "smallest eigenvalue -1.000000e"):
+            limit_blocks(GammaWeights((8.0, 2.0)))
 
 
 class TestBuildAB:
@@ -240,8 +235,11 @@ class TestSemicircle:
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_bad_gamma(self):
-        with pytest.raises(ValidationError):
-            semicircle_density(0.0, 0.0)
+        # and a non-finite x, which would give nan or a silent 0
+        for gamma1, x in ((0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan),
+                          (2.0, math.inf)):
+            with pytest.raises(ValidationError):
+                semicircle_density(gamma1, x)
 
 
 class TestArcsineMixture:
@@ -276,8 +274,13 @@ class TestArcsineMixture:
         assert arcsine_mixture_density(2.0, 8.0, -7.5) == 0.0
 
     def test_equal_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            arcsine_mixture_density(4.0, 4.0, 0.0)
+        # and reversed or non-finite weights and a non-finite x, which
+        # would give a silent 0
+        for gamma1, gamma2, x in ((4.0, 4.0, 0.0), (8.0, 2.0, 0.0), (math.nan, 1.0, 0.5),
+                                  (1.0, math.inf, 0.5), (0.0, 1.0, 0.5),
+                                  (1.0, 4.0, math.nan), (1.0, 4.0, -math.inf)):
+            with pytest.raises(ValidationError):
+                arcsine_mixture_density(gamma1, gamma2, x)
 
     # Weights (2, 3): branch 2 has alpha_2 U = k < 0, so its interval ends at
     # the root x / alpha_2 = U (1 + r) just past or just before u_max = U.
