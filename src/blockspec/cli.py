@@ -10,7 +10,7 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -355,10 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The `build_parser` parser of this process, built on first use: it does
+    not depend on argv, and parse_args reads it without changing it, so every
+    later `run` reuses it."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_attach_dash_values(argv))
+        args = _parser().parse_args(_attach_dash_values(argv))
         return args.func(args)
     except SystemExit as exc:  # --help, after printing the help text
         code = exc.code

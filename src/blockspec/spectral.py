@@ -42,14 +42,16 @@ Both tables are a `SpectralDensity(w, grid, density, cdf, quad_tol,
 quad_err_est=None)` of the weights w = `GammaWeights(gamma)` they were
 computed for, p = len(gamma); only the oracle's has no quad_err_est.
 `check_density_args` states their argument checks once and returns
-(A0, B0): both build their grid from those blocks, and `density_grid`
-hands them to `_density_table`, so a table builds its limit blocks once.
+(A0, B0, S0): both build their grid from those blocks, and `density_grid`
+hands them to `_density_table`, so a table builds its limit blocks and
+S0 = A0^{-1/2} once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,15 +109,23 @@ class SpectralDensity:
         return float(self.grid[0]), float(self.grid[-1])
 
 
-def limit_blocks(w: GammaWeights) -> tuple[np.ndarray, np.ndarray]:
+class LimitBlocks(NamedTuple):
+    """The limit blocks of `limit_blocks` and S0 = A0^{-1/2}."""
+
+    a0: np.ndarray
+    b0: np.ndarray
+    s0: np.ndarray
+
+
+def limit_blocks(w: GammaWeights) -> LimitBlocks:
     """The s-independent factors (A0, B0) of the homogeneous coefficient
     family: the gamma pattern of `coefficient_blocks` at count 1, A0 with
     entries sqrt(gamma_{p-|i-j|} / 2) and B0 with zero diagonal and entries
-    sqrt(gamma_{|i-j|} / 2).
+    sqrt(gamma_{|i-j|} / 2), with S0 = A0^{-1/2}.
 
-    The one gate of the limit law: every density path works with
-    A0^{-1/2}, so A0 must not be singular (`linalg.singular_blocks`) and
-    must be positive definite (`linalg.spd_inv_sqrt`); ValidationError is
+    The one gate of the limit law: every density path works with S0, so
+    A0 must not be singular (`linalg.singular_blocks`) and must be positive
+    definite (`linalg.spd_inv_sqrt`, which computes S0); ValidationError is
     raised otherwise, the singular test first.
     """
     a0, b0 = coefficient_blocks(w, 1, 1)
@@ -123,8 +133,7 @@ def limit_blocks(w: GammaWeights) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             "A0 is singular for these gamma weights; the limit law is not defined"
         )
-    spd_inv_sqrt(a0, "A0")
-    return a0, b0
+    return LimitBlocks(a0, b0, spd_inv_sqrt(a0, "A0"))
 
 
 def _require_finite_x(x: float) -> None:
@@ -402,11 +411,11 @@ def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: f
 
 
 def _density_table(
-    a0: np.ndarray, b0: np.ndarray, ts: np.ndarray, quad_tol: float
+    a0: np.ndarray, b0: np.ndarray, s0: np.ndarray, ts: np.ndarray, quad_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Limit density, CDF and quadrature error estimate at every t in ts,
-    for the limit blocks (A0, B0) = `limit_blocks(w)` and a quad_tol that
-    `check_density_args` has accepted.
+    for the limit blocks (A0, B0, S0) = `limit_blocks(w)` and a quad_tol
+    that `check_density_args` has accepted.
 
     In k = t / (u sqrt(p)), u = sqrt(s), the pencil is W(k) = W0 - k A0^{-1}
     (`_integrands`), and the integrals over u in (0, sqrt(1/p)] run over k
@@ -450,7 +459,6 @@ def _density_table(
     refines the panels; NumericalError is raised when a panel is stuck, at
     the latest after _MAX_DEPTH bisections.
     """
-    s0 = spd_inv_sqrt(a0)
     values = partial(_integrands, s0 @ s0, s0 @ b0 @ s0)
     ts = np.asarray(ts, dtype=float)
     levels = _levels(a0, b0)
@@ -624,11 +632,11 @@ def _branch_cdf(alpha: float, beta: float, xi: float) -> float:
 
 def check_density_args(
     w: GammaWeights, grid_size: int, quad_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> LimitBlocks:
     """The argument checks of `density_grid` and `oracle_density`, in their
     order (A0 singular, A0 indefinite, grid, quad_tol), for them and for
     callers that reject bad arguments before any other work.  Returns
-    (A0, B0) (`limit_blocks`)."""
+    (A0, B0, S0) (`limit_blocks`)."""
     blocks = limit_blocks(w)
     if grid_size < 100:
         raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
@@ -652,7 +660,8 @@ def _grid(a0: np.ndarray, b0: np.ndarray, grid_size: int) -> np.ndarray:
 def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:
     """The closed-form oracle table for p = 1 or 2 on the grid of `density_grid`:
     the density unscaled at each point, and the exact CDF of the module docstring."""
-    grid = _grid(*check_density_args(w, grid_size, quad_tol), grid_size)
+    a0, b0, _ = check_density_args(w, grid_size, quad_tol)
+    grid = _grid(a0, b0, grid_size)
     if w.p == 1:
         density = [semicircle_density(w.gamma[0], t) for t in grid]
         # y = t / (2 r) as in semicircle_density, exactly +-1 at +-M* = +-2 r
@@ -671,7 +680,7 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
 def density_grid(w: GammaWeights, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
     spanning [-M*, M*], batched over the grid in the quadrature kernel."""
-    a0, b0 = check_density_args(w, grid_size, quad_tol)
+    a0, b0, s0 = check_density_args(w, grid_size, quad_tol)
     grid = _grid(a0, b0, grid_size)
-    density, cdf, err = _density_table(a0, b0, grid, quad_tol)
+    density, cdf, err = _density_table(a0, b0, s0, grid, quad_tol)
     return SpectralDensity(w, grid, density, cdf, quad_tol, float(err.max()))

@@ -204,7 +204,7 @@ def build_AB(w: GammaWeights, s: float) -> tuple[np.ndarray, np.ndarray]:
     if s <= 0:
         raise ValidationError(f"s must be > 0, got {s}")
     factor = math.sqrt(s * w.p)
-    a0, b0 = limit_blocks(w)
+    a0, b0, _ = limit_blocks(w)
     return factor * a0, factor * b0
 
 
@@ -250,7 +250,7 @@ def density_at(w: GammaWeights, t: float, quad_tol: float = 1e-8) -> float:
 def support_bound(w: GammaWeights) -> float:
     """Row-sum bound M* = ||B0||_inf + 2 ||A0||_inf on the support, the
     end of every table's grid, summed as `spectral._grid` sums it."""
-    a0, b0 = limit_blocks(w)
+    a0, b0, _ = limit_blocks(w)
     return float(np.abs(b0).sum(axis=1).max() + 2.0 * np.abs(a0).sum(axis=1).max())
 
 
@@ -265,7 +265,7 @@ def limit_moments(w: GammaWeights, k_max: int) -> np.ndarray:
     m_k = mu_k / (p (k/2 + 1)).
     """
     p = w.p
-    a0, b0 = limit_blocks(w)
+    a0, b0, _ = limit_blocks(w)
     # coeffs[k_max + j] is the p x p coefficient of z^j in the current power
     coeffs = np.zeros((2 * k_max + 1, p, p))
     coeffs[k_max] = np.eye(p)

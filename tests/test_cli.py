@@ -21,6 +21,7 @@ from blockspec.cli import FIGURES, run
 from blockspec.ensemble import GammaWeights, RngSeed
 from blockspec.harness import empirical_spectrum
 from blockspec.spectral import semicircle_density
+from tests.golden.regenerate import CASES as GOLDEN_CASES, GOLDEN_DIR
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
 
@@ -773,6 +774,30 @@ class TestExitCodes:
     def test_help_exits_zero(self, tmp_path, monkeypatch, capsys):
         assert run_in(tmp_path, monkeypatch, ["--help"]) == 0
         capsys.readouterr()
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        # every run reuses one parser; a usage error and --help on it leave
+        # it as it was, so a golden configuration after them still writes
+        # the golden bytes
+        built = []
+        build = blockspec.cli.build_parser
+
+        def counted():
+            built.append(True)
+            return build()
+
+        monkeypatch.setattr(blockspec.cli, "build_parser", counted)
+        blockspec.cli._parser.cache_clear()
+        argv, outputs = next(case for case in GOLDEN_CASES if case[0][0] == "oracle")
+        assert run_in(tmp_path, monkeypatch, argv + ["--grid", "x"]) == 2
+        assert run_in(tmp_path, monkeypatch, ["--help"]) == 0
+        assert run_in(tmp_path, monkeypatch, ["oracle", "--help"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_gap_nonpositive_trials_rejected(self, tmp_path, monkeypatch, capsys, trials):

@@ -75,7 +75,7 @@ class TestRecurrenceCoeffs:
         n = 10_000
         c = recurrence_coeffs(n, W2)
         a, b = c.A / math.sqrt(n), c.B / math.sqrt(n)
-        a0, b0 = limit_blocks(W2)
+        a0, b0, _ = limit_blocks(W2)
         m = n // 2
         # next-to-last and last stages both approach the limit blocks
         assert np.abs(a[m - 2] - a0).max() <= 5.0 / math.sqrt(n)
@@ -102,7 +102,7 @@ class TestRecurrenceCoeffs:
         # the limit law's A0, B0 are the same pattern at count 1
         w = GammaWeights((0.1, 2.9, 7.3))
         a0, b0 = coefficient_blocks(w, 1, 1)
-        limit_a0, limit_b0 = limit_blocks(w)
+        limit_a0, limit_b0, _ = limit_blocks(w)
         np.testing.assert_array_equal(limit_a0, a0)
         np.testing.assert_array_equal(limit_b0, b0)
         i, j = np.indices((3, 3))

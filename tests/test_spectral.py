@@ -16,7 +16,6 @@ from blockspec.cli import FIGURES
 from blockspec.ensemble import EmpiricalSpectrum, GammaWeights
 from blockspec.errors import NumericalError, ValidationError
 from blockspec.harness import ks_distance
-from blockspec.linalg import spd_inv_sqrt
 from blockspec.matrixpoly import recurrence_coeffs, roots
 from blockspec.spectral import (
     SpectralDensity,
@@ -41,12 +40,13 @@ M2 = GammaWeights((2.0, 8.0))
 
 
 class TestLimitModel:
-    """The limit law's blocks (A0, B0) = `limit_blocks(w)`."""
+    """The limit law's blocks (A0, B0) and S0 = A0^{-1/2}, `limit_blocks(w)`."""
 
     def test_blocks_p2(self):
-        a0, b0 = limit_blocks(M2)
+        a0, b0, s0 = limit_blocks(M2)
         np.testing.assert_allclose(a0, [[2.0, 1.0], [1.0, 2.0]], atol=1e-15)
         np.testing.assert_allclose(b0, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(s0 @ a0 @ s0, np.eye(2), atol=1e-15)
 
     def test_singular_A0_rejected(self):
         with pytest.raises(ValidationError, match="singular"):
@@ -129,7 +129,7 @@ class TestLambdaAndWeights:
         ts = np.linspace(-3.0, 3.0, 25)
         for j in range(2):
             values = [
-                lambda_and_weights(*limit_blocks(M2), t)[j].value for t in ts
+                lambda_and_weights(*limit_blocks(M2)[:2], t)[j].value for t in ts
             ]
             assert np.all(np.diff(values) < 0)
 
@@ -537,8 +537,9 @@ class TestDensityGrid:
             density_grid(M1, 99)
 
     def test_limit_law_is_checked_once_per_table(self, monkeypatch):
-        # the grid and the kernel share one (A0, B0) and one quad_tol check
-        calls = dict.fromkeys(("limit_blocks", "_require_quad_tol"), 0)
+        # the grid and the kernel share one (A0, B0, S0) and one quad_tol
+        # check: one A0^{-1/2} per table
+        calls = dict.fromkeys(("limit_blocks", "_require_quad_tol", "spd_inv_sqrt"), 0)
         for name in calls:
             def counted(*args, wrapped=getattr(spectral, name), name=name):
                 calls[name] += 1
@@ -546,11 +547,12 @@ class TestDensityGrid:
 
             monkeypatch.setattr(spectral, name, counted)
         density_grid(M2, 100, 1e-6)
-        assert calls == {"limit_blocks": 1, "_require_quad_tol": 1}
+        assert calls == {"limit_blocks": 1, "_require_quad_tol": 1, "spd_inv_sqrt": 1}
         # the p = 2 oracle checks quad_tol at every point, A0 once
-        calls["limit_blocks"] = 0
+        calls.update(limit_blocks=0, spd_inv_sqrt=0)
         oracle_density(M2, 100, 1e-10)
         assert calls["limit_blocks"] == 1
+        assert calls["spd_inv_sqrt"] == 1
 
 
 class TestLimitMoments:
@@ -742,7 +744,7 @@ class TestDensityKernel:
         # at every level k, W0 - k A0^{-1} has an eigenvalue +-2; it is W of
         # the independent path build_AB(w, s) at t = k sqrt(s p), for any s
         w = _figure_weights()[name]
-        levels = spectral._levels(*limit_blocks(w))
+        levels = spectral._levels(*limit_blocks(w)[:2])
         checked = 0
         for k in levels:
             for s in np.linspace(0.01, 1.0 / w.p, 10):
@@ -763,8 +765,7 @@ class TestDensityKernel:
         bound = support_bound(w)
         k = rng.uniform(-1.5 * bound, 1.5 * bound, 60)
         s = rng.uniform(0.0025, 1.0 / w.p, 60)
-        a0, b0 = limit_blocks(w)
-        s0 = spd_inv_sqrt(a0)
+        a0, b0, s0 = limit_blocks(w)
         node = spectral._integrands(s0 @ s0, s0 @ b0 @ s0, k)[0]
         for ki, si, value in zip(k, s, node):
             c = math.sqrt(si * w.p)
@@ -781,8 +782,7 @@ class TestDensityKernel:
         # between the levels is integrated under x = a + (b - a) sin^2(theta),
         # which removes the inverse square roots at both ends
         w = _figure_weights()[name]
-        a0, b0 = limit_blocks(w)
-        s0 = spd_inv_sqrt(a0)
+        a0, b0, s0 = limit_blocks(w)
 
         def measure(x):
             lam, vec = np.linalg.eigh(s0 @ (b0 - x * np.eye(w.p)) @ s0)
@@ -873,7 +873,7 @@ class TestDensityKernel:
             density_grid(M1, 100, 1e-300)
 
     def test_decreasing_cdf_raises(self, monkeypatch):
-        def fake(a0, b0, ts, quad_tol):
+        def fake(a0, b0, s0, ts, quad_tol):
             cdf = np.linspace(0.0, 1.0, len(ts))
             cdf[50] = cdf[48]
             return np.zeros(len(ts)), cdf, np.zeros(len(ts))
