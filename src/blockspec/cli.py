@@ -26,6 +26,7 @@ from .harness import (
     ks_distance,
     levy_cubed_bound,
     map_trials,
+    scaled_tridiagonal,
     spectrum_histogram,
     tail_bound_experiment,
 )
@@ -240,10 +241,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
     check_density_args(w, args.grid, args.quad_tol)
     tasks = [
         partial(density_grid, w, args.grid, args.quad_tol),
-        partial(spectrum_histogram, n, w, seed),
+        partial(scaled_tridiagonal, n, w, seed),
     ]
     try:
-        density, histogram = map_trials(tasks)
+        density, t = map_trials(tasks)
+        histogram = spectrum_histogram(t)
     except NumericalError as exc:
         raise NumericalError(f"figure {args.name}: {exc}") from exc
     edges = histogram.edges

@@ -4,17 +4,19 @@ bound, the bound L^3 <= mean squared gap on the exact Levy distance L between
 the sampled spectrum and the roots, and KS agreement with the limit law.
 
 Trial i always draws from seed (master, i), so runs are reproducible and
-trials can execute concurrently without sharing state.  A command hands all
-of its independent work to one `map_trials` call as a list of tasks: the
-limit density table, each deterministic roots solve and each trial's sampled
-solve, or for a figure the sampled histogram (`spectrum_histogram`), which
-counts eigenvalues per bin instead of computing them all.  The tasks run on
+trials can execute concurrently without sharing state.  A command hands its
+independent work to `map_trials` as lists of tasks.  `compare` and `gap`
+make one call: the limit density table, each deterministic roots solve and
+each trial's sampled solve.  `figure` makes two rounds: the density table
+beside the sampled band reduction (`scaled_tridiagonal`), then the order
+statistics of the histogram (`spectrum_histogram`), which counts
+eigenvalues per bin instead of computing them all.  The tasks run on
 threads, and the LAPACK calls that dominate them release the GIL (see
-`linalg`).  Statistics are computed from the
-assembled results afterwards.  Theorem-style gap quantities are unscaled;
-weak-convergence quantities divide by sqrt(n): a spectrum through
-`EmpiricalSpectrum.to_scaled`, while `spectrum_histogram` divides T itself.
-Every spectrum carries a `scaled` flag to keep the two apart.
+`linalg`).  Statistics are computed from the assembled results afterwards.
+Theorem-style gap quantities are unscaled; weak-convergence quantities
+divide by sqrt(n): a spectrum through `EmpiricalSpectrum.to_scaled`, while
+`scaled_tridiagonal` divides T itself.  Every spectrum carries a `scaled`
+flag to keep the two apart.
 """
 
 from __future__ import annotations
@@ -68,8 +70,13 @@ class LevyBound(NamedTuple):
     satisfied: bool
 
 
+# the largest BLOCKSPEC_THREADS accepted: a larger value would only start
+# threads that find no task, or fail to start them at all
+MAX_WORKERS = 64
+
+
 def worker_count() -> int:
-    """Worker cap from BLOCKSPEC_THREADS.
+    """Worker cap from BLOCKSPEC_THREADS, at most MAX_WORKERS.
 
     0 or unset means the number of CPUs this process may run on, at most 8.
     """
@@ -80,6 +87,8 @@ def worker_count() -> int:
         raise ValidationError(f"BLOCKSPEC_THREADS must be an integer, got {raw!r}") from exc
     if value < 0:
         raise ValidationError(f"BLOCKSPEC_THREADS must be >= 0, got {value}")
+    if value > MAX_WORKERS:
+        raise ValidationError(f"BLOCKSPEC_THREADS must be <= {MAX_WORKERS}, got {value}")
     if value == 0:
         if hasattr(os, "sched_getaffinity"):
             usable = len(os.sched_getaffinity(0))
@@ -148,6 +157,15 @@ def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpect
     return EmpiricalSpectrum(w, seed, False, eigh_banded(build_G(n, w, seed)))
 
 
+def _percentile_ranks(size: int, q: float) -> list[int]:
+    """The order statistics (0-based) that `_percentile` reads for q."""
+    index = (size - 1) * q
+    if index >= size - 1:
+        return [size - 1]
+    k = math.floor(index)
+    return [k] if index == k else [k, k + 1]
+
+
 def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> float:
     """np.percentile(x, 100 q) of a sample of `size` values whose k-th
     smallest (0-based) is order_stat(k), with numpy's linear interpolation."""
@@ -166,24 +184,30 @@ def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> floa
 
 def fd_histogram(
     size: int,
-    order_stat: Callable[[int], float],
+    order_stats: Callable[[list[int]], Sequence[float]],
     count_below: Callable[[np.ndarray], np.ndarray],
 ) -> Histogram:
     """np.histogram(x, bins="fd") of a sample x of `size` values, built from
     at most six order statistics and one count per interior bin edge.
 
-    order_stat(k) is the k-th smallest value (0-based); it is asked for the
-    minimum, the maximum and the values that numpy's quartiles weight.
+    order_stats(ranks) gives the k-th smallest value (0-based) for each k
+    in ranks, in that order; it is called once, with the distinct ranks of
+    the minimum, the maximum and the values that numpy's quartiles weight.
     count_below(edges) gives, for each interior edge, the number of values
     below it; a count of the values at or below it differs only where a
-    value equals an edge, which numpy puts in the upper bin.  The edges, the bin count and the heights follow numpy's
-    formulas step by step: a width 2 IQR size^(-1/3), one bin when the IQR
-    is 0, edges min -/+ 0.5 when min = max, bins closed on the left and the
-    last one on both sides.  Fed a sorted array's own values and
-    np.searchsorted counts, the result equals np.histogram bit for bit.
+    value equals an edge, which numpy puts in the upper bin.  The edges, the
+    bin count and the heights follow numpy's formulas step by step: a width
+    2 IQR size^(-1/3), one bin when the IQR is 0, edges min -/+ 0.5 when
+    min = max, bins closed on the left and the last one on both sides.  Fed
+    a sorted array's own values and np.searchsorted counts, the result
+    equals np.histogram bit for bit.
     """
     if size < 1:
         raise ValidationError(f"a histogram needs at least one value, got {size}")
+    ranks = list(dict.fromkeys(
+        [0, size - 1, *_percentile_ranks(size, 0.75), *_percentile_ranks(size, 0.25)]
+    ))
+    order_stat = dict(zip(ranks, order_stats(ranks))).__getitem__
     first, last = order_stat(0), order_stat(size - 1)
     if first == last:
         first, last = first - 0.5, last + 0.5
@@ -195,26 +219,32 @@ def fd_histogram(
     return Histogram(np.diff(np.concatenate(([0], below, [size]))), edges)
 
 
-def spectrum_histogram(n: int, w: GammaWeights, seed: RngSeed) -> Histogram:
-    """Freedman-Diaconis histogram of the scaled spectrum of the matrix G
-    sampled from seed, without computing that spectrum.
+def scaled_tridiagonal(n: int, w: GammaWeights, seed: RngSeed) -> Tridiagonal:
+    """T / sqrt(n), for the tridiagonal form T of the matrix G sampled from
+    seed (`tridiagonal_form`, whose gate checks the reduction)."""
+    t = tridiagonal_form(build_G(n, w, seed))
+    scale = math.sqrt(n)
+    return Tridiagonal(t.d / scale, t.e / scale)
 
-    G is reduced to a tridiagonal T once (`tridiagonal_form`, whose gate
-    checks the reduction), T / sqrt(n) gives the order statistics by
-    bisection and the count at each interior bin edge by a Sturm count.
-    Bins and counts equal those of np.histogram of
+
+def spectrum_histogram(t: Tridiagonal) -> Histogram:
+    """Freedman-Diaconis histogram of the eigenvalues of t, without
+    computing them all.
+
+    The order statistics that `fd_histogram` asks for are bisected, one
+    `map_trials` task each, and the count at every interior bin edge is
+    one Sturm count.  For t = `scaled_tridiagonal(n, w, seed)`, bins and
+    counts equal those of np.histogram of
     empirical_spectrum(n, w, seed).to_scaled().values unless an eigenvalue
     lies within rounding of a bin edge, and the edges agree to about 1e-14
     relative.
     """
-    t = tridiagonal_form(build_G(n, w, seed))
-    scale = math.sqrt(n)
-    t = Tridiagonal(t.d / scale, t.e / scale)
 
-    def order_stat(k: int) -> float:
-        return float(bisect_eigvals(t, k + 1, k + 1)[0])
+    def order_stats(ranks: list[int]) -> list[float]:
+        tasks = [partial(bisect_eigvals, t, k + 1, k + 1) for k in ranks]
+        return [float(value[0]) for value in map_trials(tasks)]
 
-    return fd_histogram(n, order_stat, partial(sturm_counts, t))
+    return fd_histogram(len(t.d), order_stats, partial(sturm_counts, t))
 
 
 def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> float:

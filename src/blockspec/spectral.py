@@ -493,10 +493,9 @@ def semicircle_density(gamma1: float, x: float) -> float:
     return math.sqrt((1.0 - y) * (1.0 + y)) / (math.pi * r)
 
 
-def arcsine_mixture_density(
-    gamma1: float, gamma2: float, x: float, quad_tol: float = 1e-10
-) -> float:
-    """Closed-form p = 2 limit density: a two-branch arcsine mixture.
+def arcsine_mixture_density(gamma1: float, gamma2: float, x, quad_tol: float = 1e-10):
+    """Closed-form p = 2 limit density at x, a number or a 1-d array of
+    points: a two-branch arcsine mixture.
 
     Branch j integrates 1 / (pi * sqrt(4 a_j^2 s - (x - b_j sqrt(s))^2)) over
     s in (0, 1/2] wherever the radicand is positive, with
@@ -504,13 +503,17 @@ def arcsine_mixture_density(
     b_1 = sqrt(gamma1), b_2 = -sqrt(gamma1).  This is the independent oracle
     for the generic p = 2 path.  It requires weights that `GammaWeights`
     accepts with gamma1 < gamma2, where A0 is positive definite, as
-    `limit_blocks` does, and a finite x.
+    `limit_blocks` does, and finite points.
 
     Each branch is integrated only where Q_j > 0 (module docstring), under
     the kernel's map v = lo + (end - lo) sin^2(theta), on the kernel's
     Gauss-Legendre panels in theta (`_theta_panels`), refined by `_bisect`
-    with shares in proportion to panel width.  The branch's error estimate
+    with shares in proportion to panel width.  Each branch's error estimate
     must meet the share quad_tol / 2, or NumericalError is raised.
+
+    The (point, branch) pairs are the rows of one `_bisect` pass
+    (`_branch_totals`), and each point's value is bit for bit its value
+    as a point on its own.  A number x gives a float, an array an array.
     """
     GammaWeights((gamma1, gamma2))
     if not gamma1 < gamma2:
@@ -519,36 +522,84 @@ def arcsine_mixture_density(
             "the p = 2 oracle requires gamma1 < gamma2, where A0 is positive "
             f"definite, got gamma1 = {gamma1}, gamma2 = {gamma2}"
         )
-    _require_finite_x(x)
+    points = np.asarray(x, dtype=float)
+    if points.ndim > 1:
+        raise ValidationError(f"x must be a number or a 1-d array, got shape {points.shape}")
+    xs = points.reshape(-1).tolist()
+    for value in xs:
+        _require_finite_x(value)
     _require_quad_tol(quad_tol)
-    share = quad_tol / 2.0
-    total = 0.0
-    for integrand, edges in _branch_integrands(gamma1, gamma2, x):
-        a, b = edges[:-1], edges[1:]
-        found, stuck = _bisect(
-            lambda row, a, b, end: _theta_panels(integrand, a, b),
-            np.zeros(len(a), dtype=int), a, b, b, share * ((b - a) / edges[-1]),
-            _MAX_BISECTIONS,
-        )
-        if stuck:
-            depth, (_, lo, hi, part, est), pending = stuck
-            err = sum(accepted.sum() for _, _, accepted in found) + pending.sum()
-            raise NumericalError(
-                f"arcsine mixture quadrature at x = {float(x)!r}: error estimate "
-                f"{float(err):.3e} against its share {share:.3e} of quad_tol "
-                f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
-                f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
-            )
-        total += float(sum(high[0].sum() for _, high, _ in found))
-    return total
-
-
-def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
-    """(integrand, edges) for each arcsine branch that is not empty at x: the
-    branch's density term is the integral of integrand(theta), a numpy
-    function, from edges[0] = 0 to edges[-1] = theta_end, and edges holds the
-    panels that `_bisect` starts from."""
     m, branches = _arcsine_branches(gamma1, gamma2)
+    rows = [(i, value, *branch) for i, value in enumerate(xs)
+            for branch in _branch_integrands(m, branches, value)]
+    owner = np.array([row[0] for row in rows], dtype=np.intp)
+    density = np.bincount(owner, weights=_branch_totals(rows, quad_tol), minlength=len(xs))
+    return float(density[0]) if points.ndim == 0 else density
+
+
+def _branch_totals(rows: list, quad_tol: float) -> np.ndarray:
+    """The integral of each row (point index, x, params, edges) of
+    `arcsine_mixture_density`, its branch's (params, edges) from
+    `_branch_integrands`, all rows in one `_bisect` pass.
+
+    A row's panels stay in the order of a pass of that row alone, and
+    `_row_sums` adds them depth by depth in that order, so each total equals
+    the one-row total bit for bit.  The rows do not interact, so when one is
+    stuck, each row is run alone in list order and the first stuck one
+    raises: the error of a loop over the points, and their branches, in order.
+    """
+    share = quad_tol / 2.0
+    params = np.array([row[2] for row in rows], dtype=float).reshape(-1, 6).T
+    edges = [row[3] for row in rows]
+    row = np.repeat(np.arange(len(rows)), [len(e) - 1 for e in edges])
+    a = np.array([lo for e in edges for lo in e[:-1]])
+    b = np.array([hi for e in edges for hi in e[1:]])
+    last = np.array([e[-1] for e in edges])
+    found, stuck = _bisect(
+        lambda row, a, b, end: _theta_panels(
+            partial(_arcsine_integrand, *params[:, row, None]), a, b
+        ),
+        row, a, b, b, share * ((b - a) / last[row]), _MAX_BISECTIONS,
+    )
+    if stuck and len(rows) > 1:
+        for i in range(len(rows)):
+            _branch_totals(rows[i:i + 1], quad_tol)
+    if stuck:
+        depth, (_, lo, hi, part, est), pending = stuck
+        err = sum(accepted.sum() for _, _, accepted in found) + pending.sum()
+        raise NumericalError(
+            f"arcsine mixture quadrature at x = {float(rows[0][1])!r}: error estimate "
+            f"{float(err):.3e} against its share {share:.3e} of quad_tol "
+            f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
+            f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
+        )
+    totals = np.zeros(len(rows))
+    for accepted, high, _ in found:
+        totals += _row_sums(accepted, high[0], len(rows))
+    return totals
+
+
+def _row_sums(row: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """values[row == r].sum() for each r in range(rows), row ascending.
+
+    numpy's pairwise summation order depends on the count of values, so
+    the rows with equal counts are summed together, one 2-d array along its
+    last axis, which adds each row as the 1-d sum does."""
+    count = np.bincount(row, minlength=rows)
+    start = np.cumsum(count) - count
+    sums = np.zeros(rows)
+    for c in set(count.tolist()) - {0}:
+        group = np.nonzero(count == c)[0]
+        sums[group] = values[start[group, None] + np.arange(c)].sum(axis=1)
+    return sums
+
+
+def _branch_integrands(m: float, branches: tuple, x: float) -> list:
+    """(params, edges) for each arcsine branch that is not empty at x, with
+    (m, branches) = `_arcsine_branches`: the branch's density term is the
+    integral of `_arcsine_integrand(*params, theta)` from edges[0] = 0 to
+    edges[-1] = theta_end, and edges holds the panels that `_bisect` starts
+    from."""
     xi = x / m
     found = []
     for alpha, beta in branches:
@@ -570,11 +621,7 @@ def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
             theta0 = math.sqrt(near / width)
             edges = [0.0] + (_graded_edges(theta0, math.pi / 2.0) if 0.0 < theta0 < 0.1
                              else [math.pi / 2.0])
-
-            def integrand(theta, k=k, lo=lo, width=width, slope=slope, offset=offset):
-                v = lo + width * np.sin(theta) ** 2
-                return k * v * np.cos(theta) / np.sqrt(slope * v + offset)
-
+            found.append(((True, k, lo, width, slope, offset), edges))
         else:
             # the factors vanish at lo = -xi / beta and end = xi / alpha, which
             # leaves k v; an end past v = 1 only shortens the theta range
@@ -583,12 +630,17 @@ def _branch_integrands(gamma1: float, gamma2: float, x: float) -> list:
             edges = [0.0, math.pi / 2.0 if xi >= alpha else math.atan2(
                 math.sqrt((xi + beta) / beta), math.sqrt((xi - alpha) / alpha)
             )]
-
-            def integrand(theta, k=k, lo=lo, width=width):
-                return k * (lo + width * np.sin(theta) ** 2)
-
-        found.append((integrand, np.array(edges)))
+            found.append(((False, k, lo, width, 0.0, 1.0), edges))
     return found
+
+
+def _arcsine_integrand(curved, k, lo, width, slope, offset, theta):
+    """A branch's theta-integrand (`_branch_integrands`): with
+    v = lo + width sin^2(theta), k v cos(theta) / sqrt(slope v + offset)
+    where curved is true (or nonzero), else k v (slope 0 and offset 1).  The
+    parameters are numbers or arrays that broadcast against theta."""
+    v = lo + width * np.sin(theta) ** 2
+    return np.where(curved, k * v * np.cos(theta) / np.sqrt(slope * v + offset), k * v)
 
 
 # the oracle's depth limit in `_bisect`: theta_end <= pi / 2, so a panel
@@ -668,10 +720,10 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
         cdf = [0.5 + (y * math.sqrt((1.0 - y) * (1.0 + y)) + math.asin(y)) / math.pi
                if abs(y) < 1.0 else float(y > 0.0) for y in grid / grid[-1]]
     elif w.p == 2:
-        density = [arcsine_mixture_density(*w.gamma, t, quad_tol) for t in grid]
+        density = arcsine_mixture_density(*w.gamma, grid, quad_tol)
         m, branches = _arcsine_branches(*w.gamma)
         cdf = [sum(_branch_cdf(*ab, t / m) for ab in branches) + t * f / 2.0
-               for t, f in zip(grid, density)]
+               for t, f in zip(grid.tolist(), density.tolist())]
     else:
         raise ValidationError(f"the closed-form oracle needs p = 1 or p = 2, got p = {w.p}")
     return SpectralDensity(w, grid, density, cdf, quad_tol)

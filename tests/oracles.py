@@ -18,6 +18,8 @@ library computes in a vectorized or closed form:
   pair at one s, its eigenvalue curves with derivative weights, and the
   trace density at one (s, t), against the batched quadrature kernel of
   `spectral`, and `density_at`, that kernel's table at a single point;
+- `arcsine_branch_loop`: the p = 2 oracle at one point, branch by branch,
+  against the one `_bisect` pass of `arcsine_mixture_density` over many;
 - `limit_moments`: the moments of the limit law from powers of the block
   Toeplitz symbol, against the moments of a `density_grid` table;
 - `lu_log_abs_det`: sign and log|det| from an LU with partial pivoting,
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from blockspec.ensemble import GammaWeights, check_size, chi_layout
-from blockspec.errors import ValidationError
+from blockspec.errors import NumericalError, ValidationError
 from blockspec import spectral
 from blockspec.linalg import SymmetricBanded, require_symmetric, spd_inv_sqrt
 from blockspec.matrixpoly import RecurrenceCoeffs
@@ -245,6 +248,30 @@ def density_at(w: GammaWeights, t: float, quad_tol: float = 1e-8) -> float:
     spectral._require_quad_tol(quad_tol)
     density, _, _ = spectral._density_table(*blocks, np.array([float(t)]), quad_tol)
     return float(density[0])
+
+
+def arcsine_branch_loop(gamma1: float, gamma2: float, x: float, quad_tol: float) -> float:
+    """The p = 2 oracle density at one x, each branch in a `_bisect` pass
+    of its own and its accepted panels summed with ndarray.sum depth by
+    depth: the summation order that `arcsine_mixture_density` must keep
+    for every point of an array."""
+    total = 0.0
+    for params, edges in spectral._branch_integrands(
+        *spectral._arcsine_branches(gamma1, gamma2), x
+    ):
+        edges = np.array(edges)
+        a, b = edges[:-1], edges[1:]
+        found, stuck = spectral._bisect(
+            lambda row, a, b, end: spectral._theta_panels(
+                partial(spectral._arcsine_integrand, *params), a, b
+            ),
+            np.zeros(len(a), dtype=int), a, b, b, quad_tol / 2.0 * ((b - a) / edges[-1]),
+            spectral._MAX_BISECTIONS,
+        )
+        if stuck:
+            raise NumericalError(f"x = {x!r} is stuck at quad_tol {quad_tol!r}")
+        total += float(sum(high[0].sum() for _, high, _ in found))
+    return total
 
 
 def support_bound(w: GammaWeights) -> float:

@@ -799,6 +799,24 @@ class TestExitCodes:
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
+    @pytest.mark.parametrize("threads", ["65", "100000"])
+    def test_worker_count_above_the_maximum_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    threads):
+        # rejected before the pool starts: no thread is ever constructed
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was constructed")
+
+        monkeypatch.setattr(blockspec.harness.threading, "Thread", refuse)
+        monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+        rc = run_in(
+            tmp_path, monkeypatch,
+            ["compare", "--n", "12", "--p", "2", "--gamma", "2,8", "--trials", "200",
+             "--grid", "100"],
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: BLOCKSPEC_THREADS must be <= 64, got {threads}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_gap_nonpositive_trials_rejected(self, tmp_path, monkeypatch, capsys, trials):
         rc = run_in(
@@ -933,6 +951,8 @@ class TestDeterminism:
             # an unsorted list: solves run largest first, rows keep list order
             (["gap", "--n-list", "1200,300,600", "--p", "2", "--gamma", "2,8",
               "--trials", "3", "--seed", "6"], "gap.json"),
+            # n = 5000: six order statistics bisected in one pool round
+            (["figure", "--name", "fig1", "--grid", "100"], "fig1_hist.csv"),
         ],
     )
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, argv, output):
@@ -947,6 +967,35 @@ class TestDeterminism:
             outputs[threads] = {path.name: path.read_bytes() for path in workdir.iterdir()}
         assert output in outputs["1"]
         assert outputs["1"] == outputs["2"]
+
+    def test_worker_count_does_not_change_figure_failure(self, tmp_path, monkeypatch, capsys):
+        # the density table fails in the first round, beside the reduction;
+        # the order statistics of the second round never start, and on one
+        # thread neither does the reduction
+        argv = ["figure", "--name", "fig1", "--quad-tol", "1e-300"]
+        calls = []
+
+        def refuse(name):
+            def call(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} started")
+            return call
+
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+            with monkeypatch.context() as patch:
+                if threads == "1":
+                    patch.setattr(blockspec.harness, "tridiagonal_form", refuse("reduction"))
+                patch.setattr(blockspec.harness, "bisect_eigvals", refuse("bisection"))
+                rc = run_in(tmp_path, monkeypatch, argv)
+            results[threads] = (rc, capsys.readouterr().err)
+        assert calls == []
+        assert results["1"] == results["2"]
+        rc, err = results["1"]
+        assert rc == 3 and err.count("\n") == 1
+        assert err.startswith("numerical failure: figure fig1: limit density quadrature at t = ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_count_does_not_change_failure(self, tmp_path, monkeypatch, capsys,
                                                   solve_sizes):

@@ -34,6 +34,7 @@ from blockspec.harness import (
     levy_cubed_bound,
     levy_distance,
     map_trials,
+    scaled_tridiagonal,
     spectrum_histogram,
     tail_bound,
     tail_bound_experiment,
@@ -84,6 +85,17 @@ def histogram_of_sorted(x):
     return fd_histogram(len(x), x.__getitem__, partial(np.searchsorted, x, side="left"))
 
 
+def recording(x, asked):
+    """order_stats for fd_histogram that reads the sorted array x and
+    appends each list of ranks it is asked for to asked."""
+
+    def order_stats(ranks):
+        asked.append(list(ranks))
+        return x[ranks]
+
+    return order_stats
+
+
 class TestFdHistogram:
     @staticmethod
     def samples():
@@ -121,14 +133,10 @@ class TestFdHistogram:
     def test_asks_only_for_six_order_statistics(self):
         x = np.sort(np.random.default_rng(4).standard_normal(1000))
         asked = []
-
-        def order_stat(k):
-            asked.append(k)
-            return x[k]
-
-        fd_histogram(len(x), order_stat, partial(np.searchsorted, x))
-        # min, max, and the neighbours of the quartile positions 249.75, 749.25
-        assert sorted(asked) == [0, 249, 250, 749, 750, 999]
+        fd_histogram(len(x), recording(x, asked), partial(np.searchsorted, x))
+        # one call: min, max, and the neighbours of the quartile positions
+        # 749.25 and 249.75
+        assert asked == [[0, 999, 749, 750, 249, 250]]
 
     @pytest.mark.parametrize("size,calls", [(5001, 4), (5000, 6)])
     def test_skips_an_order_statistic_of_weight_zero(self, size, calls):
@@ -136,13 +144,8 @@ class TestFdHistogram:
         # numpy's interpolation gives the next value weight 0
         x = np.sort(np.random.default_rng(size).standard_normal(size))
         asked = []
-
-        def order_stat(k):
-            asked.append(k)
-            return x[k]
-
-        got = fd_histogram(size, order_stat, partial(np.searchsorted, x, side="left"))
-        assert len(asked) == calls
+        got = fd_histogram(size, recording(x, asked), partial(np.searchsorted, x, side="left"))
+        assert len(asked) == 1 and len(asked[0]) == calls
         counts, edges = np.histogram(x, bins="fd")
         np.testing.assert_array_equal(got.edges, edges)
         np.testing.assert_array_equal(got.counts, counts)
@@ -155,7 +158,7 @@ class TestFdHistogram:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError, match="at least one value"):
-            fd_histogram(0, lambda k: 0.0, lambda edges: edges)
+            fd_histogram(0, lambda ranks: [0.0] * len(ranks), lambda edges: edges)
 
 
 class TestSpectrumHistogram:
@@ -167,7 +170,7 @@ class TestSpectrumHistogram:
                 n = blocks * w.p
                 for master in range(1, 9):
                     seed = RngSeed(master, 5)
-                    got = spectrum_histogram(n, w, seed)
+                    got = spectrum_histogram(scaled_tridiagonal(n, w, seed))
                     values = empirical_spectrum(n, w, seed).to_scaled().values
                     counts, edges = np.histogram(values, bins="fd")
                     case = f"p={w.p} n={n} seed={master}"
@@ -182,7 +185,7 @@ class TestSpectrumHistogram:
             raise AssertionError("spectrum_histogram called eigh_banded")
 
         monkeypatch.setattr(harness, "eigh_banded", refuse)
-        assert spectrum_histogram(60, W2, RngSeed(1)).counts.sum() == 60
+        assert spectrum_histogram(scaled_tridiagonal(60, W2, RngSeed(1))).counts.sum() == 60
 
 
 class TestApproxGap:
@@ -413,6 +416,14 @@ class TestWorkers:
         monkeypatch.setenv("BLOCKSPEC_THREADS", "nope")
         with pytest.raises(ValidationError):
             worker_count()
+
+    @pytest.mark.parametrize("value", ["65", "100000", str(10**30)])
+    def test_worker_count_above_the_maximum_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("BLOCKSPEC_THREADS", value)
+        with pytest.raises(ValidationError, match=f"BLOCKSPEC_THREADS must be <= 64, got {value}$"):
+            worker_count()
+        monkeypatch.setenv("BLOCKSPEC_THREADS", str(harness.MAX_WORKERS))
+        assert worker_count() == harness.MAX_WORKERS == 64
 
     @pytest.mark.parametrize("cpus,expected", [(1, 1), (3, 3), (16, 8)])
     def test_auto_worker_count_follows_affinity(self, monkeypatch, cpus, expected):

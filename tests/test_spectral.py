@@ -7,6 +7,7 @@ same density, so their pointwise agreement is the central correctness check.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from blockspec.spectral import (
     semicircle_density,
 )
 from tests.oracles import (
+    arcsine_branch_loop,
     build_AB,
     cheb_T,
     density_at,
@@ -417,9 +419,11 @@ class TestArcsineMixture:
             share = quad_tol / 2.0
             for gamma, x in points:
                 reference, met = 0.0, True
-                for integrand, edges in spectral._branch_integrands(*gamma, x):
+                for params, edges in spectral._branch_integrands(
+                    *spectral._arcsine_branches(*gamma), x
+                ):
                     value, err, _, *failure = quad(
-                        integrand, 0.0, edges[-1], epsabs=max(share, math.ulp(0.0)),
+                        partial(spectral._arcsine_integrand, *params), 0.0, edges[-1], epsabs=max(share, math.ulp(0.0)),
                         epsrel=0.0, limit=200, full_output=1,
                     )
                     met = met and not failure and err <= share
@@ -687,6 +691,52 @@ class TestOracleDensity:
     def test_quad_tol_is_enforced(self):
         with pytest.raises(NumericalError, match="share 5.000e-301 of quad_tol 1e-300"):
             oracle_density(GammaWeights((2.0, 8.0)), 100, 1e-300)
+
+    @pytest.mark.parametrize("grid_size", [100, 120, 400])
+    @pytest.mark.parametrize("gamma", [(2.0, 8.0), (1.0, 100.0), (1.0, 1.000001), (4.0, 9.0)])
+    def test_table_equals_one_point_calls(self, gamma, grid_size):
+        # the table is one pass over every (point, branch) row; each point
+        # equals its one-point call bit for bit, through t = 0, +-M* and,
+        # at (4, 9), alpha_2 = 0
+        w = GammaWeights(gamma)
+        table = oracle_density(w, grid_size, 1e-10)
+        m = support_bound(w)
+        assert table.grid[0] == -m and table.grid[-1] == m
+        assert (0.0 in table.grid.tolist()) == (grid_size % 2 == 0)
+        points = [arcsine_mixture_density(*gamma, t, 1e-10) for t in table.grid.tolist()]
+        assert all(type(value) is float for value in points)
+        assert table.density.tolist() == points
+        assert points == [arcsine_branch_loop(*gamma, t, 1e-10) for t in table.grid.tolist()]
+        assert arcsine_mixture_density(*gamma, table.grid, 1e-10).tolist() == points
+
+    def test_failure_names_the_first_point_that_fails_alone(self):
+        # at 1e-16 some points of the grid-100 table of (2, 8) get stuck and
+        # others do not: the table raises the error of the first point, in
+        # grid order, that raises on its own, as a loop over the points would
+        w = GammaWeights((2.0, 8.0))
+        grid = spectral._grid(*limit_blocks(w)[:2], 100).tolist()
+        errors = []
+        for t in grid:
+            try:
+                arcsine_mixture_density(2.0, 8.0, t, 1e-16)
+            except NumericalError as exc:
+                errors.append(str(exc))
+        assert 0 < len(errors) < len(grid) // 2
+        with pytest.raises(NumericalError) as table:
+            oracle_density(w, 100, 1e-16)
+        assert str(table.value) == errors[0]
+
+    def test_array_argument(self):
+        assert type(arcsine_mixture_density(2.0, 8.0, np.float64(0.5))) is float
+        values = arcsine_mixture_density(2.0, 8.0, np.array([0.5, 7.5, -0.5]))
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert values.tolist() == [arcsine_mixture_density(2.0, 8.0, x) for x in (0.5, 7.5, -0.5)]
+        assert arcsine_mixture_density(2.0, 8.0, np.array([])).shape == (0,)
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValidationError, match=f"x must be finite, got {bad}"):
+                arcsine_mixture_density(2.0, 8.0, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValidationError, match=r"1-d array, got shape \(2, 2\)"):
+            arcsine_mixture_density(2.0, 8.0, np.zeros((2, 2)))
 
 
 def _figure_weights():
