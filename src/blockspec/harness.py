@@ -70,8 +70,8 @@ class LevyBound(NamedTuple):
     satisfied: bool
 
 
-# the largest BLOCKSPEC_THREADS accepted: a larger value would only start
-# threads that find no task, or fail to start them at all
+# the largest BLOCKSPEC_THREADS accepted: well above the core counts the
+# pool is meant for, and a huge value would make Thread.start fail mid-run
 MAX_WORKERS = 64
 
 
@@ -157,27 +157,27 @@ def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpect
     return EmpiricalSpectrum(w, seed, False, eigh_banded(build_G(n, w, seed)))
 
 
-def _percentile_ranks(size: int, q: float) -> list[int]:
-    """The order statistics (0-based) that `_percentile` reads for q."""
+def _percentile_ranks(size: int, q: float) -> tuple[list[int], float]:
+    """(ranks, t): np.percentile(x, 100 q) of a sample of `size` values,
+    with numpy's linear interpolation, reads the order statistics (0-based)
+    in ranks, [k] when the next one would get weight t = 0, else [k, k + 1]
+    with weight t on k + 1."""
     index = (size - 1) * q
     if index >= size - 1:
-        return [size - 1]
+        return [size - 1], 0.0
     k = math.floor(index)
-    return [k] if index == k else [k, k + 1]
+    t = index - k
+    return ([k], t) if t == 0 else ([k, k + 1], t)
 
 
 def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> float:
     """np.percentile(x, 100 q) of a sample of `size` values whose k-th
-    smallest (0-based) is order_stat(k), with numpy's linear interpolation."""
-    index = (size - 1) * q
-    if index >= size - 1:
-        return order_stat(size - 1)
-    k = math.floor(index)
-    t = index - k
-    a = order_stat(k)
+    smallest (0-based) is order_stat(k), asked only for `_percentile_ranks`."""
+    ranks, t = _percentile_ranks(size, q)
+    a = order_stat(ranks[0])
     if t == 0:  # a + diff * 0, bit for bit, without asking for b
         return a + 0.0
-    b = order_stat(k + 1)
+    b = order_stat(ranks[1])
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
@@ -205,7 +205,7 @@ def fd_histogram(
     if size < 1:
         raise ValidationError(f"a histogram needs at least one value, got {size}")
     ranks = list(dict.fromkeys(
-        [0, size - 1, *_percentile_ranks(size, 0.75), *_percentile_ranks(size, 0.25)]
+        [0, size - 1, *_percentile_ranks(size, 0.75)[0], *_percentile_ranks(size, 0.25)[0]]
     ))
     order_stat = dict(zip(ranks, order_stats(ranks))).__getitem__
     first, last = order_stat(0), order_stat(size - 1)
