@@ -8,9 +8,10 @@ trials can execute concurrently without sharing state.  A command hands its
 independent work to `map_trials` as lists of tasks.  `compare` and `gap`
 make one call: the limit density table, each deterministic roots solve and
 each trial's sampled solve.  `figure` makes two rounds: the density table
-beside the sampled band reduction (`scaled_tridiagonal`), then the order
-statistics of the histogram (`spectrum_histogram`), which counts
-eigenvalues per bin instead of computing them all.  The tasks run on
+beside the sampled band reduction (`scaled_tridiagonal`), then the minimum
+and the maximum of the histogram (`spectrum_histogram`), which brackets
+its quartiles and fills its bins by counting eigenvalues instead of
+computing them all.  The tasks run on
 threads, and the LAPACK calls that dominate them release the GIL (see
 `linalg`).  Statistics are computed from the assembled results afterwards.
 Theorem-style gap quantities are unscaled; weak-convergence quantities
@@ -182,38 +183,102 @@ def _percentile(size: int, order_stat: Callable[[int], float], q: float) -> floa
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
+# `fd_histogram` widens its quartile brackets by QUARTILE_SLACK eps times
+# the sample's largest magnitude, and bisects them at most
+# MAX_BRACKET_STEPS times before it asks for the quartiles themselves
+QUARTILE_SLACK = 16
+MAX_BRACKET_STEPS = 60
+
+
 def fd_histogram(
     size: int,
     order_stats: Callable[[list[int]], Sequence[float]],
     count_below: Callable[[np.ndarray], np.ndarray],
 ) -> Histogram:
     """np.histogram(x, bins="fd") of a sample x of `size` values, built from
-    at most six order statistics and one count per interior bin edge.
+    its minimum and maximum, a few counts that bracket its quartiles, and
+    one count per interior bin edge.
 
     order_stats(ranks) gives the k-th smallest value (0-based) for each k
-    in ranks, in that order; it is called once, with the distinct ranks of
-    the minimum, the maximum and the values that numpy's quartiles weight.
-    count_below(edges) gives, for each interior edge, the number of values
-    below it; a count of the values at or below it differs only where a
-    value equals an edge, which numpy puts in the upper bin.  The edges, the
-    bin count and the heights follow numpy's formulas step by step: a width
-    2 IQR size^(-1/3), one bin when the IQR is 0, edges min -/+ 0.5 when
-    min = max, bins closed on the left and the last one on both sides.  Fed
-    a sorted array's own values and np.searchsorted counts, the result
-    equals np.histogram bit for bit.
+    in ranks, in that order.  count_below(points) gives, for each point,
+    the number of values below it; a count of the values at or below it
+    differs only where a value equals a point, which numpy puts in the
+    upper bin at an edge.  The edges, the bin count and the heights follow
+    numpy's formulas step by step: a width 2 IQR size^(-1/3), one bin when
+    the IQR is 0, edges min -/+ 0.5 when min = max, bins closed on the left
+    and the last one on both sides.  Fed a sorted array's own values and
+    np.searchsorted counts, the result equals np.histogram bit for bit.
+
+    order_stats is asked once, for ranks 0 and size - 1.  The quartiles
+    only decide the integer bin count, so each rank k that they read gets
+    a bracket [lo, hi], first [min, max].  A step is one count_below call
+    at the distinct midpoints of the brackets wider than the slack s =
+    QUARTILE_SLACK eps max(|min|, |max|); a count of at least k + 1 at a
+    point makes it an upper end for rank k, else a lower end, and each
+    bracket keeps its narrowest ends.  After each step the IQR is bounded
+    crosswise, upper quartile of the hi ends + s minus lower quartile of
+    the lo ends - s and the other way round, and the bin count is
+    certified once the lower bound gives a positive width and numpy's
+    formula gives one integer at both bounds.  Why that count is exact:
+    the exact quartiles are monotone in their order statistics and move by
+    s when all of them do; `_percentile` rounds them by less than 4 eps
+    times their operands, which no value exceeds in magnitude (a quartile
+    near 0 between operands near -/+1e6 carries rounding of 1e6, so the
+    slack is not sized by the quartile); the rest of s covers order
+    statistics a few ulps of that magnitude off the counts
+    (`spectrum_histogram`).  The rounded IQR subtraction, the width 2 IQR
+    size^(-1/3), span / width and ceil are each monotone in the IQR.  So
+    the edges (from the exact min and max) and the counts are bit for bit
+    those of asking for the quartiles.  When no bracket is wider than s,
+    or after MAX_BRACKET_STEPS steps, order_stats is asked for the quartile
+    ranks after all: for an IQR of 0 (a constant sample, size 1) or a
+    ratio span / width that is an exact integer.
     """
     if size < 1:
         raise ValidationError(f"a histogram needs at least one value, got {size}")
+    low, high = (float(v) for v in order_stats([0, size - 1]))
+    first, last = (low - 0.5, high + 0.5) if low == high else (low, high)
     ranks = list(dict.fromkeys(
-        [0, size - 1, *_percentile_ranks(size, 0.75)[0], *_percentile_ranks(size, 0.25)[0]]
+        [*_percentile_ranks(size, 0.75)[0], *_percentile_ranks(size, 0.25)[0]]
     ))
-    order_stat = dict(zip(ranks, order_stats(ranks))).__getitem__
-    first, last = order_stat(0), order_stat(size - 1)
-    if first == last:
-        first, last = first - 0.5, last + 0.5
-    iqr = _percentile(size, order_stat, 0.75) - _percentile(size, order_stat, 0.25)
-    width = 2.0 * iqr * size ** (-1.0 / 3.0)
-    bins = int(np.ceil((last - first) / width)) if width else 1
+    slack = QUARTILE_SLACK * math.ulp(1.0) * max(abs(low), abs(high))
+    lo, hi = np.full(len(ranks), low), np.full(len(ranks), high)
+
+    def certified_bins() -> int | None:
+        """The bin count if numpy's formula gives one integer over the
+        widened IQR bounds of the brackets, else None."""
+        at_lo, at_hi = (dict(zip(ranks, ends.tolist())).__getitem__ for ends in (lo, hi))
+        q75 = _percentile(size, at_lo, 0.75) - slack, _percentile(size, at_hi, 0.75) + slack
+        q25 = _percentile(size, at_lo, 0.25) - slack, _percentile(size, at_hi, 0.25) + slack
+        width_low, width_high = (
+            2.0 * iqr * size ** (-1.0 / 3.0) for iqr in (q75[0] - q25[1], q75[1] - q25[0])
+        )
+        if not width_low > 0:
+            return None
+        most, least = (last - first) / width_low, (last - first) / width_high
+        if not math.isfinite(most) or math.ceil(least) != math.ceil(most):
+            return None
+        return math.ceil(most)
+
+    bins = None
+    for _ in range(MAX_BRACKET_STEPS):
+        wide = hi - lo > slack
+        if not wide.any():
+            break
+        # brackets that still coincide share a midpoint, and every count
+        # narrows every bracket it falls in
+        mid = np.unique(0.5 * lo[wide] + 0.5 * hi[wide])
+        above = np.asarray(count_below(mid))[None, :] > np.asarray(ranks)[:, None]
+        hi = np.minimum(hi, np.where(above, mid, np.inf).min(axis=1))
+        lo = np.maximum(lo, np.where(above, -np.inf, mid).max(axis=1))
+        bins = certified_bins()
+        if bins is not None:
+            break
+    if bins is None:
+        order_stat = dict(zip(ranks, order_stats(ranks))).__getitem__
+        iqr = _percentile(size, order_stat, 0.75) - _percentile(size, order_stat, 0.25)
+        width = 2.0 * iqr * size ** (-1.0 / 3.0)
+        bins = int(np.ceil((last - first) / width)) if width else 1
     edges = np.linspace(first, last, bins + 1)
     below = np.asarray(count_below(edges[1:-1]), dtype=np.intp)
     return Histogram(np.diff(np.concatenate(([0], below, [size]))), edges)
@@ -231,9 +296,18 @@ def spectrum_histogram(t: Tridiagonal) -> Histogram:
     """Freedman-Diaconis histogram of the eigenvalues of t, without
     computing them all.
 
-    The order statistics that `fd_histogram` asks for are bisected, one
-    `map_trials` task each, and the count at every interior bin edge is
-    one Sturm count.  For t = `scaled_tridiagonal(n, w, seed)`, bins and
+    The minimum and the maximum are bisected (dstebz), one `map_trials`
+    task each; the quartile brackets of `fd_histogram` and every interior
+    bin edge are Sturm counts (dlaebz), and the quartiles are bisected
+    only when the brackets cannot certify the bin count.  The result is bit
+    for bit the one of bisecting the quartiles as well: dstebz runs the
+    same Sturm count (same recurrence, pivmin and power-of-two scaling) and
+    returns the midpoint of an interval narrower than 2 eps times its
+    endpoints' magnitude where the count reaches k + 1.  Where it sets an
+    off-diagonal below eps sqrt|d_i d_(i+1)| to 0, the eigenvalues move by
+    at most 2 eps max |d_i|.  Both stay within the slack of
+    `fd_histogram`, whose largest magnitude is the spectral norm of t.
+    For t = `scaled_tridiagonal(n, w, seed)`, bins and
     counts equal those of np.histogram of
     empirical_spectrum(n, w, seed).to_scaled().values unless an eigenvalue
     lies within rounding of a bin edge, and the edges agree to about 1e-14

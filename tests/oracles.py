@@ -25,7 +25,11 @@ library computes in a vectorized or closed form:
 - `lu_log_abs_det`: sign and log|det| from an LU with partial pivoting,
   the per-block gate that `linalg.singular_blocks` must cover;
 - `levy_reference`: the Levy distance of two empirical CDFs by trying every
-  candidate value, against `harness.levy_distance`.
+  candidate value, against `harness.levy_distance`;
+- `bisected_fd_histogram`: `figure`'s histogram with every order statistic
+  that numpy's Freedman-Diaconis rule reads bisected and the rule applied
+  by numpy itself, against `harness.spectrum_histogram`, which bisects only
+  the minimum and the maximum.
 
 It also holds the test-side helpers with no caller in the library:
 `banded_from_dense`, `truncated` (the first m stages of a coefficient set)
@@ -47,7 +51,15 @@ import scipy.linalg
 from blockspec.ensemble import GammaWeights, check_size, chi_layout
 from blockspec.errors import NumericalError, ValidationError
 from blockspec import spectral
-from blockspec.linalg import SymmetricBanded, require_symmetric, spd_inv_sqrt
+from blockspec.harness import Histogram
+from blockspec.linalg import (
+    SymmetricBanded,
+    Tridiagonal,
+    bisect_eigvals,
+    require_symmetric,
+    spd_inv_sqrt,
+    sturm_counts,
+)
 from blockspec.matrixpoly import RecurrenceCoeffs
 from blockspec.spectral import SpectralDensity, limit_blocks
 
@@ -350,6 +362,25 @@ def levy_reference(a: np.ndarray, b: np.ndarray) -> float:
         ):
             return float(eps)
     raise AssertionError("eps = 1 always passes")
+
+
+def bisected_fd_histogram(t: Tridiagonal) -> Histogram:
+    """np.histogram(values, bins="fd") of the eigenvalues of t, with each
+    value that the rule reads bisected (dstebz): the minimum, the maximum
+    and the two neighbours of each quartile position, one where the
+    position is whole.  numpy's own np.histogram_bin_edges applies the rule
+    to a sorted stand-in that holds those values at their ranks and, at
+    every other rank, the next bisected value above it.  Each bin's count
+    is the difference of Sturm counts at its edges.
+    """
+    n = len(t.d)
+    positions = [(n - 1) * q for q in (0.25, 0.75)]
+    ranks = sorted({0, n - 1, *map(math.floor, positions), *map(math.ceil, positions)})
+    values = np.array([bisect_eigvals(t, k + 1, k + 1)[0] for k in ranks])
+    stand_in = values[np.searchsorted(ranks, np.arange(n))]
+    edges = np.histogram_bin_edges(stand_in, bins="fd")
+    below = sturm_counts(t, edges[1:-1])
+    return Histogram(np.diff(np.concatenate(([0], below, [n]))), edges)
 
 
 def banded_from_dense(m: np.ndarray, bandwidth: int) -> SymmetricBanded:

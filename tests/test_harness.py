@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import blockspec.harness as harness
+from blockspec.cli import FIGURES
 from blockspec.ensemble import (
     EmpiricalSpectrum,
     GammaWeights,
@@ -40,9 +41,9 @@ from blockspec.harness import (
     tail_bound_experiment,
     worker_count,
 )
-from blockspec.linalg import eigh_banded
+from blockspec.linalg import bisect_eigvals, eigh_banded
 from blockspec.spectral import SpectralDensity, density_grid
-from tests.oracles import build_F, build_F_tilde, levy_reference
+from tests.oracles import bisected_fd_histogram, build_F, build_F_tilde, levy_reference
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()
@@ -130,25 +131,68 @@ class TestFdHistogram:
         got = histogram_of_sorted(np.full(6, 3.25))
         assert got.edges.tolist() == [2.75, 3.75] and got.counts.tolist() == [6]
 
-    def test_asks_only_for_six_order_statistics(self):
-        x = np.sort(np.random.default_rng(4).standard_normal(1000))
-        asked = []
-        fd_histogram(len(x), recording(x, asked), partial(np.searchsorted, x))
-        # one call: min, max, and the neighbours of the quartile positions
-        # 749.25 and 249.75
-        assert asked == [[0, 999, 749, 750, 249, 250]]
-
-    @pytest.mark.parametrize("size,calls", [(5001, 4), (5000, 6)])
-    def test_skips_an_order_statistic_of_weight_zero(self, size, calls):
-        # at size 5001 the quartile positions 1250 and 3750 are whole, so
-        # numpy's interpolation gives the next value weight 0
+    @pytest.mark.parametrize("size", [1000, 5000, 5001])
+    def test_certified_sample_asks_only_for_min_and_max(self, size):
+        # the quartile brackets certify the bin count, so the quartiles
+        # themselves are never asked for; at 5001 each quartile is one rank
         x = np.sort(np.random.default_rng(size).standard_normal(size))
         asked = []
         got = fd_histogram(size, recording(x, asked), partial(np.searchsorted, x, side="left"))
-        assert len(asked) == 1 and len(asked[0]) == calls
+        assert asked == [[0, size - 1]]
         counts, edges = np.histogram(x, bins="fd")
         np.testing.assert_array_equal(got.edges, edges)
         np.testing.assert_array_equal(got.counts, counts)
+
+    @pytest.mark.parametrize("name,x,quartile_ranks", [
+        pytest.param(name, x, ranks, id=name) for name, x, ranks in [
+            ("iqr-zero", [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0], [4, 5, 1, 2]),
+            ("constant", [3.25] * 6, [3, 4, 1, 2]),
+            ("single", [-7.5], [0]),
+            # quartiles 0.25 and 0.75, width 2 * 0.5 * 8^(-1/3) = 0.5: 2 bins exactly
+            ("integer-ratio", [0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0], [5, 6, 1, 2]),
+        ]
+    ])
+    def test_uncertified_sample_asks_for_the_quartiles(self, name, x, quartile_ranks):
+        x = np.array(x)
+        if name == "integer-ratio":
+            width = 2.0 * np.subtract(*np.percentile(x, [75, 25])) * len(x) ** (-1.0 / 3.0)
+            assert (x[-1] - x[0]) / width == 2.0
+        asked = []
+        got = fd_histogram(len(x), recording(x, asked), partial(np.searchsorted, x, side="left"))
+        assert asked == [[0, len(x) - 1], quartile_ranks]
+        counts, edges = np.histogram(x, bins="fd")
+        np.testing.assert_array_equal(got.edges, edges)
+        np.testing.assert_array_equal(got.counts, counts)
+
+    def test_order_statistics_a_few_ulps_off_the_counts(self):
+        # order_stats may be some ulps of the largest magnitude off the
+        # counts, as dstebz is off the Sturm counts.  Here the upper
+        # quartile's two values read 4 eps * 100 below where the counts put
+        # them, and the maximum is moved down until the counts' quartiles
+        # give one bin fewer than order_stats' quartiles, by the widest
+        # margin; the bin count must be order_stats'
+        x = np.sort(np.random.default_rng(3).standard_normal(1000))
+        y = x.copy()
+        y[[749, 750]] -= 4 * math.ulp(1.0) * 100.0
+
+        def ratio(z):  # numpy's span / width
+            iqr = np.subtract(*np.percentile(z, [75, 25]))
+            return (z[-1] - z[0]) / (2.0 * iqr * len(z) ** (-1.0 / 3.0))
+
+        x[-1] = y[-1] = 100.0
+        bins = math.ceil(ratio(x))
+        last = x[0] + bins * 2.0 * np.subtract(*np.percentile(x, [75, 25])) * 1000 ** (-1.0 / 3.0)
+        while True:
+            x[-1] = y[-1] = math.nextafter(last, 0.0)
+            if math.ceil(ratio(y)) != bins + 1:
+                break
+            last = x[-1]
+        x[-1] = y[-1] = last
+        assert math.ceil(ratio(x)) == bins and ratio(x) < bins - 1e-11
+        got = fd_histogram(len(x), y.__getitem__, partial(np.searchsorted, x, side="left"))
+        edges = np.histogram_bin_edges(y, bins="fd")
+        assert len(edges) == bins + 2
+        np.testing.assert_array_equal(got.edges, edges)
 
     def test_quartile_on_a_negative_zero_matches_numpy(self):
         x = np.array([-1.0, -0.0, -0.0, 0.5, 1.0])
@@ -179,6 +223,29 @@ class TestSpectrumHistogram:
                     assert error <= 1e-13, case
                     worst = max(worst, error)
         print(f"worst relative edge difference {worst:.2e}")
+
+    @pytest.mark.parametrize("name", ["fig1", "fig4"])
+    @pytest.mark.parametrize("master", [1, 20260810])
+    def test_equals_bisecting_every_order_statistic(self, name, master):
+        # fig1 (n = 5000) reads two ranks per quartile, fig4 (n = 5001) one
+        gamma, n = FIGURES[name]
+        t = scaled_tridiagonal(n, GammaWeights(gamma), RngSeed(master, 0))
+        got, expected = spectrum_histogram(t), bisected_fd_histogram(t)
+        assert got.edges.tobytes() == expected.edges.tobytes()
+        assert got.counts.tobytes() == expected.counts.tobytes()
+
+    def test_fig1_bisects_only_min_and_max(self, monkeypatch):
+        calls = []
+
+        def counted(t, il, iu):
+            calls.append((il, iu))
+            return bisect_eigvals(t, il, iu)
+
+        gamma, n = FIGURES["fig1"]
+        t = scaled_tridiagonal(n, GammaWeights(gamma), RngSeed(1, 0))
+        monkeypatch.setattr(harness, "bisect_eigvals", counted)
+        spectrum_histogram(t)
+        assert sorted(calls) == [(1, 1), (n, n)]
 
     def test_makes_no_full_solve(self, monkeypatch):
         def refuse(m):
