@@ -6,12 +6,12 @@ the sampled spectrum and the roots, and KS agreement with the limit law.
 Trial i always draws from seed (master, i), so runs are reproducible and
 trials can execute concurrently without sharing state.  A command hands its
 independent work to `map_trials` as lists of tasks.  `compare` and `gap`
-make one call: the limit density table, each deterministic roots solve and
-each trial's sampled solve.  `figure` makes two rounds: the density table
-beside the sampled band reduction (`scaled_tridiagonal`), then the minimum
-and the maximum of the histogram (`spectrum_histogram`), which brackets
-its quartiles and fills its bins by counting eigenvalues instead of
-computing them all.  The tasks run on
+make one call: each deterministic roots solve and each trial's sampled
+solve, and for `compare` also the limit density table.  `figure` makes two
+rounds: the density table beside the sampled band reduction
+(`scaled_tridiagonal`), then the minimum and the maximum of the histogram
+(`spectrum_histogram`), which brackets its quartiles and fills its bins by
+counting eigenvalues instead of computing them all.  The tasks run on
 threads, and the LAPACK calls that dominate them release the GIL (see
 `linalg`).  Statistics are computed from the assembled results afterwards.
 Theorem-style gap quantities are unscaled; weak-convergence quantities

@@ -244,36 +244,44 @@ def _panel_integrals(
     return high, np.abs(high - low).max(axis=0)
 
 
-def _bisect(integrate, row, a, b, end, share, max_depth: int):
-    """Adaptive quadrature on the panels [a, b]; integrate(row, a, b, end)
-    gives the (k, panels) integrals of the live panels and their estimates.
+def _bisect(integrate, row, a, b, end, share, max_depth: int, rows: int):
+    """Adaptive quadrature on the panels [a, b] of the rows in range(rows);
+    integrate(row, a, b, end) gives the (k, panels) integrals of the live
+    panels and their estimates.
 
     A panel whose estimate meets its share is accepted, so the accepted
     estimates sum to at most the total share.  The others are bisected: both
     halves keep the row and take half the share, the left half ends at the
     midpoint and the right half keeps end.  A panel is stuck when its share
     is 0, its estimate is at the rounding level of its integrals, which
-    bisection cannot lower, or after max_depth bisections.  Returns the
-    accepted (row, values, err) of each depth and None, or for the first
-    stuck panel (depth, (row, a, b, share, err), the estimates of all
-    panels not accepted at that depth).
+    bisection cannot lower, or after max_depth bisections.
+
+    Returns (totals, stuck).  totals, (k + 1, rows), holds each row's sums
+    of the k integrals and of the estimates over its accepted panels, added
+    one by one in the order they were accepted: a row's totals do not
+    depend on the other rows, and a row with no accepted panel has exact
+    zeros.  stuck is None, or for the first stuck panel (depth, (row, a, b,
+    share, err), the estimates of all panels not accepted at that depth).
     """
-    found = []
+    accepted, stuck = [], None
     for depth in range(max_depth + 1):
         values, err = integrate(row, a, b, end)
         ok = (err <= share) & (share > 0.0)
-        found.append((row[ok], values[:, ok], err[ok]))
+        accepted.append((row[ok], np.vstack([values[:, ok], err[ok]])))
         if ok.all():
-            return found, None
-        stuck = ~ok & ((depth == max_depth) | (share == 0.0)
-                       | (err <= _ROUNDING * np.abs(values).max(axis=0)))
-        if stuck.any():
-            i = int(np.argmax(stuck))
-            return found, (depth, (row[i], a[i], b[i], share[i], err[i]), err[~ok])
+            break
+        failed = ~ok & ((depth == max_depth) | (share == 0.0)
+                        | (err <= _ROUNDING * np.abs(values).max(axis=0)))
+        if failed.any():
+            i = int(np.argmax(failed))
+            stuck = (depth, (row[i], a[i], b[i], share[i], err[i]), err[~ok])
+            break
         row, a, b, end, share = (x[~ok] for x in (row, a, b, end, share))
         mid = (a + b) / 2.0
         row, share = np.repeat(row, 2), np.repeat(share / 2.0, 2)
         a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
+    row, parts = (np.concatenate(x, axis=-1) for x in zip(*accepted))
+    return np.stack([np.bincount(row, weights=x, minlength=rows) for x in parts]), stuck
 
 
 def _graded_edges(start: float, stop: float) -> list[float]:
@@ -306,9 +314,9 @@ def _panel_sums(integrand, q, a, b, end, share, at_t, weight, quad_tol: float,
     times weight, the factor with which they enter at_t's estimate, and its
     bounds times unit, in the variable named."""
     keep = np.nonzero(b != a)[0]  # an empty panel adds an exact 0
-    found, stuck = _bisect(
+    totals, stuck = _bisect(
         lambda row, a, b, end: _panel_integrals(integrand, q[row], a, b, end),
-        keep, a[keep], b[keep], end[keep], share[keep], _MAX_DEPTH,
+        keep, a[keep], b[keep], end[keep], share[keep], _MAX_DEPTH, len(a),
     )
     if stuck:
         depth, (i, lo, hi, part, err), _ = stuck
@@ -318,8 +326,7 @@ def _panel_sums(integrand, q, a, b, end, share, at_t, weight, quad_tol: float,
             f"of quad_tol {quad_tol!r} on the {variable}-panel "
             f"[{float(lo * unit)!r}, {float(hi * unit)!r}] after {depth} bisections"
         )
-    row, values, err = (np.concatenate(parts, axis=-1) for parts in zip(*found))
-    return np.stack([np.bincount(row, weights=x, minlength=len(a)) for x in (*values, err)])
+    return totals
 
 
 def _half_line(values, levels: np.ndarray, sign: float, ts: np.ndarray, scale: float,
@@ -542,10 +549,10 @@ def _branch_totals(rows: list, quad_tol: float) -> np.ndarray:
     `arcsine_mixture_density`, its branch's (params, edges) from
     `_branch_integrands`, all rows in one `_bisect` pass.
 
-    A row's panels stay in the order of a pass of that row alone, and
-    `_row_sums` adds them depth by depth in that order, so each total equals
-    the one-row total bit for bit.  The rows do not interact, so when one is
-    stuck, each row is run alone in list order and the first stuck one
+    `_bisect` adds each row's accepted panels in the order they were
+    accepted, which is the order of a pass of that row alone, so each total
+    equals the one-row total bit for bit.  The rows do not interact, so when
+    one is stuck, each row is run alone in list order and the first stuck one
     raises: the error of a loop over the points, and their branches, in order.
     """
     share = quad_tol / 2.0
@@ -555,43 +562,25 @@ def _branch_totals(rows: list, quad_tol: float) -> np.ndarray:
     a = np.array([lo for e in edges for lo in e[:-1]])
     b = np.array([hi for e in edges for hi in e[1:]])
     last = np.array([e[-1] for e in edges])
-    found, stuck = _bisect(
+    totals, stuck = _bisect(
         lambda row, a, b, end: _theta_panels(
             partial(_arcsine_integrand, *params[:, row, None]), a, b
         ),
-        row, a, b, b, share * ((b - a) / last[row]), _MAX_BISECTIONS,
+        row, a, b, b, share * ((b - a) / last[row]), _MAX_BISECTIONS, len(rows),
     )
     if stuck and len(rows) > 1:
         for i in range(len(rows)):
             _branch_totals(rows[i:i + 1], quad_tol)
     if stuck:
         depth, (_, lo, hi, part, est), pending = stuck
-        err = sum(accepted.sum() for _, _, accepted in found) + pending.sum()
+        err = totals[-1].sum() + pending.sum()
         raise NumericalError(
             f"arcsine mixture quadrature at x = {float(rows[0][1])!r}: error estimate "
             f"{float(err):.3e} against its share {share:.3e} of quad_tol "
             f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
             f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
         )
-    totals = np.zeros(len(rows))
-    for accepted, high, _ in found:
-        totals += _row_sums(accepted, high[0], len(rows))
-    return totals
-
-
-def _row_sums(row: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
-    """values[row == r].sum() for each r in range(rows), row ascending.
-
-    numpy's pairwise summation order depends on the count of values, so
-    the rows with equal counts are summed together, one 2-d array along its
-    last axis, which adds each row as the 1-d sum does."""
-    count = np.bincount(row, minlength=rows)
-    start = np.cumsum(count) - count
-    sums = np.zeros(rows)
-    for c in set(count.tolist()) - {0}:
-        group = np.nonzero(count == c)[0]
-        sums[group] = values[start[group, None] + np.arange(c)].sum(axis=1)
-    return sums
+    return totals[0]
 
 
 def _branch_integrands(m: float, branches: tuple, x: float) -> list:

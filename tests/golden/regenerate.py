@@ -12,8 +12,12 @@ change of its numbers; it exits 1 when a file changed.
 
 Golden files pin the byte-exact output of fixed CLI invocations (format,
 float rendering, draw order, and solver results together).  They are
-environment artifacts: if the BLAS/LAPACK build changes, inspect the diff
-and regenerate deliberately.
+environment artifacts: if the BLAS/LAPACK build or numpy's SIMD dispatch
+changes, inspect the diff and regenerate deliberately.  numpy's AVX-512
+kernels of arccos, arcsin, exp and log round differently from libm: with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", as on a CPU
+without AVX-512, density.csv and fig1_density.csv change by up to 1.1e-16
+and the other files do not.
 """
 
 import contextlib

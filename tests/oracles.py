@@ -264,25 +264,26 @@ def density_at(w: GammaWeights, t: float, quad_tol: float = 1e-8) -> float:
 
 def arcsine_branch_loop(gamma1: float, gamma2: float, x: float, quad_tol: float) -> float:
     """The p = 2 oracle density at one x, each branch in a `_bisect` pass
-    of its own and its accepted panels summed with ndarray.sum depth by
-    depth: the summation order that `arcsine_mixture_density` must keep
-    for every point of an array."""
+    of its own, one row whose accepted panels `_bisect` adds in the order
+    they were accepted, and the branches added in order: the summation
+    order that `arcsine_mixture_density` must keep for every point of an
+    array."""
     total = 0.0
     for params, edges in spectral._branch_integrands(
         *spectral._arcsine_branches(gamma1, gamma2), x
     ):
         edges = np.array(edges)
         a, b = edges[:-1], edges[1:]
-        found, stuck = spectral._bisect(
+        totals, stuck = spectral._bisect(
             lambda row, a, b, end: spectral._theta_panels(
                 partial(spectral._arcsine_integrand, *params), a, b
             ),
             np.zeros(len(a), dtype=int), a, b, b, quad_tol / 2.0 * ((b - a) / edges[-1]),
-            spectral._MAX_BISECTIONS,
+            spectral._MAX_BISECTIONS, 1,
         )
         if stuck:
             raise NumericalError(f"x = {x!r} is stuck at quad_tol {quad_tol!r}")
-        total += float(sum(high[0].sum() for _, high, _ in found))
+        total += float(totals[0, 0])
     return total
 
 

@@ -391,6 +391,22 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:")
 
+    def test_p2_oracle_bytes_do_not_follow_simd_dispatch(self, tmp_path):
+        # numpy's AVX-512 kernels of arctan2, arccos, arcsin, exp and log
+        # round differently from libm; with them switched off, as on a CPU
+        # without AVX-512, the p = 2 oracle table must keep its golden bytes
+        # (numpy ignores feature names it does not know)
+        env = child_env()
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR AVX512F AVX512_SKX"
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockspec.cli",
+             "oracle", "--p", "2", "--gamma", "2,8", "--grid", "120", "--out", "oracle.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("oracle.csv", "oracle.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
 
 IMPORT_CHECK = """
 import sys

@@ -463,7 +463,8 @@ class TestBisect:
     its width squared, so every bisection quarters it."""
 
     @staticmethod
-    def run(share, max_depth=8, a=(0.0, 1.0), b=(1.0, 3.0), end=(2.0, 3.0), scale=1.0):
+    def run(share, max_depth=8, a=(0.0, 1.0), b=(1.0, 3.0), end=(2.0, 3.0), scale=1.0,
+            row=(0, 1), rows=2):
         calls = []
 
         def integrate(row, a, b, end):
@@ -471,20 +472,20 @@ class TestBisect:
             return scale * (b - a)[None], (b - a) ** 2
 
         a, b, end = (np.array(x) for x in (a, b, end))
-        found, stuck = spectral._bisect(
-            integrate, np.arange(len(a)), a, b, end, np.array(share), max_depth
+        totals, stuck = spectral._bisect(
+            integrate, np.array(row), a, b, end, np.array(share), max_depth, rows
         )
-        return found, stuck, calls
+        return totals, stuck, calls
 
     def test_accepted_estimates_meet_the_total_share(self):
         share = [0.01, 0.05]
-        found, stuck, _ = self.run(share)
+        totals, stuck, _ = self.run(share)
         assert stuck is None
-        row, values, err = (np.concatenate(x, axis=-1) for x in zip(*found))
-        assert np.all(np.bincount(row, weights=err) <= share)
+        values, err = totals
+        assert np.all(err <= share)
         assert err.sum() <= sum(share)
         # the accepted panels tile each row's range exactly once
-        np.testing.assert_allclose(np.bincount(row, weights=values[0]), [1.0, 2.0])
+        np.testing.assert_allclose(values, [1.0, 2.0])
 
     def test_halves_keep_row_and_end(self):
         _, _, calls = self.run([0.5, 10.0])
@@ -495,11 +496,19 @@ class TestBisect:
         assert end.tolist() == [0.5, 2.0]
 
     def test_zero_share_is_stuck_at_depth_zero(self):
-        found, stuck, calls = self.run([1.0, 0.0])
+        totals, stuck, calls = self.run([1.0, 0.0])
         depth, (row, lo, hi, share, err), pending = stuck
         assert (depth, row, lo, hi, share, err) == (0, 1, 1.0, 3.0, 0.0, 4.0)
         assert pending.tolist() == [4.0] and len(calls) == 1
-        assert [part[0].tolist() for part in found] == [[0]]
+        # only row 0's panel [0, 1] was accepted
+        assert totals.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+    def test_row_without_panels_gets_exact_zeros(self):
+        # rows 0, 2 and 4 have no panel: totals still has a column for each
+        totals, stuck, _ = self.run([0.5, 0.5], row=(1, 3), rows=5)
+        assert stuck is None and totals.shape == (2, 5)
+        assert totals[0].tolist() == [0.0, 1.0, 0.0, 2.0, 0.0]
+        assert totals[1, [0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("max_depth", [0, 3, 8])
     def test_max_depth_is_honoured(self, max_depth):
