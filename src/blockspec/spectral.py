@@ -518,9 +518,13 @@ def arcsine_mixture_density(gamma1: float, gamma2: float, x, quad_tol: float = 1
     with shares in proportion to panel width.  Each branch's error estimate
     must meet the share quad_tol / 2, or NumericalError is raised.
 
-    The (point, branch) pairs are the rows of one `_bisect` pass
-    (`_branch_totals`), and each point's value is bit for bit its value
-    as a point on its own.  A number x gives a float, an array an array.
+    The (point, branch) pairs are the rows of one `_bisect` pass, which
+    adds each row's accepted panels in the order they were accepted, the
+    order of a pass of that row alone: each point's value is bit for bit
+    its value as a point on its own.  The rows do not interact, so when one
+    is stuck each row reruns alone, in order, and the first stuck one
+    raises: the error of a loop over the points, and their branches, in
+    order.  A number x gives a float, an array an array.
     """
     GammaWeights((gamma1, gamma2))
     if not gamma1 < gamma2:
@@ -537,50 +541,46 @@ def arcsine_mixture_density(gamma1: float, gamma2: float, x, quad_tol: float = 1
         _require_finite_x(value)
     _require_quad_tol(quad_tol)
     m, branches = _arcsine_branches(gamma1, gamma2)
-    rows = [(i, value, *branch) for i, value in enumerate(xs)
-            for branch in _branch_integrands(m, branches, value)]
-    owner = np.array([row[0] for row in rows], dtype=np.intp)
-    density = np.bincount(owner, weights=_branch_totals(rows, quad_tol), minlength=len(xs))
-    return float(density[0]) if points.ndim == 0 else density
-
-
-def _branch_totals(rows: list, quad_tol: float) -> np.ndarray:
-    """The integral of each row (point index, x, params, edges) of
-    `arcsine_mixture_density`, its branch's (params, edges) from
-    `_branch_integrands`, all rows in one `_bisect` pass.
-
-    `_bisect` adds each row's accepted panels in the order they were
-    accepted, which is the order of a pass of that row alone, so each total
-    equals the one-row total bit for bit.  The rows do not interact, so when
-    one is stuck, each row is run alone in list order and the first stuck one
-    raises: the error of a loop over the points, and their branches, in order.
-    """
     share = quad_tol / 2.0
-    params = np.array([row[2] for row in rows], dtype=float).reshape(-1, 6).T
-    edges = [row[3] for row in rows]
-    row = np.repeat(np.arange(len(rows)), [len(e) - 1 for e in edges])
-    a = np.array([lo for e in edges for lo in e[:-1]])
-    b = np.array([hi for e in edges for hi in e[1:]])
-    last = np.array([e[-1] for e in edges])
-    totals, stuck = _bisect(
-        lambda row, a, b, end: _theta_panels(
-            partial(_arcsine_integrand, *params[:, row, None]), a, b
-        ),
-        row, a, b, b, share * ((b - a) / last[row]), _MAX_BISECTIONS, len(rows),
-    )
-    if stuck and len(rows) > 1:
-        for i in range(len(rows)):
-            _branch_totals(rows[i:i + 1], quad_tol)
+    # each row's point, params and theta_end, and the row and [a, b] of each
+    # panel that `_bisect` starts from
+    owner, params, last, row, a, b = [], [], [], [], [], []
+    for i, value in enumerate(xs):
+        for branch, edges in _branch_integrands(m, branches, value):
+            row += [len(owner)] * (len(edges) - 1)
+            a += edges[:-1]
+            b += edges[1:]
+            owner.append(i)
+            params.append(branch)
+            last.append(edges[-1])
+    params = np.array(params, dtype=float).reshape(-1, 6).T
+    row = np.array(row, dtype=np.intp)
+    a, b, last = np.array(a), np.array(b), np.array(last)
+    shares = share * ((b - a) / last[row])
+
+    def integrate(row, a, b, end):
+        return _theta_panels(partial(_arcsine_integrand, *params[:, row, None]), a, b)
+
+    totals, stuck = _bisect(integrate, row, a, b, b, shares, _MAX_BISECTIONS, len(owner))
+    if stuck and len(owner) > 1:
+        for r in range(len(owner)):
+            alone = row == r
+            rerun = _bisect(integrate, *(v[alone] for v in (row, a, b, b, shares)),
+                            _MAX_BISECTIONS, len(owner))
+            if rerun[1]:
+                totals, stuck = rerun
+                break
     if stuck:
-        depth, (_, lo, hi, part, est), pending = stuck
+        depth, (r, lo, hi, part, est), pending = stuck
         err = totals[-1].sum() + pending.sum()
         raise NumericalError(
-            f"arcsine mixture quadrature at x = {float(rows[0][1])!r}: error estimate "
+            f"arcsine mixture quadrature at x = {xs[owner[r]]!r}: error estimate "
             f"{float(err):.3e} against its share {share:.3e} of quad_tol "
             f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
             f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
         )
-    return totals[0]
+    density = np.bincount(np.array(owner, dtype=np.intp), weights=totals[0], minlength=len(xs))
+    return float(density[0]) if points.ndim == 0 else density
 
 
 def _branch_integrands(m: float, branches: tuple, x: float) -> list:
@@ -718,7 +718,7 @@ def oracle_density(w: GammaWeights, grid_size: int, quad_tol: float) -> Spectral
     return SpectralDensity(w, grid, density, cdf, quad_tol)
 
 
-def density_grid(w: GammaWeights, grid_size: int, quad_tol: float = 1e-8) -> SpectralDensity:
+def density_grid(w: GammaWeights, grid_size: int, quad_tol: float) -> SpectralDensity:
     """Tabulate the limit density and its CDF on grid_size + 1 points
     spanning [-M*, M*], batched over the grid in the quadrature kernel."""
     a0, b0, s0 = check_density_args(w, grid_size, quad_tol)

@@ -8,7 +8,8 @@ Run from the repository root:
 (plain `python tests/golden/regenerate.py` once the package is installed).
 `--check` writes the outputs to a temporary directory instead and prints,
 for each golden file, "unchanged" or the largest absolute and relative
-change of its numbers; it exits 1 when a file changed.
+change of its numbers and the first line that differs, old -> new (for a
+table, its t is the line's first field); it exits 1 when a file changed.
 
 Golden files pin the byte-exact output of fixed CLI invocations (format,
 float rendering, draw order, and solver results together).  They are
@@ -72,20 +73,31 @@ def numbers(path: Path) -> list[float]:
     return list(walk(json.loads(path.read_text())))
 
 
+def first_difference(old: Path, new: Path) -> str:
+    """The first line at which the texts of `old` and `new` differ, both
+    versions, or "(end)" for the file that ends before it."""
+    a, b = old.read_text().splitlines(), new.read_text().splitlines()
+    i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+    before, after = (lines[i] if i < len(lines) else "(end)" for lines in (a, b))
+    return f"line {i + 1}: {before} -> {after}"
+
+
 def describe_change(old: Path, new: Path) -> str:
-    """"unchanged", or how the numbers of `new` differ from those of `old`."""
+    """"unchanged", or how the numbers of `new` differ from those of `old`,
+    and on a second line the first line at which the files differ."""
     if old.read_bytes() == new.read_bytes():
         return "unchanged"
+    first = f"\n  first change at {first_difference(old, new)}"
     a, b = numbers(old), numbers(new)
     if len(a) != len(b):
-        return f"changed: {len(a)} numbers -> {len(b)}"
+        return f"changed: {len(a)} numbers -> {len(b)}{first}"
     absolute = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
     relative = max(
         (abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0
     )
     return (
         f"changed: {len(a)} numbers, max abs change {absolute:.3g}, "
-        f"max rel change {relative:.3g}"
+        f"max rel change {relative:.3g}{first}"
     )
 
 

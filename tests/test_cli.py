@@ -967,7 +967,7 @@ class TestDeterminism:
             # an unsorted list: solves run largest first, rows keep list order
             (["gap", "--n-list", "1200,300,600", "--p", "2", "--gamma", "2,8",
               "--trials", "3", "--seed", "6"], "gap.json"),
-            # n = 5000: six order statistics bisected in one pool round
+            # n = 5000: only the minimum and the maximum bisected, in the second pool round
             (["figure", "--name", "fig1", "--grid", "100"], "fig1_hist.csv"),
         ],
     )

@@ -547,7 +547,7 @@ class TestDensityGrid:
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValidationError):
-            density_grid(M1, 99)
+            density_grid(M1, 99, 1e-8)
 
     def test_limit_law_is_checked_once_per_table(self, monkeypatch):
         # the grid and the kernel share one (A0, B0, S0) and one quad_tol
