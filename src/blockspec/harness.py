@@ -11,9 +11,14 @@ solve, and for `compare` also the limit density table.  `figure` makes two
 rounds: the density table beside the sampled band reduction
 (`scaled_tridiagonal`), then the minimum and the maximum of the histogram
 (`spectrum_histogram`), which brackets its quartiles and fills its bins by
-counting eigenvalues instead of computing them all.  The tasks run on
-threads, and the LAPACK calls that dominate them release the GIL (see
-`linalg`).  Statistics are computed from the assembled results afterwards.
+counting eigenvalues instead of computing them all.  Every sampled solve
+and reduction first narrows G from bandwidth 2p - 1 to p
+(`linalg.narrow_band`, a few ms at n = 5000), which took the LAPACK band
+reduction of the figure matrices from 132-263 to 71-151 ms of CPU; the
+spectra are those of the narrowed band, within rounding of G's.  The tasks run on threads, and the
+LAPACK calls that dominate them release the GIL (see `linalg`); the
+narrowing's Python walk over the blocks holds it.  Statistics are
+computed from the assembled results afterwards.
 Theorem-style gap quantities are unscaled; weak-convergence quantities
 divide by sqrt(n): a spectrum through `EmpiricalSpectrum.to_scaled`, while
 `scaled_tridiagonal` divides T itself.  Every spectrum carries a `scaled`
@@ -32,7 +37,14 @@ import numpy as np
 
 from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G, check_size
 from .errors import ValidationError
-from .linalg import Tridiagonal, bisect_eigvals, eigh_banded, sturm_counts, tridiagonal_form
+from .linalg import (
+    SturmCounter,
+    Tridiagonal,
+    bisect_eigvals,
+    eigh_banded,
+    narrow_band,
+    tridiagonal_form,
+)
 from .matrixpoly import recurrence_coeffs, roots
 from .spectral import SpectralDensity
 
@@ -154,8 +166,9 @@ def check_trials(trials: int) -> None:
 
 
 def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpectrum:
-    """Sorted, unscaled eigenvalues of the matrix G sampled from seed."""
-    return EmpiricalSpectrum(w, seed, False, eigh_banded(build_G(n, w, seed)))
+    """Sorted, unscaled eigenvalues of the matrix G sampled from seed: those
+    of its band narrowed to bandwidth p (`linalg.narrow_band`)."""
+    return EmpiricalSpectrum(w, seed, False, eigh_banded(narrow_band(build_G(n, w, seed), w.p)))
 
 
 def _percentile_ranks(size: int, q: float) -> tuple[list[int], float]:
@@ -286,8 +299,9 @@ def fd_histogram(
 
 def scaled_tridiagonal(n: int, w: GammaWeights, seed: RngSeed) -> Tridiagonal:
     """T / sqrt(n), for the tridiagonal form T of the matrix G sampled from
-    seed (`tridiagonal_form`, whose gate checks the reduction)."""
-    t = tridiagonal_form(build_G(n, w, seed))
+    seed: `tridiagonal_form` of its band narrowed to bandwidth p
+    (`linalg.narrow_band`), each step checked by its own gate."""
+    t = tridiagonal_form(narrow_band(build_G(n, w, seed), w.p))
     scale = math.sqrt(n)
     return Tridiagonal(t.d / scale, t.e / scale)
 
@@ -298,7 +312,8 @@ def spectrum_histogram(t: Tridiagonal) -> Histogram:
 
     The minimum and the maximum are bisected (dstebz), one `map_trials`
     task each; the quartile brackets of `fd_histogram` and every interior
-    bin edge are Sturm counts (dlaebz), and the quartiles are bisected
+    bin edge are Sturm counts (dlaebz) on one `SturmCounter`, whose form
+    is prepared once for all of them, and the quartiles are bisected
     only when the brackets cannot certify the bin count.  The result is bit
     for bit the one of bisecting the quartiles as well: dstebz runs the
     same Sturm count (same recurrence, pivmin and power-of-two scaling) and
@@ -318,7 +333,7 @@ def spectrum_histogram(t: Tridiagonal) -> Histogram:
         tasks = [partial(bisect_eigvals, t, k + 1, k + 1) for k in ranks]
         return [float(value[0]) for value in map_trials(tasks)]
 
-    return fd_histogram(len(t.d), order_stats, partial(sturm_counts, t))
+    return fd_histogram(len(t.d), order_stats, SturmCounter(t))
 
 
 def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> float:

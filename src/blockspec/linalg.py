@@ -1,6 +1,7 @@
-"""Real symmetric linear algebra: the banded eigensolver, the reduction of a
-band to tridiagonal form with bisection and Sturm counts on the result, the
-SPD inverse square root, and the numerical singularity test for stacks of
+"""Real symmetric linear algebra: the banded eigensolver, the narrowing of a
+p-block tridiagonal band to bandwidth p, the reduction of a band to
+tridiagonal form with bisection and Sturm counts on the result, the SPD
+inverse square root, and the numerical singularity test for stacks of
 small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
@@ -19,9 +20,13 @@ ones in the LAPACK that numpy.linalg's _umath_linalg extension links
 against: the extension is opened once with ctypes.CDLL by its file, and the
 symbol lookup also searches the libraries it depends on, so nothing new is
 loaded, scipy included.  A full spectrum is dsbtrd, the reduction gate,
-then dsterf, the two steps of dsbevd for eigenvalues only, so it is
-bit-identical to scipy.linalg.eigvals_banded wherever dsbevd would not
-rescale the band.
+then dsterf, the two steps of dsbevd for eigenvalues only, so for the band
+it is given it is bit-identical to scipy.linalg.eigvals_banded wherever
+dsbevd would not rescale the band.  The matrices of blockspec couple only
+adjacent p-blocks, and their callers first narrow them to bandwidth p
+(`narrow_band`, O(dim p^2) in numpy and Python floats, no LAPACK call), so
+their spectra are those of the narrowed band: within rounding of the
+given band's, and cheaper, since dsbtrd costs O(dim^2 bandwidth).
 
 The call convention, bound once per routine by `_routine`: the symbols are
 the raw Fortran ones, so every argument is passed by reference.  Arrays are
@@ -89,10 +94,10 @@ def _scale_down(matrix: str, *arrays: np.ndarray) -> tuple[list[np.ndarray], int
 
 
 def _scale_up(values: list[np.ndarray], k: int, stage: str) -> list[np.ndarray]:
-    """`values` times 2^k; ConvergenceError "<stage> when scaled by 2^k" if
-    one leaves the float range."""
+    """`values` times 2^k, in place; ConvergenceError "<stage> when scaled
+    by 2^k" if one leaves the float range."""
     with np.errstate(over="ignore"):  # an overflow raises below
-        values = [np.ldexp(v, k) for v in values]
+        values = [np.ldexp(v, k, out=v) for v in values]
     if not all(np.isfinite(v).all() for v in values):
         raise ConvergenceError(f"{stage} when scaled by 2^{k}")
     return values
@@ -231,8 +236,7 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
         )
     (ab,), scale = _scale_down("banded matrix", m.ab)  # a copy, overwritten by dsbtrd
     n, kd = m.dim, m.bandwidth
-    trace = float(ab[kd].sum())
-    frob_sq = float(np.sum(ab[kd] ** 2) + 2.0 * np.sum(ab[:kd] ** 2))
+    before = _band_invariants(ab)
     d = np.empty(n)
     e = np.empty(max(n - 1, 1))
     info = _INT(0)
@@ -242,21 +246,174 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     )
     _info("dsbtrd", info)
     e = e[: n - 1]
-    tol = 4 * n * np.finfo(float).eps * math.sqrt(frob_sq)
-    trace_residual = abs(float(d.sum()) - trace)
-    frob_residual = abs(float(d @ d + 2.0 * (e @ e)) - frob_sq)
+    after = float(d.sum()), float(d @ d + 2.0 * (e @ e))
+    _similarity_gate("band reduction (dsbtrd)", n, before, after)
+    return Tridiagonal(*_scale_up([d, e], scale, "band reduction (dsbtrd): T overflows"))
+
+
+def _band_invariants(ab: np.ndarray) -> tuple[float, float]:
+    """(tr M, ||M||_F^2) of the symmetric band M stored in ab."""
+    kd = ab.shape[0] - 1
+    return float(ab[kd].sum()), float(np.sum(ab[kd] ** 2) + 2.0 * np.sum(ab[:kd] ** 2))
+
+
+def _similarity_gate(
+    stage: str, dim: int, before: tuple[float, float], after: tuple[float, float]
+) -> None:
+    """Check that T, with invariants `after` = (tr T, ||T||_F^2), can be an
+    orthogonal similarity of the dim x dim matrix M with invariants
+    `before`: |tr T - tr M| <= 4 dim eps ||M||_F and
+    |(||T||_F^2 - ||M||_F^2)| <= 4 dim eps ||M||_F^2, with eps = 2^-52.
+    A breach raises ConvergenceError naming the `stage`."""
+    (trace, frob_sq), (new_trace, new_frob_sq) = before, after
+    tol = 4 * dim * np.finfo(float).eps * math.sqrt(frob_sq)
+    trace_residual = abs(new_trace - trace)
+    frob_residual = abs(new_frob_sq - frob_sq)
     # written so that a NaN residual fails too
     if not trace_residual <= tol:
         raise ConvergenceError(
-            f"band reduction (dsbtrd): |tr T - tr M| = {trace_residual:.3e} "
+            f"{stage}: |tr T - tr M| = {trace_residual:.3e} "
             f"exceeds 4 * dim * eps * ||M||_F = {tol:.3e}"
         )
     if not frob_residual <= tol * math.sqrt(frob_sq):
         raise ConvergenceError(
-            f"band reduction (dsbtrd): | ||T||_F^2 - ||M||_F^2 | = {frob_residual:.3e} "
+            f"{stage}: | ||T||_F^2 - ||M||_F^2 | = {frob_residual:.3e} "
             f"exceeds 4 * dim * eps * ||M||_F^2 = {tol * math.sqrt(frob_sq):.3e}"
         )
-    return Tridiagonal(*_scale_up([d, e], scale, "band reduction (dsbtrd): T overflows"))
+
+
+def narrow_band(m: SymmetricBanded, p: int) -> SymmetricBanded:
+    """A band of bandwidth p orthogonally similar to the p-block tridiagonal
+    band m, so with the eigenvalues of m.
+
+    m couples only adjacent p-blocks (p divides dim, bandwidth <= 2p - 1, and
+    every entry two or more blocks off the diagonal is 0), so it has
+    diagonal blocks D_0..D_{k-1} and coupling blocks C_0..C_{k-2}, k =
+    dim / p.  The block-diagonal similarity Q = diag(Q_0, .., Q_{k-1}), Q_0
+    = I, keeps that shape, and each Q_{b+1} is chosen so that the coupling
+    block Q_b^T C_b Q_{b+1} is lower triangular, which puts every entry
+    within p of the diagonal.  Q_{b+1} is p(p - 1) / 2 Givens rotations,
+    found by a walk over the blocks (`_narrowing_rotations`); the rotated
+    blocks Q_b^T D_b Q_b and Q_b^T C_b Q_{b+1} are then formed in batched
+    numpy, and the entries above the triangle, rounding-level by
+    construction, are dropped.  This is the first sweep of successive band
+    reduction (Bischof, Lang and Sun 2000) without a bulge to chase: it
+    costs O(dim p^2), a few ms at dim = 5000, and it narrows the band that
+    dsbtrd reduces in O(dim^2 bandwidth) from 2p - 1 to p.
+
+    Each rotation is backward stable, so the eigenvalues of the result are
+    those of M + E with ||E||_2 of order p^2 eps ||M||_2.  The similarity
+    is checked as the reduction is (`tridiagonal_form`): |tr T - tr M| <=
+    4 dim eps ||M||_F and |(||T||_F^2 - ||M||_F^2)| <= 4 dim eps ||M||_F^2
+    for the narrowed band T, or ConvergenceError names the stage "band
+    narrowing".  A band outside the safe range is narrowed and checked as
+    2^-k M and scaled back by 2^k (the module's safe-range scaling).  A band
+    of bandwidth <= p, such as any band with p = 1, is returned as it is.
+    """
+    if p < 1 or m.dim % p:
+        raise ValidationError(f"block size p must be a positive divisor of dim {m.dim}, got {p}")
+    u = m.bandwidth
+    if u <= p:
+        return m
+    if u > 2 * p - 1:
+        raise ValidationError(
+            f"bandwidth {u} exceeds 2p - 1 = {2 * p - 1}: not p-block tridiagonal"
+        )
+    (ab,), scale = _scale_down("banded matrix", m.ab)
+    # an entry at offset p + j, j = 1..p-1, in one of the first j columns of
+    # a block lies two blocks off the diagonal
+    if any(ab[u - p - j, i::p].any() for j in range(1, u - p + 1) for i in range(j)):
+        raise ValidationError(f"band is not {p}-block tridiagonal: it couples blocks two apart")
+    blocks = m.dim // p
+    diag = np.empty((blocks, p, p))
+    coupling = np.zeros((blocks - 1, p, p))
+    for i in range(p):
+        for j in range(p):
+            # entry (b p + i, b p + j) of D_b, and (b p + i, (b + 1) p + j)
+            # of C_b, which is 0 beyond the bandwidth u
+            diag[:, i, j] = ab[u - abs(i - j), max(i, j)::p]
+            if p + j - i <= u:
+                coupling[:, i, j] = ab[u - p - j + i, p + j::p]
+    before = _band_invariants(ab)
+    del ab  # the scaled copy of m is not kept while the narrowed band is built
+    cos, sin = _narrowing_rotations(coupling)
+    pairs = list(enumerate(_rotation_pairs(p)))
+    # Q_{b+1}^T on the rows of D_{b+1} and C_{b+1}, then Q_{b+1} on the
+    # columns of D_{b+1} and C_b, each one rotation at a time in the walk's
+    # order, which is how the walk rotates C_b
+    for x, rot in ((diag[1:], slice(None)), (coupling[1:], slice(-1))):
+        for k, (i, j) in pairs:
+            c, s = cos[rot, k, None], sin[rot, k, None]
+            x[:, i], x[:, j] = c * x[:, i] + s * x[:, j], c * x[:, j] - s * x[:, i]
+    for x in (diag[1:], coupling):
+        for k, (i, j) in pairs:
+            c, s = cos[:, k, None], sin[:, k, None]
+            x[..., i], x[..., j] = c * x[..., i] + s * x[..., j], c * x[..., j] - s * x[..., i]
+    narrowed = np.zeros((p + 1, m.dim), order="F")
+    for i in range(p):
+        for j in range(i, p):
+            narrowed[p + i - j, j::p] = diag[:, i, j]
+            narrowed[j - i, p + i::p] = coupling[:, j, i]
+    _similarity_gate("band narrowing", m.dim, before, _band_invariants(narrowed))
+    (narrowed,) = _scale_up([narrowed], scale, "band narrowing: the narrowed band overflows")
+    return SymmetricBanded(narrowed)
+
+
+def _rotation_pairs(p: int) -> list[tuple[int, int]]:
+    """The column pairs (i, j) of the rotations that make a p x p block
+    lower triangular, in order: row i's entries right of the diagonal are
+    zeroed against its diagonal entry, for i = 0..p-2."""
+    return [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
+
+
+def _narrowing_rotations(coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin), each of shape (k - 1, p (p - 1) / 2): the Givens rotations
+    that make Q_{b+1}, for the stack (k - 1, p, p) of coupling blocks C_b of
+    `narrow_band`.
+
+    The walk keeps X = Q_b^T C_b, starting from X = C_0.  For each pair (i,
+    j) of `_rotation_pairs` it zeroes X[i, j] against X[i, i] by rotating
+    columns i and j, col_i <- c col_i + s col_j and col_j <- c col_j - s
+    col_i, with c = X[i, i] / r, s = X[i, j] / r, r = hypot(X[i, i], X[i,
+    j]); an entry that is already 0 is skipped (c = 1, s = 0, which also
+    covers r = 0).  The rows of C_{b+1} are then rotated the same way, in
+    the same order, to give the next X.  The walk is sequential, so it runs
+    in Python floats read through a memoryview: no per-block numpy call.
+    """
+    steps, p = coupling.shape[0], coupling.shape[1]
+    pairs = _rotation_pairs(p)
+    cos, sin = np.ones((steps, len(pairs))), np.zeros((steps, len(pairs)))
+    blocks, cos_out, sin_out = (memoryview(a.reshape(-1)) for a in (coupling, cos, sin))
+    # flat indices into a row-major p x p block: X[i, i] and X[i, j], the
+    # (X[r, i], X[r, j]) below row i, and the (X[i, l], X[j, l]) of rows i, j
+    pivots = [(i * p + i, i * p + j) for i, j in pairs]
+    below = [[(r * p + i, r * p + j) for r in range(i + 1, p)] for i, j in pairs]
+    across = [[(i * p + l, j * p + l) for l in range(p)] for i, j in pairs]
+    hypot, size, turns = math.hypot, p * p, len(pairs)
+    x = blocks[:size].tolist()
+    for b in range(steps):
+        taken = []
+        for k in range(turns):
+            ii, ij = pivots[k]
+            z = x[ij]
+            if z == 0.0:
+                continue
+            a = x[ii]
+            r = hypot(a, z)
+            c, s = a / r, z / r
+            x[ii], x[ij] = r, 0.0
+            for u, v in below[k]:
+                xu, xv = x[u], x[v]
+                x[u], x[v] = c * xu + s * xv, c * xv - s * xu
+            cos_out[b * turns + k], sin_out[b * turns + k] = c, s
+            taken.append((k, c, s))
+        if b + 1 < steps:
+            x = blocks[(b + 1) * size:(b + 2) * size].tolist()
+            for k, c, s in taken:
+                for u, v in across[k]:
+                    xu, xv = x[u], x[v]
+                    x[u], x[v] = c * xu + s * xv, c * xv - s * xu
+    return cos, sin
 
 
 def _lapack_tridiagonal(t: Tridiagonal) -> tuple[list[np.ndarray], int]:
@@ -306,8 +463,9 @@ def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
     return values
 
 
-def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
-    """For each x, the number of eigenvalues of t at or below x.
+class SturmCounter:
+    """For each x, the number of eigenvalues of the tridiagonal t at or
+    below x: counter = SturmCounter(t), then counter(x).
 
     By Sylvester's law of inertia this is the number of nonpositive pivots
     of the LDL^T factorization of T - x I.  One LAPACK dlaebz call
@@ -317,31 +475,40 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     exactly 0 cannot break the count.  Counts do not change when T and x
     are both scaled by 2^-k, so a t outside the safe range is counted as
     2^-k t at 2^-k x.  x must be 1-d without NaN; +-inf count as 0 and dim.
+
+    The form dlaebz reads (t checked, e padded, both scaled, e^2 and
+    pivmin) is prepared once, on construction, so a caller that counts at
+    several sets of points, as `harness.spectrum_histogram` does, pays for
+    it once.
     """
-    (d, e), scale = _lapack_tridiagonal(t)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"Sturm count points must be 1-d, got shape {x.shape}")
-    if np.isnan(x).any():
-        raise ValidationError("Sturm count points must not be NaN")
-    if len(x) == 0:
-        return np.zeros(0, dtype=np.intp)
-    # dlaebz counts at both ends of each interval: consecutive points make
-    # one interval, and an odd count is padded with x[0]
-    intervals = (len(x) + 1) // 2
-    with np.errstate(over="ignore"):  # a point beyond the float range counts as +-inf
-        ab = np.asfortranarray(np.ldexp(np.resize(x, (intervals, 2)), -scale))
-    nab = np.empty(ab.shape, dtype=_INT, order="F")
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))
-    info = _INT(0)
-    _DLAEBZ(
-        _INT(1), _INT(0), _INT(len(d)), _INT(intervals), _INT(intervals), _INT(0),
-        _DOUBLE(0.0), _DOUBLE(0.0), _DOUBLE(pivmin), d, e, e2,
-        None, ab, None, _INT(0), nab, None, None, info,
-    )
-    _info("dlaebz", info)
-    return nab.reshape(-1)[: len(x)].astype(np.intp)
+
+    def __init__(self, t: Tridiagonal):
+        (self._d, self._e), self._scale = _lapack_tridiagonal(t)
+        self._e2 = self._e * self._e
+        self._pivmin = np.finfo(float).tiny * max(1.0, float(self._e2.max()))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValidationError(f"Sturm count points must be 1-d, got shape {x.shape}")
+        if np.isnan(x).any():
+            raise ValidationError("Sturm count points must not be NaN")
+        if len(x) == 0:
+            return np.zeros(0, dtype=np.intp)
+        # dlaebz counts at both ends of each interval: consecutive points make
+        # one interval, and an odd count is padded with x[0]
+        intervals = (len(x) + 1) // 2
+        with np.errstate(over="ignore"):  # a point beyond the float range counts as +-inf
+            ab = np.asfortranarray(np.ldexp(np.resize(x, (intervals, 2)), -self._scale))
+        nab = np.empty(ab.shape, dtype=_INT, order="F")
+        info = _INT(0)
+        _DLAEBZ(
+            _INT(1), _INT(0), _INT(len(self._d)), _INT(intervals), _INT(intervals), _INT(0),
+            _DOUBLE(0.0), _DOUBLE(0.0), _DOUBLE(self._pivmin), self._d, self._e, self._e2,
+            None, ab, None, _INT(0), nab, None, None, info,
+        )
+        _info("dlaebz", info)
+        return nab.reshape(-1)[: len(x)].astype(np.intp)
 
 
 def spd_inv_sqrt(m: np.ndarray, name: str = "matrix") -> np.ndarray:

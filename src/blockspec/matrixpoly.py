@@ -10,7 +10,11 @@ holds A_1..A_m and B_0..B_{m-1} as (m, p, p) stacks of symmetric blocks;
 m and p are read from the shape of A.  Roots of det R_m are never found
 by polynomial root-finding: they are the eigenvalues of the block Jacobi
 matrix built from the coefficients (F-tilde, cospectral with the
-deterministic counterpart F of `ensemble.build_G`).  Stage i of
+deterministic counterpart F of `ensemble.build_G`), solved after its band
+is narrowed from bandwidth 2p - 1 to p (`linalg.narrow_band`, O(n p^2)):
+the roots are that band's eigenvalues, within rounding of F-tilde's own,
+and `dsbtrd`, whose cost grows with the bandwidth, reduces a band a third
+(p = 2) to two fifths (p = 3) narrower.  Stage i of
 `recurrence_coeffs(n, w)` does not depend on n, so the set for n = m p is
 the first m stages of every larger one.  `coefficient_blocks` is the one
 construction of the entry pattern, for these stages and for the limit
@@ -25,7 +29,7 @@ import numpy as np
 
 from .ensemble import GammaWeights, check_size
 from .errors import ValidationError
-from .linalg import SymmetricBanded, asymmetric_blocks, eigh_banded, singular_blocks
+from .linalg import SymmetricBanded, asymmetric_blocks, eigh_banded, narrow_band, singular_blocks
 
 
 class RecurrenceCoeffs:
@@ -103,7 +107,8 @@ def jacobi_matrix(coeffs: RecurrenceCoeffs) -> SymmetricBanded:
 def roots(coeffs: RecurrenceCoeffs) -> np.ndarray:
     """The m*p roots of det R_m, ascending, with multiplicity.
 
-    Computed as the spectrum of the block Jacobi matrix; coincident
+    Computed as the spectrum of the block Jacobi matrix, whose band is
+    first narrowed to bandwidth p (`linalg.narrow_band`); coincident
     eigenvalues realize root multiplicities with uniform weight 1/(m*p).
     """
-    return eigh_banded(jacobi_matrix(coeffs))
+    return eigh_banded(narrow_band(jacobi_matrix(coeffs), coeffs.p))

@@ -579,7 +579,9 @@ def arcsine_mixture_density(gamma1: float, gamma2: float, x, quad_tol: float = 1
             f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
             f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
         )
+    # bincount returns integers when no row is weighted at all
     density = np.bincount(np.array(owner, dtype=np.intp), weights=totals[0], minlength=len(xs))
+    density = density.astype(float, copy=False)
     return float(density[0]) if points.ndim == 0 else density
 
 

@@ -32,8 +32,9 @@ library computes in a vectorized or closed form:
   the minimum and the maximum.
 
 It also holds the test-side helpers with no caller in the library:
-`banded_from_dense`, `truncated` (the first m stages of a coefficient set)
-and the readers of the files `formats` writes.
+`banded_from_dense`, `truncated` (the first m stages of a coefficient set),
+`sturm_counts` (one `linalg.SturmCounter` call) and the readers of the
+files `formats` writes.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ from blockspec.errors import NumericalError, ValidationError
 from blockspec import spectral
 from blockspec.harness import Histogram
 from blockspec.linalg import (
+    SturmCounter,
     SymmetricBanded,
     Tridiagonal,
     bisect_eigvals,
     require_symmetric,
     spd_inv_sqrt,
-    sturm_counts,
 )
 from blockspec.matrixpoly import RecurrenceCoeffs
 from blockspec.spectral import SpectralDensity, limit_blocks
@@ -382,6 +383,12 @@ def bisected_fd_histogram(t: Tridiagonal) -> Histogram:
     edges = np.histogram_bin_edges(stand_in, bins="fd")
     below = sturm_counts(t, edges[1:-1])
     return Histogram(np.diff(np.concatenate(([0], below, [n]))), edges)
+
+
+def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
+    """For each x, the number of eigenvalues of t at or below x, counted
+    once: `SturmCounter(t)(x)`."""
+    return SturmCounter(t)(x)
 
 
 def banded_from_dense(m: np.ndarray, bandwidth: int) -> SymmetricBanded:

@@ -279,6 +279,33 @@ class TestSubcommands:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            (["sample", "--n", "12", "--p", "2", "--gamma", "2,8"], ""),
+            (["roots", "--n", "12", "--p", "3", "--gamma", "1,4,25"], ""),
+            (["figure", "--name", "fig4", "--grid", "100"], "figure fig4: "),
+        ],
+        ids=["sample", "roots", "figure"],
+    )
+    def test_narrowing_failure_exits_3(self, tmp_path, monkeypatch, capsys, argv, prefix):
+        # G and F-tilde are narrowed to bandwidth p before the reduction,
+        # and that step has a gate of its own
+        rotations = blockspec.linalg._narrowing_rotations
+
+        def perturbed(coupling):
+            cos, sin = rotations(coupling)
+            cos[0, 0] += 1e-6
+            return cos, sin
+
+        monkeypatch.setattr(blockspec.linalg, "_narrowing_rotations", perturbed)
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {prefix}band narrowing: |")
+        assert "exceeds 4 * dim * eps * ||M||_F" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_figure_p3_config(self, tmp_path, monkeypatch):
         rc = run_in(
             tmp_path, monkeypatch,

@@ -42,6 +42,7 @@ from blockspec.harness import (
     worker_count,
 )
 from blockspec.linalg import bisect_eigvals, eigh_banded
+from blockspec.matrixpoly import recurrence_coeffs, roots
 from blockspec.spectral import SpectralDensity, density_grid
 from tests.oracles import bisected_fd_histogram, build_F, build_F_tilde, levy_reference
 
@@ -270,12 +271,17 @@ class TestApproxGap:
         assert type(gap) is float
 
     def test_reference_shortcut_matches(self):
-        # the shared roots solve of gap_report equals the oracle F-tilde spectrum
-        ref = eigh_banded(build_F_tilde(60, W2))
+        # the shared roots solve of gap_report equals the standalone one
+        ref = roots(recurrence_coeffs(60, W2))
         (gaps,) = gap_report([60], W2, 3, 9)
         assert gaps.tolist() == [
             approx_gap(empirical_spectrum(60, W2, RngSeed(9, trial)), ref) for trial in range(3)
         ]
+        # roots solves the narrowed band: both solves are backward stable, so
+        # it agrees with the oracle F-tilde's spectrum within 4 n eps ||F||_2
+        oracle = eigh_banded(build_F_tilde(60, W2))
+        bound = 4 * 60 * np.finfo(float).eps * np.abs(oracle).max()
+        np.testing.assert_allclose(ref, oracle, rtol=0, atol=bound)
 
     def test_median_scaled_gap_does_not_grow(self):
         fx = FIXTURES["criterion5"]

@@ -739,8 +739,13 @@ class TestOracleDensity:
         assert type(arcsine_mixture_density(2.0, 8.0, np.float64(0.5))) is float
         values = arcsine_mixture_density(2.0, 8.0, np.array([0.5, 7.5, -0.5]))
         assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert values.dtype == np.float64
         assert values.tolist() == [arcsine_mixture_density(2.0, 8.0, x) for x in (0.5, 7.5, -0.5)]
-        assert arcsine_mixture_density(2.0, 8.0, np.array([])).shape == (0,)
+        # no point on a non-empty branch: nothing is integrated, still float64
+        for points, shape in ((np.array([7.5, -7.5]), (2,)), (np.array([]), (0,))):
+            empty = arcsine_mixture_density(2.0, 8.0, points)
+            assert empty.shape == shape and empty.dtype == np.float64
+            assert not empty.any()
         for bad in (math.nan, -math.inf):
             with pytest.raises(ValidationError, match=f"x must be finite, got {bad}"):
                 arcsine_mixture_density(2.0, 8.0, np.array([0.5, bad, 1.0]))
