@@ -341,9 +341,9 @@ def narrow_band(m: SymmetricBanded, p: int) -> SymmetricBanded:
     # Q_{b+1}^T on the rows of D_{b+1} and C_{b+1}, then Q_{b+1} on the
     # columns of D_{b+1} and C_b, each one rotation at a time in the walk's
     # order, which is how the walk rotates C_b
-    for x, rot in ((diag[1:], slice(None)), (coupling[1:], slice(-1))):
+    for x, cos_x, sin_x in ((diag[1:], cos, sin), (coupling[1:], cos[:-1], sin[:-1])):
         for k, (i, j) in pairs:
-            c, s = cos[rot, k, None], sin[rot, k, None]
+            c, s = cos_x[:, k, None], sin_x[:, k, None]
             x[:, i], x[:, j] = c * x[:, i] + s * x[:, j], c * x[:, j] - s * x[:, i]
     for x in (diag[1:], coupling):
         for k, (i, j) in pairs:
