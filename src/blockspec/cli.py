@@ -30,7 +30,7 @@ from .harness import (
     spectrum_histogram,
     tail_bound_experiment,
 )
-from .matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
+from .matrixpoly import recurrence_coeffs, roots_of
 from .spectral import check_density_args, density_grid, oracle_density
 from . import formats
 
@@ -113,11 +113,6 @@ def _write_spectrum(args: argparse.Namespace, spectrum: EmpiricalSpectrum) -> in
     )
 
 
-def _roots_spectrum(coeffs: RecurrenceCoeffs, w: GammaWeights) -> EmpiricalSpectrum:
-    """The deterministic roots as an unscaled spectrum with no seed."""
-    return EmpiricalSpectrum(w, None, False, roots(coeffs))
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
     return _write_spectrum(args, empirical_spectrum(args.n, w, RngSeed(args.seed, args.stream)))
@@ -125,7 +120,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    return _write_spectrum(args, _roots_spectrum(recurrence_coeffs(args.n, w), w))
+    return _write_spectrum(args, EmpiricalSpectrum(w, None, False, roots_of(args.n, w)))
 
 
 def cmd_density(args: argparse.Namespace) -> int:
@@ -148,22 +143,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     check_size(args.n, w)
     check_trials(args.trials)
     check_density_args(w, args.grid, args.quad_tol)
-    coeffs = recurrence_coeffs(args.n, w)
+    recurrence_coeffs(args.n, w)  # its A_i checks, before any solve
     seeds = [RngSeed(args.seed, trial) for trial in range(args.trials)]
     tasks = [
         partial(density_grid, w, args.grid, args.quad_tol),
-        partial(_roots_spectrum, coeffs, w),
+        partial(roots_of, args.n, w),
         *(partial(empirical_spectrum, args.n, w, seed) for seed in seeds),
     ]
     density, roots_raw, *spectra = map_trials(tasks)
-    roots_scaled = roots_raw.to_scaled().values
+    roots_scaled = roots_raw / math.sqrt(args.n)
 
     def trial_row(trial: int, raw: EmpiricalSpectrum) -> dict:
         scaled = raw.to_scaled()
         levy = levy_cubed_bound(scaled, roots_scaled)
         return {
             "trial": trial,
-            "max_gap": approx_gap(raw, roots_raw.values),
+            "max_gap": approx_gap(raw, roots_raw),
             "ks": ks_distance(scaled, density),
             "levy_lhs_l3": levy.lhs_l3,
             "levy_rhs_mean_sq": levy.rhs_mean_sq,

@@ -7,8 +7,12 @@ Trial i always draws from seed (master, i), so runs are reproducible and
 trials can execute concurrently without sharing state.  A command hands its
 independent work to `map_trials` as lists of tasks.  `compare` and `gap`
 make one call: each deterministic roots solve and each trial's sampled
-solve, and for `compare` also the limit density table.  `figure` makes two
-rounds: the density table beside the sampled band reduction
+solve, and for `compare` also the limit density table.  The roots come from
+`matrixpoly.roots_of`, solved once per (n, w) per process, so a repeated
+`compare` or `gap` in one process (each iteration of the benchmark's
+`sweep` workload after its first) makes only its sampled solves; one
+command per process, as the console script runs, gains nothing.  `figure`
+makes two rounds: the density table beside the sampled band reduction
 (`scaled_tridiagonal`), then the minimum and the maximum of the histogram
 (`spectrum_histogram`), which brackets its quartiles and fills its bins by
 counting eigenvalues instead of computing them all.  Every sampled solve
@@ -45,7 +49,7 @@ from .linalg import (
     narrow_band,
     tridiagonal_form,
 )
-from .matrixpoly import recurrence_coeffs, roots
+from .matrixpoly import recurrence_coeffs, roots_of
 from .spectral import SpectralDensity
 
 
@@ -350,21 +354,23 @@ def gap_report(
     """The max gaps (`approx_gap`) of each size in n_list, in list order: one
     array per size, one gap per seed (master_seed, 0..trials-1).
 
-    Every argument is checked before any solve starts.  The roots solve and
-    the sampled solves of all sizes then go to one `map_trials` call, the
-    largest size first; a size listed twice is solved once.
+    Every argument is checked before any solve starts.  The roots
+    (`roots_of`, solved once per process) and the sampled solves of all
+    sizes then go to one `map_trials` call, the largest size first; a size
+    listed twice is solved once.
     """
     check_trials(trials)
     for n in n_list:
         check_size(n, w)
         if n < 3:
             raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
-    coeffs = {n: recurrence_coeffs(n, w) for n in n_list}
-    sizes = sorted(coeffs, reverse=True)
+    sizes = sorted(set(n_list), reverse=True)
+    for n in sizes:
+        recurrence_coeffs(n, w)  # its A_i checks
     seeds = [RngSeed(master_seed, trial) for trial in range(trials)]
     tasks = []
     for n in sizes:
-        tasks.append(partial(roots, coeffs[n]))
+        tasks.append(partial(roots_of, n, w))
         tasks += [partial(empirical_spectrum, n, w, seed) for seed in seeds]
     solved = iter(map_trials(tasks))
     gaps = {}

@@ -167,6 +167,26 @@ class TestSubcommands:
         assert [check["n"] for check in report["tail_checks"]] == [60, 120, 30]
         assert solve_sizes == [120] * 3 + [60] * 3 + [30] * 3
 
+    def test_repeated_command_reuses_its_roots(self, tmp_path, monkeypatch, solve_sizes):
+        # the roots depend only on (n, gamma): in one process a second
+        # compare or gap of the same configuration makes only its sampled
+        # solves, and writes the same bytes as the first
+        monkeypatch.setenv("BLOCKSPEC_THREADS", "1")
+        cases = [
+            (["compare", "--n", "60", "--p", "3", "--gamma", "1,4,25", "--trials", "3",
+              "--seed", "5", "--grid", "100"], "compare.json", [60] * 4, [60] * 3),
+            (["gap", "--n-list", "60,120", "--p", "2", "--gamma", "2,8", "--trials", "2",
+              "--seed", "5"], "gap.json", [120] * 3 + [60] * 3, [120] * 2 + [60] * 2),
+        ]
+        for argv, output, first, again in cases:
+            written = []
+            for expected in (first, again):
+                solve_sizes.clear()
+                assert run_in(tmp_path, monkeypatch, argv) == 0
+                assert solve_sizes == expected
+                written.append((tmp_path / output).read_bytes())
+            assert written[0] == written[1]
+
     def test_figure_outputs(self, tmp_path, monkeypatch):
         rc = run_in(
             tmp_path, monkeypatch,
@@ -811,6 +831,29 @@ class TestExitCodes:
         assert run_in(tmp_path, monkeypatch, argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+        assert solve_sizes == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roots", "--n", "12"],
+            ["compare", "--n", "3000", "--trials", "4", "--grid", "100"],
+            ["gap", "--n-list", "1000,2000", "--trials", "4"],
+        ],
+        ids=["roots", "compare", "gap"],
+    )
+    def test_singular_recurrence_block_rejected_before_the_pool(
+        self, tmp_path, monkeypatch, capsys, solve_sizes, argv
+    ):
+        # A0 is positive definite for these weights, but A_1 of the
+        # recurrence is singular: each command exits 2 on the coefficient
+        # check before any task starts (a call of map_trials would raise)
+        monkeypatch.setattr(blockspec.cli, "map_trials", None)
+        monkeypatch.setattr(blockspec.harness, "map_trials", None)
+        argv = argv + ["--p", "2", "--gamma", "0.7071067811865476,1"]
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == "error: A_1 is numerically singular\n"
         assert solve_sizes == []
         assert list(tmp_path.iterdir()) == []
 

@@ -315,7 +315,7 @@ class TestApproxGap:
 
     def test_every_size_checked_before_any_solve(self, monkeypatch):
         solves = []
-        monkeypatch.setattr(harness, "roots", lambda *a: solves.append(a))
+        monkeypatch.setattr(harness, "roots_of", lambda *a: solves.append(a))
         monkeypatch.setattr(harness, "eigh_banded", lambda m: solves.append(m))
         with pytest.raises(ValidationError, match="n=7"):
             gap_report([200, 7], W2, 3, 0)

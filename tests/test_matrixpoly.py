@@ -13,15 +13,18 @@ import re
 import numpy as np
 import pytest
 
+import blockspec.linalg
 from blockspec.cli import FIGURES
 from blockspec.ensemble import GammaWeights
-from blockspec.errors import ValidationError
+from blockspec.errors import NumericalError, ValidationError
 from blockspec.matrixpoly import (
+    ROOTS_MEMO_SIZE,
     RecurrenceCoeffs,
     coefficient_blocks,
     jacobi_matrix,
     recurrence_coeffs,
     roots,
+    roots_of,
 )
 from blockspec.spectral import limit_blocks
 from tests.oracles import (
@@ -326,6 +329,46 @@ class TestRoots:
             power_sum = np.sum(scaled_roots**k) / n
             scale = np.sum(np.abs(scaled_roots) ** k) / n
             assert abs(power_sum - trace) <= 1e-12 * scale, (k, power_sum, trace)
+
+
+class TestRootsOf:
+    def test_solved_once_per_size_and_weights(self):
+        first = roots_of(12, W3)
+        np.testing.assert_array_equal(first, roots(recurrence_coeffs(12, W3)))
+        assert roots_of(12, W3) is first
+        assert roots_of(12, GammaWeights([1, 4, 25])) is first
+        assert roots_of(24, W3) is not first and roots_of(12, W2) is not first
+        assert roots_of.cache_info().currsize == 3
+
+    def test_kept_spectrum_is_read_only(self):
+        values = roots_of(12, W2)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            values /= 2.0
+        np.testing.assert_array_equal(roots_of(12, W2), roots(recurrence_coeffs(12, W2)))
+
+    def test_failed_solve_is_not_kept(self, monkeypatch):
+        rotations = blockspec.linalg._narrowing_rotations
+
+        def perturbed(coupling):
+            cos, sin = rotations(coupling)
+            cos[0, 0] += 1e-6
+            return cos, sin
+
+        monkeypatch.setattr(blockspec.linalg, "_narrowing_rotations", perturbed)
+        with pytest.raises(NumericalError, match="band narrowing"):
+            roots_of(12, W3)
+        assert roots_of.cache_info().currsize == 0
+        monkeypatch.undo()
+        np.testing.assert_array_equal(roots_of(12, W3), roots(recurrence_coeffs(12, W3)))
+
+    def test_keeps_the_most_recent_spectra(self):
+        sizes = [6 * (k + 1) for k in range(ROOTS_MEMO_SIZE + 1)]
+        kept = {n: roots_of(n, W3) for n in sizes}
+        assert roots_of.cache_info().currsize == ROOTS_MEMO_SIZE
+        assert roots_of(sizes[-1], W3) is kept[sizes[-1]]
+        assert roots_of(sizes[0], W3) is not kept[sizes[0]]
 
 
 class TestMarkovBound:
