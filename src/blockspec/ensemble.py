@@ -1,7 +1,7 @@
 """Seeded sampling of the random block matrix G.
 
-G is symmetric banded with half-bandwidth 2p-1, with one scalar entry
-layout (1-based global indices, r < c, offset d = c - r):
+G is symmetric p-block tridiagonal, with one scalar entry layout (1-based
+global indices, r < c, offset d = c - r):
 
   d = 0            standard normal draw (one per diagonal position)
   1 <= d <= p-1    chi draw with dof gamma_d * (n - c + 1), always present
@@ -11,16 +11,19 @@ layout (1-based global indices, r < c, offset d = c - r):
 and all off-diagonal entries carry the 1/sqrt(2) prefactor.  Its
 deterministic counterpart F replaces each normal with 0 and each chi_k draw
 with sqrt(k).  F is permutation-similar to F-tilde, the block Jacobi matrix
-of the associated matrix orthogonal polynomials
-(`matrixpoly.jacobi_matrix(matrixpoly.recurrence_coeffs(n, w))`).  The
-library builds only F-tilde; the tests build F and assert equal spectra.
+of the associated matrix orthogonal polynomials (diagonal blocks B_i and
+coupling blocks A_i of `matrixpoly.recurrence_coeffs(n, w)`).  The library
+builds only F-tilde, in `matrixpoly.roots`; the tests build F and assert
+equal spectra.
 
 `chi_layout` is the one construction of this layout: it returns every chi
-position with its dof as arrays, and `build_G` reads it and writes G
-straight into LAPACK's upper band storage (`linalg.SymmetricBanded`), entry
-(r, c) at ab[2p - 1 + r - c, c - 1], the form `dsbtrd` reduces.  The test suite
-keeps an independent blockwise transcription of the block patterns and a
-loop over the positional rule as oracles for it.
+position with its dof as arrays, and `build_G` reads it and scatters each
+draw into its p x p block of a `linalg.BlockTridiagonal`, the form
+`linalg.narrow_band` takes: with r in block b = (r - 1) // p, entry (r, c)
+lies in the diagonal block D_b when c is in block b too, and in the
+coupling block C_b when c is in block b + 1.  The test suite keeps an
+independent blockwise transcription of the block patterns and a loop over
+the positional rule as oracles for it.
 
 The weights are one `GammaWeights(gamma)`, and its block size p is
 len(gamma).  A spectrum is an `EmpiricalSpectrum(w, seed, scaled, values)`:
@@ -36,7 +39,7 @@ import operator
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SymmetricBanded
+from .linalg import BlockTridiagonal
 
 
 class _Value:
@@ -143,14 +146,14 @@ def rng_from_seed(seed: RngSeed) -> np.random.Generator:
 
 
 def check_size(n: int, w: GammaWeights) -> None:
-    """Reject sizes the block layout cannot take, whose (2p) x n float64 band
-    array is beyond numpy's size limit, or that overflow gamma * n."""
+    """Reject sizes the block layout cannot take, whose 2 p n float64 block
+    entries are beyond numpy's size limit, or that overflow gamma * n."""
     if n % w.p != 0:
         raise ValidationError(f"n={n} must be divisible by p={w.p}")
     if n < 2 * w.p:
         raise ValidationError(f"n={n} must be at least 2p={2 * w.p}")
     if 2 * w.p * n * 8 > np.iinfo(np.intp).max:
-        raise ValidationError(f"n={n} is too large: numpy cannot hold its (2p) x n band array")
+        raise ValidationError(f"n={n} is too large: numpy cannot hold its 2 p n block entries")
     if not math.isfinite(max(w.gamma) * n):
         raise ValidationError(
             f"--gamma value {max(w.gamma)!r} times n={n} is not a finite float"
@@ -177,8 +180,9 @@ def chi_layout(n: int, w: GammaWeights) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.broadcast_to(r, c.shape)[present], c[present], dof[present]
 
 
-def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
-    """Sample the random block matrix G of size n for weights w.
+def build_G(n: int, w: GammaWeights, seed: RngSeed) -> BlockTridiagonal:
+    """Sample the random block matrix G of size n for weights w, as its p x p
+    blocks.
 
     Draw order is part of the contract: the n diagonal normals first, then
     the off-diagonal chis in row-major order of the upper triangle.  Entries
@@ -187,8 +191,15 @@ def build_G(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
     """
     rows, cols, dof = chi_layout(n, w)
     rng = rng_from_seed(seed)
-    kd = 2 * w.p - 1
-    ab = np.zeros((kd + 1, n))
-    ab[kd] = rng.standard_normal(n)
-    ab[kd + rows - cols, cols - 1] = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
-    return SymmetricBanded(ab)
+    p = w.p
+    normals = rng.standard_normal(n)
+    chis = np.sqrt(rng.gamma(dof / 2.0, 2.0)) / math.sqrt(2.0)
+    # block row b of G is [D_b C_b], p x 2p: 0-based entry (r, c) lies in
+    # its row r - b p and its column c - b p
+    block = (rows - 1) // p
+    block_rows = np.zeros((n // p, p, 2 * p))
+    block_rows[block, (rows - 1) % p, cols - 1 - block * p] = chis
+    upper = block_rows[:, :, :p]
+    diag = upper + upper.transpose(0, 2, 1)
+    diag[:, range(p), range(p)] = normals.reshape(-1, p)
+    return BlockTridiagonal(diag, block_rows[:-1, :, p:])

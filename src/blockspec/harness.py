@@ -16,13 +16,13 @@ makes two rounds: the density table beside the sampled band reduction
 (`scaled_tridiagonal`), then the minimum and the maximum of the histogram
 (`spectrum_histogram`), which brackets its quartiles and fills its bins by
 counting eigenvalues instead of computing them all.  Every sampled solve
-and reduction first narrows G from bandwidth 2p - 1 to p
-(`linalg.narrow_band`, a few ms at n = 5000), which took the LAPACK band
-reduction of the figure matrices from 132-263 to 71-151 ms of CPU; the
-spectra are those of the narrowed band, within rounding of G's.  The tasks run on threads, and the
-LAPACK calls that dominate them release the GIL (see `linalg`); the
-narrowing's Python walk over the blocks holds it.  Statistics are
-computed from the assembled results afterwards.
+and reduction takes G as its p x p blocks, which `linalg.narrow_band`
+writes as a band of bandwidth p (a few ms at n = 5000); the LAPACK band
+reduction of the figure matrices then takes 71-151 ms of CPU, and the
+spectra are those of the narrowed band, within rounding of G's.  The tasks
+run on threads, and the LAPACK calls that dominate them release the GIL
+(see `linalg`); the narrowing's Python walk over the blocks holds it.
+Statistics are computed from the assembled results afterwards.
 Theorem-style gap quantities are unscaled; weak-convergence quantities
 divide by sqrt(n): a spectrum through `EmpiricalSpectrum.to_scaled`, while
 `scaled_tridiagonal` divides T itself.  Every spectrum carries a `scaled`
@@ -171,8 +171,8 @@ def check_trials(trials: int) -> None:
 
 def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpectrum:
     """Sorted, unscaled eigenvalues of the matrix G sampled from seed: those
-    of its band narrowed to bandwidth p (`linalg.narrow_band`)."""
-    return EmpiricalSpectrum(w, seed, False, eigh_banded(narrow_band(build_G(n, w, seed), w.p)))
+    of its band of bandwidth p (`linalg.narrow_band`)."""
+    return EmpiricalSpectrum(w, seed, False, eigh_banded(narrow_band(build_G(n, w, seed))))
 
 
 def _percentile_ranks(size: int, q: float) -> tuple[list[int], float]:
@@ -303,9 +303,9 @@ def fd_histogram(
 
 def scaled_tridiagonal(n: int, w: GammaWeights, seed: RngSeed) -> Tridiagonal:
     """T / sqrt(n), for the tridiagonal form T of the matrix G sampled from
-    seed: `tridiagonal_form` of its band narrowed to bandwidth p
+    seed: `tridiagonal_form` of its band of bandwidth p
     (`linalg.narrow_band`), each step checked by its own gate."""
-    t = tridiagonal_form(narrow_band(build_G(n, w, seed), w.p))
+    t = tridiagonal_form(narrow_band(build_G(n, w, seed)))
     scale = math.sqrt(n)
     return Tridiagonal(t.d / scale, t.e / scale)
 
@@ -365,8 +365,9 @@ def gap_report(
         if n < 3:
             raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
     sizes = sorted(set(n_list), reverse=True)
-    for n in sizes:
-        recurrence_coeffs(n, w)  # its A_i checks
+    # the A_i checks: stage i does not depend on n, so the largest size
+    # covers every other
+    recurrence_coeffs(sizes[0], w)
     seeds = [RngSeed(master_seed, trial) for trial in range(trials)]
     tasks = []
     for n in sizes:

@@ -1,13 +1,13 @@
 """Real symmetric linear algebra: the banded eigensolver, the narrowing of a
-p-block tridiagonal band to bandwidth p, the reduction of a band to
-tridiagonal form with bisection and Sturm counts on the result, the SPD
-inverse square root, and the numerical singularity test for stacks of
-small blocks.
+p-block tridiagonal matrix (`BlockTridiagonal`) to a band of bandwidth p,
+the reduction of a band to tridiagonal form with bisection and Sturm
+counts on the result, the SPD inverse square root, and the numerical
+singularity test for stacks of small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
 (checked), banded inputs are symmetric by construction of SymmetricBanded,
 which takes only its band storage ab and reads dim and bandwidth from the
-shape of ab.
+shape of ab, and a BlockTridiagonal holds its blocks as (k, p, p) stacks.
 Both solves are backed by numpy's LAPACK, which meets the backward-stable
 accuracy contracts stated per function; the dense solve inside
 spd_inv_sqrt additionally verifies its residuals, and every banded solve
@@ -22,11 +22,11 @@ symbol lookup also searches the libraries it depends on, so nothing new is
 loaded, scipy included.  A full spectrum is dsbtrd, the reduction gate,
 then dsterf, the two steps of dsbevd for eigenvalues only, so for the band
 it is given it is bit-identical to scipy.linalg.eigvals_banded wherever
-dsbevd would not rescale the band.  The matrices of blockspec couple only
-adjacent p-blocks, and their callers first narrow them to bandwidth p
-(`narrow_band`, O(dim p^2) in numpy and Python floats, no LAPACK call), so
-their spectra are those of the narrowed band: within rounding of the
-given band's, and cheaper, since dsbtrd costs O(dim^2 bandwidth).
+dsbevd would not rescale the band.  The matrices of blockspec are p-block
+tridiagonal and are built as their blocks, and `narrow_band` writes them
+as a band of bandwidth p (O(dim p^2) in numpy and Python floats, no LAPACK
+call), so their spectra are those of the narrowed band: within rounding of
+the matrix's own, and cheap, since dsbtrd costs O(dim^2 bandwidth).
 
 The call convention, bound once per routine by `_routine`: the symbols are
 the raw Fortran ones, so every argument is passed by reference.  Arrays are
@@ -174,6 +174,17 @@ class SymmetricBanded:
             self.ab[row, : self.bandwidth - row] = 0.0
 
 
+class BlockTridiagonal(NamedTuple):
+    """Symmetric p-block tridiagonal matrix of k blocks, dim = k p: `diag`
+    (k, p, p) holds the symmetric diagonal blocks D_0..D_{k-1} and
+    `coupling` (k - 1, p, p) the coupling blocks C_0..C_{k-2}, with C_b at
+    block row b and block column b + 1 (and C_b^T at block row b + 1 and
+    block column b).  `narrow_band` writes it as a band."""
+
+    diag: np.ndarray
+    coupling: np.ndarray
+
+
 def require_symmetric(m: np.ndarray) -> np.ndarray:
     """Return m as a float array, raising if it is not square symmetric."""
     m = np.asarray(m, dtype=float)
@@ -282,15 +293,12 @@ def _similarity_gate(
         )
 
 
-def narrow_band(m: SymmetricBanded, p: int) -> SymmetricBanded:
-    """A band of bandwidth p orthogonally similar to the p-block tridiagonal
-    band m, so with the eigenvalues of m.
+def narrow_band(m: BlockTridiagonal) -> SymmetricBanded:
+    """A band of bandwidth min(p, dim - 1) orthogonally similar to the
+    p-block tridiagonal m, so with the eigenvalues of m.
 
-    m couples only adjacent p-blocks (p divides dim, bandwidth <= 2p - 1, and
-    every entry two or more blocks off the diagonal is 0), so it has
-    diagonal blocks D_0..D_{k-1} and coupling blocks C_0..C_{k-2}, k =
-    dim / p.  The block-diagonal similarity Q = diag(Q_0, .., Q_{k-1}), Q_0
-    = I, keeps that shape, and each Q_{b+1} is chosen so that the coupling
+    The block-diagonal similarity Q = diag(Q_0, .., Q_{k-1}), Q_0 = I,
+    keeps m's block shape, and each Q_{b+1} is chosen so that the coupling
     block Q_b^T C_b Q_{b+1} is lower triangular, which puts every entry
     within p of the diagonal.  Q_{b+1} is p(p - 1) / 2 Givens rotations,
     found by a walk over the blocks (`_narrowing_rotations`); the rotated
@@ -298,44 +306,34 @@ def narrow_band(m: SymmetricBanded, p: int) -> SymmetricBanded:
     numpy, and the entries above the triangle, rounding-level by
     construction, are dropped.  This is the first sweep of successive band
     reduction (Bischof, Lang and Sun 2000) without a bulge to chase: it
-    costs O(dim p^2), a few ms at dim = 5000, and it narrows the band that
-    dsbtrd reduces in O(dim^2 bandwidth) from 2p - 1 to p.
+    costs O(dim p^2), a few ms at dim = 5000, and dsbtrd, which reduces a
+    band in O(dim^2 bandwidth), is given bandwidth p, though m has entries
+    up to 2p - 1 off the diagonal.  One block (k = 1) has no coupling, and
+    its band has bandwidth dim - 1, so that `tridiagonal_form` takes it.
 
     Each rotation is backward stable, so the eigenvalues of the result are
     those of M + E with ||E||_2 of order p^2 eps ||M||_2.  The similarity
     is checked as the reduction is (`tridiagonal_form`): |tr T - tr M| <=
     4 dim eps ||M||_F and |(||T||_F^2 - ||M||_F^2)| <= 4 dim eps ||M||_F^2
     for the narrowed band T, or ConvergenceError names the stage "band
-    narrowing".  A band outside the safe range is narrowed and checked as
-    2^-k M and scaled back by 2^k (the module's safe-range scaling).  A band
-    of bandwidth <= p, such as any band with p = 1, is returned as it is.
+    narrowing".  An m outside the safe range is narrowed and checked as
+    2^-k M and scaled back by 2^k (the module's safe-range scaling).
     """
-    if p < 1 or m.dim % p:
-        raise ValidationError(f"block size p must be a positive divisor of dim {m.dim}, got {p}")
-    u = m.bandwidth
-    if u <= p:
-        return m
-    if u > 2 * p - 1:
+    shape = np.shape(m.diag)
+    if len(shape) != 3 or 0 in shape or shape[1] != shape[2] or (
+        np.shape(m.coupling) != (shape[0] - 1, *shape[1:])
+    ):
         raise ValidationError(
-            f"bandwidth {u} exceeds 2p - 1 = {2 * p - 1}: not p-block tridiagonal"
+            f"a p-block tridiagonal needs k >= 1 diagonal blocks (k, p, p) and k - 1 "
+            f"coupling blocks (k - 1, p, p), got shapes {shape} and {np.shape(m.coupling)}"
         )
-    (ab,), scale = _scale_down("banded matrix", m.ab)
-    # an entry at offset p + j, j = 1..p-1, in one of the first j columns of
-    # a block lies two blocks off the diagonal
-    if any(ab[u - p - j, i::p].any() for j in range(1, u - p + 1) for i in range(j)):
-        raise ValidationError(f"band is not {p}-block tridiagonal: it couples blocks two apart")
-    blocks = m.dim // p
-    diag = np.empty((blocks, p, p))
-    coupling = np.zeros((blocks - 1, p, p))
-    for i in range(p):
-        for j in range(p):
-            # entry (b p + i, b p + j) of D_b, and (b p + i, (b + 1) p + j)
-            # of C_b, which is 0 beyond the bandwidth u
-            diag[:, i, j] = ab[u - abs(i - j), max(i, j)::p]
-            if p + j - i <= u:
-                coupling[:, i, j] = ab[u - p - j + i, p + j::p]
-    before = _band_invariants(ab)
-    del ab  # the scaled copy of m is not kept while the narrowed band is built
+    # copies, rotated in place
+    (diag, coupling), scale = _scale_down("block tridiagonal matrix", m.diag, m.coupling)
+    p, dim = shape[1], shape[0] * shape[1]
+    before = (
+        float(np.trace(diag, axis1=1, axis2=2).sum()),
+        float(np.sum(diag**2) + 2.0 * np.sum(coupling**2)),
+    )
     cos, sin = _narrowing_rotations(coupling)
     pairs = list(enumerate(_rotation_pairs(p)))
     # Q_{b+1}^T on the rows of D_{b+1} and C_{b+1}, then Q_{b+1} on the
@@ -349,12 +347,13 @@ def narrow_band(m: SymmetricBanded, p: int) -> SymmetricBanded:
         for k, (i, j) in pairs:
             c, s = cos[:, k, None], sin[:, k, None]
             x[..., i], x[..., j] = c * x[..., i] + s * x[..., j], c * x[..., j] - s * x[..., i]
-    narrowed = np.zeros((p + 1, m.dim), order="F")
+    narrowed = np.zeros((p + 1, dim), order="F")
     for i in range(p):
         for j in range(i, p):
             narrowed[p + i - j, j::p] = diag[:, i, j]
             narrowed[j - i, p + i::p] = coupling[:, j, i]
-    _similarity_gate("band narrowing", m.dim, before, _band_invariants(narrowed))
+    narrowed = narrowed[p - min(p, dim - 1):]  # one block: no row at offset p
+    _similarity_gate("band narrowing", dim, before, _band_invariants(narrowed))
     (narrowed,) = _scale_up([narrowed], scale, "band narrowing: the narrowed band overflows")
     return SymmetricBanded(narrowed)
 

@@ -9,12 +9,11 @@ with R_{-1} = 0, R_0 = I.  A coefficient set, `RecurrenceCoeffs(A, B)`,
 holds A_1..A_m and B_0..B_{m-1} as (m, p, p) stacks of symmetric blocks;
 m and p are read from the shape of A.  Roots of det R_m are never found
 by polynomial root-finding: they are the eigenvalues of the block Jacobi
-matrix built from the coefficients (F-tilde, cospectral with the
-deterministic counterpart F of `ensemble.build_G`), solved after its band
-is narrowed from bandwidth 2p - 1 to p (`linalg.narrow_band`, O(n p^2)):
-the roots are that band's eigenvalues, within rounding of F-tilde's own,
-and `dsbtrd`, whose cost grows with the bandwidth, reduces a band a third
-(p = 2) to two fifths (p = 3) narrower.  Stage i of
+matrix F-tilde, cospectral with the deterministic counterpart F of
+`ensemble.build_G`, whose diagonal blocks are B_0..B_{m-1} and whose
+coupling blocks are A_1..A_{m-1} (`roots`).  It is solved as the band of
+bandwidth p that `linalg.narrow_band` writes it into (O(n p^2)): the roots
+are that band's eigenvalues, within rounding of F-tilde's own.  Stage i of
 `recurrence_coeffs(n, w)` does not depend on n, so the set for n = m p is
 the first m stages of every larger one.  `coefficient_blocks` is the one
 construction of the entry pattern, for these stages and for the limit
@@ -40,7 +39,7 @@ import numpy as np
 
 from .ensemble import GammaWeights, check_size
 from .errors import ValidationError
-from .linalg import SymmetricBanded, asymmetric_blocks, eigh_banded, narrow_band, singular_blocks
+from .linalg import BlockTridiagonal, asymmetric_blocks, eigh_banded, narrow_band, singular_blocks
 
 
 class RecurrenceCoeffs:
@@ -97,32 +96,15 @@ def recurrence_coeffs(n: int, w: GammaWeights) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(a, b)
 
 
-def jacobi_matrix(coeffs: RecurrenceCoeffs) -> SymmetricBanded:
-    """Block tridiagonal matrix with diagonal B_0..B_{m-1}, coupling A_1..A_{m-1}.
-
-    With u the bandwidth, entry (q, l) of B_i goes to ab[u + q - l, i p + l]
-    and that of A_{i+1} to ab[u - p + q - l, (i + 1) p + l]; each stack is
-    written by one indexed assignment.
-    """
-    p, m = coeffs.p, coeffs.m
-    u = min(2 * p - 1, m * p - 1)
-    ab = np.zeros((u + 1, m * p))
-    q, l = np.indices((p, p))
-    col = p * np.arange(m)[:, None, None] + l
-    upper = q <= l
-    ab[(u + q - l)[upper], col[:, upper]] = coeffs.B[:, upper]
-    ab[u - p + q - l, col[1:]] = coeffs.A[: m - 1]
-    return SymmetricBanded(ab)
-
-
 def roots(coeffs: RecurrenceCoeffs) -> np.ndarray:
     """The m*p roots of det R_m, ascending, with multiplicity.
 
-    Computed as the spectrum of the block Jacobi matrix, whose band is
-    first narrowed to bandwidth p (`linalg.narrow_band`); coincident
-    eigenvalues realize root multiplicities with uniform weight 1/(m*p).
+    Computed as the spectrum of the block Jacobi matrix, with diagonal
+    blocks B_0..B_{m-1} and coupling blocks A_1..A_{m-1}, written as a band
+    of bandwidth p (`linalg.narrow_band`); coincident eigenvalues realize
+    root multiplicities with uniform weight 1/(m*p).
     """
-    return eigh_banded(narrow_band(jacobi_matrix(coeffs), coeffs.p))
+    return eigh_banded(narrow_band(BlockTridiagonal(coeffs.B, coeffs.A[:-1])))
 
 
 # how many (n, w) spectra `roots_of` keeps: each benchmark workload asks

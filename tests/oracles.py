@@ -5,11 +5,16 @@ library computes in a vectorized or closed form:
 
 - `entry` and `to_dense`: one entry of a banded matrix, read off its
   band storage, and the whole matrix written out;
+- `block_band`: a p-block tridiagonal matrix written entry by entry into
+  band storage of bandwidth 2p - 1, the band that holds it without a
+  similarity, against `linalg.narrow_band`, and `blocks_of`, the blocks
+  of a dense p-block tridiagonal matrix;
 - `chi_sample`: one chi draw, the per-entry form of `build_G`'s single
-  vectorized draw;
+  vectorized draw, and `g_band`, G drawn entry by entry into its band of
+  bandwidth 2p - 1 from the same draws as `build_G`;
 - `build_F_tilde`: the block Jacobi matrix of the matrix orthogonal
-  polynomials, entry by entry, against `matrixpoly.jacobi_matrix` of
-  `matrixpoly.recurrence_coeffs`;
+  polynomials, entry by entry, against `f_tilde_blocks` of
+  `matrixpoly.recurrence_coeffs`, the blocks `matrixpoly.roots` solves;
 - `build_F`: the deterministic counterpart of G, cospectral with F-tilde;
 - `eval_R`, `cheb_T` and `cheb_U`: R_m and the matrix Chebyshev polynomials
   run through the recurrence, against `matrixpoly.roots` and the scalar
@@ -49,11 +54,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from blockspec.ensemble import GammaWeights, check_size, chi_layout
+from blockspec.ensemble import GammaWeights, RngSeed, check_size, chi_layout, rng_from_seed
 from blockspec.errors import NumericalError, ValidationError
 from blockspec import spectral
 from blockspec.harness import Histogram
 from blockspec.linalg import (
+    BlockTridiagonal,
     SturmCounter,
     SymmetricBanded,
     Tridiagonal,
@@ -83,6 +89,41 @@ def to_dense(m: SymmetricBanded) -> np.ndarray:
     return out
 
 
+def block_band(m: BlockTridiagonal) -> SymmetricBanded:
+    """m in band storage of bandwidth min(2p - 1, dim - 1), entry by entry:
+    the upper triangle of D_b at rows and columns b p.., and C_b at rows
+    b p.. and columns (b + 1) p..."""
+    k, p = m.diag.shape[:2]
+    dim = k * p
+    u = min(2 * p - 1, dim - 1)
+    ab = np.zeros((u + 1, dim))
+    for b in range(k):
+        for i in range(p):
+            for j in range(i, p):
+                ab[u + i - j, b * p + j] = m.diag[b, i, j]
+    for b in range(k - 1):
+        for i in range(p):
+            for j in range(p):
+                ab[u - p + i - j, (b + 1) * p + j] = m.coupling[b, i, j]
+    return SymmetricBanded(ab)
+
+
+def blocks_of(dense: np.ndarray, p: int) -> BlockTridiagonal:
+    """The diagonal and coupling p x p blocks of a dense matrix; entries
+    two or more blocks off the diagonal are not read."""
+    k = len(dense) // p
+    diag = [dense[b * p:(b + 1) * p, b * p:(b + 1) * p] for b in range(k)]
+    coupling = [dense[b * p:(b + 1) * p, (b + 1) * p:(b + 2) * p] for b in range(k - 1)]
+    return BlockTridiagonal(np.array(diag), np.array(coupling).reshape(k - 1, p, p))
+
+
+def f_tilde_blocks(coeffs: RecurrenceCoeffs) -> BlockTridiagonal:
+    """The block Jacobi matrix F-tilde of a coefficient set, as
+    `matrixpoly.roots` builds it: diagonal blocks B_0..B_{m-1}, coupling
+    blocks A_1..A_{m-1}."""
+    return BlockTridiagonal(coeffs.B, coeffs.A[:-1])
+
+
 def chi_sample(rng: np.random.Generator, dof: float) -> float:
     """One chi draw with `dof` degrees of freedom (dof may be fractional).
 
@@ -93,6 +134,20 @@ def chi_sample(rng: np.random.Generator, dof: float) -> float:
     if dof == 0:
         return 0.0
     return float(np.sqrt(rng.gamma(dof / 2.0, 2.0)))
+
+
+def g_band(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
+    """G in band storage of bandwidth 2p - 1, from the draws of `build_G`
+    made one at a time: the n diagonal normals, then one `chi_sample` per
+    position of `chi_layout`, in its order, divided by sqrt(2)."""
+    rows, cols, dof = chi_layout(n, w)
+    rng = rng_from_seed(seed)
+    u = 2 * w.p - 1
+    ab = np.zeros((u + 1, n))
+    ab[u] = rng.standard_normal(n)
+    for r, c, k in zip(rows.tolist(), cols.tolist(), dof.tolist()):
+        ab[u + r - c, c - 1] = chi_sample(rng, k) / math.sqrt(2.0)
+    return SymmetricBanded(ab)
 
 
 def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:

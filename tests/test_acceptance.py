@@ -28,19 +28,21 @@ from blockspec.harness import (
     ks_distance,
     tail_bound_experiment,
 )
-from blockspec.matrixpoly import RecurrenceCoeffs, jacobi_matrix, recurrence_coeffs, roots
+from blockspec.matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
 from blockspec.spectral import (
     arcsine_mixture_density,
     density_grid,
     semicircle_density,
 )
 from tests.oracles import (
+    block_band,
     build_F,
     cheb_T,
     cheb_U,
     chi_sample,
     density_at,
     eval_R,
+    f_tilde_blocks,
     markov_bound_check,
     support_bound,
     to_dense,
@@ -194,7 +196,7 @@ def test_criterion_07_structural_equivalences():
         for n, gamma in ((12, (1.0, 4.0, 25.0)), (20, (2.0, 8.0)), (10, (2.0,))):
             w = GammaWeights(gamma)
             e_f = np.linalg.eigvalsh(to_dense(build_F(n, w)))
-            ft = jacobi_matrix(recurrence_coeffs(n, w))
+            ft = block_band(f_tilde_blocks(recurrence_coeffs(n, w)))
             e_ft = np.linalg.eigvalsh(to_dense(ft))
             gap = float(np.abs(e_f - e_ft).max())
             assert gap <= 1e-10, (n, gamma, gap)
@@ -220,7 +222,7 @@ def test_criterion_07_structural_equivalences():
 
         # the scalar case reproduces the classical tridiagonal model entrywise
         beta, n, seed = 3.0, 10, RngSeed(2024, 1)
-        g = build_G(n, GammaWeights((beta,)), seed)
+        g = block_band(build_G(n, GammaWeights((beta,)), seed))
         rng = rng_from_seed(seed)
         diag = rng.standard_normal(n)
         off = np.array(

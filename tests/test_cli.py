@@ -473,7 +473,7 @@ if sys.argv[1] == "blockspec-first":
     import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 
-m = build_G(60, GammaWeights((2.0, 8.0)), RngSeed(5, 0))
+m = linalg.narrow_band(build_G(60, GammaWeights((2.0, 8.0)), RngSeed(5, 0)))
 expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
 assert np.array_equal(linalg.eigh_banded(m), expected)
 """
@@ -854,6 +854,29 @@ class TestExitCodes:
         argv = argv + ["--p", "2", "--gamma", "0.7071067811865476,1"]
         assert run_in(tmp_path, monkeypatch, argv) == 2
         assert capsys.readouterr().err == "error: A_1 is numerically singular\n"
+        assert solve_sizes == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gap_checks_the_coefficients_once(
+        self, tmp_path, monkeypatch, capsys, solve_sizes
+    ):
+        # stage i of the recurrence does not depend on n, so one check at
+        # the largest size covers the whole list, and a singular A_i still
+        # exits 2 before any task starts
+        checked = []
+        check = blockspec.harness.recurrence_coeffs
+
+        def counted(n, w):
+            checked.append(n)
+            return check(n, w)
+
+        monkeypatch.setattr(blockspec.harness, "recurrence_coeffs", counted)
+        monkeypatch.setattr(blockspec.harness, "map_trials", None)
+        argv = ["gap", "--n-list", "1000,3000,2000", "--trials", "4",
+                "--p", "2", "--gamma", "0.7071067811865476,1"]
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == "error: A_1 is numerically singular\n"
+        assert checked == [3000]
         assert solve_sizes == []
         assert list(tmp_path.iterdir()) == []
 

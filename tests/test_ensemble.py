@@ -9,9 +9,11 @@ positional rule.  The layout is checked four ways: the oracles against each
 other and against hand-read literal values for small (n, p), `chi_layout`
 against the blockwise oracle, structurally through the spectral equality of
 the two deterministic matrices (acceptance criterion 7), and in distribution
-through E tr(G^2) = tr(F^2) + n, which needs no eigensolver.  The block
-Jacobi matrix `jacobi_matrix(recurrence_coeffs(n, w))` is checked band for
-band against the entry-by-entry loop `tests.oracles.build_F_tilde`.
+through E tr(G^2) = tr(F^2) + n, which needs no eigensolver.  G and the
+block Jacobi matrix of `recurrence_coeffs(n, w)` are built as p x p blocks
+and compared in band storage, written out entry by entry by
+`tests.oracles.block_band`: F-tilde band for band against the
+entry-by-entry loop `tests.oracles.build_F_tilde`.
 """
 
 import math
@@ -29,8 +31,18 @@ from blockspec.ensemble import (
 )
 from blockspec.errors import ValidationError
 from blockspec.linalg import eigh_banded
-from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs, roots
-from tests.oracles import build_F, build_F_tilde, chi_sample, entry, to_dense
+from blockspec.matrixpoly import recurrence_coeffs, roots
+from tests.oracles import (
+    block_band,
+    blocks_of,
+    build_F,
+    build_F_tilde,
+    chi_sample,
+    entry,
+    f_tilde_blocks,
+    g_band,
+    to_dense,
+)
 
 W2 = GammaWeights((2.0, 8.0))
 W3 = GammaWeights((1.0, 4.0, 25.0))
@@ -185,7 +197,7 @@ class TestDofLayout:
         # (1,4) and (2,3) both carry dof 2*g1 yet are independent draws;
         # only (r,c)/(c,r) symmetry ties values
         assert scalar_entry_dof(1, 4, 4, W2) == scalar_entry_dof(2, 3, 4, W2)
-        g = build_G(4, W2, RngSeed(7, 0))
+        g = block_band(build_G(4, W2, RngSeed(7, 0)))
         assert entry(g, 0, 3) != entry(g, 1, 2)
 
     def test_p3_n12_literal_values(self):
@@ -233,10 +245,10 @@ class TestDofLayout:
 
 class TestBuildG:
     def test_determinism(self):
-        a = build_G(12, W2, RngSeed(42, 3))
-        b = build_G(12, W2, RngSeed(42, 3))
+        a = block_band(build_G(12, W2, RngSeed(42, 3)))
+        b = block_band(build_G(12, W2, RngSeed(42, 3)))
         assert np.array_equal(a.ab, b.ab)
-        c = build_G(12, W2, RngSeed(42, 4))
+        c = block_band(build_G(12, W2, RngSeed(42, 4)))
         assert not np.array_equal(a.ab, c.ab)
 
     def test_seeds_above_two_to_the_63_stay_distinct(self):
@@ -251,7 +263,7 @@ class TestBuildG:
     def test_golden_6x6(self):
         # pinned draws for p=2, gamma=(2,8), seed (123456789, 7); guards both
         # the draw-order contract and cross-platform stream stability
-        g = build_G(6, W2, RngSeed(123456789, 7))
+        g = block_band(build_G(6, W2, RngSeed(123456789, 7)))
         # LAPACK upper band storage: row 3 - d holds band d in columns d..5
         expected = np.array(
             [
@@ -271,7 +283,7 @@ class TestBuildG:
         # from the same draw sequence: n normals, then chi((n-i) * beta)
         beta = 2.5
         n, seed = 8, RngSeed(99, 5)
-        g = build_G(n, GammaWeights((beta,)), seed)
+        g = block_band(build_G(n, GammaWeights((beta,)), seed))
         rng = rng_from_seed(seed)
         diag = rng.standard_normal(n)
         off = np.array([chi_sample(rng, (n - i) * beta) for i in range(1, n)])
@@ -293,7 +305,17 @@ class TestBuildG:
         table = block_dof_table(n, w)
         for r, c in sorted(table):
             expected[kd + r - c, c - 1] = chi_sample(rng, table[(r, c)]) / math.sqrt(2.0)
-        np.testing.assert_array_equal(build_G(n, w, seed).ab, expected)
+        np.testing.assert_array_equal(block_band(build_G(n, w, seed)).ab, expected)
+
+    @pytest.mark.parametrize("n,w", [(8, GammaWeights((2.5,))), (6, W2), (12, W3), (16, W4)])
+    def test_blocks_are_those_of_the_band_of_its_draws(self, n, w):
+        # each D_b is symmetric, and every block holds the entries of G's
+        # band drawn one entry at a time
+        seed = RngSeed(5, 5)
+        g = build_G(n, w, seed)
+        expected = blocks_of(to_dense(g_band(n, w, seed)), w.p)
+        np.testing.assert_array_equal(g.diag, expected.diag)
+        np.testing.assert_array_equal(g.coupling, expected.coupling)
 
     @pytest.mark.parametrize("n,w", [(40, GammaWeights((2.5,))), (40, W2), (42, W3)])
     def test_mean_square_trace(self, n, w):
@@ -302,7 +324,9 @@ class TestBuildG:
         def trace_sq(m):
             return float((m.ab[-1] ** 2).sum() + 2.0 * (m.ab[:-1] ** 2).sum())
 
-        samples = np.array([trace_sq(build_G(n, w, RngSeed(2024, s))) for s in range(200)])
+        samples = np.array(
+            [trace_sq(block_band(build_G(n, w, RngSeed(2024, s)))) for s in range(200)]
+        )
         expected = trace_sq(build_F(n, w)) + n
         std_err = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() - expected) <= 4.0 * std_err
@@ -327,8 +351,9 @@ class TestBuildF:
 
 
 def f_tilde(n, w):
-    """F-tilde through the recurrence, as the CLI and the harness build it."""
-    return jacobi_matrix(recurrence_coeffs(n, w))
+    """The band of F-tilde through the recurrence, of the blocks that
+    `roots` solves."""
+    return block_band(f_tilde_blocks(recurrence_coeffs(n, w)))
 
 
 class TestBuildFTilde:

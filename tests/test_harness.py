@@ -41,10 +41,17 @@ from blockspec.harness import (
     tail_bound_experiment,
     worker_count,
 )
-from blockspec.linalg import bisect_eigvals, eigh_banded
+from blockspec.linalg import bisect_eigvals, eigh_banded, narrow_band
 from blockspec.matrixpoly import recurrence_coeffs, roots
 from blockspec.spectral import SpectralDensity, density_grid
-from tests.oracles import bisected_fd_histogram, build_F, build_F_tilde, levy_reference
+from tests.oracles import (
+    bisected_fd_histogram,
+    blocks_of,
+    build_F,
+    build_F_tilde,
+    levy_reference,
+    to_dense,
+)
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "pilot_fixtures.json").read_text()
@@ -260,7 +267,9 @@ class TestApproxGap:
     def test_zero_noise_oracle(self, monkeypatch):
         # with every normal forced to 0 and every chi draw to sqrt(dof),
         # the sample equals the deterministic matrix and the gap vanishes
-        monkeypatch.setattr(harness, "build_G", lambda n, w, seed: build_F(n, w))
+        monkeypatch.setattr(
+            harness, "build_G", lambda n, w, seed: blocks_of(to_dense(build_F(n, w)), w.p)
+        )
         (gaps,) = gap_report([12], W2, 2, 0)
         assert gaps.max() <= 1e-10
 
@@ -312,6 +321,18 @@ class TestApproxGap:
         assert len(reports) == 3
         for n, gaps in zip([12, 24, 12], reports):
             np.testing.assert_array_equal(gaps, alone[n])
+
+    def test_coefficients_checked_once(self, monkeypatch):
+        # the A_i check runs at the largest size only: stage i does not
+        # depend on n, so it covers every size of the list
+        checked = []
+        check = harness.recurrence_coeffs
+        monkeypatch.setattr(
+            harness, "recurrence_coeffs", lambda n, w: checked.append(n) or check(n, w)
+        )
+        reports = gap_report([12, 36, 24], W2, 2, 4)
+        assert checked == [36]
+        assert [len(gaps) for gaps in reports] == [2, 2, 2]
 
     def test_every_size_checked_before_any_solve(self, monkeypatch):
         solves = []
@@ -514,7 +535,7 @@ class TestWorkers:
 
     def test_map_trials_order_independent(self, monkeypatch):
         def work(i):
-            return eigh_banded(harness.build_G(30, W1, RngSeed(77, i))).tolist()
+            return eigh_banded(narrow_band(harness.build_G(30, W1, RngSeed(77, i)))).tolist()
 
         tasks = [partial(work, i) for i in range(6)]
         monkeypatch.setenv("BLOCKSPEC_THREADS", "1")

@@ -2,8 +2,9 @@
 Sturm counts, the SPD inverse square root, and the LU log-determinant
 reference the singularity gate is tested against.
 
-The narrowing of a p-block tridiagonal band to bandwidth p is checked
-against scipy on the band it was given: the eigenvalues agree within
+The narrowing of a p-block tridiagonal matrix to a band of bandwidth p is
+checked against scipy on the matrix's band of bandwidth 2p - 1, written
+out by `tests.oracles.block_band`: the eigenvalues agree within
 NARROWING_C n eps ||M||_2, and the trace and the Frobenius norm within the
 gate's tolerance.
 
@@ -33,6 +34,7 @@ from blockspec.ensemble import GammaWeights, RngSeed, build_G
 from blockspec.errors import ConvergenceError, ValidationError
 from blockspec import linalg
 from blockspec.linalg import (
+    BlockTridiagonal,
     SturmCounter,
     SymmetricBanded,
     Tridiagonal,
@@ -43,8 +45,18 @@ from blockspec.linalg import (
     spd_inv_sqrt,
     tridiagonal_form,
 )
-from blockspec.matrixpoly import jacobi_matrix, recurrence_coeffs
-from tests.oracles import banded_from_dense, entry, lu_log_abs_det, sturm_counts, to_dense
+from blockspec.matrixpoly import RecurrenceCoeffs, recurrence_coeffs, roots
+from tests.oracles import (
+    banded_from_dense,
+    block_band,
+    blocks_of,
+    entry,
+    f_tilde_blocks,
+    g_band,
+    lu_log_abs_det,
+    sturm_counts,
+    to_dense,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -115,9 +127,9 @@ class TestEighBanded:
     )
     def test_bit_identical_to_scipy(self, n, w, construction):
         if construction == "sample":
-            m = build_G(n, w, RngSeed(31, 2))
+            m = block_band(build_G(n, w, RngSeed(31, 2)))
         else:
-            m = jacobi_matrix(recurrence_coeffs(n, w))
+            m = block_band(f_tilde_blocks(recurrence_coeffs(n, w)))
         expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
         np.testing.assert_array_equal(eigh_banded(m), expected)
 
@@ -176,7 +188,7 @@ class TestEighBanded:
         # solve that held the GIL it would get only the Python-level gaps
         # around the LAPACK call (0.02-0.12 of full speed on a 2-core x86
         # machine, against 0.90-1.02 for the GIL-free call).
-        m = build_G(3000, GammaWeights((1.0, 4.0, 25.0)), RngSeed(11, 0))
+        m = block_band(build_G(3000, GammaWeights((1.0, 4.0, 25.0)), RngSeed(11, 0)))
 
         def iterations_per_second(task):
             started, done = threading.Event(), threading.Event()
@@ -259,7 +271,7 @@ class TestTridiagonalForm:
         ],
     )
     def test_same_spectrum_as_the_banded_solve(self, n, w):
-        m = build_G(n, w, RngSeed(3, 1))
+        m = block_band(build_G(n, w, RngSeed(3, 1)))
         t = tridiagonal_form(m)
         assert t.d.shape == (n,) and t.e.shape == (n - 1,)
         expected = eigh_banded(m)
@@ -284,7 +296,7 @@ class TestTridiagonalForm:
         ],
     )
     def test_gate_trips_on_a_perturbed_reduction(self, monkeypatch, n, index, invariant, solve):
-        m = build_G(n, GammaWeights((2.0, 8.0)), RngSeed(5))
+        m = block_band(build_G(n, GammaWeights((2.0, 8.0)), RngSeed(5)))
         solve(m)  # passes unperturbed
         perturb_reduction(monkeypatch, index, 1e-9)
         with pytest.raises(ConvergenceError, match="band reduction") as exc:
@@ -295,7 +307,7 @@ class TestTridiagonalForm:
     def test_power_of_two_scaling_is_exact(self, k):
         # a band outside [1e-146, 1e146] is reduced as 2^-j M and scaled
         # back, which loses no bit while T stays in the normal range
-        m = build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1))
+        m = block_band(build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1)))
         t = tridiagonal_form(m)
         scaled = tridiagonal_form(SymmetricBanded(np.ldexp(m.ab, k)))
         np.testing.assert_array_equal(scaled.d, np.ldexp(t.d, k))
@@ -305,7 +317,7 @@ class TestTridiagonalForm:
     def test_scale_outside_the_unscaled_range_matches_scipy(self, size):
         # dsbevd rescales such a band by another factor, so the last bits
         # may differ
-        m = build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1))
+        m = block_band(build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1)))
         m = SymmetricBanded(m.ab * size)
         expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
         np.testing.assert_allclose(
@@ -351,7 +363,7 @@ class TestTridiagonalForm:
             tridiagonal_form(SymmetricBanded(np.zeros((3, 5))))
 
 
-# |eigh_banded(narrow_band(m, p)) - eigvals_banded(m)| <= NARROWING_C n eps
+# |eigh_banded(narrow_band(m)) - eigvals_banded(m)| <= NARROWING_C n eps
 # ||M||_2: over 2e4 random bands of p = 2..5 and 2..8 blocks the largest
 # ratio was 1.26, and on the figure matrices at n = 5000 it stays below 0.05
 NARROWING_C = 4
@@ -370,8 +382,9 @@ def block_tridiagonal(rng, p, blocks, zero_share=0.0):
 
 
 def assert_invariants_kept(m, narrowed):
-    """tr and ||.||_F^2 of `narrowed` within the gate's tolerance of m's,
-    compared at m scaled into [1/2, 1) by a power of two."""
+    """tr and ||.||_F^2 of the band `narrowed` within the gate's tolerance
+    of those of the band m, compared at m scaled into [1/2, 1) by a power
+    of two."""
     k = np.frexp(np.abs(m.ab).max())[1]
 
     def invariants(x):
@@ -394,22 +407,22 @@ def assert_same_spectrum(m, narrowed):
 
 
 @st.composite
-def block_bands(draw):
+def block_matrices(draw):
     p = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # exact zeros in the coupling blocks take the walk's rotation-skip branch
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     dense = block_tridiagonal(rng, p, draw(st.integers(2, 8)), zero_share)
-    dense *= 10.0 ** draw(st.integers(-150, 150))
-    return p, banded_from_dense(dense, 2 * p - 1)
+    return p, dense * 10.0 ** draw(st.integers(-150, 150))
 
 
 class TestNarrowBand:
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-    @given(case=block_bands())
+    @given(case=block_matrices())
     def test_property(self, case):
-        p, m = case
-        narrowed = narrow_band(m, p)
+        p, dense = case
+        m = banded_from_dense(dense, 2 * p - 1)
+        narrowed = narrow_band(blocks_of(dense, p))
         assert (narrowed.bandwidth, narrowed.dim) == (p, m.dim)
         dense = to_dense(narrowed)
         assert not np.triu(dense, p + 1).any() and not np.tril(dense, -p - 1).any()
@@ -418,10 +431,43 @@ class TestNarrowBand:
 
     @pytest.mark.parametrize("n", [2, 3, 40])
     def test_p1_is_returned_unchanged(self, n):
+        # p = 1 runs the same code as every p, and gives back the band
         m = SymmetricBanded(np.random.default_rng(n).standard_normal((2, n)))
-        narrowed = narrow_band(m, 1)
+        narrowed = narrow_band(blocks_of(to_dense(m), 1))
         np.testing.assert_array_equal(narrowed.ab, m.ab)
         np.testing.assert_array_equal(eigh_banded(narrowed), eigh_banded(m))
+
+    @pytest.mark.parametrize("n", [2, 41])
+    def test_p1_sample_is_its_band(self, n):
+        w, seed = GammaWeights((2.5,)), RngSeed(8, n)
+        narrowed = narrow_band(build_G(n, w, seed))
+        np.testing.assert_array_equal(narrowed.ab, g_band(n, w, seed).ab)
+
+    @pytest.mark.parametrize("gamma", [(2.0,), (2.0, 8.0), (1.0, 4.0, 25.0), (0.3, 1.7, 2.25, 9.1)])
+    def test_one_block(self, gamma):
+        # F-tilde of one stage is B_0: its band has bandwidth dim - 1, the
+        # widest tridiagonal_form takes, and holds B_0 as it is
+        c = recurrence_coeffs(4 * len(gamma), GammaWeights(gamma))
+        one = RecurrenceCoeffs(c.A[:1], c.B[:1])
+        p = len(gamma)
+        narrowed = narrow_band(f_tilde_blocks(one))
+        assert (narrowed.bandwidth, narrowed.dim) == (p - 1, p)
+        np.testing.assert_array_equal(narrowed.ab, banded_from_dense(c.B[0], p - 1).ab)
+        expected = np.linalg.eigvalsh(c.B[0])
+        np.testing.assert_allclose(
+            roots(one), expected, rtol=0, atol=1e-14 * max(1.0, np.abs(expected).max())
+        )
+
+    @pytest.mark.parametrize("n", [8, 400])
+    def test_p4_sample_matches_the_band_of_its_draws(self, n):
+        # G drawn into its band of bandwidth 2p - 1, entry by entry, and
+        # read back into blocks: the spectrum of the blocks build_G samples
+        # is the same to the bit
+        w, seed = GammaWeights((0.3, 1.7, 2.25, 9.1)), RngSeed(4, n)
+        from_band = blocks_of(to_dense(g_band(n, w, seed)), w.p)
+        np.testing.assert_array_equal(
+            eigh_banded(narrow_band(build_G(n, w, seed))), eigh_banded(narrow_band(from_band))
+        )
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_matrices(self, name):
@@ -430,8 +476,9 @@ class TestNarrowBand:
         # those of G a bound below and above it
         gamma, n = FIGURES[name]
         w = GammaWeights(gamma)
-        m = build_G(n, w, RngSeed(1, 0))
-        narrowed = narrow_band(m, w.p)
+        g = build_G(n, w, RngSeed(1, 0))
+        m = block_band(g)
+        narrowed = narrow_band(g)
         assert narrowed.bandwidth == w.p
         assert_invariants_kept(m, narrowed)
         t = tridiagonal_form(m)
@@ -446,8 +493,9 @@ class TestNarrowBand:
         "n,gamma", [(600, (2.0, 8.0)), (600, (1.0, 4.0, 25.0)), (600, (1.0, 4.0, 25.0, 100.0))]
     )
     def test_jacobi_matrices(self, n, gamma):
-        m = jacobi_matrix(recurrence_coeffs(n, GammaWeights(gamma)))
-        narrowed = narrow_band(m, len(gamma))
+        blocks = f_tilde_blocks(recurrence_coeffs(n, GammaWeights(gamma)))
+        m = block_band(blocks)
+        narrowed = narrow_band(blocks)
         assert narrowed.bandwidth == len(gamma)
         assert_invariants_kept(m, narrowed)
         assert_same_spectrum(m, narrowed)
@@ -463,41 +511,36 @@ class TestNarrowBand:
 
         monkeypatch.setattr(linalg, "_narrowing_rotations", perturbed)
         with pytest.raises(ConvergenceError, match=r"^band narrowing: \|tr T - tr M\| = "):
-            narrow_band(m, 2)
+            narrow_band(m)
 
     @pytest.mark.parametrize(
-        "ab,p,message",
+        "diag,coupling",
         [
-            (np.ones((4, 6)), 4, "positive divisor of dim 6, got 4"),
-            (np.ones((4, 6)), 0, "positive divisor"),
-            (np.ones((5, 6)), 2, "bandwidth 4 exceeds 2p - 1 = 3"),
-            # p = 2, bandwidth 3: entry (0, 3) couples blocks 0 and 1, entry
-            # (1, 4) blocks 0 and 2
-            (np.ones((4, 6)), 2, "couples blocks two apart"),
+            (np.ones((2, 2)), np.ones((1, 2))),  # not a stack of blocks
+            (np.ones((0, 2, 2)), np.ones((0, 2, 2))),  # no block
+            (np.ones((2, 2, 3)), np.ones((1, 2, 3))),  # blocks not square
+            (np.ones((2, 2, 2)), np.ones((2, 2, 2))),  # one coupling block too many
+            (np.ones((3, 2, 2)), np.ones((1, 2, 2))),  # one too few
+            (np.ones((2, 2, 2)), np.ones((1, 3, 3))),  # another block size
         ],
     )
-    def test_rejects_a_band_that_is_not_block_tridiagonal(self, ab, p, message):
-        with pytest.raises(ValidationError, match=message):
-            narrow_band(SymmetricBanded(ab), p)
+    def test_rejects_blocks_of_mismatched_shapes(self, diag, coupling):
+        with pytest.raises(ValidationError, match="p-block tridiagonal needs"):
+            narrow_band(BlockTridiagonal(diag, coupling))
 
-    def test_padded_band_and_safe_range_scaling(self):
-        # a band narrower than 2p - 1 is read as one with zero outer
-        # diagonals, and one outside the safe range is narrowed as 2^-k M
-        dense = block_tridiagonal(np.random.default_rng(7), 3, 4)
-        dense[np.abs(np.subtract.outer(range(12), range(12))) > 4] = 0.0
-        m = banded_from_dense(dense, 4)
-        narrowed = narrow_band(m, 3)
-        wide = narrow_band(banded_from_dense(dense, 5), 3)
-        np.testing.assert_array_equal(narrowed.ab, wide.ab)
+    def test_safe_range_scaling(self):
+        # blocks outside the safe range are narrowed as 2^-k M
+        m = blocks_of(block_tridiagonal(np.random.default_rng(7), 3, 4), 3)
+        narrowed = narrow_band(m)
         for k in (-600, 600):
-            scaled = narrow_band(SymmetricBanded(np.ldexp(m.ab, k)), 3)
+            scaled = narrow_band(BlockTridiagonal(*(np.ldexp(x, k) for x in m)))
             np.testing.assert_array_equal(scaled.ab, np.ldexp(narrowed.ab, k))
 
 
 class TestBisectionAndSturmCounts:
     @pytest.fixture
     def tridiagonal(self):
-        m = build_G(300, GammaWeights((1.0, 4.0, 25.0)), RngSeed(9))
+        m = block_band(build_G(300, GammaWeights((1.0, 4.0, 25.0)), RngSeed(9)))
         return tridiagonal_form(m), eigh_banded(m)
 
     def test_order_statistics_match_the_banded_solve(self, tridiagonal):

@@ -21,18 +21,19 @@ from blockspec.matrixpoly import (
     ROOTS_MEMO_SIZE,
     RecurrenceCoeffs,
     coefficient_blocks,
-    jacobi_matrix,
     recurrence_coeffs,
     roots,
     roots_of,
 )
 from blockspec.spectral import limit_blocks
 from tests.oracles import (
+    block_band,
     build_F,
     cheb_T,
     cheb_U,
     eval_R,
     lu_log_abs_det,
+    f_tilde_blocks,
     markov_bound_check,
     to_dense,
     truncated,
@@ -301,13 +302,17 @@ class TestRoots:
             assert worst <= -8.0
 
     def test_jacobi_matrix_layout(self):
+        # roots solves B_0..B_2 on the block diagonal with A_1 and A_2 beside
+        # it, which the band of its blocks holds as they are
         c = recurrence_coeffs(6, W2)
-        dense = to_dense(jacobi_matrix(c))
-        np.testing.assert_allclose(dense[0:2, 0:2], c.B[0], atol=0)
-        np.testing.assert_allclose(dense[2:4, 2:4], c.B[1], atol=0)
-        np.testing.assert_allclose(dense[0:2, 2:4], c.A[0], atol=0)
-        np.testing.assert_allclose(dense[2:4, 4:6], c.A[1], atol=0)
-        assert np.all(dense[0:2, 4:6] == 0.0)
+        dense = np.zeros((6, 6))
+        for i in range(3):
+            dense[2 * i:2 * i + 2, 2 * i:2 * i + 2] = c.B[i]
+        for i in range(2):
+            dense[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4] = c.A[i]
+            dense[2 * i + 2:2 * i + 4, 2 * i:2 * i + 2] = c.A[i].T
+        np.testing.assert_array_equal(to_dense(block_band(f_tilde_blocks(c))), dense)
+        np.testing.assert_allclose(roots(c), np.linalg.eigvalsh(dense), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "gamma",
