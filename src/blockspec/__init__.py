@@ -17,7 +17,7 @@ from .harness import (
     levy_cubed_bound,
     tail_bound_experiment,
 )
-from .linalg import BlockTridiagonal, SymmetricBanded, eigh_banded, narrow_band, spd_inv_sqrt
+from .linalg import BlockTridiagonal, eigh_banded, spd_inv_sqrt
 from .matrixpoly import (
     RecurrenceCoeffs,
     recurrence_coeffs,

@@ -19,9 +19,9 @@ equal spectra.
 `chi_layout` is the one construction of this layout: it returns every chi
 position with its dof as arrays, and `build_G` reads it and scatters each
 draw into its p x p block of a `linalg.BlockTridiagonal`, the form
-`linalg.narrow_band` takes: with r in block b = (r - 1) // p, entry (r, c)
-lies in the diagonal block D_b when c is in block b too, and in the
-coupling block C_b when c is in block b + 1.  The test suite keeps an
+`linalg.eigh_banded` and `linalg.tridiagonal_form` take: with r in block
+b = (r - 1) // p, entry (r, c) lies in the diagonal block D_b when c is in
+block b too, and in the coupling block C_b when c is in block b + 1.  The test suite keeps an
 independent blockwise transcription of the block patterns and a loop over
 the positional rule as oracles for it.
 

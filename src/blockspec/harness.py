@@ -16,12 +16,12 @@ makes two rounds: the density table beside the sampled band reduction
 (`scaled_tridiagonal`), then the minimum and the maximum of the histogram
 (`spectrum_histogram`), which brackets its quartiles and fills its bins by
 counting eigenvalues instead of computing them all.  Every sampled solve
-and reduction takes G as its p x p blocks, which `linalg.narrow_band`
-writes as a band of bandwidth p (a few ms at n = 5000); the LAPACK band
-reduction of the figure matrices then takes 71-151 ms of CPU, and the
-spectra are those of the narrowed band, within rounding of G's.  The tasks
-run on threads, and the LAPACK calls that dominate them release the GIL
-(see `linalg`); the narrowing's Python walk over the blocks holds it.
+and reduction hands G, as its p x p blocks, to `linalg`, which narrows it to
+a band of bandwidth p (a few ms at n = 5000) before the LAPACK band
+reduction (71-151 ms of CPU on the figure matrices); the spectra are those
+of the narrowed band, within rounding of G's.  The tasks run on threads,
+and the LAPACK calls that dominate them release the GIL (see `linalg`); the
+narrowing's Python walk over the blocks holds it.
 Statistics are computed from the assembled results afterwards.
 Theorem-style gap quantities are unscaled; weak-convergence quantities
 divide by sqrt(n): a spectrum through `EmpiricalSpectrum.to_scaled`, while
@@ -41,14 +41,7 @@ import numpy as np
 
 from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G, check_size
 from .errors import ValidationError
-from .linalg import (
-    SturmCounter,
-    Tridiagonal,
-    bisect_eigvals,
-    eigh_banded,
-    narrow_band,
-    tridiagonal_form,
-)
+from .linalg import SturmCounter, Tridiagonal, eigh_banded, tridiagonal_form
 from .matrixpoly import recurrence_coeffs, roots_of
 from .spectral import SpectralDensity
 
@@ -170,9 +163,8 @@ def check_trials(trials: int) -> None:
 
 
 def empirical_spectrum(n: int, w: GammaWeights, seed: RngSeed) -> EmpiricalSpectrum:
-    """Sorted, unscaled eigenvalues of the matrix G sampled from seed: those
-    of its band of bandwidth p (`linalg.narrow_band`)."""
-    return EmpiricalSpectrum(w, seed, False, eigh_banded(narrow_band(build_G(n, w, seed))))
+    """Sorted, unscaled eigenvalues of the matrix G sampled from seed."""
+    return EmpiricalSpectrum(w, seed, False, eigh_banded(build_G(n, w, seed)))
 
 
 def _percentile_ranks(size: int, q: float) -> tuple[list[int], float]:
@@ -303,9 +295,8 @@ def fd_histogram(
 
 def scaled_tridiagonal(n: int, w: GammaWeights, seed: RngSeed) -> Tridiagonal:
     """T / sqrt(n), for the tridiagonal form T of the matrix G sampled from
-    seed: `tridiagonal_form` of its band of bandwidth p
-    (`linalg.narrow_band`), each step checked by its own gate."""
-    t = tridiagonal_form(narrow_band(build_G(n, w, seed)))
+    seed (`linalg.tridiagonal_form`)."""
+    t = tridiagonal_form(build_G(n, w, seed))
     scale = math.sqrt(n)
     return Tridiagonal(t.d / scale, t.e / scale)
 
@@ -314,12 +305,13 @@ def spectrum_histogram(t: Tridiagonal) -> Histogram:
     """Freedman-Diaconis histogram of the eigenvalues of t, without
     computing them all.
 
-    The minimum and the maximum are bisected (dstebz), one `map_trials`
-    task each; the quartile brackets of `fd_histogram` and every interior
-    bin edge are Sturm counts (dlaebz) on one `SturmCounter`, whose form
-    is prepared once for all of them, and the quartiles are bisected
-    only when the brackets cannot certify the bin count.  The result is bit
-    for bit the one of bisecting the quartiles as well: dstebz runs the
+    Everything runs on one `SturmCounter`, whose form is prepared once
+    for all of it.  The minimum and the maximum are bisected (dstebz), one
+    `map_trials` task each, on that shared counter; the quartile brackets
+    of `fd_histogram` and every interior bin edge are Sturm counts
+    (dlaebz), and the quartiles are bisected only when the brackets cannot
+    certify the bin count.  The result is bit for bit the one of
+    bisecting the quartiles as well: dstebz runs the
     same Sturm count (same recurrence, pivmin and power-of-two scaling) and
     returns the midpoint of an interval narrower than 2 eps times its
     endpoints' magnitude where the count reaches k + 1.  Where it sets an
@@ -333,11 +325,12 @@ def spectrum_histogram(t: Tridiagonal) -> Histogram:
     relative.
     """
 
-    def order_stats(ranks: list[int]) -> list[float]:
-        tasks = [partial(bisect_eigvals, t, k + 1, k + 1) for k in ranks]
-        return [float(value[0]) for value in map_trials(tasks)]
+    counter = SturmCounter(t)
 
-    return fd_histogram(len(t.d), order_stats, SturmCounter(t))
+    def order_stats(ranks: list[int]) -> list[float]:
+        return map_trials([partial(counter.eigenvalue, k) for k in ranks])
+
+    return fd_histogram(len(t.d), order_stats, counter)
 
 
 def approx_gap(sampled: EmpiricalSpectrum, reference: np.ndarray) -> float:

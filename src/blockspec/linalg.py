@@ -1,32 +1,30 @@
-"""Real symmetric linear algebra: the banded eigensolver, the narrowing of a
-p-block tridiagonal matrix (`BlockTridiagonal`) to a band of bandwidth p,
-the reduction of a band to tridiagonal form with bisection and Sturm
-counts on the result, the SPD inverse square root, and the numerical
-singularity test for stacks of small blocks.
+"""Real symmetric linear algebra: the eigensolver and the tridiagonal
+reduction of a p-block tridiagonal matrix (`BlockTridiagonal`), Sturm counts
+and bisection on the reduced tridiagonal (`SturmCounter`), the SPD inverse
+square root, and the numerical singularity test for stacks of small blocks.
 
 All matrices are plain float64 numpy arrays.  Dense inputs must be symmetric
-(checked), banded inputs are symmetric by construction of SymmetricBanded,
-which takes only its band storage ab and reads dim and bandwidth from the
-shape of ab, and a BlockTridiagonal holds its blocks as (k, p, p) stacks.
+(checked), and a BlockTridiagonal holds its blocks as (k, p, p) stacks.
 Both solves are backed by numpy's LAPACK, which meets the backward-stable
 accuracy contracts stated per function; the dense solve inside
-spd_inv_sqrt additionally verifies its residuals, and every banded solve
-checks two invariants of its tridiagonal reduction.
+spd_inv_sqrt additionally verifies its residuals, and every block
+tridiagonal solve checks two invariants of each of its two steps.
 
-The banded routines call LAPACK dsbtrd, dsterf, dstebz and dlaebz as ctypes
+The routines call LAPACK dsbtrd, dsterf, dstebz and dlaebz as ctypes
 foreign calls, so the GIL is released for each call's duration and work on
 several threads (harness.map_trials) runs in parallel.  The routines are the
 ones in the LAPACK that numpy.linalg's _umath_linalg extension links
 against: the extension is opened once with ctypes.CDLL by its file, and the
 symbol lookup also searches the libraries it depends on, so nothing new is
-loaded, scipy included.  A full spectrum is dsbtrd, the reduction gate,
-then dsterf, the two steps of dsbevd for eigenvalues only, so for the band
-it is given it is bit-identical to scipy.linalg.eigvals_banded wherever
-dsbevd would not rescale the band.  The matrices of blockspec are p-block
-tridiagonal and are built as their blocks, and `narrow_band` writes them
-as a band of bandwidth p (O(dim p^2) in numpy and Python floats, no LAPACK
-call), so their spectra are those of the narrowed band: within rounding of
-the matrix's own, and cheap, since dsbtrd costs O(dim^2 bandwidth).
+loaded, scipy included.  The matrices of blockspec are p-block tridiagonal
+and are built as their blocks.  `tridiagonal_form` narrows them to a band of
+bandwidth p (O(dim p^2) in numpy and Python floats, no LAPACK call), so
+their spectra are those of the narrowed band: within rounding of the
+matrix's own, and cheap, since dsbtrd then reduces the band in O(dim^2 p).
+A full spectrum (`eigh_banded`) is that reduction, then dsterf: the two
+steps of dsbevd for eigenvalues only, so it is bit-identical to
+scipy.linalg.eigvals_banded of the narrowed band wherever dsbevd would not
+rescale the band.
 
 The call convention, bound once per routine by `_routine`: the symbols are
 the raw Fortran ones, so every argument is passed by reference.  Arrays are
@@ -40,8 +38,8 @@ ValidationError naming the rejected argument (`_info`).
 
 The safe-range scaling: dsbevd reduces a matrix without scaling it when its
 max |m_ij| lies in [sqrt(tiny / eps), sqrt(eps / tiny)] ~ [1e-146, 1e146],
-where the squares of its entries stay finite and normal.  A band or
-tridiagonal outside that range goes to LAPACK as 2^-k times itself, with
+where the squares of its entries stay finite and normal.  Blocks or a
+tridiagonal outside that range go to LAPACK as 2^-k times themselves, with
 max |m_ij| 2^-k in [1/2, 1) (`_scale_down`), and the results come back
 times 2^k (`_scale_up`): exact unless an entry leaves the normal range, and
 a result beyond the float range raises ConvergenceError.
@@ -154,35 +152,20 @@ _DLAEBZ = _routine(
 )
 
 
-class SymmetricBanded:
-    """Symmetric matrix in LAPACK's upper band storage: ab, of shape
-    (u + 1, dim) in Fortran order, holds entry (i, j) at ab[u + i - j, j]
-    for 0-based i <= j, so symmetry holds by construction.  `dim` and the
-    `bandwidth` u, the number of nonzero super-diagonals, are read from
-    ab's shape.  The corner ab[u - d, :d], which no entry maps to, is zeroed
-    on construction, in a copy: a caller's array is never changed.
-    """
-
-    def __init__(self, ab: np.ndarray):
-        self.ab = np.array(ab, dtype=float, order="F")
-        if self.ab.ndim != 2 or 0 in self.ab.shape:
-            raise ValidationError(
-                f"ab must be 2-d with at least one row and one column, got shape {self.ab.shape}"
-            )
-        self.bandwidth, self.dim = self.ab.shape[0] - 1, self.ab.shape[1]
-        for row in range(self.bandwidth):
-            self.ab[row, : self.bandwidth - row] = 0.0
-
-
 class BlockTridiagonal(NamedTuple):
     """Symmetric p-block tridiagonal matrix of k blocks, dim = k p: `diag`
     (k, p, p) holds the symmetric diagonal blocks D_0..D_{k-1} and
     `coupling` (k - 1, p, p) the coupling blocks C_0..C_{k-2}, with C_b at
     block row b and block column b + 1 (and C_b^T at block row b + 1 and
-    block column b).  `narrow_band` writes it as a band."""
+    block column b).  `tridiagonal_form` and `eigh_banded` take it."""
 
     diag: np.ndarray
     coupling: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        k, p = np.shape(self.diag)[:2]
+        return k * p
 
 
 def require_symmetric(m: np.ndarray) -> np.ndarray:
@@ -195,14 +178,14 @@ def require_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def eigh_banded(m: SymmetricBanded) -> np.ndarray:
-    """All eigenvalues of a symmetric banded matrix, ascending.
+def eigh_banded(m: BlockTridiagonal) -> np.ndarray:
+    """All eigenvalues of the symmetric p-block tridiagonal m, ascending.
 
     LAPACK dsterf, the QR step of dsbevd, on tridiagonal_form(m), with the
-    GIL released.  Both steps are backward stable: the values are the
-    exact eigenvalues of M + E with ||E||_2 of order dim * machine epsilon
-    * ||M||_2, so each is within that distance of an eigenvalue of M.
-    Requires bandwidth < dim (densify wider matrices first).
+    GIL released.  Every step is backward stable: the values are the exact
+    eigenvalues of M + E with ||E||_2 of order (dim + p^2) * machine
+    epsilon * ||M||_2, so each is within that distance of an eigenvalue
+    of M.
     """
     d, e = tridiagonal_form(m)  # fresh arrays, overwritten by dsterf
     info = _INT(0)
@@ -225,29 +208,41 @@ class Tridiagonal(NamedTuple):
     e: np.ndarray
 
 
-def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
-    """A tridiagonal T = Q^T M Q orthogonally similar to m, so with the
-    eigenvalues of m.
+def tridiagonal_form(m: BlockTridiagonal) -> Tridiagonal:
+    """A tridiagonal T = Q^T M Q orthogonally similar to the symmetric
+    p-block tridiagonal m, so with the eigenvalues of m.
 
-    This is LAPACK dsbtrd, the reduction dsbevd makes before its QR step
-    (`eigh_banded`), with the GIL released.  Two invariants of the
-    similarity are checked: |tr T - tr M| <= 4 dim eps ||M||_F and
-    |(||T||_F^2 - ||M||_F^2)| <= 4 dim eps ||M||_F^2, with eps = 2^-52;
-    a breach raises ConvergenceError naming the stage.  The factor 4 is
-    set from measurement: over 1e5 random bands of dim 2-12 the larger
-    residual reached 1.34 dim eps (at dim 3), and on the five figure
-    matrices at n = 5000 it stays below 0.01 dim eps.  A band outside the
-    safe range is reduced and checked as 2^-k M, and T is scaled back by
-    2^k (the module's safe-range scaling); a T beyond the float range
-    raises ConvergenceError.
+    Two steps: m is narrowed to a band of bandwidth min(p, dim - 1)
+    (`_narrowed_band`), and LAPACK dsbtrd, the reduction dsbevd makes
+    before its QR step (`eigh_banded`), reduces that band to T with the GIL
+    released.  Each step is checked against two invariants of the
+    similarity (`_similarity_gate`): the narrowed band against m, as the
+    stage "band narrowing", and T against the narrowed band, as the stage
+    "band reduction (dsbtrd)"; a breach raises ConvergenceError naming the
+    stage.  Blocks outside the safe range are narrowed, reduced and checked
+    as 2^-k M, and T is scaled back by 2^k (the module's safe-range
+    scaling); a T beyond the float range raises ConvergenceError.  Blocks
+    of mismatched shapes or with a non-finite entry raise ValidationError.
     """
-    if m.bandwidth >= m.dim:
+    shape = np.shape(m.diag)
+    if len(shape) != 3 or 0 in shape or shape[1] != shape[2] or (
+        np.shape(m.coupling) != (shape[0] - 1, *shape[1:])
+    ):
         raise ValidationError(
-            f"bandwidth {m.bandwidth} >= dim {m.dim}: densify and use a dense eigensolver"
+            f"a p-block tridiagonal needs k >= 1 diagonal blocks (k, p, p) and k - 1 "
+            f"coupling blocks (k - 1, p, p), got shapes {shape} and {np.shape(m.coupling)}"
         )
-    (ab,), scale = _scale_down("banded matrix", m.ab)  # a copy, overwritten by dsbtrd
-    n, kd = m.dim, m.bandwidth
-    before = _band_invariants(ab)
+    # copies, rotated in place
+    (diag, coupling), scale = _scale_down("block tridiagonal matrix", m.diag, m.coupling)
+    n = m.dim
+    before = (
+        float(np.trace(diag, axis1=1, axis2=2).sum()),
+        float(np.sum(diag**2) + 2.0 * np.sum(coupling**2)),
+    )
+    ab = _narrowed_band(diag, coupling)  # overwritten by dsbtrd
+    narrowed = _band_invariants(ab)
+    _similarity_gate("band narrowing", n, before, narrowed)
+    kd = ab.shape[0] - 1
     d = np.empty(n)
     e = np.empty(max(n - 1, 1))
     info = _INT(0)
@@ -258,7 +253,7 @@ def tridiagonal_form(m: SymmetricBanded) -> Tridiagonal:
     _info("dsbtrd", info)
     e = e[: n - 1]
     after = float(d.sum()), float(d @ d + 2.0 * (e @ e))
-    _similarity_gate("band reduction (dsbtrd)", n, before, after)
+    _similarity_gate("band reduction (dsbtrd)", n, narrowed, after)
     return Tridiagonal(*_scale_up([d, e], scale, "band reduction (dsbtrd): T overflows"))
 
 
@@ -275,7 +270,12 @@ def _similarity_gate(
     orthogonal similarity of the dim x dim matrix M with invariants
     `before`: |tr T - tr M| <= 4 dim eps ||M||_F and
     |(||T||_F^2 - ||M||_F^2)| <= 4 dim eps ||M||_F^2, with eps = 2^-52.
-    A breach raises ConvergenceError naming the `stage`."""
+    A breach raises ConvergenceError naming the `stage`.
+
+    The factor 4 is set from measurement: over 1e5 random bands of dim
+    2-12 the larger residual of dsbtrd reached 1.34 dim eps (at dim 3),
+    and on the five figure matrices at n = 5000 it stays below 0.01 dim
+    eps."""
     (trace, frob_sq), (new_trace, new_frob_sq) = before, after
     tol = 4 * dim * np.finfo(float).eps * math.sqrt(frob_sq)
     trace_residual = abs(new_trace - trace)
@@ -293,12 +293,16 @@ def _similarity_gate(
         )
 
 
-def narrow_band(m: BlockTridiagonal) -> SymmetricBanded:
-    """A band of bandwidth min(p, dim - 1) orthogonally similar to the
-    p-block tridiagonal m, so with the eigenvalues of m.
+def _narrowed_band(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """A band of bandwidth u = min(p, dim - 1) orthogonally similar to the
+    p-block tridiagonal M with diagonal blocks `diag` (k, p, p) and
+    coupling blocks `coupling` (k - 1, p, p), both rotated in place.  It is
+    returned in LAPACK's upper band storage, Fortran-ordered, as dsbtrd
+    takes it: entry (i, j), 0-based i <= j, at ab[u + i - j, j], and the
+    corner ab[u - d, :d], which no entry maps to, zero.
 
     The block-diagonal similarity Q = diag(Q_0, .., Q_{k-1}), Q_0 = I,
-    keeps m's block shape, and each Q_{b+1} is chosen so that the coupling
+    keeps M's block shape, and each Q_{b+1} is chosen so that the coupling
     block Q_b^T C_b Q_{b+1} is lower triangular, which puts every entry
     within p of the diagonal.  Q_{b+1} is p(p - 1) / 2 Givens rotations,
     found by a walk over the blocks (`_narrowing_rotations`); the rotated
@@ -307,33 +311,13 @@ def narrow_band(m: BlockTridiagonal) -> SymmetricBanded:
     construction, are dropped.  This is the first sweep of successive band
     reduction (Bischof, Lang and Sun 2000) without a bulge to chase: it
     costs O(dim p^2), a few ms at dim = 5000, and dsbtrd, which reduces a
-    band in O(dim^2 bandwidth), is given bandwidth p, though m has entries
+    band in O(dim^2 bandwidth), is given bandwidth p, though M has entries
     up to 2p - 1 off the diagonal.  One block (k = 1) has no coupling, and
-    its band has bandwidth dim - 1, so that `tridiagonal_form` takes it.
-
-    Each rotation is backward stable, so the eigenvalues of the result are
-    those of M + E with ||E||_2 of order p^2 eps ||M||_2.  The similarity
-    is checked as the reduction is (`tridiagonal_form`): |tr T - tr M| <=
-    4 dim eps ||M||_F and |(||T||_F^2 - ||M||_F^2)| <= 4 dim eps ||M||_F^2
-    for the narrowed band T, or ConvergenceError names the stage "band
-    narrowing".  An m outside the safe range is narrowed and checked as
-    2^-k M and scaled back by 2^k (the module's safe-range scaling).
+    its band has bandwidth dim - 1.  Each rotation is backward stable, so
+    the eigenvalues of the band are those of M + E with ||E||_2 of order
+    p^2 eps ||M||_2.
     """
-    shape = np.shape(m.diag)
-    if len(shape) != 3 or 0 in shape or shape[1] != shape[2] or (
-        np.shape(m.coupling) != (shape[0] - 1, *shape[1:])
-    ):
-        raise ValidationError(
-            f"a p-block tridiagonal needs k >= 1 diagonal blocks (k, p, p) and k - 1 "
-            f"coupling blocks (k - 1, p, p), got shapes {shape} and {np.shape(m.coupling)}"
-        )
-    # copies, rotated in place
-    (diag, coupling), scale = _scale_down("block tridiagonal matrix", m.diag, m.coupling)
-    p, dim = shape[1], shape[0] * shape[1]
-    before = (
-        float(np.trace(diag, axis1=1, axis2=2).sum()),
-        float(np.sum(diag**2) + 2.0 * np.sum(coupling**2)),
-    )
+    p, dim = diag.shape[1], diag.shape[0] * diag.shape[1]
     cos, sin = _narrowing_rotations(coupling)
     pairs = list(enumerate(_rotation_pairs(p)))
     # Q_{b+1}^T on the rows of D_{b+1} and C_{b+1}, then Q_{b+1} on the
@@ -347,15 +331,13 @@ def narrow_band(m: BlockTridiagonal) -> SymmetricBanded:
         for k, (i, j) in pairs:
             c, s = cos[:, k, None], sin[:, k, None]
             x[..., i], x[..., j] = c * x[..., i] + s * x[..., j], c * x[..., j] - s * x[..., i]
-    narrowed = np.zeros((p + 1, dim), order="F")
+    ab = np.zeros((p + 1, dim), order="F")
     for i in range(p):
         for j in range(i, p):
-            narrowed[p + i - j, j::p] = diag[:, i, j]
-            narrowed[j - i, p + i::p] = coupling[:, j, i]
-    narrowed = narrowed[p - min(p, dim - 1):]  # one block: no row at offset p
-    _similarity_gate("band narrowing", dim, before, _band_invariants(narrowed))
-    (narrowed,) = _scale_up([narrowed], scale, "band narrowing: the narrowed band overflows")
-    return SymmetricBanded(narrowed)
+            ab[p + i - j, j::p] = diag[:, i, j]
+            ab[j - i, p + i::p] = coupling[:, j, i]
+    # one block has no row at offset p, and its slice is not F-contiguous
+    return np.asfortranarray(ab[p - min(p, dim - 1):])
 
 
 def _rotation_pairs(p: int) -> list[tuple[int, int]]:
@@ -368,7 +350,7 @@ def _rotation_pairs(p: int) -> list[tuple[int, int]]:
 def _narrowing_rotations(coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin), each of shape (k - 1, p (p - 1) / 2): the Givens rotations
     that make Q_{b+1}, for the stack (k - 1, p, p) of coupling blocks C_b of
-    `narrow_band`.
+    `_narrowed_band`.
 
     The walk keeps X = Q_b^T C_b, starting from X = C_0.  For each pair (i,
     j) of `_rotation_pairs` it zeroes X[i, j] against X[i, i] by rotating
@@ -415,59 +397,13 @@ def _narrowing_rotations(coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _lapack_tridiagonal(t: Tridiagonal) -> tuple[list[np.ndarray], int]:
-    """([d, e], k): t's d and e as float64 arrays of length dim, e padded
-    with a zero, scaled down by 2^-k into the safe range (`_scale_down`)."""
-    d = np.asarray(t.d, dtype=float)
-    n = len(d)
-    if d.ndim != 1 or n < 1 or np.shape(t.e) != (n - 1,):
-        raise ValidationError(
-            f"a tridiagonal needs dim >= 1 diagonal and dim - 1 off-diagonal "
-            f"entries, got shapes {np.shape(t.d)} and {np.shape(t.e)}"
-        )
-    e = np.zeros(n)
-    e[: n - 1] = t.e
-    return _scale_down("tridiagonal matrix", d, e)
-
-
-def bisect_eigvals(t: Tridiagonal, il: int, iu: int) -> np.ndarray:
-    """Eigenvalues il..iu (1-based, in ascending order) of t, ascending.
-
-    LAPACK dstebz with RANGE = 'I' finds them by Sturm-count bisection to
-    about two ulps relative, at O(dim) per count, with the GIL released.
-    Its info code and the number of values it returns are checked.  A t
-    outside the safe range is bisected as 2^-k t and the values are scaled
-    back by 2^k (the module's safe-range scaling); values beyond the float
-    range raise ConvergenceError.
-    """
-    (d, e), scale = _lapack_tridiagonal(t)
-    n = len(d)
-    if not 1 <= il <= iu <= n:
-        raise ValidationError(f"need 1 <= il <= iu <= dim = {n}, got il = {il}, iu = {iu}")
-    w = np.empty(n)
-    found, info = _INT(0), _INT(0)
-    _DSTEBZ(
-        b"I", b"E", _INT(n), _DOUBLE(0.0), _DOUBLE(0.0), _INT(il), _INT(iu),
-        _DOUBLE(2.0 * np.finfo(float).tiny), d, e, found, _INT(0), w,
-        np.empty(n, dtype=_INT), np.empty(n, dtype=_INT), np.empty(4 * n),
-        np.empty(3 * n, dtype=_INT), info, 1, 1,
-    )
-    if _info("dstebz", info) > 0:
-        raise ConvergenceError(f"bisection (dstebz) failed with info = {info.value}")
-    if found.value != iu - il + 1:
-        raise ConvergenceError(
-            f"bisection (dstebz) returned {found.value} eigenvalues for indices {il}..{iu}"
-        )
-    (values,) = _scale_up([w[: found.value]], scale, "bisection (dstebz): eigenvalues overflow")
-    return values
-
-
 class SturmCounter:
-    """For each x, the number of eigenvalues of the tridiagonal t at or
-    below x: counter = SturmCounter(t), then counter(x).
+    """Sturm counts and bisected eigenvalues of the tridiagonal t:
+    counter = SturmCounter(t), then counter(x) and counter.eigenvalue(k).
 
-    By Sylvester's law of inertia this is the number of nonpositive pivots
-    of the LDL^T factorization of T - x I.  One LAPACK dlaebz call
+    counter(x) is, for each x, the number of eigenvalues of t at or below
+    x.  By Sylvester's law of inertia this is the number of nonpositive
+    pivots of the LDL^T factorization of T - x I.  One LAPACK dlaebz call
     (IJOB = 1) counts them at every x, in O(dim) each, with the GIL
     released.  As in dstebz, a pivot smaller in magnitude than pivmin =
     tiny max(1, max e_i^2) is replaced by -pivmin, so a pivot that is
@@ -475,14 +411,25 @@ class SturmCounter:
     are both scaled by 2^-k, so a t outside the safe range is counted as
     2^-k t at 2^-k x.  x must be 1-d without NaN; +-inf count as 0 and dim.
 
-    The form dlaebz reads (t checked, e padded, both scaled, e^2 and
-    pivmin) is prepared once, on construction, so a caller that counts at
-    several sets of points, as `harness.spectrum_histogram` does, pays for
-    it once.
+    The form LAPACK reads (t checked, e padded with a zero, both scaled
+    into the safe range by `_scale_down`, e^2 and pivmin) is prepared
+    once, on construction, so a caller that counts at several sets of
+    points and bisects several eigenvalues, as `harness.spectrum_histogram`
+    does, pays for it once.  Neither call writes to it, so threads may
+    share one counter.
     """
 
     def __init__(self, t: Tridiagonal):
-        (self._d, self._e), self._scale = _lapack_tridiagonal(t)
+        d = np.asarray(t.d, dtype=float)
+        n = len(d)
+        if d.ndim != 1 or n < 1 or np.shape(t.e) != (n - 1,):
+            raise ValidationError(
+                f"a tridiagonal needs dim >= 1 diagonal and dim - 1 off-diagonal "
+                f"entries, got shapes {np.shape(t.d)} and {np.shape(t.e)}"
+            )
+        e = np.zeros(n)
+        e[: n - 1] = t.e
+        (self._d, self._e), self._scale = _scale_down("tridiagonal matrix", d, e)
         self._e2 = self._e * self._e
         self._pivmin = np.finfo(float).tiny * max(1.0, float(self._e2.max()))
 
@@ -508,6 +455,36 @@ class SturmCounter:
         )
         _info("dlaebz", info)
         return nab.reshape(-1)[: len(x)].astype(np.intp)
+
+    def eigenvalue(self, k: int) -> float:
+        """Eigenvalue k (0-based, in ascending order) of t.
+
+        LAPACK dstebz with RANGE = 'I' finds it by Sturm-count bisection to
+        about two ulps relative, at O(dim) per count, with the GIL
+        released.  Its info code and the number of values it returns are
+        checked.  A t outside the safe range is bisected as 2^-k t and the
+        value is scaled back by 2^k (the module's safe-range scaling); a
+        value beyond the float range raises ConvergenceError.
+        """
+        n = len(self._d)
+        if not 0 <= k < n:
+            raise ValidationError(f"need 0 <= k < dim = {n}, got k = {k}")
+        w = np.empty(n)
+        found, info = _INT(0), _INT(0)
+        _DSTEBZ(
+            b"I", b"E", _INT(n), _DOUBLE(0.0), _DOUBLE(0.0), _INT(k + 1), _INT(k + 1),
+            _DOUBLE(2.0 * np.finfo(float).tiny), self._d, self._e, found, _INT(0), w,
+            np.empty(n, dtype=_INT), np.empty(n, dtype=_INT), np.empty(4 * n),
+            np.empty(3 * n, dtype=_INT), info, 1, 1,
+        )
+        if _info("dstebz", info) > 0:
+            raise ConvergenceError(f"bisection (dstebz) failed with info = {info.value}")
+        if found.value != 1:
+            raise ConvergenceError(
+                f"bisection (dstebz) returned {found.value} eigenvalues for index {k}"
+            )
+        (value,) = _scale_up([w[:1]], self._scale, "bisection (dstebz): eigenvalues overflow")
+        return float(value[0])
 
 
 def spd_inv_sqrt(m: np.ndarray, name: str = "matrix") -> np.ndarray:

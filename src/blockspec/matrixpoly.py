@@ -11,11 +11,11 @@ m and p are read from the shape of A.  Roots of det R_m are never found
 by polynomial root-finding: they are the eigenvalues of the block Jacobi
 matrix F-tilde, cospectral with the deterministic counterpart F of
 `ensemble.build_G`, whose diagonal blocks are B_0..B_{m-1} and whose
-coupling blocks are A_1..A_{m-1} (`roots`).  It is solved as the band of
-bandwidth p that `linalg.narrow_band` writes it into (O(n p^2)): the roots
-are that band's eigenvalues, within rounding of F-tilde's own.  Stage i of
-`recurrence_coeffs(n, w)` does not depend on n, so the set for n = m p is
-the first m stages of every larger one.  `coefficient_blocks` is the one
+coupling blocks are A_1..A_{m-1} (`roots`).  `linalg.eigh_banded` solves it
+from its blocks, through a band of bandwidth p (O(n p^2) to form): the
+roots are that band's eigenvalues, within rounding of F-tilde's own.
+Stage i of `recurrence_coeffs(n, w)` does not depend on n, so the set for
+n = m p is the first m stages of every larger one.  `coefficient_blocks` is the one
 construction of the entry pattern, for these stages and for the limit
 blocks A0, B0.  No command evaluates the recurrence itself: R_m, the matrix
 Chebyshev polynomials and the resolvent-type bound are test references in
@@ -39,7 +39,7 @@ import numpy as np
 
 from .ensemble import GammaWeights, check_size
 from .errors import ValidationError
-from .linalg import BlockTridiagonal, asymmetric_blocks, eigh_banded, narrow_band, singular_blocks
+from .linalg import BlockTridiagonal, asymmetric_blocks, eigh_banded, singular_blocks
 
 
 class RecurrenceCoeffs:
@@ -100,11 +100,11 @@ def roots(coeffs: RecurrenceCoeffs) -> np.ndarray:
     """The m*p roots of det R_m, ascending, with multiplicity.
 
     Computed as the spectrum of the block Jacobi matrix, with diagonal
-    blocks B_0..B_{m-1} and coupling blocks A_1..A_{m-1}, written as a band
-    of bandwidth p (`linalg.narrow_band`); coincident eigenvalues realize
-    root multiplicities with uniform weight 1/(m*p).
+    blocks B_0..B_{m-1} and coupling blocks A_1..A_{m-1}
+    (`linalg.eigh_banded`); coincident eigenvalues realize root
+    multiplicities with uniform weight 1/(m*p).
     """
-    return eigh_banded(narrow_band(BlockTridiagonal(coeffs.B, coeffs.A[:-1])))
+    return eigh_banded(BlockTridiagonal(coeffs.B, coeffs.A[:-1]))
 
 
 # how many (n, w) spectra `roots_of` keeps: each benchmark workload asks

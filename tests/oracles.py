@@ -7,8 +7,8 @@ library computes in a vectorized or closed form:
   band storage, and the whole matrix written out;
 - `block_band`: a p-block tridiagonal matrix written entry by entry into
   band storage of bandwidth 2p - 1, the band that holds it without a
-  similarity, against `linalg.narrow_band`, and `blocks_of`, the blocks
-  of a dense p-block tridiagonal matrix;
+  similarity, against the narrowing inside `linalg.tridiagonal_form`, and
+  `blocks_of`, the blocks of a dense p-block tridiagonal matrix;
 - `chi_sample`: one chi draw, the per-entry form of `build_G`'s single
   vectorized draw, and `g_band`, G drawn entry by entry into its band of
   bandwidth 2p - 1 from the same draws as `build_G`;
@@ -40,6 +40,12 @@ It also holds the test-side helpers with no caller in the library:
 `banded_from_dense`, `truncated` (the first m stages of a coefficient set),
 `sturm_counts` (one `linalg.SturmCounter` call) and the readers of the
 files `formats` writes.
+
+A band is a plain array in LAPACK's upper band storage, the form
+scipy.linalg.eigvals_banded takes: ab of shape (u + 1, dim) holds entry
+(i, j) of the symmetric matrix at ab[u + i - j, j] for 0-based i <= j, so
+its bandwidth u and dim are read from its shape, and the corner
+ab[u - d, :d], which no entry maps to, is zero.
 """
 
 from __future__ import annotations
@@ -61,9 +67,7 @@ from blockspec.harness import Histogram
 from blockspec.linalg import (
     BlockTridiagonal,
     SturmCounter,
-    SymmetricBanded,
     Tridiagonal,
-    bisect_eigvals,
     require_symmetric,
     spd_inv_sqrt,
 )
@@ -71,25 +75,28 @@ from blockspec.matrixpoly import RecurrenceCoeffs
 from blockspec.spectral import SpectralDensity, limit_blocks
 
 
-def entry(m: SymmetricBanded, i: int, j: int) -> float:
-    """Entry (i, j) of a banded matrix, 0-based; zero outside the band."""
+def entry(ab: np.ndarray, i: int, j: int) -> float:
+    """Entry (i, j) of the banded matrix stored in ab, 0-based; zero
+    outside the band."""
     i, j = (i, j) if i <= j else (j, i)
-    if j - i > m.bandwidth:
+    u = len(ab) - 1
+    if j - i > u:
         return 0.0
-    return float(m.ab[m.bandwidth + i - j, j])
+    return float(ab[u + i - j, j])
 
 
-def to_dense(m: SymmetricBanded) -> np.ndarray:
-    """The full symmetric matrix held by the band storage of m."""
-    out = np.zeros((m.dim, m.dim))
-    for d in range(m.bandwidth + 1):
-        idx = np.arange(m.dim - d)
-        out[idx, idx + d] = m.ab[m.bandwidth - d, d:]
-        out[idx + d, idx] = m.ab[m.bandwidth - d, d:]
+def to_dense(ab: np.ndarray) -> np.ndarray:
+    """The full symmetric matrix held by the band storage ab."""
+    u, dim = len(ab) - 1, ab.shape[1]
+    out = np.zeros((dim, dim))
+    for d in range(u + 1):
+        idx = np.arange(dim - d)
+        out[idx, idx + d] = ab[u - d, d:]
+        out[idx + d, idx] = ab[u - d, d:]
     return out
 
 
-def block_band(m: BlockTridiagonal) -> SymmetricBanded:
+def block_band(m: BlockTridiagonal) -> np.ndarray:
     """m in band storage of bandwidth min(2p - 1, dim - 1), entry by entry:
     the upper triangle of D_b at rows and columns b p.., and C_b at rows
     b p.. and columns (b + 1) p..."""
@@ -105,7 +112,7 @@ def block_band(m: BlockTridiagonal) -> SymmetricBanded:
         for i in range(p):
             for j in range(p):
                 ab[u - p + i - j, (b + 1) * p + j] = m.coupling[b, i, j]
-    return SymmetricBanded(ab)
+    return ab
 
 
 def blocks_of(dense: np.ndarray, p: int) -> BlockTridiagonal:
@@ -136,7 +143,7 @@ def chi_sample(rng: np.random.Generator, dof: float) -> float:
     return float(np.sqrt(rng.gamma(dof / 2.0, 2.0)))
 
 
-def g_band(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
+def g_band(n: int, w: GammaWeights, seed: RngSeed) -> np.ndarray:
     """G in band storage of bandwidth 2p - 1, from the draws of `build_G`
     made one at a time: the n diagonal normals, then one `chi_sample` per
     position of `chi_layout`, in its order, divided by sqrt(2)."""
@@ -147,10 +154,10 @@ def g_band(n: int, w: GammaWeights, seed: RngSeed) -> SymmetricBanded:
     ab[u] = rng.standard_normal(n)
     for r, c, k in zip(rows.tolist(), cols.tolist(), dof.tolist()):
         ab[u + r - c, c - 1] = chi_sample(rng, k) / math.sqrt(2.0)
-    return SymmetricBanded(ab)
+    return ab
 
 
-def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
+def build_F_tilde(n: int, w: GammaWeights) -> np.ndarray:
     """Block Jacobi matrix of the associated matrix orthogonal polynomials.
 
     Diagonal blocks (i = 0..n/p-1) have zero diagonal and off-diagonal
@@ -176,17 +183,17 @@ def build_F_tilde(n: int, w: GammaWeights) -> SymmetricBanded:
                 r, c = row_off + q, i * p + l
                 val = math.sqrt(((i - 1) * p + max(q, l)) * gamma[p - abs(q - l) - 1] / 2.0)
                 ab[u + r - c, c - 1] = val
-    return SymmetricBanded(ab)
+    return ab
 
 
-def build_F(n: int, w: GammaWeights) -> SymmetricBanded:
+def build_F(n: int, w: GammaWeights) -> np.ndarray:
     """Deterministic counterpart of G from `ensemble.chi_layout`: normals -> 0,
     chi_k draws -> sqrt(k).  Permutation-similar to build_F_tilde."""
     rows, cols, dof = chi_layout(n, w)
     kd = 2 * w.p - 1
     ab = np.zeros((kd + 1, n))
     ab[kd + rows - cols, cols - 1] = np.sqrt(dof) / math.sqrt(2.0)
-    return SymmetricBanded(ab)
+    return ab
 
 
 def truncated(coeffs: RecurrenceCoeffs, m: int) -> RecurrenceCoeffs:
@@ -433,10 +440,11 @@ def bisected_fd_histogram(t: Tridiagonal) -> Histogram:
     n = len(t.d)
     positions = [(n - 1) * q for q in (0.25, 0.75)]
     ranks = sorted({0, n - 1, *map(math.floor, positions), *map(math.ceil, positions)})
-    values = np.array([bisect_eigvals(t, k + 1, k + 1)[0] for k in ranks])
+    counter = SturmCounter(t)
+    values = np.array([counter.eigenvalue(k) for k in ranks])
     stand_in = values[np.searchsorted(ranks, np.arange(n))]
     edges = np.histogram_bin_edges(stand_in, bins="fd")
-    below = sturm_counts(t, edges[1:-1])
+    below = counter(edges[1:-1])
     return Histogram(np.diff(np.concatenate(([0], below, [n]))), edges)
 
 
@@ -446,13 +454,13 @@ def sturm_counts(t: Tridiagonal, x: np.ndarray) -> np.ndarray:
     return SturmCounter(t)(x)
 
 
-def banded_from_dense(m: np.ndarray, bandwidth: int) -> SymmetricBanded:
+def banded_from_dense(m: np.ndarray, bandwidth: int) -> np.ndarray:
     """The band storage of a symmetric matrix, keeping `bandwidth` bands."""
     m = require_symmetric(m)
     ab = np.zeros((bandwidth + 1, m.shape[0]))
     for d in range(bandwidth + 1):
         ab[bandwidth - d, d:] = np.diagonal(m, d)
-    return SymmetricBanded(ab)
+    return ab
 
 
 def read_json(path: str | Path) -> dict:

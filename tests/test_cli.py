@@ -473,8 +473,9 @@ if sys.argv[1] == "blockspec-first":
     import scipy.linalg
 from blockspec.ensemble import GammaWeights, RngSeed, build_G
 
-m = linalg.narrow_band(build_G(60, GammaWeights((2.0, 8.0)), RngSeed(5, 0)))
-expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
+m = build_G(60, GammaWeights((2.0, 8.0)), RngSeed(5, 0))
+ab = linalg._narrowed_band(m.diag.copy(), m.coupling.copy())
+expected = np.sort(scipy.linalg.eigvals_banded(ab, lower=False))
 assert np.array_equal(linalg.eigh_banded(m), expected)
 """
 
@@ -1096,7 +1097,7 @@ class TestDeterminism:
             with monkeypatch.context() as patch:
                 if threads == "1":
                     patch.setattr(blockspec.harness, "tridiagonal_form", refuse("reduction"))
-                patch.setattr(blockspec.harness, "bisect_eigvals", refuse("bisection"))
+                patch.setattr(blockspec.linalg.SturmCounter, "eigenvalue", refuse("bisection"))
                 rc = run_in(tmp_path, monkeypatch, argv)
             results[threads] = (rc, capsys.readouterr().err)
         assert calls == []

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import blockspec.harness as harness
 from blockspec.cli import FIGURES
@@ -41,7 +42,7 @@ from blockspec.harness import (
     tail_bound_experiment,
     worker_count,
 )
-from blockspec.linalg import bisect_eigvals, eigh_banded, narrow_band
+from blockspec.linalg import SturmCounter, eigh_banded
 from blockspec.matrixpoly import recurrence_coeffs, roots
 from blockspec.spectral import SpectralDensity, density_grid
 from tests.oracles import (
@@ -244,16 +245,17 @@ class TestSpectrumHistogram:
 
     def test_fig1_bisects_only_min_and_max(self, monkeypatch):
         calls = []
+        bisect = SturmCounter.eigenvalue
 
-        def counted(t, il, iu):
-            calls.append((il, iu))
-            return bisect_eigvals(t, il, iu)
+        def counted(counter, k):
+            calls.append(k)
+            return bisect(counter, k)
 
         gamma, n = FIGURES["fig1"]
         t = scaled_tridiagonal(n, GammaWeights(gamma), RngSeed(1, 0))
-        monkeypatch.setattr(harness, "bisect_eigvals", counted)
+        monkeypatch.setattr(SturmCounter, "eigenvalue", counted)
         spectrum_histogram(t)
-        assert sorted(calls) == [(1, 1), (n, n)]
+        assert sorted(calls) == [0, n - 1]
 
     def test_makes_no_full_solve(self, monkeypatch):
         def refuse(m):
@@ -275,7 +277,8 @@ class TestApproxGap:
 
     def test_scaled_gap_definition(self):
         gap = approx_gap(
-            empirical_spectrum(100, W1, RngSeed(5, 1)), eigh_banded(build_F_tilde(100, W1))
+            empirical_spectrum(100, W1, RngSeed(5, 1)),
+            eigh_banded(blocks_of(to_dense(build_F_tilde(100, W1)), W1.p)),
         )
         assert type(gap) is float
 
@@ -288,7 +291,7 @@ class TestApproxGap:
         ]
         # roots solves the narrowed band: both solves are backward stable, so
         # it agrees with the oracle F-tilde's spectrum within 4 n eps ||F||_2
-        oracle = eigh_banded(build_F_tilde(60, W2))
+        oracle = np.sort(scipy.linalg.eigvals_banded(build_F_tilde(60, W2), lower=False))
         bound = 4 * 60 * np.finfo(float).eps * np.abs(oracle).max()
         np.testing.assert_allclose(ref, oracle, rtol=0, atol=bound)
 
@@ -438,7 +441,8 @@ class TestLevyBound:
             assert res.satisfied
 
     def test_p2_trials(self):
-        roots_scaled = eigh_banded(build_F_tilde(400, W2)) / math.sqrt(400)
+        f_tilde = blocks_of(to_dense(build_F_tilde(400, W2)), W2.p)
+        roots_scaled = eigh_banded(f_tilde) / math.sqrt(400)
         for trial in range(5):
             spec = empirical_spectrum(400, W2, RngSeed(20260810, trial)).to_scaled()
             assert levy_cubed_bound(spec, roots_scaled).satisfied
@@ -535,7 +539,7 @@ class TestWorkers:
 
     def test_map_trials_order_independent(self, monkeypatch):
         def work(i):
-            return eigh_banded(narrow_band(harness.build_G(30, W1, RngSeed(77, i)))).tolist()
+            return eigh_banded(harness.build_G(30, W1, RngSeed(77, i))).tolist()
 
         tasks = [partial(work, i) for i in range(6)]
         monkeypatch.setenv("BLOCKSPEC_THREADS", "1")

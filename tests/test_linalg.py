@@ -1,26 +1,29 @@
-"""The banded eigensolver, the tridiagonal reduction with its bisection and
-Sturm counts, the SPD inverse square root, and the LU log-determinant
-reference the singularity gate is tested against.
+"""The block tridiagonal eigensolver and tridiagonal reduction, Sturm counts
+and bisection on the reduced tridiagonal, the SPD inverse square root, and
+the LU log-determinant reference the singularity gate is tested against.
 
-The narrowing of a p-block tridiagonal matrix to a band of bandwidth p is
-checked against scipy on the matrix's band of bandwidth 2p - 1, written
-out by `tests.oracles.block_band`: the eigenvalues agree within
-NARROWING_C n eps ||M||_2, and the trace and the Frobenius norm within the
-gate's tolerance.
+The narrowing of a p-block tridiagonal matrix to a band of bandwidth p
+(`linalg._narrowed_band`, the first step of `tridiagonal_form`) is checked
+against scipy on the matrix's band of bandwidth 2p - 1, written out by
+`tests.oracles.block_band`: the eigenvalues agree within NARROWING_C n eps
+||M||_2, and the trace and the Frobenius norm within the gate's tolerance.
+Bands in these tests are plain arrays in LAPACK's upper band storage (see
+`tests.oracles`), handed to the library as their blocks (`blocks_of`).
 
 Known values:
 - constant-row-sum 2x2: eigenvalues are (diag - off, diag + off)
 - path-graph tridiagonal (0 diagonal, 1 off): eigenvalues 2 cos(k pi / (n+1))
 - rank-1 matrix has a numerically zero determinant
 
-The banded solve calls LAPACK dsbtrd, then dsterf, from numpy's LAPACK
+The solve narrows, then calls LAPACK dsbtrd and dsterf from numpy's LAPACK
 directly: the two steps of dsbevd, so scipy.linalg.eigvals_banded, which
-runs dsbevd, is its bit-exact oracle here wherever dsbevd does not rescale
-the band.
+runs dsbevd, is its bit-exact oracle on the narrowed band wherever dsbevd
+does not rescale the band.  A band of bandwidth exactly p needs no
+rotation to narrow, so there scipy is bit-exact on the band itself.
 """
 
 import ctypes
-import re
+import sys
 import threading
 import time
 
@@ -36,11 +39,8 @@ from blockspec import linalg
 from blockspec.linalg import (
     BlockTridiagonal,
     SturmCounter,
-    SymmetricBanded,
     Tridiagonal,
-    bisect_eigvals,
     eigh_banded,
-    narrow_band,
     require_symmetric,
     spd_inv_sqrt,
     tridiagonal_form,
@@ -64,33 +64,50 @@ def random_symmetric(rng, n, scale=1.0):
     return (a + a.T) / 2.0
 
 
+def zero_blocks():
+    """The 6 x 6 zero matrix as three 2 x 2 blocks."""
+    return BlockTridiagonal(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+
+
+def narrowed(m):
+    """The narrowed band of the blocks m, from copies of them."""
+    return linalg._narrowed_band(m.diag.copy(), m.coupling.copy())
+
+
+@st.composite
+def bands_of_bandwidth_p(draw):
+    """(p, ab): a random band of bandwidth exactly p and dim k p, k >= 2."""
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return p, rng.standard_normal((p + 1, p * draw(st.integers(2, 8))))
+
+
 class TestEighBanded:
     def test_path_graph(self):
-        m = SymmetricBanded(np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        m = blocks_of(to_dense(np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])), 1)
         np.testing.assert_allclose(
             eigh_banded(m), [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12
         )
 
     def test_diagonal_matrix(self):
-        m = SymmetricBanded(np.array([[3.0, 1.0, 2.0]]))
+        m = blocks_of(np.diag([3.0, 1.0, 2.0]), 1)
         np.testing.assert_allclose(eigh_banded(m), [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
         dense = random_symmetric(rng, 5)
         dense[np.abs(np.subtract.outer(range(5), range(5))) > 3] = 0.0
-        banded = banded_from_dense(dense, 3)
         expected = np.linalg.eigvalsh(dense)
-        np.testing.assert_allclose(eigh_banded(banded), expected, atol=1e-10)
+        np.testing.assert_allclose(eigh_banded(blocks_of(dense, 5)), expected, atol=1e-10)
 
     def test_dense_encoding_agreement(self):
+        # bandwidth w written as blocks of p >= w that divide n
         rng = np.random.default_rng(3)
-        for n, w in ((4, 1), (7, 3), (10, 5), (5, 4)):
+        for n, w, p in ((4, 1, 1), (7, 3, 7), (10, 5, 5), (5, 4, 5)):
             dense = random_symmetric(rng, n)
             dense[np.abs(np.subtract.outer(range(n), range(n))) > w] = 0.0
-            banded = banded_from_dense(dense, w)
             np.testing.assert_allclose(
-                eigh_banded(banded), np.linalg.eigvalsh(dense), atol=1e-10
+                eigh_banded(blocks_of(dense, p)), np.linalg.eigvalsh(dense), atol=1e-10
             )
 
     def test_trace_preservation(self):
@@ -98,14 +115,9 @@ class TestEighBanded:
         for n, w in ((6, 2), (12, 4)):
             dense = random_symmetric(rng, n, scale=2.0)
             dense[np.abs(np.subtract.outer(range(n), range(n))) > w] = 0.0
-            banded = banded_from_dense(dense, w)
-            values = eigh_banded(banded)
+            values = eigh_banded(blocks_of(dense, w))
             norm = max(1.0, np.abs(values).max())
             assert abs(values.sum() - np.trace(dense)) <= 1e-9 * norm * n
-
-    def test_bandwidth_must_be_below_dim(self):
-        with pytest.raises(ValidationError, match="densify"):
-            eigh_banded(SymmetricBanded(np.zeros((4, 2))))
 
     @pytest.mark.parametrize(
         "n,w,construction",
@@ -113,7 +125,7 @@ class TestEighBanded:
             pytest.param(1000, GammaWeights((2.0,)), "sample", id="1000-w0"),
             pytest.param(1200, GammaWeights((2.0, 8.0)), "sample", id="1200-w1"),
             pytest.param(1002, GammaWeights((1.0, 4.0, 25.0)), "sample", id="1002-w2"),
-            # bandwidth 7
+            # narrowed to bandwidth 4
             pytest.param(
                 1000, GammaWeights((1.0, 4.0, 25.0, 100.0)), "sample", id="1000-p4"
             ),
@@ -126,12 +138,25 @@ class TestEighBanded:
         ],
     )
     def test_bit_identical_to_scipy(self, n, w, construction):
+        # on the narrowed band, which the solve reduces as it is
         if construction == "sample":
-            m = block_band(build_G(n, w, RngSeed(31, 2)))
+            m = build_G(n, w, RngSeed(31, 2))
         else:
-            m = block_band(f_tilde_blocks(recurrence_coeffs(n, w)))
-        expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
+            m = f_tilde_blocks(recurrence_coeffs(n, w))
+        expected = np.sort(scipy.linalg.eigvals_banded(narrowed(m), lower=False))
         np.testing.assert_array_equal(eigh_banded(m), expected)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(case=bands_of_bandwidth_p())
+    def test_bit_identical_to_scipy_at_bandwidth_p(self, case):
+        # a band of bandwidth exactly p has lower triangular coupling
+        # blocks, so its narrowing makes no rotation and dsbtrd reduces the
+        # band itself, as dsbevd does
+        p, ab = case
+        blocks = blocks_of(to_dense(ab), p)
+        assert not np.triu(blocks.coupling, 1).any()
+        expected = np.sort(scipy.linalg.eigvals_banded(ab, lower=False))
+        np.testing.assert_array_equal(eigh_banded(blocks), expected)
 
     def test_library_without_the_routine_is_an_import_error(self):
         # numpy's LAPACK is there, but it exports no routine of this name
@@ -140,23 +165,12 @@ class TestEighBanded:
             linalg._routine("no_such_dsbevd")
         assert linalg._umath_linalg.__file__ in str(exc.value)
 
-    def test_corner_is_zeroed(self):
-        # no entry maps to ab[u - d, :d]: LAPACK ignores it, but the
-        # reduction gate sums the whole array
-        ab = np.random.default_rng(5).standard_normal((4, 9))
-        m = SymmetricBanded(ab)
-        corner = np.add.outer(np.arange(4), np.arange(9)) < 3
-        assert not m.ab[corner].any()
-        np.testing.assert_array_equal(m.ab[~corner], ab[~corner])
-        expected = np.sort(scipy.linalg.eigvals_banded(ab, lower=False))
-        np.testing.assert_array_equal(eigh_banded(m), expected)
-
     @pytest.mark.parametrize("dim,bandwidth", [(1, 0), (2, 0), (2, 1), (50, 0)])
     def test_small_and_diagonal_bit_identical_to_scipy(self, dim, bandwidth):
         rng = np.random.default_rng(dim + bandwidth)
-        m = SymmetricBanded(rng.standard_normal((bandwidth + 1, dim)))
-        expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
-        np.testing.assert_array_equal(eigh_banded(m), expected)
+        ab = rng.standard_normal((bandwidth + 1, dim))
+        expected = np.sort(scipy.linalg.eigvals_banded(ab, lower=False))
+        np.testing.assert_array_equal(eigh_banded(blocks_of(to_dense(ab), 1)), expected)
 
     def test_rejected_argument(self, monkeypatch):
         def rejects(*args):
@@ -164,7 +178,7 @@ class TestEighBanded:
 
         monkeypatch.setattr(linalg, "_DSTERF", rejects)
         with pytest.raises(ValidationError, match="dsterf rejected argument 2"):
-            eigh_banded(SymmetricBanded(np.zeros((3, 5))))
+            eigh_banded(zero_blocks())
 
     def test_failure_code_is_convergence_error(self, monkeypatch):
         def fails(*args):
@@ -172,23 +186,25 @@ class TestEighBanded:
 
         monkeypatch.setattr(linalg, "_DSTERF", fails)
         with pytest.raises(ConvergenceError, match="dsterf"):
-            eigh_banded(SymmetricBanded(np.zeros((3, 5))))
+            eigh_banded(zero_blocks())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(1, 1), (0, 1)])
     def test_non_finite_input_rejected(self, bad, where):
-        m = SymmetricBanded(np.array([[0.0, 0.5, 0.5], [1.0, 2.0, 3.0]]))
-        m.ab[where] = bad
+        # a diagonal block, or a coupling block
+        ab = np.array([[0.0, 0.5, 0.5], [1.0, 2.0, 3.0]])
+        ab[where] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            eigh_banded(m)
+            eigh_banded(blocks_of(to_dense(ab), 1))
 
     def test_solve_releases_the_gil(self):
         # The main thread counts loop iterations while a worker thread runs a
         # task.  Against a sleeping worker it runs at full speed; against a
         # solve that held the GIL it would get only the Python-level gaps
         # around the LAPACK call (0.02-0.12 of full speed on a 2-core x86
-        # machine, against 0.90-1.02 for the GIL-free call).
-        m = block_band(build_G(3000, GammaWeights((1.0, 4.0, 25.0)), RngSeed(11, 0)))
+        # machine, against 0.90-1.02 for the GIL-free call).  The narrowing
+        # before the LAPACK call holds the GIL, for a few ms.
+        m = build_G(3000, GammaWeights((1.0, 4.0, 25.0)), RngSeed(11, 0))
 
         def iterations_per_second(task):
             started, done = threading.Event(), threading.Event()
@@ -261,6 +277,8 @@ def perturb_reduction(monkeypatch, index, delta):
     monkeypatch.setattr(linalg, "_DSBTRD", perturbed)
 
 
+
+
 class TestTridiagonalForm:
     @pytest.mark.parametrize(
         "n,w",
@@ -271,7 +289,7 @@ class TestTridiagonalForm:
         ],
     )
     def test_same_spectrum_as_the_banded_solve(self, n, w):
-        m = block_band(build_G(n, w, RngSeed(3, 1)))
+        m = build_G(n, w, RngSeed(3, 1))
         t = tridiagonal_form(m)
         assert t.d.shape == (n,) and t.e.shape == (n - 1,)
         expected = eigh_banded(m)
@@ -280,11 +298,14 @@ class TestTridiagonalForm:
 
     @pytest.mark.parametrize("dim,bandwidth", [(1, 0), (2, 1), (5, 0), (7, 4)])
     def test_small_and_diagonal(self, dim, bandwidth):
+        # 1 x 1 blocks, or one block for the wider band
         rng = np.random.default_rng(dim)
-        m = SymmetricBanded(rng.standard_normal((bandwidth + 1, dim)))
+        dense = to_dense(rng.standard_normal((bandwidth + 1, dim)))
+        m = blocks_of(dense, 1 if bandwidth <= 1 else dim)
         t = tridiagonal_form(m)
-        dense = np.diag(t.d) + np.diag(t.e, 1) + np.diag(t.e, -1)
-        np.testing.assert_allclose(np.linalg.eigvalsh(dense), eigh_banded(m), atol=1e-13)
+        reduced = np.diag(t.d) + np.diag(t.e, 1) + np.diag(t.e, -1)
+        np.testing.assert_allclose(np.linalg.eigvalsh(reduced), eigh_banded(m), atol=1e-13)
+        np.testing.assert_allclose(eigh_banded(m), np.linalg.eigvalsh(dense), atol=1e-13)
 
     @pytest.mark.parametrize("n", [12, 60])
     @pytest.mark.parametrize(
@@ -296,7 +317,7 @@ class TestTridiagonalForm:
         ],
     )
     def test_gate_trips_on_a_perturbed_reduction(self, monkeypatch, n, index, invariant, solve):
-        m = block_band(build_G(n, GammaWeights((2.0, 8.0)), RngSeed(5)))
+        m = build_G(n, GammaWeights((2.0, 8.0)), RngSeed(5))
         solve(m)  # passes unperturbed
         perturb_reduction(monkeypatch, index, 1e-9)
         with pytest.raises(ConvergenceError, match="band reduction") as exc:
@@ -305,11 +326,12 @@ class TestTridiagonalForm:
 
     @pytest.mark.parametrize("k", [490, -490, 1000, -1000])
     def test_power_of_two_scaling_is_exact(self, k):
-        # a band outside [1e-146, 1e146] is reduced as 2^-j M and scaled
-        # back, which loses no bit while T stays in the normal range
-        m = block_band(build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1)))
+        # blocks outside [1e-146, 1e146] are narrowed and reduced as 2^-j M
+        # and T is scaled back, which loses no bit while T stays in the
+        # normal range
+        m = build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1))
         t = tridiagonal_form(m)
-        scaled = tridiagonal_form(SymmetricBanded(np.ldexp(m.ab, k)))
+        scaled = tridiagonal_form(BlockTridiagonal(*(np.ldexp(x, k) for x in m)))
         np.testing.assert_array_equal(scaled.d, np.ldexp(t.d, k))
         np.testing.assert_array_equal(scaled.e, np.ldexp(t.e, k))
 
@@ -317,16 +339,16 @@ class TestTridiagonalForm:
     def test_scale_outside_the_unscaled_range_matches_scipy(self, size):
         # dsbevd rescales such a band by another factor, so the last bits
         # may differ
-        m = block_band(build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1)))
-        m = SymmetricBanded(m.ab * size)
-        expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
+        g = build_G(60, GammaWeights((1.0, 4.0, 25.0)), RngSeed(3, 1))
+        m = BlockTridiagonal(g.diag * size, g.coupling * size)
+        expected = np.sort(scipy.linalg.eigvals_banded(narrowed(m), lower=False))
         np.testing.assert_allclose(
             eigh_banded(m), expected, rtol=0, atol=1e-14 * np.abs(expected).max()
         )
 
     def test_beyond_the_float_range_raises(self):
-        # ||M||_2 = 5.7e308: the reduced T overflows when scaled back
-        m = SymmetricBanded(np.full((5, 6), 1e308))
+        # ||M||_2 = 6e308: the reduced T overflows when scaled back
+        m = blocks_of(np.full((6, 6), 1e308), 3)
         with pytest.raises(ConvergenceError, match="overflows"):
             tridiagonal_form(m)
         with pytest.raises(ConvergenceError, match="overflows"):
@@ -334,25 +356,21 @@ class TestTridiagonalForm:
 
     @pytest.mark.parametrize("size", [1e145, 1e-145])
     def test_scale_inside_the_range_accepted(self, size):
-        m = SymmetricBanded(np.array([[0.0, 1.0, 1.0, 1.0], [2.0, 0.0, 1.0, 3.0]]) * size)
+        m = blocks_of(to_dense(np.array([[0.0, 1.0, 1.0, 1.0], [2.0, 0.0, 1.0, 3.0]]) * size), 1)
         t = tridiagonal_form(m)
         np.testing.assert_allclose(
             scipy.linalg.eigvalsh_tridiagonal(t.d, t.e), eigh_banded(m), rtol=1e-14
         )
 
     def test_zero_matrix(self):
-        t = tridiagonal_form(SymmetricBanded(np.zeros((3, 5))))
+        t = tridiagonal_form(zero_blocks())
         assert not t.d.any() and not t.e.any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
-        m = SymmetricBanded(np.array([[0.0, 0.5, 0.5], [1.0, 2.0, bad]]))
+        m = blocks_of(to_dense(np.array([[0.0, 0.5, 0.5], [1.0, 2.0, bad]])), 1)
         with pytest.raises(ValidationError, match="non-finite"):
             tridiagonal_form(m)
-
-    def test_bandwidth_must_be_below_dim(self):
-        with pytest.raises(ValidationError, match="bandwidth"):
-            tridiagonal_form(SymmetricBanded(np.zeros((3, 2))))
 
     def test_rejected_argument(self, monkeypatch):
         def rejects(*args):
@@ -360,10 +378,10 @@ class TestTridiagonalForm:
 
         monkeypatch.setattr(linalg, "_DSBTRD", rejects)
         with pytest.raises(ValidationError, match="dsbtrd rejected argument 4"):
-            tridiagonal_form(SymmetricBanded(np.zeros((3, 5))))
+            tridiagonal_form(zero_blocks())
 
 
-# |eigh_banded(narrow_band(m)) - eigvals_banded(m)| <= NARROWING_C n eps
+# |eigh_banded(m) - eigvals_banded(block_band(m))| <= NARROWING_C n eps
 # ||M||_2: over 2e4 random bands of p = 2..5 and 2..8 blocks the largest
 # ratio was 1.26, and on the figure matrices at n = 5000 it stays below 0.05
 NARROWING_C = 4
@@ -381,29 +399,31 @@ def block_tridiagonal(rng, p, blocks, zero_share=0.0):
     return dense
 
 
-def assert_invariants_kept(m, narrowed):
-    """tr and ||.||_F^2 of the band `narrowed` within the gate's tolerance
-    of those of the band m, compared at m scaled into [1/2, 1) by a power
-    of two."""
-    k = np.frexp(np.abs(m.ab).max())[1]
+def assert_invariants_kept(m, band):
+    """tr and ||.||_F^2 of the band storage `band` within the gate's
+    tolerance of those of the band storage m, compared at m scaled into
+    [1/2, 1) by a power of two."""
+    k = np.frexp(np.abs(m).max())[1]
 
     def invariants(x):
-        ab = np.ldexp(x.ab, -k)
+        ab = np.ldexp(x, -k)
         # the diagonal once, each band above it twice
         weights = np.full(len(ab), 2.0)
         weights[-1] = 1.0
         return ab[-1].sum(), weights @ np.sum(ab**2, axis=1)
 
-    (trace, frob_sq), (new_trace, new_frob_sq) = invariants(m), invariants(narrowed)
-    tol = 4 * m.dim * np.finfo(float).eps * np.sqrt(frob_sq)
+    (trace, frob_sq), (new_trace, new_frob_sq) = invariants(m), invariants(band)
+    tol = 4 * m.shape[1] * np.finfo(float).eps * np.sqrt(frob_sq)
     assert abs(new_trace - trace) <= tol
     assert abs(new_frob_sq - frob_sq) <= tol * np.sqrt(frob_sq)
 
 
-def assert_same_spectrum(m, narrowed):
-    expected = np.sort(scipy.linalg.eigvals_banded(m.ab, lower=False))
-    bound = NARROWING_C * m.dim * np.finfo(float).eps * np.abs(expected).max()
-    np.testing.assert_allclose(eigh_banded(narrowed), expected, rtol=0, atol=bound)
+def assert_same_spectrum(m, blocks):
+    """eigh_banded of `blocks` within NARROWING_C n eps ||M||_2 of scipy's
+    spectrum of the same matrix in the band storage m."""
+    expected = np.sort(scipy.linalg.eigvals_banded(m, lower=False))
+    bound = NARROWING_C * m.shape[1] * np.finfo(float).eps * np.abs(expected).max()
+    np.testing.assert_allclose(eigh_banded(blocks), expected, rtol=0, atol=bound)
 
 
 @st.composite
@@ -422,37 +442,39 @@ class TestNarrowBand:
     def test_property(self, case):
         p, dense = case
         m = banded_from_dense(dense, 2 * p - 1)
-        narrowed = narrow_band(blocks_of(dense, p))
-        assert (narrowed.bandwidth, narrowed.dim) == (p, m.dim)
-        dense = to_dense(narrowed)
-        assert not np.triu(dense, p + 1).any() and not np.tril(dense, -p - 1).any()
-        assert_invariants_kept(m, narrowed)
-        assert_same_spectrum(m, narrowed)
+        band = narrowed(blocks_of(dense, p))
+        assert band.shape == (p + 1, len(dense)) and band.flags.f_contiguous
+        narrowed_dense = to_dense(band)
+        assert not np.triu(narrowed_dense, p + 1).any()
+        assert not np.tril(narrowed_dense, -p - 1).any()
+        assert_invariants_kept(m, band)
+        assert_same_spectrum(m, blocks_of(dense, p))
 
     @pytest.mark.parametrize("n", [2, 3, 40])
     def test_p1_is_returned_unchanged(self, n):
         # p = 1 runs the same code as every p, and gives back the band
-        m = SymmetricBanded(np.random.default_rng(n).standard_normal((2, n)))
-        narrowed = narrow_band(blocks_of(to_dense(m), 1))
-        np.testing.assert_array_equal(narrowed.ab, m.ab)
-        np.testing.assert_array_equal(eigh_banded(narrowed), eigh_banded(m))
+        m = np.random.default_rng(n).standard_normal((2, n))
+        m[0, 0] = 0.0  # the corner no entry maps to
+        blocks = blocks_of(to_dense(m), 1)
+        np.testing.assert_array_equal(narrowed(blocks), m)
+        expected = np.sort(scipy.linalg.eigvals_banded(m, lower=False))
+        np.testing.assert_array_equal(eigh_banded(blocks), expected)
 
     @pytest.mark.parametrize("n", [2, 41])
     def test_p1_sample_is_its_band(self, n):
         w, seed = GammaWeights((2.5,)), RngSeed(8, n)
-        narrowed = narrow_band(build_G(n, w, seed))
-        np.testing.assert_array_equal(narrowed.ab, g_band(n, w, seed).ab)
+        np.testing.assert_array_equal(narrowed(build_G(n, w, seed)), g_band(n, w, seed))
 
     @pytest.mark.parametrize("gamma", [(2.0,), (2.0, 8.0), (1.0, 4.0, 25.0), (0.3, 1.7, 2.25, 9.1)])
     def test_one_block(self, gamma):
-        # F-tilde of one stage is B_0: its band has bandwidth dim - 1, the
-        # widest tridiagonal_form takes, and holds B_0 as it is
+        # F-tilde of one stage is B_0: its band has bandwidth dim - 1 and
+        # holds B_0 as it is, in a Fortran-ordered array as dsbtrd takes it
         c = recurrence_coeffs(4 * len(gamma), GammaWeights(gamma))
         one = RecurrenceCoeffs(c.A[:1], c.B[:1])
         p = len(gamma)
-        narrowed = narrow_band(f_tilde_blocks(one))
-        assert (narrowed.bandwidth, narrowed.dim) == (p - 1, p)
-        np.testing.assert_array_equal(narrowed.ab, banded_from_dense(c.B[0], p - 1).ab)
+        band = narrowed(f_tilde_blocks(one))
+        assert band.shape == (p, p) and band.flags.f_contiguous
+        np.testing.assert_array_equal(band, banded_from_dense(c.B[0], p - 1))
         expected = np.linalg.eigvalsh(c.B[0])
         np.testing.assert_allclose(
             roots(one), expected, rtol=0, atol=1e-14 * max(1.0, np.abs(expected).max())
@@ -465,29 +487,28 @@ class TestNarrowBand:
         # is the same to the bit
         w, seed = GammaWeights((0.3, 1.7, 2.25, 9.1)), RngSeed(4, n)
         from_band = blocks_of(to_dense(g_band(n, w, seed)), w.p)
-        np.testing.assert_array_equal(
-            eigh_banded(narrow_band(build_G(n, w, seed))), eigh_banded(narrow_band(from_band))
-        )
+        np.testing.assert_array_equal(eigh_banded(build_G(n, w, seed)), eigh_banded(from_band))
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_matrices(self, name):
         # every eigenvalue of the narrowed G within the bound of one of G:
         # at each point the Sturm count of the narrowed band lies between
-        # those of G a bound below and above it
+        # the numbers of G's eigenvalues (scipy, on its band of bandwidth
+        # 2p - 1) a bound below and above it
         gamma, n = FIGURES[name]
         w = GammaWeights(gamma)
         g = build_G(n, w, RngSeed(1, 0))
         m = block_band(g)
-        narrowed = narrow_band(g)
-        assert narrowed.bandwidth == w.p
-        assert_invariants_kept(m, narrowed)
-        t = tridiagonal_form(m)
-        norm = np.abs(bisect_eigvals(t, 1, 1)[0]) + np.abs(bisect_eigvals(t, n, n)[0])
+        band = narrowed(g)
+        assert len(band) == w.p + 1
+        assert_invariants_kept(m, band)
+        values = np.sort(scipy.linalg.eigvals_banded(m, lower=False))
+        norm = np.abs(values[0]) + np.abs(values[-1])
         bound = NARROWING_C * n * np.finfo(float).eps * norm
         x = np.linspace(-norm, norm, 401)
-        count, narrowed_count = SturmCounter(t), SturmCounter(tridiagonal_form(narrowed))
-        assert (count(x - bound) <= narrowed_count(x)).all()
-        assert (narrowed_count(x) <= count(x + bound)).all()
+        count = SturmCounter(tridiagonal_form(g))(x)
+        assert (np.searchsorted(values, x - bound, side="right") <= count).all()
+        assert (count <= np.searchsorted(values, x + bound, side="right")).all()
 
     @pytest.mark.parametrize(
         "n,gamma", [(600, (2.0, 8.0)), (600, (1.0, 4.0, 25.0)), (600, (1.0, 4.0, 25.0, 100.0))]
@@ -495,10 +516,10 @@ class TestNarrowBand:
     def test_jacobi_matrices(self, n, gamma):
         blocks = f_tilde_blocks(recurrence_coeffs(n, GammaWeights(gamma)))
         m = block_band(blocks)
-        narrowed = narrow_band(blocks)
-        assert narrowed.bandwidth == len(gamma)
-        assert_invariants_kept(m, narrowed)
-        assert_same_spectrum(m, narrowed)
+        band = narrowed(blocks)
+        assert len(band) == len(gamma) + 1
+        assert_invariants_kept(m, band)
+        assert_same_spectrum(m, blocks)
 
     def test_gate_trips_on_a_perturbed_result(self, monkeypatch):
         m = build_G(60, GammaWeights((2.0, 8.0)), RngSeed(5))
@@ -511,7 +532,7 @@ class TestNarrowBand:
 
         monkeypatch.setattr(linalg, "_narrowing_rotations", perturbed)
         with pytest.raises(ConvergenceError, match=r"^band narrowing: \|tr T - tr M\| = "):
-            narrow_band(m)
+            tridiagonal_form(m)
 
     @pytest.mark.parametrize(
         "diag,coupling",
@@ -525,31 +546,33 @@ class TestNarrowBand:
         ],
     )
     def test_rejects_blocks_of_mismatched_shapes(self, diag, coupling):
-        with pytest.raises(ValidationError, match="p-block tridiagonal needs"):
-            narrow_band(BlockTridiagonal(diag, coupling))
+        for solve in (tridiagonal_form, eigh_banded):
+            with pytest.raises(ValidationError, match="p-block tridiagonal needs"):
+                solve(BlockTridiagonal(diag, coupling))
 
     def test_safe_range_scaling(self):
-        # blocks outside the safe range are narrowed as 2^-k M
+        # blocks outside the safe range are narrowed and reduced as 2^-k M
         m = blocks_of(block_tridiagonal(np.random.default_rng(7), 3, 4), 3)
-        narrowed = narrow_band(m)
+        t = tridiagonal_form(m)
         for k in (-600, 600):
-            scaled = narrow_band(BlockTridiagonal(*(np.ldexp(x, k) for x in m)))
-            np.testing.assert_array_equal(scaled.ab, np.ldexp(narrowed.ab, k))
+            scaled = tridiagonal_form(BlockTridiagonal(*(np.ldexp(x, k) for x in m)))
+            np.testing.assert_array_equal(scaled.d, np.ldexp(t.d, k))
+            np.testing.assert_array_equal(scaled.e, np.ldexp(t.e, k))
 
 
 class TestBisectionAndSturmCounts:
     @pytest.fixture
     def tridiagonal(self):
-        m = block_band(build_G(300, GammaWeights((1.0, 4.0, 25.0)), RngSeed(9)))
+        m = build_G(300, GammaWeights((1.0, 4.0, 25.0)), RngSeed(9))
         return tridiagonal_form(m), eigh_banded(m)
 
     def test_order_statistics_match_the_banded_solve(self, tridiagonal):
         t, values = tridiagonal
-        scale = np.abs(values).max()
-        for il, iu in [(1, 1), (300, 300), (75, 76), (1, 300), (150, 152)]:
-            np.testing.assert_allclose(
-                bisect_eigvals(t, il, iu), values[il - 1:iu], rtol=0, atol=1e-13 * scale
-            )
+        counter = SturmCounter(t)
+        np.testing.assert_allclose(
+            [counter.eigenvalue(k) for k in range(len(values))], values,
+            rtol=0, atol=1e-13 * np.abs(values).max(),
+        )
 
     def test_counts_match_the_banded_solve(self, tridiagonal):
         t, values = tridiagonal
@@ -565,58 +588,59 @@ class TestBisectionAndSturmCounts:
         n = 9
         t = Tridiagonal(np.zeros(n), np.ones(n - 1))
         exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-        np.testing.assert_allclose(bisect_eigvals(t, 1, n), exact, atol=1e-15)
+        counter = SturmCounter(t)
+        np.testing.assert_allclose([counter.eigenvalue(k) for k in range(n)], exact, atol=1e-15)
         # x = -1 and x = 1 are eigenvalues 2 cos(j pi / (k + 1)) of leading
         # submatrices, so a pivot of T - x I is exactly 0 there
         x = np.array([-3.0, -1.1, -1.0, 0.3, 1.0, 3.0])
-        assert sturm_counts(t, x).tolist() == [0, 3, 3, 5, 6, 9]
+        assert counter(x).tolist() == [0, 3, 3, 5, 6, 9]
 
     def test_off_diagonal_beyond_the_square_root_of_the_float_range(self):
         # e_i^2 overflows here; T is bisected and counted as 2^-k T
         big = 1e200
-        t = Tridiagonal(np.zeros(3), np.array([big, big]))
+        counter = SturmCounter(Tridiagonal(np.zeros(3), np.array([big, big])))
         x = np.array([-2 * big, -big, big, 2 * big])
-        assert sturm_counts(t, x).tolist() == [0, 1, 2, 3]
+        assert counter(x).tolist() == [0, 1, 2, 3]
         expected = np.array([-np.sqrt(2.0) * big, 0.0, np.sqrt(2.0) * big])
         np.testing.assert_allclose(
-            bisect_eigvals(t, 1, 3), expected, rtol=0, atol=4 * np.spacing(np.sqrt(2.0) * big)
+            [counter.eigenvalue(k) for k in range(3)], expected,
+            rtol=0, atol=4 * np.spacing(np.sqrt(2.0) * big),
         )
 
     def test_tiny_tridiagonal_is_scaled_up(self):
         # the same matrix at 1e-200: the counts and values scale with it, and
         # a point that overflows when scaled up counts as +-inf
-        t = Tridiagonal(np.zeros(3), np.array([1e-200, 1e-200]))
+        counter = SturmCounter(Tridiagonal(np.zeros(3), np.array([1e-200, 1e-200])))
         x = np.array([-1e300, -2e-200, -1e-200, 1e-200, 2e-200, 1e300])
-        assert sturm_counts(t, x).tolist() == [0, 0, 1, 2, 3, 3]
+        assert counter(x).tolist() == [0, 0, 1, 2, 3, 3]
         np.testing.assert_allclose(
-            bisect_eigvals(t, 3, 3), [np.sqrt(2.0) * 1e-200], rtol=4 * np.finfo(float).eps
+            counter.eigenvalue(2), np.sqrt(2.0) * 1e-200, rtol=4 * np.finfo(float).eps
         )
 
     def test_eigenvalue_beyond_the_float_range_is_convergence_error(self):
-        t = Tridiagonal(np.array([1e308, 1e308]), np.array([1e308]))
-        assert sturm_counts(t, np.array([0.5e308, np.inf])).tolist() == [1, 2]
+        counter = SturmCounter(Tridiagonal(np.array([1e308, 1e308]), np.array([1e308])))
+        assert counter(np.array([0.5e308, np.inf])).tolist() == [1, 2]
         with pytest.raises(ConvergenceError, match="overflow when scaled by 2\\^1024"):
-            bisect_eigvals(t, 2, 2)
+            counter.eigenvalue(1)
 
     def test_one_by_one(self):
-        t = Tridiagonal(np.array([2.5]), np.array([]))
-        assert bisect_eigvals(t, 1, 1).tolist() == [2.5]
-        assert sturm_counts(t, np.array([2.0, 3.0])).tolist() == [0, 1]
+        counter = SturmCounter(Tridiagonal(np.array([2.5]), np.array([])))
+        assert counter.eigenvalue(0) == 2.5
+        assert counter(np.array([2.0, 3.0])).tolist() == [0, 1]
 
-    @pytest.mark.parametrize("il,iu", [(0, 1), (2, 1), (1, 10)])
-    def test_bad_index_range_rejected(self, il, iu):
-        t = Tridiagonal(np.zeros(9), np.ones(8))
-        with pytest.raises(ValidationError, match="il <= iu"):
-            bisect_eigvals(t, il, iu)
+    @pytest.mark.parametrize("k", [-1, 9])
+    def test_index_out_of_range_rejected(self, k):
+        counter = SturmCounter(Tridiagonal(np.zeros(9), np.ones(8)))
+        with pytest.raises(ValidationError, match=f"need 0 <= k < dim = 9, got k = {k}"):
+            counter.eigenvalue(k)
 
     @pytest.mark.parametrize(
         "d,e", [(np.zeros(3), np.ones(3)), (np.zeros(0), np.zeros(0)), (np.zeros((2, 2)), np.ones(1))]
     )
     def test_malformed_tridiagonal_rejected(self, d, e):
+        # on construction, before any count or bisection
         with pytest.raises(ValidationError, match="off-diagonal"):
-            bisect_eigvals(Tridiagonal(d, e), 1, 1)
-        with pytest.raises(ValidationError, match="off-diagonal"):
-            sturm_counts(Tridiagonal(d, e), np.zeros(1))
+            SturmCounter(Tridiagonal(d, e))
 
     @pytest.mark.parametrize(
         "d,e",
@@ -628,11 +652,8 @@ class TestBisectionAndSturmCounts:
         ],
     )
     def test_non_finite_tridiagonal_rejected(self, d, e):
-        t = Tridiagonal(np.array(d), np.array(e))
         with pytest.raises(ValidationError, match="non-finite"):
-            bisect_eigvals(t, 1, 1)
-        with pytest.raises(ValidationError, match="non-finite"):
-            sturm_counts(t, np.array([0.0, 3.0]))
+            SturmCounter(Tridiagonal(np.array(d), np.array(e)))
 
     @pytest.mark.parametrize("x", [[np.nan, 0.0, np.nan], [0.0, np.nan]])
     def test_nan_point_rejected(self, x):
@@ -654,7 +675,7 @@ class TestBisectionAndSturmCounts:
 
         monkeypatch.setattr(linalg, "_DSTEBZ", fails)
         with pytest.raises(ConvergenceError, match="dstebz"):
-            bisect_eigvals(Tridiagonal(np.zeros(3), np.ones(2)), 1, 1)
+            SturmCounter(Tridiagonal(np.zeros(3), np.ones(2))).eigenvalue(0)
 
     def test_count_rejected_argument(self, monkeypatch):
         def rejects(*args):
@@ -672,12 +693,41 @@ class TestBisectionAndSturmCounts:
             args[10].value -= 1
 
         monkeypatch.setattr(linalg, "_DSTEBZ", short)
-        with pytest.raises(ConvergenceError, match="returned 1 eigenvalues for indices 2..3"):
-            bisect_eigvals(Tridiagonal(np.zeros(4), np.ones(3)), 2, 3)
+        with pytest.raises(ConvergenceError, match="returned 0 eigenvalues for index 2"):
+            SturmCounter(Tridiagonal(np.zeros(4), np.ones(3))).eigenvalue(2)
+
+    def test_threads_share_one_counter(self):
+        # eigenvalue and the counts only read the prepared form, so threads
+        # that bisect and count on one counter at once get the values and
+        # counts of one thread alone
+        t = tridiagonal_form(build_G(600, GammaWeights((2.0, 8.0)), RngSeed(3, 3)))
+        counter = SturmCounter(t)
+        ranks = list(range(0, len(t.d), 37))
+        x = np.linspace(-60.0, 60.0, 25)
+        expected = ([counter.eigenvalue(k) for k in ranks], counter(x).tolist())
+        workers = 8
+        results = [None] * workers
+
+        def work(i):
+            results[i] = ([counter.eigenvalue(k) for k in ranks], counter(x).tolist())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * workers
 
 
-class TestSymmetricBanded:
+class TestBandStorage:
     def test_entry_and_round_trip(self):
+        # the oracles' band storage: entry, to_dense and banded_from_dense
         rng = np.random.default_rng(5)
         dense = random_symmetric(rng, 6)
         dense[np.abs(np.subtract.outer(range(6), range(6))) > 2] = 0.0
@@ -686,17 +736,6 @@ class TestSymmetricBanded:
         assert entry(banded, 0, 3) == 0.0
         assert entry(banded, 1, 3) == dense[1, 3]
         assert entry(banded, 3, 1) == dense[1, 3]
-
-    @pytest.mark.parametrize("bands,dim", [(1, 1), (1, 7), (3, 7), (4, 4)])
-    def test_sizes_are_read_from_the_shape(self, bands, dim):
-        m = SymmetricBanded(np.ones((bands, dim)))
-        assert (m.bandwidth, m.dim) == (bands - 1, dim)
-
-    def test_shape_validation(self):
-        # 1-d, 3-d, no column, no row, neither
-        for shape in [(3,), (2, 3, 3), (1, 0), (0, 3), (0, 0)]:
-            with pytest.raises(ValidationError, match=f"2-d .* got shape {re.escape(str(shape))}$"):
-                SymmetricBanded(np.zeros(shape))
 
 
 class TestSpdInvSqrt:
