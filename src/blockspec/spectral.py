@@ -254,29 +254,34 @@ def _bisect(integrate, row, a, b, end, share, max_depth: int, rows: int):
     halves keep the row and take half the share, the left half ends at the
     midpoint and the right half keeps end.  A panel is stuck when its share
     is 0, its estimate is at the rounding level of its integrals, which
-    bisection cannot lower, or after max_depth bisections.
+    bisection cannot lower, or after max_depth bisections.  At the depth
+    where a row first has a stuck panel, its panels not accepted are set
+    aside, and the live panels of every higher row are dropped.
 
     Returns (totals, stuck).  totals, (k + 1, rows), holds each row's sums
-    of the k integrals and of the estimates over its accepted panels, added
-    one by one in the order they were accepted: a row's totals do not
-    depend on the other rows, and a row with no accepted panel has exact
-    zeros.  stuck is None, or for the first stuck panel (depth, (row, a, b,
-    share, err), the estimates of all panels not accepted at that depth).
+    of the k integrals over its accepted panels and of the estimates over
+    those and the ones set aside, added one by one as they were; a row with
+    no panel has exact zeros.  stuck is None, or (depth, (row, a, b, share,
+    err)) for the first stuck panel of the lowest stuck row.  Rows do not
+    interact, so stuck and the totals of its row and every lower one are
+    what a loop over the rows would give.
     """
-    accepted, stuck = [], None
+    accepted, stuck, lowest = [], None, rows
     for depth in range(max_depth + 1):
         values, err = integrate(row, a, b, end)
         ok = (err <= share) & (share > 0.0)
-        accepted.append((row[ok], np.vstack([values[:, ok], err[ok]])))
-        if ok.all():
-            break
         failed = ~ok & ((depth == max_depth) | (share == 0.0)
                         | (err <= _ROUNDING * np.abs(values).max(axis=0)))
         if failed.any():
-            i = int(np.argmax(failed))
-            stuck = (depth, (row[i], a[i], b[i], share[i], err[i]), err[~ok])
+            lowest = row[failed].min()
+            i = int(np.argmax(failed & (row == lowest)))
+            stuck = (depth, (row[i], a[i], b[i], share[i], err[i]))
+        counted = ok | (row == lowest)
+        accepted.append((row[counted], np.vstack([np.where(ok, values, 0.0), err])[:, counted]))
+        live = ~ok & (row < lowest)
+        if not live.any():
             break
-        row, a, b, end, share = (x[~ok] for x in (row, a, b, end, share))
+        row, a, b, end, share = (x[live] for x in (row, a, b, end, share))
         mid = (a + b) / 2.0
         row, share = np.repeat(row, 2), np.repeat(share / 2.0, 2)
         a, b, end = (np.stack(pair, axis=1).ravel() for pair in ((a, mid), (mid, b), (mid, end)))
@@ -309,8 +314,8 @@ def _panel_sums(integrand, q, a, b, end, share, at_t, weight, quad_tol: float,
                 variable: str, unit: float):
     """`_panel_integrals` of integrand(q, x) on the panels [a, b], refined
     by `_bisect` until each meets its share: the (4, panels) rows of the
-    three integrals and the summed estimate of each panel.  A stuck panel
-    raises NumericalError naming at_t of that panel, its estimate and share
+    three integrals and the summed estimate of each panel.  The lowest stuck
+    panel raises NumericalError naming its at_t, its estimate and share
     times weight, the factor with which they enter at_t's estimate, and its
     bounds times unit, in the variable named."""
     keep = np.nonzero(b != a)[0]  # an empty panel adds an exact 0
@@ -319,7 +324,7 @@ def _panel_sums(integrand, q, a, b, end, share, at_t, weight, quad_tol: float,
         keep, a[keep], b[keep], end[keep], share[keep], _MAX_DEPTH, len(a),
     )
     if stuck:
-        depth, (i, lo, hi, part, err), _ = stuck
+        depth, (i, lo, hi, part, err) = stuck
         raise NumericalError(
             f"limit density quadrature at t = {float(at_t[i])!r}: error "
             f"estimate {err * weight[i]:.3e} exceeds its share {part * weight[i]:.3e} "
@@ -521,10 +526,10 @@ def arcsine_mixture_density(gamma1: float, gamma2: float, x, quad_tol: float = 1
     The (point, branch) pairs are the rows of one `_bisect` pass, which
     adds each row's accepted panels in the order they were accepted, the
     order of a pass of that row alone: each point's value is bit for bit
-    its value as a point on its own.  The rows do not interact, so when one
-    is stuck each row reruns alone, in order, and the first stuck one
-    raises: the error of a loop over the points, and their branches, in
-    order.  A number x gives a float, an array an array.
+    its value as a point on its own.  When rows get stuck the lowest one
+    raises, with its estimate total: the error of a loop over the points,
+    and their branches, in order.  A number x gives a float, an array an
+    array.
     """
     GammaWeights((gamma1, gamma2))
     if not gamma1 < gamma2:
@@ -562,20 +567,11 @@ def arcsine_mixture_density(gamma1: float, gamma2: float, x, quad_tol: float = 1
         return _theta_panels(partial(_arcsine_integrand, *params[:, row, None]), a, b)
 
     totals, stuck = _bisect(integrate, row, a, b, b, shares, _MAX_BISECTIONS, len(owner))
-    if stuck and len(owner) > 1:
-        for r in range(len(owner)):
-            alone = row == r
-            rerun = _bisect(integrate, *(v[alone] for v in (row, a, b, b, shares)),
-                            _MAX_BISECTIONS, len(owner))
-            if rerun[1]:
-                totals, stuck = rerun
-                break
     if stuck:
-        depth, (r, lo, hi, part, est), pending = stuck
-        err = totals[-1].sum() + pending.sum()
+        depth, (r, lo, hi, part, est) = stuck
         raise NumericalError(
             f"arcsine mixture quadrature at x = {xs[owner[r]]!r}: error estimate "
-            f"{float(err):.3e} against its share {share:.3e} of quad_tol "
+            f"{totals[-1, r]:.3e} against its share {share:.3e} of quad_tol "
             f"{quad_tol!r}: the theta-panel [{float(lo)!r}, {float(hi)!r}] keeps the "
             f"estimate {est:.3e} above its share {part:.3e} after {depth} bisections"
         )

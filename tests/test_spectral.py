@@ -11,6 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from blockspec import spectral
 from blockspec.cli import FIGURES
@@ -497,11 +498,12 @@ class TestBisect:
 
     def test_zero_share_is_stuck_at_depth_zero(self):
         totals, stuck, calls = self.run([1.0, 0.0])
-        depth, (row, lo, hi, share, err), pending = stuck
+        depth, (row, lo, hi, share, err) = stuck
         assert (depth, row, lo, hi, share, err) == (0, 1, 1.0, 3.0, 0.0, 4.0)
-        assert pending.tolist() == [4.0] and len(calls) == 1
-        # only row 0's panel [0, 1] was accepted
-        assert totals.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        assert len(calls) == 1
+        # row 0's panel [0, 1] was accepted; row 1's was set aside, so only
+        # its estimate counts
+        assert totals.tolist() == [[1.0, 0.0], [1.0, 4.0]]
 
     def test_row_without_panels_gets_exact_zeros(self):
         # rows 0, 2 and 4 have no panel: totals still has a column for each
@@ -513,11 +515,40 @@ class TestBisect:
     @pytest.mark.parametrize("max_depth", [0, 3, 8])
     def test_max_depth_is_honoured(self, max_depth):
         # estimates far above the rounding level, shares out of reach
-        _, stuck, calls = self.run([1e-300, 1e-300], max_depth, scale=1e-300)
+        totals, stuck, calls = self.run([1e-300, 1e-300], max_depth, scale=1e-300)
         assert len(calls) == max_depth + 1
-        depth, (row, lo, hi, _, _), pending = stuck
+        depth, (row, lo, hi, _, _) = stuck
         assert (depth, row, lo, hi) == (max_depth, 0, 0.0, 2.0**-max_depth)
-        assert len(pending) == 2 ** (max_depth + 1)
+        # row 0's 2^max_depth panels, each with the estimate 4^-max_depth,
+        # are set aside; row 1, above it, is dropped
+        assert totals.tolist() == [[0.0, 0.0], [2.0**-max_depth, 0.0]]
+
+    def test_lowest_stuck_row_is_reported(self):
+        # row 1's share is 0, so it sticks at depth 0; row 0's estimate
+        # width^2 reaches the rounding level 64 eps * scale * width at width
+        # 1/4, so it sticks at depth 2 and is reported, as a loop over the
+        # rows would report it
+        scale = 0.3 / spectral._ROUNDING
+        totals, stuck, calls = self.run([1e-3, 0.0], scale=scale)
+        assert stuck == (2, (0, 0.0, 0.25, 1e-3 / 4.0, 0.0625))
+        assert len(calls) == 3
+        # row 0's four quarter panels are all set aside: no integral, and
+        # their estimates add up to 1/4
+        assert totals[:, 0].tolist() == [0.0, 0.25]
+
+    def test_rows_below_the_stuck_row_are_whole(self):
+        # row 1 sticks at depth 0; row 0 is refined to depth 7 as if nothing
+        # were stuck, and row 2's live panel, above row 1, is dropped
+        args = dict(a=(0.0, 1.0, 3.0), b=(1.0, 3.0, 4.0), end=(1.0, 3.0, 4.0),
+                    row=(0, 1, 2), rows=3)
+        totals, stuck, calls = self.run([0.01, 0.0, 0.5], **args)
+        assert stuck[:2] == (0, (1, 1.0, 3.0, 0.0, 4.0))
+        assert all(row.tolist() == [0] * len(row) for row, *_ in calls[1:])
+        alone, nothing_stuck, _ = self.run([0.01], a=(0.0,), b=(1.0,), end=(1.0,), row=(0,),
+                                           rows=1)
+        assert nothing_stuck is None
+        assert totals[:, 0].tolist() == alone[:, 0].tolist()
+        assert totals[:, 1:].tolist() == [[0.0, 0.0], [4.0, 0.0]]
 
 
 class TestDensityGrid:
@@ -575,17 +606,52 @@ class TestLimitMoments:
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_density_table_moments(self, name):
-        # int t^k dF = M*^k - k int t^(k-1) F dt by parts on [-M*, M*]; the
-        # trapezoid over the grid-400 CDF is within 1.17e-4 M*^k for k <= 8
         gamma, _ = FIGURES[name]
+        assert_table_moments(GammaWeights(gamma), 8)
+
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(
+        lambda p: st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p), st.booleans())
+    ))
+    def test_density_table_moments_over_the_weight_space(self, draw):
+        # each gamma in 10^[-3, 3], half of the sets sorted; a set whose A0
+        # is singular or indefinite is no limit law and is rejected, but no
+        # accepted set may fail the quadrature at quad_tol 1e-6
+        exponents, ordered = draw
+        gamma = [10.0**u for u in (sorted(exponents) if ordered else exponents)]
         w = GammaWeights(gamma)
-        table = density_grid(w, 400, 1e-6)
-        bound = support_bound(w)
-        t, cdf = table.grid, table.cdf
-        expected = limit_moments(w, 8)
-        for k in range(1, 9):
-            moment = bound**k - k * np.trapezoid(t ** (k - 1) * cdf, t)
-            assert abs(moment - expected[k]) <= 2e-4 * bound**k, (k, moment, expected[k])
+        try:
+            limit_blocks(w)
+        except ValidationError:
+            reject()
+        assert_table_moments(w, 6)
+
+
+def assert_table_moments(w: GammaWeights, k_max: int) -> None:
+    """m_0..m_k_max of `_density_table` at quad_tol 1e-6 equal `limit_moments`
+    within 1e-7 max(|m_k|, m_2^(k/2)).
+
+    The moments are taken by a 40-node Gauss-Legendre rule on four
+    sin^2-graded quarter panels, theta in [j pi / 8, (j + 1) pi / 8] with
+    t = c + (d - c) sin^2(theta), of each gap [c, d] between consecutive
+    kinks (`_levels`), 0 and +-M*: the map cancels a square-root kink at
+    either end of a gap.
+    """
+    a0, b0, s0 = limit_blocks(w)
+    bound = support_bound(w)
+    kinks = np.unique(np.concatenate([[-bound, 0.0, bound], spectral._levels(a0, b0)]))
+    c, d = kinks[:-1, None, None], kinks[1:, None, None]
+    x, weights = np.polynomial.legendre.leggauss(40)
+    quarter = np.arange(4)[:, None] * (math.pi / 8.0)
+    theta = quarter + (x + 1.0) * (math.pi / 16.0)
+    t = c + (d - c) * np.sin(theta) ** 2
+    jac = (d - c) * np.sin(2.0 * theta) * weights * (math.pi / 16.0)
+    density = spectral._density_table(a0, b0, s0, t.ravel(), 1e-6)[0]
+    expected = limit_moments(w, k_max)
+    for k in range(k_max + 1):
+        moment = np.sum(t.ravel() ** k * density * jac.ravel())
+        scale = max(abs(expected[k]), expected[2] ** (k / 2))
+        assert abs(moment - expected[k]) <= 1e-7 * scale, (k, moment, expected[k])
 
 
 class TestRootsAgainstTable:
