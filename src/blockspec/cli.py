@@ -1,7 +1,8 @@
 """Command-line front end: sampling, roots, densities, comparison
 experiments, and figure-data reproduction with stable file formats.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, reported by
+`run` alone as `numerical failure: <command> <options>: <message>`.
 """
 
 from __future__ import annotations
@@ -238,11 +239,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
         partial(density_grid, w, args.grid, args.quad_tol),
         partial(scaled_tridiagonal, n, w, seed),
     ]
-    try:
-        density, t = map_trials(tasks)
-        histogram = spectrum_histogram(t)
-    except NumericalError as exc:
-        raise NumericalError(f"figure {args.name}: {exc}") from exc
+    density, t = map_trials(tasks)
+    histogram = spectrum_histogram(t)
     edges = histogram.edges
     centers = (edges[:-1] + edges[1:]) / 2.0
     binning = {"rule": "freedman-diaconis", "bins": int(len(centers)),
@@ -371,12 +369,14 @@ def run(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        detail = f": {exc}" if str(exc) else ""
-        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:  # raised only by args.func
+        # the command and every option parsed but --out; a switch only when set
+        options = (f"--{dest.replace('_', '-')}" + ("" if value is True else f" {value}")
+                   for dest, value in vars(args).items()
+                   if dest not in ("command", "func", "out") and value is not False)
+        message = f"out of memory: {exc}".removesuffix(": ") if isinstance(exc, MemoryError) else exc
+        print(f"numerical failure: {' '.join([args.command, *options])}: {message}",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         # an output path that cannot be created or written

@@ -19,8 +19,9 @@ import blockspec.matrixpoly
 import blockspec.spectral
 from blockspec.cli import FIGURES, run
 from blockspec.ensemble import GammaWeights, RngSeed
+from blockspec.errors import ConvergenceError, NumericalError
 from blockspec.harness import empirical_spectrum
-from blockspec.spectral import semicircle_density
+from blockspec.spectral import density_grid, semicircle_density
 from tests.golden.regenerate import CASES as GOLDEN_CASES, GOLDEN_DIR
 from tests.oracles import read_density_csv, read_histogram_csv, read_json, read_spectrum_csv
 
@@ -37,6 +38,14 @@ INDEFINITE_A0 = "A0 is not positive definite: smallest eigenvalue "
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return run(argv)
+
+
+def stage_message(call, *args) -> str:
+    """The message of the NumericalError that call(*args) raises, which an
+    exit 3 prints after the command and its options."""
+    with pytest.raises(NumericalError) as info:
+        call(*args)
+    return str(info.value)
 
 
 @pytest.fixture
@@ -260,8 +269,8 @@ class TestSubcommands:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith(
-            "numerical failure: figure fig1: band reduction (dsbtrd): "
-            "| ||T||_F^2 - ||M||_F^2 | = "
+            "numerical failure: figure --seed 0 --grid 100 --quad-tol 1e-06 --name fig1: "
+            "band reduction (dsbtrd): | ||T||_F^2 - ||M||_F^2 | = "
         )
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
@@ -272,8 +281,13 @@ class TestSubcommands:
         argv = ["figure", "--name", "fig1", "--grid", "100", "--quad-tol", "1e-300"]
         assert run_in(tmp_path, monkeypatch, argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: figure fig1: limit density quadrature")
-        assert err.count("\n") == 1
+        assert err.startswith(
+            "numerical failure: figure --seed 0 --grid 100 --quad-tol 1e-300 --name fig1: "
+            "limit density quadrature at t = "
+        )
+        stage = stage_message(density_grid, GammaWeights((2.0, 8.0)), 100, 1e-300)
+        assert err == ("numerical failure: figure --seed 0 --grid 100 --quad-tol 1e-300 "
+                       f"--name fig1: {stage}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -302,9 +316,12 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "argv,prefix",
         [
-            (["sample", "--n", "12", "--p", "2", "--gamma", "2,8"], ""),
-            (["roots", "--n", "12", "--p", "3", "--gamma", "1,4,25"], ""),
-            (["figure", "--name", "fig4", "--grid", "100"], "figure fig4: "),
+            (["sample", "--n", "12", "--p", "2", "--gamma", "2,8"],
+             "sample --n 12 --p 2 --gamma 2,8 --seed 0 --stream 0"),
+            (["roots", "--n", "12", "--p", "3", "--gamma", "1,4,25"],
+             "roots --n 12 --p 3 --gamma 1,4,25"),
+            (["figure", "--name", "fig4", "--grid", "100"],
+             "figure --seed 0 --grid 100 --quad-tol 1e-06 --name fig4"),
         ],
         ids=["sample", "roots", "figure"],
     )
@@ -321,7 +338,7 @@ class TestSubcommands:
         monkeypatch.setattr(blockspec.linalg, "_narrowing_rotations", perturbed)
         assert run_in(tmp_path, monkeypatch, argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"numerical failure: {prefix}band narrowing: |")
+        assert err.startswith(f"numerical failure: {prefix}: band narrowing: |")
         assert "exceeds 4 * dim * eps * ||M||_F" in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
@@ -624,6 +641,10 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "quad_tol 1e-300" in err
+        stage = stage_message(density_grid, GammaWeights((2.0,)), 100, 1e-300)
+        assert err == (
+            f"numerical failure: density --p 1 --gamma 2 --grid 100 --quad-tol 1e-300: {stage}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_huge_weight_oracle_writes_finite_rows(self, tmp_path, monkeypatch, capsys):
@@ -662,7 +683,10 @@ class TestExitCodes:
         )
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: arcsine mixture quadrature at x = ")
+        assert err.startswith(
+            "numerical failure: oracle --p 2 --gamma 2,8 --grid 100 --quad-tol 1e-300: "
+            "arcsine mixture quadrature at x = "
+        )
         assert "share 5.000e-301 of quad_tol 1e-300" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -672,7 +696,8 @@ class TestExitCodes:
         rc = run_in(tmp_path, monkeypatch, ["oracle", "--p", "1", "--gamma", "2", "--grid", "100"])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "numerical failure: non-finite density value nan at t = -2.0\n"
+            "numerical failure: oracle --p 1 --gamma 2 --grid 100 --quad-tol 1e-10: "
+            "non-finite density value nan at t = -2.0\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -688,7 +713,10 @@ class TestExitCodes:
         )
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: limit density quadrature at t = ")
+        assert err.startswith(
+            "numerical failure: compare --n 8 --p 1 --gamma 1e-300 --seed 0 --trials 2 "
+            "--grid 100 --quad-tol 1e-06: limit density quadrature at t = "
+        )
         # the shared half-gap [L / 2, L] of the level L = sqrt(2e-300), bisected once,
         # at the largest t below it: (quad_tol / 2) (t / L) / 2
         assert "exceeds its share 2.400e-07 of quad_tol 1e-06 on the k-panel [" in err
@@ -747,27 +775,35 @@ class TestExitCodes:
         "exc,message",
         [
             (MemoryError("Unable to allocate 8.00 EiB for an array"),
-             "numerical failure: out of memory: Unable to allocate 8.00 EiB for an array\n"),
-            (MemoryError(), "numerical failure: out of memory\n"),
+             "out of memory: Unable to allocate 8.00 EiB for an array\n"),
+            (MemoryError(), "out of memory\n"),
         ],
         ids=["numpy-message", "bare"],
     )
     @pytest.mark.parametrize(
-        "argv",
+        "argv,name",
         [
-            ["sample", "--n", "8", "--p", "2", "--gamma", "2,8"],
-            ["compare", "--n", "8", "--p", "2", "--gamma", "2,8", "--trials", "2",
-             "--grid", "100"],
+            (["sample", "--n", "8", "--p", "2", "--gamma", "2,8"],
+             "sample --n 8 --p 2 --gamma 2,8 --seed 0 --stream 0"),
+            (["compare", "--n", "8", "--p", "2", "--gamma", "2,8", "--trials", "2",
+              "--grid", "100"],
+             "compare --n 8 --p 2 --gamma 2,8 --seed 0 --trials 2 --grid 100 --quad-tol 1e-06"),
+            # options in the parser's order whatever their order given, --out
+            # left out, and a switch named when set
+            (["sample", "--scaled", "--stream=3", "--gamma", "2,8", "--p", "2", "--n", "8",
+              "--seed", "5", "--out", "s.csv"],
+             "sample --n 8 --p 2 --gamma 2,8 --seed 5 --scaled --stream 3"),
         ],
-        ids=["sample", "compare"],
+        ids=["sample", "compare", "sample-reordered"],
     )
-    def test_allocation_failure_exits_3(self, tmp_path, monkeypatch, capsys, argv, exc, message):
+    def test_allocation_failure_exits_3(self, tmp_path, monkeypatch, capsys, argv, name, exc,
+                                        message):
         def no_memory(n, w, seed):
             raise exc
 
         monkeypatch.setattr(blockspec.harness, "build_G", no_memory)
         assert run_in(tmp_path, monkeypatch, argv) == 3
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"numerical failure: {name}: {message}"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -1104,7 +1140,10 @@ class TestDeterminism:
         assert results["1"] == results["2"]
         rc, err = results["1"]
         assert rc == 3 and err.count("\n") == 1
-        assert err.startswith("numerical failure: figure fig1: limit density quadrature at t = ")
+        assert err.startswith(
+            "numerical failure: figure --seed 0 --grid 400 --quad-tol 1e-300 --name fig1: "
+            "limit density quadrature at t = "
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_worker_count_does_not_change_failure(self, tmp_path, monkeypatch, capsys,
@@ -1124,5 +1163,39 @@ class TestDeterminism:
         assert results["1"] == results["2"]
         rc, err = results["1"]
         assert rc == 3 and err.count("\n") == 1
-        assert err.startswith("numerical failure: limit density quadrature at t = ")
+        assert err.startswith(
+            "numerical failure: compare --n 3000 --p 3 --gamma 1,4,25 --seed 0 --trials 5 "
+            "--grid 400 --quad-tol 1e-300: limit density quadrature at t = "
+        )
+        stage = stage_message(density_grid, GammaWeights((1.0, 4.0, 25.0)), 400, 1e-300)
+        assert err.endswith(f" --quad-tol 1e-300: {stage}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_count_does_not_change_gap_failure(self, tmp_path, monkeypatch, capsys):
+        # every sampled solve at n = 12 fails with a message naming its
+        # matrix; the tasks run n = 24 first, so the report is trial 0 at
+        # n = 12 on both thread counts, however the failing solves overlap
+        argv = ["gap", "--n-list", "12,24", "--p", "2", "--gamma", "2,8", "--trials", "3",
+                "--out", "sub/gap.json"]
+        w = GammaWeights((2.0, 8.0))
+        lowest = empirical_spectrum(12, w, RngSeed(0, 0)).values[0]
+        solve = blockspec.harness.eigh_banded
+
+        def fail_at_12(matrix):
+            values = solve(matrix)
+            if matrix.dim == 12:
+                raise ConvergenceError(f"injected failure, lowest eigenvalue {values[0]!r}")
+            return values
+
+        monkeypatch.setattr(blockspec.harness, "eigh_banded", fail_at_12)
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BLOCKSPEC_THREADS", threads)
+            rc = run_in(tmp_path, monkeypatch, argv)
+            results[threads] = (rc, capsys.readouterr().err)
+        assert results["1"] == results["2"] == (
+            3,
+            "numerical failure: gap --p 2 --gamma 2,8 --seed 0 --trials 3 --n-list 12,24 "
+            f"--epsilon 30.0: injected failure, lowest eigenvalue {lowest!r}\n",
+        )
         assert list(tmp_path.iterdir()) == []

@@ -34,6 +34,7 @@ from tests.oracles import (
     eval_R,
     lu_log_abs_det,
     f_tilde_blocks,
+    limit_moments,
     markov_bound_check,
     to_dense,
     truncated,
@@ -334,6 +335,26 @@ class TestRoots:
             power_sum = np.sum(scaled_roots**k) / n
             scale = np.sum(np.abs(scaled_roots) ** k) / n
             assert abs(power_sum - trace) <= 1e-12 * scale, (k, power_sum, trace)
+
+    @pytest.mark.parametrize(
+        "gamma", [(2.0, 8.0), (1.0, 4.0, 25.0), (1.0, 2.0, 3.0, 40.0)], ids=["p2", "p3", "p4"]
+    )
+    def test_moment_bias_is_of_order_one_over_n(self, gamma):
+        # b_j(n) = n (m_j(roots / sqrt n) - m_j) / max(|m_j|, m_2^(j/2)), from
+        # -2.2 to -20.4 here, moves by at most 0.9% from n = 600 to 2400: the
+        # roots' moments approach the limit law's with a deterministic 1/n
+        # bias.  Roots of weights 1% off would move b_2 by about n / 100.
+        w = GammaWeights(gamma)
+        m = limit_moments(w, 6)
+        scale = np.array([max(abs(m[j]), m[2] ** (j / 2)) for j in range(2, 7)])
+
+        def bias(n):
+            x = roots_of(n, w) / math.sqrt(n)
+            return n * (np.array([np.mean(x**j) for j in range(2, 7)]) - m[2:]) / scale
+
+        base = bias(600)
+        for n in (1200, 2400):
+            assert np.all(np.abs(bias(n) - base) <= 0.02 * np.abs(base)), (n, bias(n), base)
 
 
 class TestRootsOf:
