@@ -31,7 +31,7 @@ from .harness import (
     spectrum_histogram,
     tail_bound_experiment,
 )
-from .matrixpoly import recurrence_coeffs, roots_of
+from .matrixpoly import roots_of
 from .spectral import check_density_args, density_grid, oracle_density
 from . import formats
 
@@ -121,7 +121,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     w = _weights(args.p, args.gamma)
-    return _write_spectrum(args, EmpiricalSpectrum(w, None, False, roots_of(args.n, w)))
+    return _write_spectrum(args, EmpiricalSpectrum(w, None, False, roots_of(args.n, w)()))
 
 
 def cmd_density(args: argparse.Namespace) -> int:
@@ -144,11 +144,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     check_size(args.n, w)
     check_trials(args.trials)
     check_density_args(w, args.grid, args.quad_tol)
-    recurrence_coeffs(args.n, w)  # its A_i checks, before any solve
     seeds = [RngSeed(args.seed, trial) for trial in range(args.trials)]
     tasks = [
         partial(density_grid, w, args.grid, args.quad_tol),
-        partial(roots_of, args.n, w),
+        roots_of(args.n, w),
         *(partial(empirical_spectrum, args.n, w, seed) for seed in seeds),
     ]
     density, roots_raw, *spectra = map_trials(tasks)

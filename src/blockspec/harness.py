@@ -7,15 +7,16 @@ Trial i always draws from seed (master, i), so runs are reproducible and
 trials can execute concurrently without sharing state.  A command hands its
 independent work to `map_trials` as lists of tasks.  `compare` and `gap`
 make one call: each deterministic roots solve and each trial's sampled
-solve, and for `compare` also the limit density table.  The roots come from
-`matrixpoly.roots_of`, solved once per (n, w) per process, so a repeated
-`compare` or `gap` in one process (each iteration of the benchmark's
-`sweep` workload after its first) makes only its sampled solves; one
-command per process, as the console script runs, gains nothing.  `figure`
-makes two rounds: the density table beside the sampled band reduction
-(`scaled_tridiagonal`), then the minimum and the maximum of the histogram
-(`spectrum_histogram`), which brackets its quartiles and fills its bins by
-counting eigenvalues instead of computing them all.  Every sampled solve
+solve, and for `compare` also the limit density table.  A roots task is
+`matrixpoly.roots_of(n, w)`, which checks the coefficients before the pool
+starts and solves once per (n, w) per process, so a repeated `compare` or
+`gap` in one process (each iteration of the benchmark's `sweep` workload
+after its first) makes only its sampled solves; one command per process,
+as the console script runs, gains nothing.  `figure` makes two rounds: the
+density table beside the sampled band reduction (`scaled_tridiagonal`),
+then the minimum and the maximum of the histogram (`spectrum_histogram`),
+which brackets its quartiles and fills its bins by counting eigenvalues
+instead of computing them all.  Every sampled solve
 and reduction hands G, as its p x p blocks, to `linalg`, which narrows it to
 a band of bandwidth p (a few ms at n = 5000) before the LAPACK band
 reduction (71-151 ms of CPU on the figure matrices); the spectra are those
@@ -42,7 +43,7 @@ import numpy as np
 from .ensemble import EmpiricalSpectrum, GammaWeights, RngSeed, build_G, check_size
 from .errors import ValidationError
 from .linalg import SturmCounter, Tridiagonal, eigh_banded, tridiagonal_form
-from .matrixpoly import recurrence_coeffs, roots_of
+from .matrixpoly import roots_of
 from .spectral import SpectralDensity
 
 
@@ -347,10 +348,11 @@ def gap_report(
     """The max gaps (`approx_gap`) of each size in n_list, in list order: one
     array per size, one gap per seed (master_seed, 0..trials-1).
 
-    Every argument is checked before any solve starts.  The roots
-    (`roots_of`, solved once per process) and the sampled solves of all
-    sizes then go to one `map_trials` call, the largest size first; a size
-    listed twice is solved once.
+    Every argument, and the coefficients of each size (`roots_of`, built
+    and checked once per process), are checked before any solve starts.
+    The roots tasks and the sampled solves of all sizes then go to one
+    `map_trials` call, the largest size first; a size listed twice is
+    solved once.
     """
     check_trials(trials)
     for n in n_list:
@@ -358,13 +360,10 @@ def gap_report(
         if n < 3:
             raise ValidationError(f"n must be >= 3 so that log n > 1, got {n}")
     sizes = sorted(set(n_list), reverse=True)
-    # the A_i checks: stage i does not depend on n, so the largest size
-    # covers every other
-    recurrence_coeffs(sizes[0], w)
     seeds = [RngSeed(master_seed, trial) for trial in range(trials)]
     tasks = []
     for n in sizes:
-        tasks.append(partial(roots_of, n, w))
+        tasks.append(roots_of(n, w))
         tasks += [partial(empirical_spectrum, n, w, seed) for seed in seeds]
     solved = iter(map_trials(tasks))
     gaps = {}

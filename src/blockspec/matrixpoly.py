@@ -22,18 +22,21 @@ Chebyshev polynomials and the resolvent-type bound are test references in
 `tests/oracles.py`.
 
 The roots depend only on (n, w), never on a seed, so the commands take them
-from `roots_of(n, w)`, which solves each (n, w) once per process and keeps
-the last ROOTS_MEMO_SIZE spectra, read-only.  That gains only where one
-process asks for the same (n, w) again: in the benchmark's `sweep` workload,
-every `compare` and `gap` after the first iteration, whose 4 roots solves
-(about a tenth of its CPU) become lookups; in `golden`, only at n <= 24, where
-a solve costs well under a millisecond.  `figure` makes no roots solve, and
-the console script runs one command per process and does not gain.
+from `roots_of(n, w)`, the one place that builds and checks a coefficient set
+(a singular A_i raises there, before any pool starts).  It keeps the last
+ROOTS_MEMO_SIZE sets, each with a task that solves it once and then returns
+the same read-only spectrum.  That gains only where one process asks for the
+same (n, w) again: in the benchmark's `sweep` workload, every `compare` and
+`gap` after the first iteration, whose 4 roots solves (about a tenth of its
+CPU) become lookups; in `golden`, only at n <= 24, where a solve costs well
+under a millisecond.  `figure` makes no roots solve, and the console script
+runs one command per process and does not gain.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -97,29 +100,27 @@ def recurrence_coeffs(n: int, w: GammaWeights) -> RecurrenceCoeffs:
 
 
 def roots(coeffs: RecurrenceCoeffs) -> np.ndarray:
-    """The m*p roots of det R_m, ascending, with multiplicity.
+    """The m*p roots of det R_m, ascending, with multiplicity, read-only.
 
     Computed as the spectrum of the block Jacobi matrix, with diagonal
     blocks B_0..B_{m-1} and coupling blocks A_1..A_{m-1}
     (`linalg.eigh_banded`); coincident eigenvalues realize root
     multiplicities with uniform weight 1/(m*p).
     """
-    return eigh_banded(BlockTridiagonal(coeffs.B, coeffs.A[:-1]))
+    values = eigh_banded(BlockTridiagonal(coeffs.B, coeffs.A[:-1]))
+    values.flags.writeable = False
+    return values
 
 
-# how many (n, w) spectra `roots_of` keeps: each benchmark workload asks
-# for at most four
+# how many (n, w) tasks `roots_of` keeps: each benchmark workload asks for
+# at most four
 ROOTS_MEMO_SIZE = 8
 
 
 @lru_cache(maxsize=ROOTS_MEMO_SIZE)
-def roots_of(n: int, w: GammaWeights) -> np.ndarray:
-    """roots(recurrence_coeffs(n, w)), solved once per process for each
-    (n, w) among the last ROOTS_MEMO_SIZE asked for.
-
-    The array is shared by every caller and is read-only.  A solve that
-    raises is not kept, so asking again solves again.
-    """
-    values = roots(recurrence_coeffs(n, w))
-    values.flags.writeable = False
-    return values
+def roots_of(n: int, w: GammaWeights) -> Callable[[], np.ndarray]:
+    """The task roots(recurrence_coeffs(n, w)), its coefficients built and
+    checked here, for each of the last ROOTS_MEMO_SIZE (n, w) asked for.  Its
+    first call solves; later calls return the same read-only array.  A solve
+    that raises is not kept: calling again solves again."""
+    return cache(partial(roots, recurrence_coeffs(n, w)))

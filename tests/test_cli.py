@@ -897,17 +897,16 @@ class TestExitCodes:
     def test_gap_checks_the_coefficients_once(
         self, tmp_path, monkeypatch, capsys, solve_sizes
     ):
-        # stage i of the recurrence does not depend on n, so one check at
-        # the largest size covers the whole list, and a singular A_i still
-        # exits 2 before any task starts
+        # the sizes are built largest first, so a singular A_i exits 2 at
+        # the first build, before any task starts
         checked = []
-        check = blockspec.harness.recurrence_coeffs
+        check = blockspec.matrixpoly.recurrence_coeffs
 
         def counted(n, w):
             checked.append(n)
             return check(n, w)
 
-        monkeypatch.setattr(blockspec.harness, "recurrence_coeffs", counted)
+        monkeypatch.setattr(blockspec.matrixpoly, "recurrence_coeffs", counted)
         monkeypatch.setattr(blockspec.harness, "map_trials", None)
         argv = ["gap", "--n-list", "1000,3000,2000", "--trials", "4",
                 "--p", "2", "--gamma", "0.7071067811865476,1"]

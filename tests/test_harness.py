@@ -19,6 +19,7 @@ import pytest
 import scipy.linalg
 
 import blockspec.harness as harness
+import blockspec.matrixpoly as matrixpoly
 from blockspec.cli import FIGURES
 from blockspec.ensemble import (
     EmpiricalSpectrum,
@@ -159,6 +160,11 @@ class TestFdHistogram:
             ("single", [-7.5], [0]),
             # quartiles 0.25 and 0.75, width 2 * 0.5 * 8^(-1/3) = 0.5: 2 bins exactly
             ("integer-ratio", [0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0], [5, 6, 1, 2]),
+            # the slack 16 eps max|x| underflows to 0, so no bracket ever
+            # certifies, and a midpoint of two adjacent subnormals rounds
+            # onto an end: only the step cap ends the loop
+            ("subnormal", np.sort(np.random.default_rng(5).standard_normal(1000)) * 5e-324,
+             [749, 750, 249, 250]),
         ]
     ])
     def test_uncertified_sample_asks_for_the_quartiles(self, name, x, quartile_ranks):
@@ -166,9 +172,17 @@ class TestFdHistogram:
         if name == "integer-ratio":
             width = 2.0 * np.subtract(*np.percentile(x, [75, 25])) * len(x) ** (-1.0 / 3.0)
             assert (x[-1] - x[0]) / width == 2.0
-        asked = []
-        got = fd_histogram(len(x), recording(x, asked), partial(np.searchsorted, x, side="left"))
+        asked, counted = [], []
+
+        def count_below(points):
+            counted.append(points)
+            return np.searchsorted(x, points, side="left")
+
+        got = fd_histogram(len(x), recording(x, asked), count_below)
         assert asked == [[0, len(x) - 1], quartile_ranks]
+        if name == "subnormal":
+            assert harness.QUARTILE_SLACK * math.ulp(1.0) * np.abs(x).max() == 0.0
+            assert len(counted) == harness.MAX_BRACKET_STEPS + 1
         counts, edges = np.histogram(x, bins="fd")
         np.testing.assert_array_equal(got.edges, edges)
         np.testing.assert_array_equal(got.counts, counts)
@@ -326,16 +340,26 @@ class TestApproxGap:
             np.testing.assert_array_equal(gaps, alone[n])
 
     def test_coefficients_checked_once(self, monkeypatch):
-        # the A_i check runs at the largest size only: stage i does not
-        # depend on n, so it covers every size of the list
-        checked = []
-        check = harness.recurrence_coeffs
+        # each size's coefficients are built and checked once per process,
+        # largest first, all before the pool starts and none inside a task;
+        # a second identical report builds none
+        checked, checked_at_pool = [], []
+        check, pool = matrixpoly.recurrence_coeffs, harness.map_trials
         monkeypatch.setattr(
-            harness, "recurrence_coeffs", lambda n, w: checked.append(n) or check(n, w)
+            matrixpoly, "recurrence_coeffs", lambda n, w: checked.append(n) or check(n, w)
+        )
+        monkeypatch.setattr(
+            harness, "map_trials", lambda tasks: checked_at_pool.append(list(checked)) or pool(tasks)
         )
         reports = gap_report([12, 36, 24], W2, 2, 4)
-        assert checked == [36]
+        assert checked == [36, 24, 12]
+        assert checked_at_pool == [[36, 24, 12]]
         assert [len(gaps) for gaps in reports] == [2, 2, 2]
+        again = gap_report([12, 36, 24], W2, 2, 4)
+        assert checked == [36, 24, 12]
+        assert checked_at_pool == [[36, 24, 12]] * 2
+        for gaps, same in zip(reports, again):
+            np.testing.assert_array_equal(same, gaps)
 
     def test_every_size_checked_before_any_solve(self, monkeypatch):
         solves = []

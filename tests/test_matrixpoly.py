@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import blockspec.linalg
+import blockspec.matrixpoly
 from blockspec.cli import FIGURES
 from blockspec.ensemble import GammaWeights
 from blockspec.errors import NumericalError, ValidationError
@@ -349,7 +350,7 @@ class TestRoots:
         scale = np.array([max(abs(m[j]), m[2] ** (j / 2)) for j in range(2, 7)])
 
         def bias(n):
-            x = roots_of(n, w) / math.sqrt(n)
+            x = roots_of(n, w)() / math.sqrt(n)
             return n * (np.array([np.mean(x**j) for j in range(2, 7)]) - m[2:]) / scale
 
         base = bias(600)
@@ -359,20 +360,20 @@ class TestRoots:
 
 class TestRootsOf:
     def test_solved_once_per_size_and_weights(self):
-        first = roots_of(12, W3)
+        first = roots_of(12, W3)()
         np.testing.assert_array_equal(first, roots(recurrence_coeffs(12, W3)))
-        assert roots_of(12, W3) is first
-        assert roots_of(12, GammaWeights([1, 4, 25])) is first
-        assert roots_of(24, W3) is not first and roots_of(12, W2) is not first
+        assert roots_of(12, W3)() is first
+        assert roots_of(12, GammaWeights([1, 4, 25]))() is first
+        assert roots_of(24, W3)() is not first and roots_of(12, W2)() is not first
         assert roots_of.cache_info().currsize == 3
 
     def test_kept_spectrum_is_read_only(self):
-        values = roots_of(12, W2)
+        values = roots_of(12, W2)()
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             values /= 2.0
-        np.testing.assert_array_equal(roots_of(12, W2), roots(recurrence_coeffs(12, W2)))
+        np.testing.assert_array_equal(roots_of(12, W2)(), roots(recurrence_coeffs(12, W2)))
 
     def test_failed_solve_is_not_kept(self, monkeypatch):
         rotations = blockspec.linalg._narrowing_rotations
@@ -383,11 +384,23 @@ class TestRootsOf:
             return cos, sin
 
         monkeypatch.setattr(blockspec.linalg, "_narrowing_rotations", perturbed)
+        task = roots_of(12, W3)
         with pytest.raises(NumericalError, match="band narrowing"):
-            roots_of(12, W3)
-        assert roots_of.cache_info().currsize == 0
+            task()
+        assert task.cache_info().currsize == 0
         monkeypatch.undo()
-        np.testing.assert_array_equal(roots_of(12, W3), roots(recurrence_coeffs(12, W3)))
+        assert roots_of(12, W3) is task
+        np.testing.assert_array_equal(task(), roots(recurrence_coeffs(12, W3)))
+
+    def test_singular_recurrence_block_raises_before_any_solve(self, monkeypatch):
+        # A0 is positive definite for these weights, but A_1 is singular:
+        # roots_of itself raises, with no solve started and nothing kept
+        solves = []
+        monkeypatch.setattr(blockspec.matrixpoly, "eigh_banded", solves.append)
+        with pytest.raises(ValidationError, match="A_1 is numerically singular"):
+            roots_of(12, GammaWeights((0.7071067811865476, 1.0)))
+        assert solves == []
+        assert roots_of.cache_info().currsize == 0
 
     def test_keeps_the_most_recent_spectra(self):
         sizes = [6 * (k + 1) for k in range(ROOTS_MEMO_SIZE + 1)]
